@@ -11,6 +11,7 @@
 use crate::metrics::AggregatedCurves;
 use crate::sim::{simulate, SchedulerKind, SimConfig, SimTrace};
 use easeml_data::{model_quality_features, Dataset, TrainTestSplit};
+use easeml_gp::mll::log_marginal_likelihoods;
 use easeml_gp::{ArmPrior, TuneGrid};
 use easeml_linalg::{vec_ops, Matrix};
 use rand::rngs::StdRng;
@@ -57,8 +58,10 @@ pub struct ExperimentConfig {
     pub train_fraction: f64,
     /// Hyperparameter grid for the LML tuner.
     pub tune_grid: TuneGrid,
-    /// How many training users' rows enter the LML objective (capped for
-    /// speed; the paper does not specify).
+    /// How many training users' rows enter the LML objective (the paper
+    /// does not specify). The rows share one Gram factorization per grid
+    /// point, so each extra row costs one O(K²) solve, not an O(K³)
+    /// factorization.
     pub tune_rows: usize,
     /// Number of points on the output grid.
     pub grid_points: usize,
@@ -201,9 +204,15 @@ pub fn run_experiment(
         ) {
             (Vec::new(), 1e-3)
         } else {
-            let (means, cov) = empirical_prior(dataset, &split.train_users);
-            let (scale, noise) = tune_prior(dataset, &split.train_users, &means, &cov, cfg);
-            let prior = ArmPrior::from_gram(cov.scaled(scale)).with_mean(means);
+            let obs = easeml_obs::global_handle();
+            let (means, cov) = {
+                let _span = obs.span("prior_build");
+                empirical_prior(dataset, &split.train_users)
+            };
+            let (prior, noise) = {
+                let _span = obs.span("prior_tune");
+                tune_prior(dataset, &split.train_users, &means, &cov, cfg)
+            };
             (vec![prior; test.num_users()], noise)
         };
 
@@ -233,37 +242,44 @@ pub fn run_experiment(
 }
 
 /// Tunes (scale, noise) by summing the LML over up to `tune_rows` training
-/// users' full quality rows.
+/// users' full quality rows; returns the winning grid point's prior and
+/// noise. Every row observes all K arms in order, so each grid point factors
+/// one Gram matrix and scores every row against it.
 fn tune_prior(
     dataset: &Dataset,
     train_users: &[usize],
     means: &[f64],
     cov: &Matrix,
     cfg: &ExperimentConfig,
-) -> (f64, f64) {
+) -> (ArmPrior, f64) {
+    let prior_at = |scale: f64| ArmPrior::from_gram(cov.scaled(scale)).with_mean(means.to_vec());
     let rows = train_users.len().min(cfg.tune_rows);
     if rows == 0 {
-        return (1.0, 1e-3);
+        return (prior_at(1.0), 1e-3);
     }
-    // Concatenate the first `rows` users' observations; arms repeat across
-    // users, which the LML handles as replicated noisy draws.
-    let mut best = (1.0, 1e-3, f64::NEG_INFINITY);
+    // Arms repeat across users, which the LML handles as replicated noisy
+    // draws.
+    let arms: Vec<usize> = (0..dataset.num_models()).collect();
+    let histories: Vec<&[f64]> = train_users[..rows]
+        .iter()
+        .map(|&u| dataset.user_qualities(u))
+        .collect();
+    let mut best = None;
+    let mut best_total = f64::NEG_INFINITY;
     for &scale in &cfg.tune_grid.scales {
-        let prior = ArmPrior::from_gram(cov.scaled(scale)).with_mean(means.to_vec());
+        let prior = prior_at(scale);
         for &noise in &cfg.tune_grid.noises {
             let mut total = 0.0;
-            for &u in &train_users[..rows] {
-                let obs: Vec<(usize, f64)> = (0..dataset.num_models())
-                    .map(|j| (j, dataset.quality(u, j)))
-                    .collect();
-                total += easeml_gp::mll::log_marginal_likelihood(&prior, noise, &obs);
+            for lml in log_marginal_likelihoods(&prior, noise, &arms, &histories) {
+                total += lml;
             }
-            if total > best.2 {
-                best = (scale, noise, total);
+            if total > best_total {
+                best_total = total;
+                best = Some((prior.clone(), noise));
             }
         }
     }
-    (best.0, best.1)
+    best.unwrap_or_else(|| (prior_at(1.0), 1e-3))
 }
 
 #[cfg(test)]

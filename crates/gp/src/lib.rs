@@ -11,13 +11,20 @@
 //! `easeml-bandit` turn into upper confidence bounds.
 //!
 //! The posterior is maintained *incrementally*: each new observation extends
-//! a Cholesky factor in O(t²) rather than refactorizing in O(t³)
-//! (see [`easeml_linalg::Cholesky::extend`]).
+//! a Cholesky factor `L` in O(t²) rather than refactorizing in O(t³)
+//! (see [`easeml_linalg::Cholesky::extend`]), and appends one row to the
+//! cached t×K rows of `L⁻¹Σ_t(·)`, so refreshing all K posterior means and
+//! variances costs O(K·t). The rows are never larger than the t×t factor
+//! once t ≥ K. An [`ArmPrior`] shares its covariance between clones, so the
+//! posteriors of many tenants, and GP-BUCB's hallucinated copies, hold one
+//! K×K matrix between them.
 //!
 //! Hyperparameters (output scale, noise) are chosen by maximizing the
 //! [log marginal likelihood](mll::log_marginal_likelihood) on a grid, the
 //! approach the paper describes as "tuned by maximizing the
-//! log-marginal-likelihood as in scikit-learn" (§5.2).
+//! log-marginal-likelihood as in scikit-learn" (§5.2). Histories that
+//! observe the same arms share one factorization
+//! ([`mll::log_marginal_likelihoods`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

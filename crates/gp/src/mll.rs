@@ -17,7 +17,8 @@ const LN_2PI: f64 = 1.8378770664093453;
 ///
 /// This is the objective the hyperparameter tuner maximizes, mirroring the
 /// paper's protocol of tuning GP-UCB hyperparameters "by maximizing the
-/// log-marginal-likelihood as in scikit-learn" (§5.2).
+/// log-marginal-likelihood as in scikit-learn" (§5.2). It is the
+/// one-history case of [`log_marginal_likelihoods`].
 ///
 /// # Panics
 ///
@@ -27,30 +28,57 @@ pub fn log_marginal_likelihood(
     noise_var: f64,
     observations: &[(usize, f64)],
 ) -> f64 {
+    let (arms, rewards): (Vec<usize>, Vec<f64>) = observations.iter().copied().unzip();
+    log_marginal_likelihoods(prior, noise_var, &arms, &[rewards])[0]
+}
+
+/// [`log_marginal_likelihood`] of several reward histories that all observe
+/// the same arm sequence: `histories[h][i]` is history `h`'s reward for
+/// `arms[i]`. They share `K = Σ_arms + σ²I`, so it is factored once and
+/// each history then costs one O(t²) solve. Entry `h` of the result is
+/// bit-identical to scoring history `h` alone.
+///
+/// # Panics
+///
+/// Panics if an arm index is out of range, `noise_var <= 0`, or a history
+/// does not hold one reward per arm.
+pub fn log_marginal_likelihoods<H: AsRef<[f64]>>(
+    prior: &ArmPrior,
+    noise_var: f64,
+    arms: &[usize],
+    histories: &[H],
+) -> Vec<f64> {
     assert!(noise_var > 0.0, "noise variance must be positive");
-    let t = observations.len();
+    let t = arms.len();
     if t == 0 {
-        return 0.0;
+        return vec![0.0; histories.len()];
     }
-    for &(a, _) in observations {
+    for &a in arms {
         assert!(a < prior.num_arms(), "arm index {a} out of range");
     }
 
-    let mut k = Matrix::from_fn(t, t, |i, j| {
-        prior.cov()[(observations[i].0, observations[j].0)]
-    });
+    let mut k = Matrix::from_fn(t, t, |i, j| prior.cov()[(arms[i], arms[j])]);
     k.add_diag_mut(noise_var);
     let (chol, _) =
         Cholesky::factor_with_jitter(&k, 1e-10, 12).expect("noisy Gram matrix must be factorable");
+    let log_det = chol.log_det();
 
-    let centered: Vec<f64> = observations
+    histories
         .iter()
-        .map(|&(a, y)| y - prior.mean()[a])
-        .collect();
-    let quad = chol
-        .quad_form(&centered)
-        .expect("dimension matches history");
-    -0.5 * quad - 0.5 * chol.log_det() - 0.5 * t as f64 * LN_2PI
+        .map(|rewards| {
+            let rewards = rewards.as_ref();
+            assert_eq!(rewards.len(), t, "a history needs one reward per arm");
+            let centered: Vec<f64> = arms
+                .iter()
+                .zip(rewards)
+                .map(|(&a, &y)| y - prior.mean()[a])
+                .collect();
+            let quad = chol
+                .quad_form(&centered)
+                .expect("dimension matches history");
+            -0.5 * quad - 0.5 * log_det - 0.5 * t as f64 * LN_2PI
+        })
+        .collect()
 }
 
 /// Per-observation average log marginal likelihood — a scale-free score for
@@ -114,7 +142,6 @@ mod tests {
 
     #[test]
     fn correlated_prior_explains_correlated_data_better() {
-        use easeml_linalg::Matrix;
         let rho = Matrix::from_rows(&[&[1.0, 0.95], &[0.95, 1.0]]);
         let corr = ArmPrior::from_gram(rho);
         let indep = ArmPrior::independent(2, 1.0);
@@ -124,6 +151,43 @@ mod tests {
             log_marginal_likelihood(&corr, 0.05, &obs)
                 > log_marginal_likelihood(&indep, 0.05, &obs)
         );
+    }
+
+    #[test]
+    fn shared_factor_scores_each_history_as_if_alone() {
+        let gram = Matrix::from_rows(&[&[1.0, 0.6, 0.2], &[0.6, 1.0, 0.4], &[0.2, 0.4, 1.0]]);
+        let prior = ArmPrior::from_gram(gram).with_mean(vec![0.1, -0.2, 0.3]);
+        // Arms repeat, as replicated draws of one model do.
+        let arms = [2usize, 0, 1, 0, 2];
+        let histories = [
+            vec![0.4, 0.9, -0.3, 0.85, 0.35],
+            vec![-1.0, 0.0, 0.25, 0.5, 2.0],
+            vec![0.0; 5],
+        ];
+        for noise in [1e-6, 1e-3, 0.1] {
+            let shared = log_marginal_likelihoods(&prior, noise, &arms, &histories);
+            assert_eq!(shared.len(), histories.len());
+            for (rewards, lml) in histories.iter().zip(&shared) {
+                let alone: Vec<(usize, f64)> = arms.iter().copied().zip(rewards.clone()).collect();
+                assert_eq!(
+                    lml.to_bits(),
+                    log_marginal_likelihood(&prior, noise, &alone).to_bits(),
+                    "noise {noise}"
+                );
+            }
+        }
+        let none: [Vec<f64>; 2] = [vec![], vec![]];
+        assert_eq!(
+            log_marginal_likelihoods(&prior, 0.1, &[], &none),
+            vec![0.0, 0.0]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one reward per arm")]
+    fn short_history_panics() {
+        let prior = ArmPrior::independent(2, 1.0);
+        let _ = log_marginal_likelihoods(&prior, 0.1, &[0, 1], &[[0.5]]);
     }
 
     #[test]

@@ -14,9 +14,17 @@ use easeml_linalg::{vec_ops, Cholesky, Matrix};
 /// where `Σ_t(k)` is the vector of prior covariances between arm `k` and the
 /// arms played so far, and `Σ_t` is the Gram matrix of the played arms.
 ///
-/// Each [`GpPosterior::observe`] call extends the Cholesky factor of
+/// Each [`GpPosterior::observe`] call extends the Cholesky factor `L` of
 /// `Σ_t + σ²I` in O(t²) and refreshes the cached posterior means and
-/// variances of all K arms in O(K·t²). Reads are O(1).
+/// variances of all K arms in O(K·t). The refresh keeps the rows of
+/// `L⁻¹Σ_t(·)`, one row of K entries per observation: a new observation
+/// adds one row, the last step of the forward solve `L h = Σ_t(k)` run for
+/// all arms at once, and each arm's variance reduction `‖h‖²` is a running
+/// sum over the rows. The means are `μ₀ + Σ_t(·)ᵀα` over the history, row
+/// by row. The t×K rows are never larger than the t×t factor once t ≥ K,
+/// and every cached value rounds exactly as a from-scratch per-arm solve
+/// would. [`GpPosterior::posterior_cov`] reads the same rows. Reads are
+/// O(1).
 ///
 /// # Examples
 ///
@@ -42,8 +50,20 @@ pub struct GpPosterior {
     obs_y: Vec<f64>,
     chol: Cholesky,
     alpha: Vec<f64>,
+    /// Rows of `L⁻¹Σ_t(·)`, t×K row-major: entry `(i, k)` is step `i` of
+    /// the forward solve `L h = Σ_t(k)`.
+    half_rows: Vec<f64>,
+    /// Per-arm `‖L⁻¹Σ_t(k)‖²`, summed over `half_rows` in row order.
+    reduction: Vec<f64>,
     means: Vec<f64>,
     vars: Vec<f64>,
+}
+
+/// The value `Iterator::sum`, and so [`vec_ops::dot`], starts from. Sums
+/// built here one term at a time start from it too, so they round exactly
+/// as a per-arm dot product would.
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
 }
 
 impl GpPosterior {
@@ -64,6 +84,8 @@ impl GpPosterior {
             obs_y: Vec::new(),
             chol: Cholesky::empty(),
             alpha: Vec::new(),
+            half_rows: Vec::new(),
+            reduction: vec![sum_start(); means.len()],
             means,
             vars,
         }
@@ -164,18 +186,16 @@ impl GpPosterior {
             .collect();
         let diag = self.prior.cov()[(arm, arm)] + self.noise_var;
 
-        if self.chol.extend(&cross, diag).is_err() {
-            // Numerically degenerate extension (e.g. nearly-duplicate rows
-            // with tiny noise): refactorize the whole Gram with jitter.
-            self.obs_arms.push(arm);
-            self.obs_y.push(reward);
-            self.refactor();
-            self.refresh();
-            return;
-        }
+        let extended = self.chol.extend(&cross, diag).is_ok();
         self.obs_arms.push(arm);
         self.obs_y.push(reward);
-        self.recompute_alpha();
+        if extended {
+            self.recompute_alpha();
+        } else {
+            // Numerically degenerate extension (e.g. nearly-duplicate rows
+            // with tiny noise): refactorize the whole Gram with jitter.
+            self.refactor();
+        }
         self.refresh();
     }
 
@@ -185,6 +205,8 @@ impl GpPosterior {
         self.obs_y.clear();
         self.chol = Cholesky::empty();
         self.alpha.clear();
+        self.half_rows.clear();
+        self.reduction.fill(sum_start());
         self.means = self.prior.mean().to_vec();
         self.vars = self.prior.cov().diag();
     }
@@ -206,19 +228,12 @@ impl GpPosterior {
         if self.obs_arms.is_empty() {
             return self.prior.cov()[(k1, k2)];
         }
-        let c1: Vec<f64> = self
-            .obs_arms
-            .iter()
-            .map(|&a| self.prior.cov()[(a, k1)])
-            .collect();
-        let c2: Vec<f64> = self
-            .obs_arms
-            .iter()
-            .map(|&a| self.prior.cov()[(a, k2)])
-            .collect();
-        let h1 = self.chol.half_solve(&c1).expect("dimension matches");
-        let h2 = self.chol.half_solve(&c2).expect("dimension matches");
-        self.prior.cov()[(k1, k2)] - vec_ops::dot(&h1, &h2)
+        let reduction: f64 = self
+            .half_rows
+            .chunks_exact(self.num_arms())
+            .map(|row| row[k1] * row[k2])
+            .sum();
+        self.prior.cov()[(k1, k2)] - reduction
     }
 
     /// The full posterior covariance over a subset of arms (symmetrized).
@@ -245,6 +260,9 @@ impl GpPosterior {
             .expect("noisy Gram matrix must be factorable");
         self.chol = chol;
         self.recompute_alpha();
+        // A new factor invalidates every cached row; `refresh` rebuilds them.
+        self.half_rows.clear();
+        self.reduction.fill(sum_start());
     }
 
     fn recompute_alpha(&mut self) {
@@ -260,22 +278,47 @@ impl GpPosterior {
             .expect("solve dimension matches history length");
     }
 
-    /// Recomputes the cached posterior means and variances of all arms.
+    /// Appends the rows of `L⁻¹Σ_t(·)` the factor has gained, then
+    /// recomputes the posterior means and variances of all arms: O(K·t)
+    /// after an extension, O(K·t²) after a refactorization.
     fn refresh(&mut self) {
         let _timing = easeml_obs::global_timer(easeml_obs::Component::PosteriorRefresh);
+        for i in self.half_rows.len() / self.num_arms()..self.obs_arms.len() {
+            self.push_half_row(i);
+        }
+        // μ₀ + Σ_t(·)ᵀα, each arm's sum taken over the history in
+        // `vec_ops::dot`'s order.
+        let cov = self.prior.cov();
+        self.means.fill(sum_start());
+        for (&a, &w) in self.obs_arms.iter().zip(&self.alpha) {
+            vec_ops::axpy(w, cov.row(a), &mut self.means);
+        }
+        for (mean, &m0) in self.means.iter_mut().zip(self.prior.mean()) {
+            *mean += m0;
+        }
+        for (k, (var, &r)) in self.vars.iter_mut().zip(&self.reduction).enumerate() {
+            *var = (cov[(k, k)] - r).max(0.0);
+        }
+    }
+
+    /// Appends row `i` of `L⁻¹Σ_t(·)`: step `i` of `solve_lower` on
+    /// `L h = Σ_t(k)`, for every arm `k` at once and in the same operation
+    /// order, and adds its squares to the running reductions.
+    fn push_half_row(&mut self, i: usize) {
         let k_arms = self.num_arms();
-        let mut cross = vec![0.0; self.obs_arms.len()];
-        for k in 0..k_arms {
-            for (slot, &a) in cross.iter_mut().zip(&self.obs_arms) {
-                *slot = self.prior.cov()[(a, k)];
+        let l_row = &self.chol.l().row(i)[..=i];
+        self.half_rows
+            .extend_from_slice(self.prior.cov().row(self.obs_arms[i]));
+        let (done, row) = self.half_rows.split_at_mut(i * k_arms);
+        for (&l_ij, prev) in l_row[..i].iter().zip(done.chunks_exact(k_arms)) {
+            for (s, &h) in row.iter_mut().zip(prev) {
+                *s -= l_ij * h;
             }
-            self.means[k] = self.prior.mean()[k] + vec_ops::dot(&cross, &self.alpha);
-            let half = self
-                .chol
-                .half_solve(&cross)
-                .expect("solve dimension matches history length");
-            let reduction = vec_ops::dot(&half, &half);
-            self.vars[k] = (self.prior.cov()[(k, k)] - reduction).max(0.0);
+        }
+        let d = l_row[i];
+        for (s, r) in row.iter_mut().zip(&mut self.reduction) {
+            *s /= d;
+            *r += *s * *s;
         }
     }
 }
@@ -284,9 +327,213 @@ impl GpPosterior {
 mod tests {
     use super::*;
     use easeml_linalg::Matrix;
+    use proptest::prelude::*;
 
     fn correlated_prior(rho: f64) -> ArmPrior {
         ArmPrior::from_gram(Matrix::from_rows(&[&[1.0, rho], &[rho, 1.0]]))
+    }
+
+    /// The refresh the cached rows replaced, kept as their bit-exact
+    /// reference: for every arm, gather `Σ_t(k)`, forward-solve
+    /// `L h = Σ_t(k)` from scratch and take `‖h‖²`, O(K·t²) per refresh.
+    fn reference_moments(gp: &GpPosterior) -> (Vec<f64>, Vec<f64>) {
+        if gp.obs_arms.is_empty() {
+            return (gp.prior.mean().to_vec(), gp.prior.cov().diag());
+        }
+        let k_arms = gp.num_arms();
+        let (mut means, mut vars) = (vec![0.0; k_arms], vec![0.0; k_arms]);
+        let mut cross = vec![0.0; gp.obs_arms.len()];
+        for k in 0..k_arms {
+            for (slot, &a) in cross.iter_mut().zip(&gp.obs_arms) {
+                *slot = gp.prior.cov()[(a, k)];
+            }
+            means[k] = gp.prior.mean()[k] + vec_ops::dot(&cross, &gp.alpha);
+            let half = gp.chol.half_solve(&cross).unwrap();
+            vars[k] = (gp.prior.cov()[(k, k)] - vec_ops::dot(&half, &half)).max(0.0);
+        }
+        (means, vars)
+    }
+
+    /// The two-forward-solve `posterior_cov` the cached rows replaced.
+    fn reference_cov(gp: &GpPosterior, k1: usize, k2: usize) -> f64 {
+        if gp.obs_arms.is_empty() {
+            return gp.prior.cov()[(k1, k2)];
+        }
+        let half = |k: usize| {
+            let cross: Vec<f64> = gp
+                .obs_arms
+                .iter()
+                .map(|&a| gp.prior.cov()[(a, k)])
+                .collect();
+            gp.chol.half_solve(&cross).unwrap()
+        };
+        gp.prior.cov()[(k1, k2)] - vec_ops::dot(&half(k1), &half(k2))
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Panics unless every cached mean, variance and posterior covariance
+    /// of `gp` equals the reference bit for bit.
+    fn assert_matches_reference(gp: &GpPosterior, context: &str) {
+        let (means, vars) = reference_moments(gp);
+        assert_eq!(bits(gp.means()), bits(&means), "means, {context}");
+        assert_eq!(bits(gp.vars()), bits(&vars), "variances, {context}");
+        for k1 in 0..gp.num_arms() {
+            for k2 in 0..gp.num_arms() {
+                assert_eq!(
+                    gp.posterior_cov(k1, k2).to_bits(),
+                    reference_cov(gp, k1, k2).to_bits(),
+                    "cov({k1}, {k2}), {context}"
+                );
+            }
+        }
+    }
+
+    /// Whether plain `Cholesky::extend` fails somewhere along `plays`, so
+    /// that a posterior observing them takes the refactorization fallback.
+    fn extend_fails(prior: &ArmPrior, noise: f64, plays: &[usize]) -> bool {
+        let mut chol = Cholesky::empty();
+        plays.iter().enumerate().any(|(t, &a)| {
+            let cross: Vec<f64> = plays[..t].iter().map(|&b| prior.cov()[(b, a)]).collect();
+            chol.extend(&cross, prior.cov()[(a, a)] + noise).is_err()
+        })
+    }
+
+    /// A random prior over 1–7 arms: covariance `B Bᵀ` for a K×r `B`,
+    /// singular whenever r < K, and a random mean.
+    fn spd_prior() -> impl Strategy<Value = ArmPrior> {
+        (1usize..8, 1usize..8).prop_flat_map(|(k, r)| {
+            (
+                prop::collection::vec(-1.0f64..1.0, k * r),
+                prop::collection::vec(-0.5f64..0.5, k),
+            )
+                .prop_map(move |(b, mean)| {
+                    let gram = Matrix::from_fn(k, k, |i, j| {
+                        (0..r).map(|c| b[i * r + c] * b[j * r + c]).sum()
+                    });
+                    ArmPrior::from_gram(gram).with_mean(mean)
+                })
+        })
+    }
+
+    /// Noise levels from well-posed down to below the prior's rounding
+    /// error, where repeated arms make `Cholesky::extend` fail.
+    fn noise() -> impl Strategy<Value = f64> {
+        prop::sample::select(vec![0.1, 1e-3, 1e-6, 1e-10, 1e-14, 1e-17])
+    }
+
+    /// GP-BUCB's posterior bookkeeping, as `easeml_bandit::GpBucb` keeps
+    /// it: the hallucinated posterior is the real one plus one mean-valued
+    /// fake observation per pending arm, in dispatch order.
+    struct Bucb {
+        real: GpPosterior,
+        halluc: GpPosterior,
+        pending: Vec<usize>,
+    }
+
+    impl Bucb {
+        fn select_next(&mut self) {
+            let ucb: Vec<f64> = (0..self.halluc.num_arms())
+                .map(|k| self.halluc.mean(k) + 2.0 * self.halluc.std(k))
+                .collect();
+            self.mark_pending(vec_ops::argmax(&ucb).unwrap());
+        }
+
+        fn mark_pending(&mut self, arm: usize) {
+            let fake = self.halluc.mean(arm);
+            self.halluc.observe(arm, fake);
+            self.pending.push(arm);
+        }
+
+        fn rebuild(&mut self) {
+            self.halluc = self.real.clone();
+            for &arm in &self.pending {
+                let fake = self.halluc.mean(arm);
+                self.halluc.observe(arm, fake);
+            }
+        }
+
+        fn resolve_at(&mut self, idx: usize, reward: f64) {
+            let arm = self.pending.remove(idx);
+            self.real.observe(arm, reward);
+            self.rebuild();
+        }
+
+        fn cancel_at(&mut self, idx: usize) {
+            self.pending.remove(idx);
+            self.rebuild();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cached_rows_match_the_per_arm_solve_bit_for_bit(
+            prior in spd_prior(),
+            noise in noise(),
+            ops in prop::collection::vec((0usize..12, 0usize..8, -1.0f64..1.0), 1..24),
+        ) {
+            let k = prior.num_arms();
+            let mut gp = GpPosterior::new(prior, noise);
+            assert_matches_reference(&gp, "prior");
+            for (step, &(op, arm, reward)) in ops.iter().enumerate() {
+                if op == 0 {
+                    gp.reset();
+                } else {
+                    gp.observe(arm % k, reward);
+                }
+                assert_matches_reference(&gp, &format!("step {step}, noise {noise}"));
+            }
+        }
+
+        #[test]
+        fn gp_bucb_sequences_match_the_per_arm_solve_bit_for_bit(
+            prior in spd_prior(),
+            noise in noise(),
+            ops in prop::collection::vec((0usize..6, 0usize..64, -1.0f64..1.0), 1..24),
+        ) {
+            let k = prior.num_arms();
+            let real = GpPosterior::new(prior, noise);
+            let mut bucb = Bucb { halluc: real.clone(), real, pending: Vec::new() };
+            for (step, &(op, x, reward)) in ops.iter().enumerate() {
+                let pending = bucb.pending.len();
+                match op {
+                    0 | 1 => bucb.select_next(),
+                    2 if pending > 0 => bucb.resolve_at(x % pending, reward),
+                    3 if pending > 0 => bucb.cancel_at(x % pending),
+                    4 => bucb.mark_pending(x % k),
+                    _ => {
+                        bucb.real.observe(x % k, reward);
+                        bucb.rebuild();
+                    }
+                }
+                let context = format!("step {step}, noise {noise}");
+                assert_matches_reference(&bucb.real, &format!("real, {context}"));
+                assert_matches_reference(&bucb.halluc, &format!("hallucinated, {context}"));
+            }
+        }
+    }
+
+    #[test]
+    fn refactor_fallback_rebuilds_the_rows_bit_for_bit() {
+        // Noise below the rounding error of the unit prior variance: the
+        // second pull of arm 0 cannot extend the factor.
+        let prior = correlated_prior(0.999);
+        let noise = 1e-17;
+        let plays = [0, 0, 1, 0, 1, 1, 0];
+        assert!(extend_fails(&prior, noise, &plays));
+        let mut gp = GpPosterior::new(prior, noise);
+        for (i, &arm) in plays.iter().enumerate() {
+            gp.observe(arm, 0.5 + 0.01 * i as f64);
+            assert_matches_reference(&gp, &format!("play {i}"));
+        }
+        gp.reset();
+        assert_matches_reference(&gp, "reset");
+        gp.observe(1, 0.3);
+        assert_matches_reference(&gp, "after reset");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::kernel::Kernel;
 use easeml_linalg::{project_psd, Cholesky, Matrix};
+use std::sync::Arc;
 
 /// Prior belief `N(μ₀, Σ)` over the qualities of K candidate models.
 ///
@@ -13,10 +14,14 @@ use easeml_linalg::{project_psd, Cholesky, Matrix};
 /// As a convention (and per the paper's Appendix A) the prior mean is zero
 /// for GPs not conditioned on data; [`ArmPrior::with_mean`] overrides this
 /// when rewards are not centered.
+///
+/// The K×K covariance is shared, not copied, by clones: the tenants of one
+/// split, every posterior built on the prior and every GP-BUCB
+/// hallucination all read one matrix.
 #[derive(Debug, Clone)]
 pub struct ArmPrior {
     mean: Vec<f64>,
-    cov: Matrix,
+    cov: Arc<Matrix>,
 }
 
 impl ArmPrior {
@@ -39,7 +44,7 @@ impl ArmPrior {
         let k = cov.rows();
         ArmPrior {
             mean: vec![0.0; k],
-            cov,
+            cov: Arc::new(cov),
         }
     }
 
@@ -64,7 +69,7 @@ impl ArmPrior {
         assert!(variance > 0.0, "prior variance must be positive");
         ArmPrior {
             mean: vec![0.0; k],
-            cov: Matrix::from_diag(&vec![variance; k]),
+            cov: Arc::new(Matrix::from_diag(&vec![variance; k])),
         }
     }
 
@@ -86,7 +91,7 @@ impl ArmPrior {
     /// Panics if `s <= 0`.
     pub fn scaled(mut self, s: f64) -> Self {
         assert!(s > 0.0, "covariance scale must be positive");
-        self.cov.scale_mut(s);
+        Arc::make_mut(&mut self.cov).scale_mut(s);
         self
     }
 
@@ -164,6 +169,16 @@ mod tests {
             .scaled(4.0);
         assert_eq!(p.mean(), &[0.5, 0.7]);
         assert_eq!(p.var(0), 4.0);
+    }
+
+    #[test]
+    fn clones_share_the_covariance_until_rescaled() {
+        let p = ArmPrior::independent(3, 1.0);
+        let q = p.clone();
+        assert!(std::ptr::eq(p.cov(), q.cov()));
+        let r = q.scaled(2.0);
+        assert_eq!(p.var(0), 1.0);
+        assert_eq!(r.var(0), 2.0);
     }
 
     #[test]

@@ -49,20 +49,26 @@ impl Cholesky {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
+            // Rows above `i` are final; row `i` fills left to right.
+            let (done, rest) = l.as_mut_slice().split_at_mut(i * n);
+            let row = &mut rest[..=i];
+            let a_row = a.row(i);
+            for j in 0..i {
+                let row_j = &done[j * n..=j * n + j];
+                let mut s = a_row[j];
+                for (x, y) in row[..j].iter().zip(row_j) {
+                    s -= x * y;
                 }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
+                row[j] = s / row_j[j];
             }
+            let mut s = a_row[i];
+            for x in &row[..i] {
+                s -= x * x;
+            }
+            if s <= 0.0 || !s.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
+            }
+            row[i] = s.sqrt();
         }
         Ok(Cholesky { l })
     }
@@ -412,6 +418,50 @@ mod tests {
             let c = Cholesky::factor(&a).unwrap();
             assert!(c.reconstruct().approx_eq(&a, 1e-9), "n = {n}");
         }
+    }
+
+    /// The textbook `(i, k)`-indexed kernel `Cholesky::factor` walks with
+    /// row slices; both must perform the same operations in the same order.
+    fn factor_by_index(a: &Matrix) -> Result<Matrix> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = a[(i, j)];
+                for k in 0..j {
+                    s -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if s <= 0.0 || !s.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
+                    }
+                    l[(i, j)] = s.sqrt();
+                } else {
+                    l[(i, j)] = s / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    #[test]
+    fn factor_is_bit_identical_to_the_indexed_kernel() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [1, 2, 3, 7, 16, 33] {
+            for seed in 0..4 {
+                let a = spd(n, 100 * n as u64 + seed);
+                let fast = Cholesky::factor(&a).unwrap();
+                let slow = factor_by_index(&a).unwrap();
+                assert_eq!(bits(fast.l()), bits(&slow), "n = {n}, seed = {seed}");
+            }
+        }
+        // Failures report the same pivot and value.
+        let mut bad = spd(6, 9);
+        bad[(4, 4)] = -1.0;
+        assert_eq!(
+            Cholesky::factor(&bad).unwrap_err(),
+            factor_by_index(&bad).unwrap_err()
+        );
     }
 
     #[test]

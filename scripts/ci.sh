@@ -178,4 +178,14 @@ cargo run --quiet -p easeml-trace -- workload-report "$workload_trace" \
   | grep -q "tenant churn: 6 retirement(s)"
 test -s "$workload_report_file"
 
+echo "==> benchmark smoke (zoo-batch, traced)"
+# Builds perfbench against the crates' current API and runs the paper
+# protocol workload briefly. The result line (the last line of stdout)
+# reports "correct": true only when every pass reproduces the first pass's
+# decision digest, the traced run makes the untraced run's decisions, and
+# the exec engine at one device makes the serial simulator's decisions.
+bench_out="$(python3 perfbench/run.py --workload zoo-batch --trace 1 --seconds 6)"
+echo "$bench_out"
+echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
+
 echo "CI gate passed."

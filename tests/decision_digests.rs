@@ -1,0 +1,161 @@
+//! Pinned decision digests. Every arm choice reads GP posterior means and
+//! variances, so reordering the arithmetic behind them (a sum, a solve, a
+//! factorization) can flip a near-tie and change what the scheduler does.
+//! Each test below runs a fixed scenario and compares a digest of its
+//! decisions with a constant recorded from an earlier build; a change that
+//! moves one of them changes decisions and must say so.
+
+use easeml::experiment::{empirical_prior, run_experiment, ExperimentConfig};
+use easeml::fault::{FaultConfig, FaultInjector};
+use easeml::server::{EaseMl, QualityOracle, TrainingOutcome};
+use easeml::sim::{simulate, SchedulerKind, SimConfig, SimTrace};
+use easeml_data::{Dataset, SynConfig, TrainTestSplit};
+use easeml_exec::simulate_multi_device;
+use easeml_gp::{ArmPrior, GpPosterior};
+use easeml_obs::RollingDigest;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const SERIAL_DIGEST: &str = "bf37b39219236e65";
+const POSTERIOR_DIGEST: &str = "a92ea39bc9bc04ce";
+const FLEET_DIGEST: &str = "7bea0e8b13db08a8";
+const SERVICE_DIGEST: &str = "809f12286b2453b3";
+const EXPERIMENT_DIGEST: &str = "38c6ee324d94626d";
+
+const TEST_USERS: usize = 10;
+
+fn dataset() -> Dataset {
+    SynConfig {
+        num_users: 60,
+        num_models: 50,
+        ..SynConfig::paper(0.5, 0.5)
+    }
+    .generate(2018)
+}
+
+/// The test users of one split, each with the dense empirical prior of the
+/// training users.
+fn dense_split(dataset: &Dataset) -> (Dataset, Vec<ArmPrior>) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let split = TrainTestSplit::random(dataset.num_users(), TEST_USERS, &mut rng);
+    let (means, cov) = empirical_prior(dataset, &split.train_users);
+    let prior = ArmPrior::from_gram(cov).with_mean(means);
+    (
+        dataset.select_users(&split.test_users),
+        vec![prior; TEST_USERS],
+    )
+}
+
+fn trace_digest(trace: &SimTrace) -> RollingDigest {
+    let mut d = RollingDigest::new();
+    for e in &trace.events {
+        d.absorb_u64(e.user as u64);
+        d.absorb_u64(e.model as u64);
+        d.absorb_f64(e.cost);
+        d.absorb_f64(e.quality);
+    }
+    for &loss in &trace.final_losses {
+        d.absorb_f64(loss);
+    }
+    d
+}
+
+#[test]
+fn serial_easeml_decisions_are_pinned() {
+    let (test, priors) = dense_split(&dataset());
+    let cfg = SimConfig::new(test.total_cost() * 0.4);
+    let mut rng = StdRng::seed_from_u64(11);
+    let trace = simulate(&test, &priors, SchedulerKind::EaseMl, &cfg, &mut rng);
+    assert!(trace.rounds > 200, "{} rounds", trace.rounds);
+    assert_eq!(trace_digest(&trace).hex(), SERIAL_DIGEST);
+
+    // A reordering too small to flip a decision still moves these bits:
+    // every user's posterior after replaying the run's observations.
+    let mut d = RollingDigest::new();
+    for (user, prior) in priors.iter().enumerate() {
+        let mut gp = GpPosterior::new(prior.clone(), cfg.noise_var);
+        for e in trace.events.iter().filter(|e| e.user == user) {
+            gp.observe(e.model, e.quality);
+        }
+        for x in gp.means().iter().chain(gp.vars()) {
+            d.absorb_f64(*x);
+        }
+    }
+    assert_eq!(d.hex(), POSTERIOR_DIGEST);
+}
+
+#[test]
+fn gp_bucb_fleet_decisions_are_pinned() {
+    let (test, priors) = dense_split(&dataset());
+    let cfg = SimConfig::new(test.total_cost() * 0.3);
+    let trace = simulate_multi_device(&test, &priors, SchedulerKind::EaseMl, &cfg, 4, 11);
+    assert!(trace.parallel_dispatches > 0, "four devices overlap runs");
+    let mut d = trace_digest(&trace.sim);
+    d.absorb_f64(trace.makespan);
+    assert_eq!(d.hex(), FLEET_DIGEST);
+}
+
+#[test]
+fn fault_injected_service_digest_is_pinned() {
+    let oracle: QualityOracle = Box::new(|user, model| {
+        let info = model.info();
+        let base = 0.45 + 0.05 * (user % 4) as f64;
+        Ok(TrainingOutcome {
+            accuracy: (base + 0.02 * (info.year as f64 - 2010.0)).min(0.99),
+            cost: info.relative_cost,
+        })
+    });
+    let mut server = EaseMl::new(oracle, 23);
+    let faults = FaultConfig::new(41)
+        .with_crash_rate(0.15)
+        .with_timeout_rate(0.05)
+        .with_stragglers(0.20, 2.5);
+    server.set_fault_injector(Some(FaultInjector::new(faults)));
+    for (name, program) in [
+        (
+            "vision-a",
+            "{input: {[Tensor[64, 64, 3]], []}, output: {[Tensor[5]], []}}",
+        ),
+        (
+            "meteo-a",
+            "{input: {[Tensor[16]], [next]}, output: {[Tensor[3]], []}}",
+        ),
+        (
+            "vision-b",
+            "{input: {[Tensor[32, 32, 3]], []}, output: {[Tensor[10]], []}}",
+        ),
+        (
+            "meteo-b",
+            "{input: {[Tensor[8]], [next]}, output: {[Tensor[2]], []}}",
+        ),
+    ] {
+        server.register_user(name, program).unwrap();
+    }
+    for _ in 0..400 {
+        server.run_round();
+    }
+    assert!(server.status_snapshot().failed_runs > 0, "faults fired");
+    assert_eq!(server.state_digest(), SERVICE_DIGEST);
+}
+
+#[test]
+fn tuned_experiment_curves_are_pinned() {
+    let cfg = ExperimentConfig {
+        test_users: TEST_USERS,
+        repetitions: 4,
+        grid_points: 21,
+        ..ExperimentConfig::default()
+    };
+    let result = run_experiment(&dataset(), SchedulerKind::EaseMl, &cfg, 5);
+    let mut d = RollingDigest::new();
+    for x in result
+        .mean_curve
+        .iter()
+        .chain(&result.worst_curve)
+        .chain(&result.final_losses)
+    {
+        d.absorb_f64(*x);
+    }
+    d.absorb_f64(result.mean_rounds);
+    assert_eq!(d.hex(), EXPERIMENT_DIGEST);
+}
