@@ -194,13 +194,30 @@ impl GpUcb {
     /// Upper confidence bound `B_t(k) = μ(k) + √(β/c_k) σ(k)` of `arm` for
     /// the next selection.
     pub fn ucb(&self, arm: usize) -> f64 {
-        let beta = self.beta_next();
+        self.ucb_with(self.beta_next(), arm)
+    }
+
+    fn ucb_with(&self, beta: f64, arm: usize) -> f64 {
         self.gp.mean(arm) + (beta / self.cost(arm)).sqrt() * self.gp.std(arm)
+    }
+
+    /// Every arm's [`GpUcb::ucb`] in arm order. β is a pure function of t,
+    /// so evaluating it once per sweep yields the same bits as per arm.
+    fn ucb_iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let beta = self.beta_next();
+        (0..self.gp.num_arms()).map(move |k| self.ucb_with(beta, k))
     }
 
     /// Upper confidence bounds of all arms for the next selection.
     pub fn ucbs(&self) -> Vec<f64> {
-        (0..self.gp.num_arms()).map(|k| self.ucb(k)).collect()
+        self.ucb_iter().collect()
+    }
+
+    /// The largest upper confidence bound over all arms (masked or not) for
+    /// the next selection: `ucbs()` folded with `f64::max` from `-∞`,
+    /// without allocating.
+    pub fn max_ucb(&self) -> f64 {
+        self.ucb_iter().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Exploration width `√(β/c_k) σ(k)` of `arm` — the UCB minus the mean.
@@ -245,15 +262,8 @@ impl GpUcb {
     pub fn select_arm(&self) -> usize {
         let _span = self.recorder.span("pick_arm");
         let _timing = self.recorder.time(Component::ArmSelect);
-        let mut ucbs = self.ucbs();
-        if self.masked.iter().any(|&m| m) && !self.masked.iter().all(|&m| m) {
-            for (k, &m) in self.masked.iter().enumerate() {
-                if m {
-                    ucbs[k] = f64::NEG_INFINITY;
-                }
-            }
-        }
-        let arm = vec_ops::argmax(&ucbs).expect("policy has at least one arm");
+        let arm = vec_ops::argmax_by(self.effective_score_iter().enumerate())
+            .expect("policy has at least one arm");
         self.recorder.emit(|| Event::ArmChosen {
             user: self.owner,
             arm,
@@ -267,19 +277,15 @@ impl GpUcb {
         arm
     }
 
-    /// Effective scores [`GpUcb::select_arm`]'s argmax ranks: the UCBs, with
-    /// masked arms forced to `-∞` unless every arm is masked (in which case
-    /// quarantine degrades to a no-op, matching the selection rule).
-    fn effective_scores(&self) -> Vec<f64> {
-        let mut ucbs = self.ucbs();
-        if self.masked.iter().any(|&m| m) && !self.masked.iter().all(|&m| m) {
-            for (k, &m) in self.masked.iter().enumerate() {
-                if m {
-                    ucbs[k] = f64::NEG_INFINITY;
-                }
-            }
-        }
-        ucbs
+    /// Effective scores [`GpUcb::select_arm`]'s argmax ranks, in arm order:
+    /// the UCBs, with masked arms forced to `-∞` unless every arm is masked
+    /// (in which case quarantine degrades to a no-op, matching the selection
+    /// rule).
+    fn effective_score_iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let masking = self.masked.iter().any(|&m| m) && !self.masked.iter().all(|&m| m);
+        self.ucb_iter()
+            .zip(&self.masked)
+            .map(move |(ucb, &m)| if masking && m { f64::NEG_INFINITY } else { ucb })
     }
 
     /// Read-only why-chain for the *next* selection: the arm
@@ -288,7 +294,7 @@ impl GpUcb {
     /// emit events, or consume randomness — safe to call on the hot path
     /// before (or instead of) `select_arm`.
     pub fn explain_selection(&self, k: usize) -> ArmExplanation {
-        let scores = self.effective_scores();
+        let scores: Vec<f64> = self.effective_score_iter().collect();
         let ranked = top_k_indices(&scores, k.max(1));
         let chosen = vec_ops::argmax(&scores).expect("policy has at least one arm");
         let margin = if scores.len() >= 2 {
@@ -439,8 +445,11 @@ mod tests {
         for k in 0..2 {
             let expected = ucb.posterior().mean(k) + ucb.exploration_width(k);
             assert!((ucb.ucb(k) - expected).abs() < 1e-12);
+            assert_eq!(ucb.ucbs()[k].to_bits(), ucb.ucb(k).to_bits());
         }
         assert_eq!(ucb.ucbs().len(), 2);
+        let folded = ucb.ucbs().into_iter().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(ucb.max_ucb().to_bits(), folded.to_bits());
     }
 
     #[test]

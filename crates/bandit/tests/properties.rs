@@ -100,6 +100,40 @@ proptest! {
     }
 
     #[test]
+    fn gp_ucb_sweeps_match_per_arm_ucbs_bit_for_bit(
+        (k, plays, masks) in (1usize..6).prop_flat_map(|k| (
+            Just(k),
+            prop::collection::vec((0..k, 0.0f64..1.0), 0..12),
+            prop::collection::vec(0u8..2, k),
+        ))
+    ) {
+        let beta = BetaSchedule::CostAware { max_cost: k as f64, num_arms: k, delta: 0.1 };
+        let costs: Vec<f64> = (1..=k).map(|c| c as f64).collect();
+        let mut ucb = GpUcb::cost_aware(ArmPrior::independent(k, 1.0), 1e-3, beta, costs);
+        for (arm, &m) in masks.iter().enumerate() {
+            ucb.set_arm_masked(arm, m == 1);
+        }
+        for &(a, r) in &plays {
+            ucb.observe(a, r);
+            // Reference: one `ucb()` (and one β evaluation) per arm.
+            let per_arm: Vec<f64> = (0..k).map(|arm| ucb.ucb(arm)).collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&ucb.ucbs()), bits(&per_arm));
+            let max = per_arm.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            prop_assert_eq!(ucb.max_ucb().to_bits(), max.to_bits());
+            let masking = masks.contains(&1) && masks.contains(&0);
+            let effective: Vec<f64> = per_arm
+                .iter()
+                .zip(&masks)
+                .map(|(&u, &m)| if masking && m == 1 { f64::NEG_INFINITY } else { u })
+                .collect();
+            let expected = easeml_linalg::vec_ops::argmax(&effective).unwrap();
+            prop_assert_eq!(ucb.select_arm(), expected);
+            prop_assert_eq!(ucb.explain_selection(k).chosen, expected);
+        }
+    }
+
+    #[test]
     fn cost_aware_width_shrinks_with_cost(
         (c_low, extra, plays) in (0.1f64..5.0, 0.1f64..10.0,
             prop::collection::vec((0usize..2, 0.0f64..1.0), 0..10))

@@ -269,8 +269,7 @@ impl EaseMl {
         self.cluster.lock().set_recorder(recorder.clone());
         self.durability.set_recorder(recorder.clone());
         for tenant in &mut self.tenants {
-            let id = tenant.id();
-            tenant.policy_mut().set_recorder(recorder.clone(), id);
+            tenant.set_recorder(recorder.clone());
         }
     }
 
@@ -485,7 +484,7 @@ impl EaseMl {
         let release_round = *rounds;
         for (user, arm) in self.retry_state.due_releases(*rounds) {
             if arm < self.tenants[user].policy().posterior().num_arms() {
-                self.tenants[user].policy_mut().set_arm_masked(arm, false);
+                self.tenants[user].set_arm_masked(arm, false);
                 self.durability.append(|| DurableEvent::ProbationRelease {
                     round: release_round,
                     user: user as u64,
@@ -714,9 +713,7 @@ impl EaseMl {
                         && consecutive >= threshold
                         && !self.tenants[user].policy().is_masked(model_idx)
                     {
-                        self.tenants[user]
-                            .policy_mut()
-                            .set_arm_masked(model_idx, true);
+                        self.tenants[user].set_arm_masked(model_idx, true);
                         let probation = self.retry_policy.probation_rounds;
                         self.retry_state
                             .schedule_release(*rounds + probation, user, model_idx);
@@ -942,6 +939,11 @@ impl EaseMl {
     /// Returns a message naming the malformed or inconsistent field.
     pub fn restore(json: &str, oracle: QualityOracle) -> Result<Self, String> {
         let doc = CheckpointDoc::from_json(json).map_err(|e| e.to_string())?;
+        EaseMl::restore_doc(&doc, oracle)
+    }
+
+    /// [`EaseMl::restore`] from an already parsed checkpoint.
+    fn restore_doc(doc: &CheckpointDoc, oracle: QualityOracle) -> Result<Self, String> {
         let mut server = EaseMl::new(oracle, 0);
         server.noise_var = doc.noise_var;
         server.delta = doc.delta;
@@ -974,7 +976,7 @@ impl EaseMl {
                 if arm >= num_arms {
                     return Err(format!("tenant {idx}: masked arm {arm} out of range"));
                 }
-                server.tenants[idx].policy_mut().set_arm_masked(arm, true);
+                server.tenants[idx].set_arm_masked(arm, true);
             }
             server.tenants[idx].set_active(tenant_ckpt.active);
         }
@@ -1180,7 +1182,7 @@ impl EaseMl {
     ) -> Result<(Self, RecoveryReport), String> {
         let start = Instant::now();
         let doc = read_checkpoint_file(checkpoint_path).map_err(|e| e.to_string())?;
-        let mut server = EaseMl::restore(&doc.to_json(), oracle)?;
+        let mut server = EaseMl::restore_doc(&doc, oracle)?;
         let from_rounds = server.rounds_executed();
         let log =
             read_log(wal_dir).map_err(|e| format!("reading WAL {}: {e}", wal_dir.display()))?;

@@ -339,8 +339,8 @@ impl<'a> ExecEngine<'a> {
     /// used by checkpoint restore, which rebuilds silently and then attaches
     /// the live sink.
     pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        for (i, tenant) in self.tenants.iter_mut().enumerate() {
-            tenant.policy_mut().set_recorder(recorder.clone(), i);
+        for tenant in &mut self.tenants {
+            tenant.set_recorder(recorder.clone());
         }
         for (i, bucb) in self.bucbs.iter_mut().enumerate() {
             bucb.set_recorder(recorder.clone(), i);

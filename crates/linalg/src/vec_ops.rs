@@ -71,17 +71,23 @@ pub fn std_dev(a: &[f64]) -> f64 {
 /// Index of the maximum entry, breaking ties toward the lowest index.
 /// Returns `None` for an empty slice; ignores NaN entries.
 pub fn argmax(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &x) in a.iter().enumerate() {
+    argmax_by(a.iter().copied().enumerate())
+}
+
+/// [`argmax`] over `(key, value)` pairs without collecting the values: the
+/// key of the first maximal non-NaN value, or `None` if there is none.
+pub fn argmax_by<T>(pairs: impl IntoIterator<Item = (T, f64)>) -> Option<T> {
+    let mut best: Option<(T, f64)> = None;
+    for (key, x) in pairs {
         if x.is_nan() {
             continue;
         }
         match best {
             Some((_, bx)) if x <= bx => {}
-            _ => best = Some((i, x)),
+            _ => best = Some((key, x)),
         }
     }
-    best.map(|(i, _)| i)
+    best.map(|(key, _)| key)
 }
 
 /// Index of the minimum entry, breaking ties toward the lowest index.
@@ -185,6 +191,8 @@ mod tests {
         assert_eq!(argmin(&[2.0, -1.0, -1.0]), Some(1));
         assert_eq!(argmax(&[f64::NAN, 1.0]), Some(1));
         assert_eq!(argmax(&[f64::NAN]), None);
+        let keyed = [(7, f64::NAN), (3, 1.0), (5, 3.0), (2, 3.0)];
+        assert_eq!(argmax_by(keyed), Some(5), "keys follow the first max");
         assert_eq!(max(&[1.0, 5.0, 2.0]), Some(5.0));
         assert_eq!(min(&[1.0, 5.0, 2.0]), Some(1.0));
     }

@@ -320,6 +320,7 @@ pub enum Json {
 /// trailing non-whitespace after the document.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -333,6 +334,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -440,12 +442,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or backslash. Both are ASCII, which never occurs
+                    // inside a multi-byte UTF-8 character, so the run starts
+                    // and ends on character boundaries of the input `str`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -562,5 +567,54 @@ mod tests {
         let s = "héllo ∑ \u{1}";
         let rendered = to_string(s);
         assert_eq!(parse(&rendered).unwrap(), Json::String(s.into()));
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_escapes_round_trip() {
+        // 2-, 3- and 4-byte characters before, between and after escapes,
+        // and as the last character of the string.
+        for s in [
+            "é",
+            "€",
+            "𝄞",
+            "é\n",
+            "\"€",
+            "𝄞\\",
+            "\t𝄞",
+            "a\u{1}é",
+            "é\"€\\𝄞",
+            "x€",
+        ] {
+            let rendered = to_string(s);
+            assert_eq!(
+                parse(&rendered).unwrap(),
+                Json::String(s.into()),
+                "{rendered}"
+            );
+        }
+        assert_eq!(
+            parse(r#""\u00e9é\/€\u20ac𝄞""#).unwrap(),
+            Json::String("éé/€€𝄞".into())
+        );
+    }
+
+    #[test]
+    fn string_heavy_documents_parse_in_linear_time() {
+        // ~1 MB of strings; each plain character used to re-validate the
+        // whole rest of the document, which took minutes here.
+        let item = "tenant \"é\" → 𝄞 model zoo entry with a fairly long name";
+        let doc = to_string(&vec![item; 16_000]);
+        assert!(doc.len() > 1_000_000, "{} bytes", doc.len());
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        match parsed {
+            Json::Array(items) => {
+                assert_eq!(items.len(), 16_000);
+                assert_eq!(items[15_999], Json::String(item.into()));
+            }
+            other => panic!("parsed to {other:?}"),
+        }
+        assert!(elapsed.as_secs_f64() < 2.0, "parse took {elapsed:?}");
     }
 }

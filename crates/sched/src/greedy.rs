@@ -1,6 +1,6 @@
 //! The GREEDY user picker of Algorithm 2.
 
-use crate::picker::UserPicker;
+use crate::picker::{live_count, live_indices, nth_live, UserPicker};
 use crate::tenant::Tenant;
 use easeml_linalg::vec_ops;
 use easeml_obs::{Event, RecorderHandle};
@@ -82,7 +82,7 @@ impl PickRule {
 pub struct Greedy {
     rule: PickRule,
     /// Candidate set of the most recent pick (exposed for HYBRID's freeze
-    /// detector and for diagnostics).
+    /// detector and for diagnostics); the next pick refills the buffer.
     last_candidates: Vec<usize>,
     /// Test-only seeded mutation: from this step on, the final choice is
     /// rotated by one tenant. `None` in every real configuration; set via
@@ -135,21 +135,8 @@ impl Greedy {
     /// churned-out tenant can never re-enter `V_t`; indices in the result
     /// remain global tenant ids.
     pub fn candidate_set(tenants: &[Tenant]) -> Vec<usize> {
-        let active = crate::picker::active_indices(tenants);
-        let sigmas: Vec<f64> = active.iter().map(|&i| tenants[i].sigma_tilde()).collect();
-        let mean = vec_ops::mean(&sigmas);
-        let mut v: Vec<usize> = active
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| sigmas[j] >= mean)
-            .map(|(_, &i)| i)
-            .collect();
-        if v.is_empty() {
-            // Mathematically max σ̃ ≥ mean, but when all σ̃ are (nearly)
-            // equal, floating-point rounding of the mean can edge above
-            // every element; fall back to the argmax.
-            v.push(active[vec_ops::argmax(&sigmas).expect("at least one tenant")]);
-        }
+        let mut v = Vec::new();
+        fill_candidate_set(tenants, &mut v);
         v
     }
 
@@ -171,23 +158,40 @@ impl Greedy {
         candidates: &[usize],
         rng: &mut dyn rand::RngCore,
     ) -> usize {
-        match self.rule {
-            PickRule::MaxUcbGap => {
-                let gaps: Vec<f64> = candidates.iter().map(|&i| tenants[i].ucb_gap()).collect();
-                candidates[vec_ops::argmax(&gaps).expect("non-empty candidates")]
-            }
-            PickRule::MaxSigmaTilde => {
-                let sigmas: Vec<f64> = candidates
-                    .iter()
-                    .map(|&i| tenants[i].sigma_tilde())
-                    .collect();
-                candidates[vec_ops::argmax(&sigmas).expect("non-empty candidates")]
-            }
+        let score: fn(&Tenant) -> f64 = match self.rule {
+            PickRule::MaxUcbGap => Tenant::ucb_gap,
+            PickRule::MaxSigmaTilde => Tenant::sigma_tilde,
             PickRule::Random => {
                 use rand::Rng;
-                candidates[rng.gen_range(0..candidates.len())]
+                return candidates[rng.gen_range(0..candidates.len())];
             }
-        }
+        };
+        vec_ops::argmax_by(candidates.iter().map(|&i| (i, score(&tenants[i]))))
+            .expect("non-empty candidates")
+    }
+}
+
+/// Writes `V_t` into `out` (cleared first) without allocating once `out`
+/// has held a full tenant list.
+///
+/// The threshold is the mean of the live σ̃, summed left to right in id
+/// order exactly as `vec_ops::mean` sums: a running or tree-shaped sum
+/// would round differently and move tenants across the threshold.
+pub(crate) fn fill_candidate_set(tenants: &[Tenant], out: &mut Vec<usize>) {
+    out.clear();
+    out.reserve(tenants.len());
+    let sum: f64 = live_indices(tenants)
+        .map(|i| tenants[i].sigma_tilde())
+        .sum();
+    let mean = sum / live_count(tenants) as f64;
+    out.extend(live_indices(tenants).filter(|&i| tenants[i].sigma_tilde() >= mean));
+    if out.is_empty() {
+        // Mathematically max σ̃ ≥ mean, but when all σ̃ are (nearly) equal,
+        // floating-point rounding of the mean can edge above every element;
+        // fall back to the argmax.
+        let best = vec_ops::argmax_by(live_indices(tenants).map(|i| (i, tenants[i].sigma_tilde())))
+            .expect("at least one tenant");
+        out.push(best);
     }
 }
 
@@ -205,16 +209,16 @@ impl UserPicker for Greedy {
     }
 
     fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
-        let candidates = Self::candidate_set(tenants);
+        let mut candidates = std::mem::take(&mut self.last_candidates);
+        fill_candidate_set(tenants, &mut candidates);
         let mut choice = self.pick_from_candidates(tenants, &candidates, rng);
         if let Some(at) = self.mutate_at {
             // Test-only seeded divergence for the replay-diff harness. The
             // rotation walks the *live* tenant list (identical to a plain
             // `+1 mod n` rotation when nobody has retired).
             if step >= at {
-                let active = crate::picker::active_indices(tenants);
-                let pos = active.iter().position(|&i| i == choice).unwrap_or(0);
-                choice = active[(pos + 1) % active.len()];
+                let rank = live_indices(tenants).take_while(|&i| i != choice).count();
+                choice = nth_live(tenants, rank + 1);
             }
         }
         self.last_candidates = candidates;

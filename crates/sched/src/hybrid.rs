@@ -1,7 +1,7 @@
 //! The HYBRID strategy (§4.4) — ease.ml's default scheduler.
 
-use crate::greedy::{Greedy, PickRule};
-use crate::picker::UserPicker;
+use crate::greedy::{fill_candidate_set, Greedy, PickRule};
+use crate::picker::{nth_live, UserPicker};
 use crate::tenant::Tenant;
 use easeml_obs::{Event, RecorderHandle};
 
@@ -34,6 +34,9 @@ pub struct Hybrid {
     frozen_rounds: usize,
     /// Candidate set observed at the previous round.
     prev_candidates: Vec<usize>,
+    /// Buffer the current round's candidate set is built in before it
+    /// swaps with `prev_candidates`.
+    candidates: Vec<usize>,
     /// Sum of best rewards at the previous round (improvement detector).
     prev_best_sum: f64,
     /// Whether the permanent switch to round robin has happened.
@@ -57,6 +60,7 @@ impl Hybrid {
             patience,
             frozen_rounds: 0,
             prev_candidates: Vec::new(),
+            candidates: Vec::new(),
             prev_best_sum: f64::NEG_INFINITY,
             switched: false,
             rr_cursor: 0,
@@ -158,8 +162,7 @@ impl UserPicker for Hybrid {
 
     fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
         let choice = if self.switched {
-            let active = crate::picker::active_indices(tenants);
-            let c = active[self.rr_cursor % active.len()];
+            let c = nth_live(tenants, self.rr_cursor);
             self.rr_cursor += 1;
             c
         } else {
@@ -186,10 +189,10 @@ impl UserPicker for Hybrid {
         if self.switched {
             return;
         }
-        let candidates = Greedy::candidate_set(tenants);
+        fill_candidate_set(tenants, &mut self.candidates);
         let best_sum = Self::best_sum(tenants);
         let improved = best_sum > self.prev_best_sum + 1e-12;
-        let same_candidates = candidates == self.prev_candidates;
+        let same_candidates = self.candidates == self.prev_candidates;
         if same_candidates && !improved {
             self.frozen_rounds += 1;
             if self.frozen_rounds >= self.patience {
@@ -198,7 +201,7 @@ impl UserPicker for Hybrid {
                     reason: format!(
                         "candidate set {:?} unchanged and no regret improvement \
                          for {} rounds (s = {}); switching to round robin",
-                        candidates, self.frozen_rounds, self.patience
+                        self.candidates, self.frozen_rounds, self.patience
                     ),
                     parent: easeml_obs::current_span(),
                 });
@@ -206,7 +209,7 @@ impl UserPicker for Hybrid {
         } else {
             self.frozen_rounds = 0;
         }
-        self.prev_candidates = candidates;
+        std::mem::swap(&mut self.prev_candidates, &mut self.candidates);
         self.prev_best_sum = self.prev_best_sum.max(best_sum);
     }
 

@@ -23,7 +23,9 @@
 //!   `s = 10` consecutive rounds), then switch to round-robin.
 //!
 //! [`Tenant`] holds the per-user bandit plus the Algorithm-2 recurrence
-//! state; [`regret::MultiTenantRegret`] implements the §4.1 cost-aware
+//! state, and caches the two scores the pickers rank on (σ̃ and the
+//! max-UCB gap), so a steady-state pick scans field reads and allocates
+//! nothing; [`regret::MultiTenantRegret`] implements the §4.1 cost-aware
 //! multi-tenant regret and the "ease.ml regret" variant.
 
 #![warn(missing_docs)]
@@ -33,6 +35,8 @@ pub mod deadline;
 pub mod greedy;
 pub mod hybrid;
 pub mod picker;
+#[cfg(test)]
+mod reference;
 pub mod regret;
 pub mod tenant;
 pub mod weighted;
@@ -40,7 +44,7 @@ pub mod weighted;
 pub use deadline::{Deadline, DeadlinePicker};
 pub use greedy::{Greedy, PickRule};
 pub use hybrid::{Hybrid, HybridState};
-pub use picker::{active_indices, Fcfs, RandomPicker, RoundRobin, UserPicker};
+pub use picker::{Fcfs, RandomPicker, RoundRobin, UserPicker};
 pub use regret::MultiTenantRegret;
 pub use tenant::Tenant;
 pub use weighted::WeightedFair;

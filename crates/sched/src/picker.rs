@@ -58,27 +58,40 @@ pub trait UserPicker {
     }
 }
 
-/// Indices of the live tenants, in id order — the universe every picker
-/// draws from now that tenants can retire mid-run. Falls back to *all*
-/// indices when every tenant is inactive, keeping `pick` total; drivers
-/// are expected to guard picking behind an any-active check, so the
-/// fallback only shields against misuse.
+/// Indices of the live tenants, in id order, without allocating — the
+/// universe every picker draws from now that tenants can retire mid-run.
+/// Falls back to *all* indices when every tenant is inactive, keeping
+/// `pick` total; callers are expected to guard picking behind an
+/// any-active check, so the fallback only shields against misuse.
 ///
 /// With every tenant active this is `0..n`, which keeps each picker's
 /// choice — and its RNG consumption — bit-identical to the closed-loop
 /// fixed-tenancy behavior.
-pub fn active_indices(tenants: &[Tenant]) -> Vec<usize> {
-    let active: Vec<usize> = tenants
+pub(crate) fn live_indices(tenants: &[Tenant]) -> impl Iterator<Item = usize> + '_ {
+    let all = !tenants.iter().any(Tenant::is_active);
+    tenants
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.is_active())
+        .filter(move |(_, t)| all || t.is_active())
         .map(|(i, _)| i)
-        .collect();
-    if active.is_empty() {
-        (0..tenants.len()).collect()
-    } else {
-        active
-    }
+}
+
+/// Number of live tenants (every tenant when none is live).
+pub(crate) fn live_count(tenants: &[Tenant]) -> usize {
+    live_indices(tenants).count()
+}
+
+/// The `(r mod n)`-th of the `n` live tenants, counted in id order — how
+/// every round-robin-style pick chooses.
+///
+/// # Panics
+///
+/// Panics if `tenants` is empty.
+pub(crate) fn nth_live(tenants: &[Tenant], r: usize) -> usize {
+    let n = live_count(tenants);
+    live_indices(tenants)
+        .nth(r % n)
+        .expect("r mod n indexes a live tenant")
 }
 
 /// First-come-first-served: serve the lowest-indexed tenant whose
@@ -96,12 +109,9 @@ impl UserPicker for Fcfs {
     }
 
     fn pick(&mut self, tenants: &[Tenant], step: usize, _rng: &mut dyn rand::RngCore) -> usize {
-        let active = active_indices(tenants);
-        let user = active
-            .iter()
-            .copied()
+        let user = live_indices(tenants)
             .find(|&i| !tenants[i].exhausted())
-            .unwrap_or(active[step % active.len()]);
+            .unwrap_or_else(|| nth_live(tenants, step));
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
             user,
@@ -129,8 +139,7 @@ impl UserPicker for RoundRobin {
     }
 
     fn pick(&mut self, tenants: &[Tenant], step: usize, _rng: &mut dyn rand::RngCore) -> usize {
-        let active = active_indices(tenants);
-        let user = active[step % active.len()];
+        let user = nth_live(tenants, step);
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
             user,
@@ -160,8 +169,7 @@ impl UserPicker for RandomPicker {
 
     fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
         use rand::Rng;
-        let active = active_indices(tenants);
-        let user = active[rng.gen_range(0..active.len())];
+        let user = nth_live(tenants, rng.gen_range(0..live_count(tenants)));
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
             user,

@@ -1,6 +1,7 @@
 //! Per-user state: the tenant's bandit plus the Algorithm-2 bookkeeping.
 
 use easeml_bandit::GpUcb;
+use easeml_obs::RecorderHandle;
 
 /// One user in the multi-tenant system.
 ///
@@ -16,6 +17,13 @@ use easeml_bandit::GpUcb;
 /// bounds; σ̃ is the gap between that bound and the *latest* observed
 /// reward. The greedy scheduler treats σ̃ as the tenant's remaining
 /// "potential for quality improvement".
+///
+/// Both scores the pickers rank on, σ̃ and the max-UCB gap, are cached
+/// fields: computed in [`Tenant::new`] and refreshed in [`Tenant::observe`],
+/// the only way to change the tenant's GP state (the policy is reachable
+/// mutably only through [`Tenant::set_recorder`] and
+/// [`Tenant::set_arm_masked`], which touch neither score). A pick therefore
+/// reads each tenant's scores in O(1) instead of sweeping its K arms.
 #[derive(Debug, Clone)]
 pub struct Tenant {
     id: usize,
@@ -23,8 +31,11 @@ pub struct Tenant {
     /// Running minimum of the empirical confidence bounds (the
     /// `min (y + σ̃)` term); `None` until the first observation.
     empirical_bound: Option<f64>,
-    /// Latest σ̃; `None` until the first observation.
-    sigma_tilde: Option<f64>,
+    /// Latest σ̃; before the first observation, the maximum prior
+    /// exploration width.
+    sigma_tilde: f64,
+    /// Cached [`Tenant::ucb_gap`].
+    ucb_gap: f64,
     /// Best reward observed so far.
     best_reward: Option<f64>,
     /// Reward observed at the most recent serve.
@@ -43,17 +54,29 @@ impl Tenant {
     /// Wraps a per-user policy.
     pub fn new(id: usize, policy: GpUcb) -> Self {
         let k = policy.posterior().num_arms();
-        Tenant {
+        // Fresh tenants look maximally promising: σ̃ starts at the maximum
+        // prior exploration width.
+        let sigma_tilde = (0..k)
+            .map(|arm| policy.exploration_width(arm))
+            .fold(0.0, f64::max);
+        let mut tenant = Tenant {
             id,
             policy,
             empirical_bound: None,
-            sigma_tilde: None,
+            sigma_tilde,
+            ucb_gap: 0.0,
             best_reward: None,
             last_reward: None,
             last_arm: None,
             arms_played: vec![false; k],
             active: true,
-        }
+        };
+        tenant.refresh_ucb_gap();
+        tenant
+    }
+
+    fn refresh_ucb_gap(&mut self) {
+        self.ucb_gap = self.policy.max_ucb() - self.best_reward.unwrap_or(0.0);
     }
 
     /// Whether the tenant is live (the default) or retired.
@@ -82,12 +105,21 @@ impl Tenant {
         &self.policy
     }
 
-    /// Mutable access to the policy — for configuration such as
-    /// [`GpUcb::set_recorder`], not for feeding observations (use
-    /// [`Tenant::observe`], which also maintains the σ̃ recurrence).
-    #[inline]
-    pub fn policy_mut(&mut self) -> &mut GpUcb {
-        &mut self.policy
+    /// Attaches (or, with a noop handle, detaches) a recorder on the
+    /// tenant's policy; its events carry the tenant id as the user.
+    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
+        self.policy.set_recorder(recorder, self.id);
+    }
+
+    /// Masks `arm` out of (or back into) the tenant's model selection — see
+    /// [`GpUcb::set_arm_masked`]. The mask leaves the posterior, and so
+    /// both cached scores, untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arm` is out of range.
+    pub fn set_arm_masked(&mut self, arm: usize, masked: bool) {
+        self.policy.set_arm_masked(arm, masked);
     }
 
     /// Number of times this tenant has been served.
@@ -103,7 +135,8 @@ impl Tenant {
     }
 
     /// Records the outcome of a serve: the tenant played `arm` and observed
-    /// `reward`. Updates the GP posterior and the σ̃ recurrence.
+    /// `reward`. Updates the GP posterior, the σ̃ recurrence and the cached
+    /// UCB gap.
     pub fn observe(&mut self, arm: usize, reward: f64) {
         self.policy.observe(arm, reward);
         self.arms_played[arm] = true;
@@ -120,19 +153,17 @@ impl Tenant {
             None => b,
         };
         self.empirical_bound = Some(bound);
-        self.sigma_tilde = Some(bound - reward);
+        self.sigma_tilde = bound - reward;
+        self.refresh_ucb_gap();
     }
 
     /// The latest empirical variance estimate σ̃ (the tenant's estimated
     /// potential for improvement). Falls back to the maximum prior
     /// exploration width before the first observation, so fresh tenants look
     /// maximally promising.
+    #[inline]
     pub fn sigma_tilde(&self) -> f64 {
-        self.sigma_tilde.unwrap_or_else(|| {
-            (0..self.policy.posterior().num_arms())
-                .map(|k| self.policy.exploration_width(k))
-                .fold(0.0, f64::max)
-        })
+        self.sigma_tilde
     }
 
     /// Running-minimum empirical confidence bound `y + σ̃`, if any
@@ -167,16 +198,13 @@ impl Tenant {
     }
 
     /// The gap between the largest upper confidence bound over all models
-    /// and the best accuracy so far — ease.ml's production rule for
-    /// choosing among greedy candidates ("the maximum gap between the
-    /// largest upper confidence bound and the best accuracy so far", §4.3).
+    /// and the best accuracy so far (0 before the first observation) —
+    /// ease.ml's production rule for choosing among greedy candidates ("the
+    /// maximum gap between the largest upper confidence bound and the best
+    /// accuracy so far", §4.3).
+    #[inline]
     pub fn ucb_gap(&self) -> f64 {
-        let max_ucb = self
-            .policy
-            .ucbs()
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max);
-        max_ucb - self.best_reward.unwrap_or(0.0)
+        self.ucb_gap
     }
 }
 

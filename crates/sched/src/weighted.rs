@@ -9,7 +9,7 @@
 //! one unit per serve. Equal weights reduce to round-robin-like behaviour;
 //! a weight-2 tenant is served twice as often in the long run.
 
-use crate::picker::UserPicker;
+use crate::picker::{live_indices, UserPicker};
 use crate::tenant::Tenant;
 use easeml_linalg::vec_ops;
 use easeml_obs::{Event, RecorderHandle};
@@ -88,13 +88,12 @@ impl UserPicker for WeightedFair {
         // worth of credit is distributed per round). Retired tenants stop
         // accruing, their share flows to the live tenants, and their frozen
         // balance can never win the argmax below.
-        let active = crate::picker::active_indices(tenants);
-        let total: f64 = active.iter().map(|&i| self.weights[i]).sum();
-        for &i in &active {
+        let total: f64 = live_indices(tenants).map(|i| self.weights[i]).sum();
+        for i in live_indices(tenants) {
             self.credit[i] += self.weights[i] / total;
         }
-        let balances: Vec<f64> = active.iter().map(|&i| self.credit[i]).collect();
-        let choice = active[vec_ops::argmax(&balances).expect("at least one tenant")];
+        let choice = vec_ops::argmax_by(live_indices(tenants).map(|i| (i, self.credit[i])))
+            .expect("at least one tenant");
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
             user: choice,

@@ -188,4 +188,12 @@ bench_out="$(python3 perfbench/run.py --workload zoo-batch --trace 1 --seconds 6
 echo "$bench_out"
 echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
 
+echo "==> benchmark smoke (service-1k, traced)"
+# 1,000 tenants behind the EaseMl facade: HYBRID crosses from greedy to
+# round robin, the checkpoint codec round-trips the service, and recovery
+# from checkpoint + WAL must reproduce the live state digest.
+bench_out="$(python3 perfbench/run.py --workload service-1k --trace 1 --seconds 6)"
+echo "$bench_out"
+echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
+
 echo "CI gate passed."
