@@ -29,8 +29,8 @@ pub struct ScoredArm {
 /// and the top-K runners-up ranked exactly as the argmax saw them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmExplanation {
-    /// The arm [`GpUcb::select_arm`] (or [`crate::GpBucb::select_next`])
-    /// would return from this posterior state.
+    /// The arm [`GpUcb::select_arm`] would return from this posterior state
+    /// (for a GP-BUCB dispatch, the state [`GpUcb::hallucinate`] returns).
     pub chosen: usize,
     /// Effective score gap between the winner and the runner-up, computed on
     /// the *masked* scores the argmax ranked (so a quarantined near-winner
@@ -350,6 +350,31 @@ impl GpUcb {
     pub fn best_observed(&self) -> Option<(usize, f64)> {
         self.gp.best_observed()
     }
+
+    /// GP-BUCB's view of this policy while `pending` runs are still in
+    /// flight (Desautels, Krause & Burdick, JMLR 2014 — the parallel-GP
+    /// direction the paper's §6 cites): a copy whose posterior absorbed one
+    /// observation at its running mean per pending arm, in order, with the
+    /// step count advanced once per fake. A fake at the mean leaves the
+    /// mean alone but shrinks the variance, so [`GpUcb::select_arm`] on the
+    /// copy (β at t + |pending| + 1) steers the next dispatch away from arms
+    /// the batch already covers. The fakes go straight into the posterior,
+    /// without events or spans; with nothing pending the copy equals `self`
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range pending arm (propagated from the
+    /// posterior).
+    pub fn hallucinate(&self, pending: &[usize]) -> GpUcb {
+        let mut copy = self.clone();
+        for &arm in pending {
+            let fake = copy.gp.mean(arm);
+            copy.gp.observe(arm, fake);
+            copy.t += 1;
+        }
+        copy
+    }
 }
 
 impl ArmPolicy for GpUcb {
@@ -641,5 +666,153 @@ mod tests {
         ucb.observe(0, -2.0);
         assert!(ucb.ucb(1) < ucb.ucb(2));
         assert_eq!(ucb.select_arm(), 2);
+    }
+
+    fn twins_prior() -> ArmPrior {
+        // Arms 0-1 strongly correlated; arms 2-3 independent.
+        ArmPrior::from_gram(Matrix::from_rows(&[
+            &[1.0, 0.95, 0.0, 0.0],
+            &[0.95, 1.0, 0.0, 0.0],
+            &[0.0, 0.0, 1.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0],
+        ]))
+    }
+
+    /// Dispatches `n` runs before any reward returns, each selected on the
+    /// policy hallucinated over the runs already dispatched.
+    fn dispatch_batch(policy: &GpUcb, n: usize) -> Vec<usize> {
+        let mut pending = Vec::new();
+        for _ in 0..n {
+            let arm = policy.hallucinate(&pending).select_arm();
+            pending.push(arm);
+        }
+        pending
+    }
+
+    #[test]
+    fn hallucinated_batches_are_diverse_under_correlation() {
+        let ucb = GpUcb::cost_oblivious(twins_prior(), 1e-3, simple_beta(4));
+        let batch = dispatch_batch(&ucb, 3);
+        // Hallucination must prevent picking both of the correlated twins
+        // before the independent arms.
+        assert!(
+            !(batch.contains(&0) && batch.contains(&1)),
+            "correlated twins both picked in one batch: {batch:?}"
+        );
+    }
+
+    #[test]
+    fn explain_selection_agrees_with_select_arm_across_a_batch() {
+        let ucb = GpUcb::cost_oblivious(twins_prior(), 1e-3, simple_beta(4));
+        let mut pending = Vec::new();
+        for _ in 0..4 {
+            let batch = ucb.hallucinate(&pending);
+            let expl = batch.explain_selection(2);
+            let a = batch.select_arm();
+            assert_eq!(expl.chosen, a, "explanation must mirror the batch argmax");
+            assert_eq!(expl.top[0].arm, a);
+            assert_eq!(expl.top.len(), 2);
+            assert!(expl.margin >= 0.0);
+            assert!(!expl.top[0].masked);
+            pending.push(a);
+        }
+    }
+
+    #[test]
+    fn plain_repetition_is_not_diverse() {
+        // Without hallucination the top-UCB arm simply repeats; one fake on
+        // it moves the argmax.
+        let ucb = GpUcb::cost_oblivious(twins_prior(), 1e-3, simple_beta(4));
+        let a = ucb.select_arm();
+        assert_eq!(ucb.select_arm(), a);
+        assert_ne!(ucb.hallucinate(&[a]).select_arm(), a);
+    }
+
+    #[test]
+    fn hallucination_shrinks_variance_but_not_mean() {
+        let ucb = GpUcb::cost_oblivious(ArmPrior::independent(4, 1.0), 1e-3, simple_beta(4));
+        let a = ucb.select_arm();
+        let batch = ucb.hallucinate(&[a]);
+        assert!((batch.posterior().mean(a) - ucb.posterior().mean(a)).abs() < 1e-9);
+        assert!(batch.posterior().var(a) < ucb.posterior().var(a));
+        assert_eq!(batch.steps(), ucb.steps() + 1, "one step per fake");
+    }
+
+    #[test]
+    fn costs_bias_the_batch() {
+        let ucb = GpUcb::cost_aware(
+            ArmPrior::independent(2, 1.0),
+            1e-3,
+            simple_beta(4),
+            vec![100.0, 1.0],
+        );
+        // The cheap arm first; the expensive one once the cheap one is
+        // covered.
+        assert_eq!(dispatch_batch(&ucb, 2), vec![1, 0]);
+    }
+
+    #[test]
+    fn hallucinated_arm_choice_carries_the_batch_posterior_and_beta() {
+        use easeml_obs::InMemoryRecorder;
+        use std::sync::Arc;
+        let rec = Arc::new(InMemoryRecorder::new());
+        // Arm 0's prior mean dominates every exploration bonus, so it is
+        // chosen again while two runs of it are already pending.
+        let prior = ArmPrior::independent(3, 1.0).with_mean(vec![5.0, 0.0, 0.0]);
+        let mut ucb = GpUcb::cost_oblivious(prior, 1e-3, simple_beta(4))
+            .with_recorder(RecorderHandle::new(rec.clone()), 5);
+        ucb.observe(2, 0.3);
+        let before = rec.events().len();
+        let batch = ucb.hallucinate(&[0, 0]);
+        assert_eq!(rec.events().len(), before, "fakes emit nothing");
+        let a = batch.select_arm();
+        let events = rec.events();
+        assert_eq!(events.len(), before + 3, "{events:?}");
+        match &events[before + 1] {
+            Event::ArmChosen {
+                user: 5,
+                arm,
+                beta,
+                mean,
+                sigma,
+                ..
+            } => {
+                assert_eq!((*arm, a), (0, 0));
+                assert_eq!(beta.to_bits(), simple_beta(4).at(1 + 2 + 1).to_bits());
+                assert_eq!(mean.to_bits(), batch.posterior().mean(a).to_bits());
+                assert_eq!(sigma.to_bits(), batch.posterior().std(a).to_bits());
+                assert!(*sigma < ucb.posterior().std(a), "σ is the hallucinated one");
+            }
+            other => panic!("expected ArmChosen, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_hallucination_is_the_policy_and_leaves_it_untouched() {
+        let mut ucb = GpUcb::cost_aware(
+            twins_prior(),
+            1e-3,
+            simple_beta(4),
+            vec![1.0, 2.0, 3.0, 4.0],
+        );
+        ucb.observe(1, 0.4);
+        let snapshot = |p: &GpUcb| -> Vec<u64> {
+            let gp = p.posterior();
+            gp.means()
+                .iter()
+                .chain(gp.vars())
+                .map(|x| x.to_bits())
+                .chain([p.steps() as u64, p.beta_next().to_bits()])
+                .collect()
+        };
+        let original = snapshot(&ucb);
+        assert_eq!(snapshot(&ucb.hallucinate(&[])), original);
+        let _ = ucb.hallucinate(&[0, 3, 0]);
+        assert_eq!(
+            snapshot(&ucb),
+            original,
+            "hallucinating must not move the policy"
+        );
+        assert_eq!(ucb.hallucinate(&[]).select_arm(), ucb.select_arm());
     }
 }

@@ -8,7 +8,9 @@
 //! * [`GpUcb`] — the GP-UCB policy of Algorithm 1, in both the cost-oblivious
 //!   form (`argmax μ + √β σ`) and the paper's cost-aware twist
 //!   (`argmax μ + √(β/c) σ`, §3.2) together with the β schedules of
-//!   Algorithm 1 and Theorems 1–3 ([`beta::BetaSchedule`]);
+//!   Algorithm 1 and Theorems 1–3 ([`beta::BetaSchedule`]), plus the
+//!   GP-BUCB view ([`GpUcb::hallucinate`]) a dispatcher selects from while
+//!   earlier runs of the same policy are still in flight;
 //! * [`Ucb1`] — the classic distribution-free UCB1 baseline discussed in
 //!   §3.1's theoretical comparison;
 //! * the heuristic and Bayesian alternatives in [`policies`]:
@@ -25,15 +27,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batched;
 pub mod beta;
 pub mod gp_ucb;
 pub mod policies;
+#[cfg(test)]
+mod reference;
 pub mod regret;
 pub mod stats;
 pub mod ucb1;
 
-pub use batched::GpBucb;
 pub use beta::BetaSchedule;
 pub use gp_ucb::{ArmExplanation, GpUcb, ScoredArm};
 pub use policies::{

@@ -1,7 +1,7 @@
 //! Property-based tests for the single-tenant policies.
 
 use easeml_bandit::{
-    ArmPolicy, BetaSchedule, EpsilonGreedy, ExpectedImprovement, FixedOrder, GpBucb, GpUcb,
+    ArmPolicy, BetaSchedule, EpsilonGreedy, ExpectedImprovement, FixedOrder, GpUcb,
     ProbabilityOfImprovement, RandomArm, RegretTracker, ThompsonSampling, Ucb1,
 };
 use easeml_gp::{ArmPrior, GpPosterior};
@@ -181,38 +181,42 @@ proptest! {
     }
 
     #[test]
-    fn bucb_hallucination_never_increases_posterior_variance(
+    fn hallucination_never_increases_posterior_variance(
         (k, batch) in (2usize..6).prop_flat_map(|k| (Just(k), 1usize..8))
     ) {
         let beta = BetaSchedule::Simple { num_arms: k, delta: 0.1 };
-        let mut p = GpBucb::new(ArmPrior::independent(k, 1.0), 1e-3, beta);
+        let p = GpUcb::cost_oblivious(ArmPrior::independent(k, 1.0), 1e-3, beta);
+        let mut pending = Vec::new();
         for _ in 0..batch {
-            let before: Vec<f64> = (0..k).map(|a| p.hallucinated().var(a)).collect();
-            p.select_next();
+            let before = p.hallucinate(&pending);
+            pending.push(before.select_arm());
+            let after = p.hallucinate(&pending);
             for a in 0..k {
                 prop_assert!(
-                    p.hallucinated().var(a) <= before[a] + 1e-12,
+                    after.posterior().var(a) <= before.posterior().var(a) + 1e-12,
                     "hallucination inflated var of arm {a}"
                 );
-                prop_assert!(p.hallucinated().var(a) <= p.posterior().var(a) + 1e-12);
+                prop_assert!(after.posterior().var(a) <= p.posterior().var(a) + 1e-12);
             }
         }
     }
 
     #[test]
-    fn bucb_resolve_is_bit_identical_to_direct_observation(
+    fn hallucinated_dispatches_leave_the_real_posterior_bit_identical(
         (k, rewards) in (2usize..5).prop_flat_map(|k| {
             (Just(k), prop::collection::vec(0.0f64..1.0, 1..10))
         })
     ) {
-        // Interleave dispatch/resolve through GpBucb and mirror every true
-        // reward into a bare posterior observed directly, in the same order.
+        // Dispatch each run from the policy hallucinated over a standing
+        // pending arm, observe its reward, and mirror every true reward into
+        // a bare posterior observed directly, in the same order: no fake may
+        // leak into the policy's own posterior.
         let beta = BetaSchedule::Simple { num_arms: k, delta: 0.1 };
-        let mut p = GpBucb::new(ArmPrior::independent(k, 1.0), 1e-3, beta);
+        let mut p = GpUcb::cost_oblivious(ArmPrior::independent(k, 1.0), 1e-3, beta);
         let mut direct = GpPosterior::new(ArmPrior::independent(k, 1.0), 1e-3);
         for &r in &rewards {
-            let a = p.select_next();
-            p.resolve(a, r);
+            let a = p.hallucinate(&[0]).select_arm();
+            p.observe(a, r);
             direct.observe(a, r);
             for arm in 0..k {
                 prop_assert_eq!(
@@ -224,42 +228,17 @@ proptest! {
                     direct.var(arm).to_bits()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn bucb_full_cycle_leaves_no_pending_leakage(
-        (k, batch, perm_seed, rewards) in (3usize..6).prop_flat_map(|k| {
-            (Just(k), 2usize..6, 0u64..1000, prop::collection::vec(0.0f64..1.0, 6))
-        })
-    ) {
-        use rand::Rng;
-        let beta = BetaSchedule::Simple { num_arms: k, delta: 0.1 };
-        let mut p = GpBucb::new(ArmPrior::independent(k, 1.0), 1e-3, beta);
-        let dispatched: Vec<usize> = (0..batch).map(|_| p.select_next()).collect();
-        prop_assert_eq!(p.pending(), &dispatched[..]);
-        // Resolve in a random (delayed-feedback) order.
-        let mut order: Vec<usize> = (0..batch).collect();
-        let mut rng = StdRng::seed_from_u64(perm_seed);
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
-        for &i in &order {
-            p.resolve(dispatched[i], rewards[i]);
-        }
-        prop_assert!(p.pending().is_empty(), "pending leaked: {:?}", p.pending());
-        prop_assert_eq!(p.posterior().num_observations(), batch);
-        // With nothing pending, the hallucinated posterior must be exactly
-        // the real one — no fake observations may survive the batch.
-        for arm in 0..k {
-            prop_assert_eq!(
-                p.hallucinated().mean(arm).to_bits(),
-                p.posterior().mean(arm).to_bits()
-            );
-            prop_assert_eq!(
-                p.hallucinated().var(arm).to_bits(),
-                p.posterior().var(arm).to_bits()
-            );
+            let empty = p.hallucinate(&[]);
+            for arm in 0..k {
+                prop_assert_eq!(
+                    empty.posterior().mean(arm).to_bits(),
+                    p.posterior().mean(arm).to_bits()
+                );
+                prop_assert_eq!(
+                    empty.posterior().var(arm).to_bits(),
+                    p.posterior().var(arm).to_bits()
+                );
+            }
         }
     }
 

@@ -86,9 +86,8 @@ pub mod prelude {
         TrainingOutcome, UserStatus,
     };
     pub use crate::sim::{
-        build_tenants, cheapest_model, make_picker, simulate, simulate_parallel,
-        simulate_parallel_with_recorder, simulate_with_recorder, tenant_beta, SchedulerKind,
-        SimConfig, SimEvent, SimTrace,
+        build_tenants, cheapest_model, make_picker, simulate, simulate_with_recorder, tenant_beta,
+        SchedulerKind, SimConfig, SimEvent, SimTrace,
     };
     pub use crate::storage::{Example, SharedStorage};
     pub use crate::user::UserAccount;

@@ -28,7 +28,6 @@ use easeml_gp::ArmPrior;
 use easeml_obs::{Component, Event, RecorderHandle};
 use easeml_sched::{Hybrid, HybridState, PickRule, Tenant, UserPicker};
 use easeml_wal::{read_log, truncate_log, DurableEvent};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -160,15 +159,15 @@ pub struct EaseMl {
     jobs: Vec<Job>,
     tenants: Vec<Tenant>,
     storage: SharedStorage,
-    cluster: Mutex<Cluster>,
-    picker: Mutex<Hybrid>,
+    cluster: Cluster,
+    picker: Hybrid,
     oracle: QualityOracle,
-    rng: Mutex<StdRng>,
-    warmed_up: Mutex<usize>,
-    step: Mutex<usize>,
+    rng: StdRng,
+    warmed_up: usize,
+    step: usize,
     /// Total rounds executed (warm-up and censored rounds included); the
     /// clock quarantine probation is measured against.
-    rounds: Mutex<u64>,
+    rounds: u64,
     noise_var: f64,
     delta: f64,
     fault: Option<FaultInjector>,
@@ -177,7 +176,7 @@ pub struct EaseMl {
     recorder: RecorderHandle,
     /// Decision provenance: the rolling digest + bounded witness emitter
     /// every round folds into.
-    witness: Mutex<DecisionLog>,
+    witness: DecisionLog,
     /// Write-ahead durability: noop by default, so the hot path pays one
     /// branch per logging site unless a WAL is attached.
     durability: Durability,
@@ -195,20 +194,20 @@ impl EaseMl {
             jobs: Vec::new(),
             tenants: Vec::new(),
             storage: SharedStorage::new(),
-            cluster: Mutex::new(Cluster::single_device()),
-            picker: Mutex::new(Hybrid::ease_ml()),
+            cluster: Cluster::single_device(),
+            picker: Hybrid::ease_ml(),
             oracle,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            warmed_up: Mutex::new(0),
-            step: Mutex::new(0),
-            rounds: Mutex::new(0),
+            rng: StdRng::seed_from_u64(seed),
+            warmed_up: 0,
+            step: 0,
+            rounds: 0,
             noise_var: 1e-3,
             delta: 0.1,
             fault: None,
             retry_policy: RetryPolicy::default(),
             retry_state: RetryState::new(),
             recorder: RecorderHandle::noop(),
-            witness: Mutex::new(DecisionLog::new()),
+            witness: DecisionLog::new(),
             durability: Durability::noop(),
             replay: None,
         }
@@ -217,13 +216,13 @@ impl EaseMl {
     /// Rolling digest (16 hex chars) of every decision made so far — equal
     /// digests mean equal decision sequences ([`crate::witness`]).
     pub fn state_digest(&self) -> String {
-        self.witness.lock().digest_hex()
+        self.witness.digest_hex()
     }
 
     /// Replaces the witness bound K (resets the digest; call before the
     /// first round).
     pub fn set_witness_top_k(&mut self, top_k: usize) {
-        *self.witness.lock() = DecisionLog::with_top_k(top_k);
+        self.witness = DecisionLog::with_top_k(top_k);
     }
 
     /// Attaches (or with `None` removes) a deterministic fault injector:
@@ -251,7 +250,7 @@ impl EaseMl {
 
     /// Total rounds executed so far (censored rounds included).
     pub fn rounds_executed(&self) -> u64 {
-        *self.rounds.lock()
+        self.rounds
     }
 
     /// Arms of `user` currently quarantined (masked out of GP-UCB).
@@ -265,8 +264,8 @@ impl EaseMl {
     /// disabled handle and stays allocation-free.
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.recorder = recorder.clone();
-        self.picker.lock().set_recorder(recorder.clone());
-        self.cluster.lock().set_recorder(recorder.clone());
+        self.picker.set_recorder(recorder.clone());
+        self.cluster.set_recorder(recorder.clone());
         self.durability.set_recorder(recorder.clone());
         for tenant in &mut self.tenants {
             tenant.set_recorder(recorder.clone());
@@ -331,9 +330,9 @@ impl EaseMl {
     /// Same as [`EaseMl::register_user`].
     pub fn add_tenant(&mut self, name: &str, program_src: &str) -> Result<usize, ParseError> {
         let id = self.register_user(name, program_src)?;
-        let round = *self.rounds.lock();
+        let round = self.rounds;
         let arms = self.jobs[id].candidate_models().len() as u64;
-        let at = self.cluster.lock().makespan();
+        let at = self.cluster.makespan();
         self.durability.append(|| DurableEvent::TenantJoined {
             round,
             user: id as u64,
@@ -366,9 +365,9 @@ impl EaseMl {
             return;
         }
         self.tenants[user].set_active(false);
-        let round = *self.rounds.lock();
+        let round = self.rounds;
         let (serves, at) = {
-            let cluster = self.cluster.lock();
+            let cluster = &self.cluster;
             let serves = cluster
                 .history()
                 .iter()
@@ -474,11 +473,11 @@ impl EaseMl {
         }
         let _round = self.recorder.time(Component::SimRound);
         let _step_span = self.recorder.span("scheduler_step");
-        let mut picker = self.picker.lock();
-        let mut rng = self.rng.lock();
-        let mut warmed = self.warmed_up.lock();
-        let mut step = self.step.lock();
-        let mut rounds = self.rounds.lock();
+        let picker = &mut self.picker;
+        let rng = &mut self.rng;
+        let warmed = &mut self.warmed_up;
+        let step = &mut self.step;
+        let rounds = &mut self.rounds;
 
         // Probation: unmask arms whose quarantine has expired.
         let release_round = *rounds;
@@ -515,7 +514,7 @@ impl EaseMl {
 
         // Witness context: what the picker ranked, gathered only when a
         // recorder is live (the digest fold below needs none of it).
-        let mut wlog = self.witness.lock();
+        let wlog = &mut self.witness;
         let witness_round = *rounds;
         let witness_live = self.recorder.is_enabled();
         let (user_scores, candidates, path) = if !witness_live {
@@ -622,11 +621,8 @@ impl EaseMl {
                 Ok(outcome) => {
                     {
                         let _train = self.recorder.span("train");
-                        self.cluster.lock().execute(TrainingRun::new(
-                            user,
-                            model_idx,
-                            outcome.cost,
-                        ));
+                        self.cluster
+                            .execute(TrainingRun::new(user, model_idx, outcome.cost));
                         self.recorder.emit(|| Event::TrainingCompleted {
                             user,
                             model: model_idx,
@@ -692,7 +688,6 @@ impl EaseMl {
                         let _train = self.recorder.span("train");
                         if total > 0.0 && total.is_finite() {
                             self.cluster
-                                .lock()
                                 .execute(TrainingRun::censored(user, model_idx, total));
                             censored_cost += total;
                         }
@@ -792,7 +787,7 @@ impl EaseMl {
     /// fault/retry bookkeeping. [`EaseMl::restore`] resumes from it with
     /// the exact same remaining decision sequence as an uninterrupted run.
     pub fn checkpoint(&self) -> String {
-        let rng_words = self.rng.lock().state();
+        let rng_words = self.rng.state();
         let tenants = self
             .tenants
             .iter()
@@ -812,7 +807,7 @@ impl EaseMl {
             })
             .collect();
         let picker = {
-            let state = self.picker.lock().export_state();
+            let state = self.picker.export_state();
             PickerCheckpoint {
                 rule: state.rule.name().to_string(),
                 patience: state.patience as u64,
@@ -824,7 +819,7 @@ impl EaseMl {
             }
         };
         let cluster = {
-            let c = self.cluster.lock();
+            let c = &self.cluster;
             ClusterCheckpoint {
                 device_free_at: c.device_free_at().to_vec(),
                 history: c
@@ -869,9 +864,9 @@ impl EaseMl {
                     .collect(),
             }
         });
-        let rounds = *self.rounds.lock();
+        let rounds = self.rounds;
         let (witness_digest, witness_rounds, witness_top_k) = {
-            let wlog = self.witness.lock();
+            let wlog = &self.witness;
             (
                 encode_u64(wlog.digest_value()),
                 wlog.rounds(),
@@ -888,8 +883,8 @@ impl EaseMl {
             ],
             noise_var: self.noise_var,
             delta: self.delta,
-            step: *self.step.lock() as u64,
-            warmed_up: *self.warmed_up.lock() as u64,
+            step: self.step as u64,
+            warmed_up: self.warmed_up as u64,
             rounds,
             witness_digest,
             witness_rounds,
@@ -985,7 +980,7 @@ impl EaseMl {
         if doc.picker.patience == 0 {
             return Err("picker patience must be positive".into());
         }
-        server.picker = Mutex::new(Hybrid::from_state(HybridState {
+        server.picker = Hybrid::from_state(HybridState {
             rule,
             patience: doc.picker.patience as usize,
             frozen_rounds: doc.picker.frozen_rounds as usize,
@@ -993,7 +988,7 @@ impl EaseMl {
             prev_best_sum: doc.picker.prev_best_sum,
             switched: doc.picker.switched,
             rr_cursor: doc.picker.rr_cursor as usize,
-        }));
+        });
         if doc.cluster.device_free_at.is_empty() {
             return Err("cluster checkpoint has no devices".into());
         }
@@ -1013,26 +1008,23 @@ impl EaseMl {
                 finished_at: r.finished_at,
             })
             .collect();
-        server.cluster = Mutex::new(Cluster::from_state(
-            doc.cluster.device_free_at.clone(),
-            history,
-        ));
+        server.cluster = Cluster::from_state(doc.cluster.device_free_at.clone(), history);
         let mut rng_words = [0u64; 4];
         for (i, word) in doc.rng_state.iter().enumerate() {
             rng_words[i] = decode_u64(word)?;
         }
-        server.rng = Mutex::new(StdRng::from_state(rng_words));
-        server.warmed_up = Mutex::new(doc.warmed_up as usize);
-        server.step = Mutex::new(doc.step as usize);
-        server.rounds = Mutex::new(doc.rounds);
+        server.rng = StdRng::from_state(rng_words);
+        server.warmed_up = doc.warmed_up as usize;
+        server.step = doc.step as usize;
+        server.rounds = doc.rounds;
         // Continue the rolling digest chain instead of restarting it, so a
         // restored run's digest matches the uninterrupted run's at every
         // subsequent round (the bit-exactness oracle recovery asserts on).
-        server.witness = Mutex::new(DecisionLog::from_state(
+        server.witness = DecisionLog::from_state(
             doc.witness_top_k as usize,
             decode_u64(&doc.witness_digest)?,
             doc.witness_rounds,
-        ));
+        );
         server.retry_policy = RetryPolicy {
             max_retries: doc.retry_policy.max_retries,
             backoff_cost: doc.retry_policy.backoff_cost,
@@ -1094,9 +1086,8 @@ impl EaseMl {
     pub fn checkpoint_to(&self, path: &Path) -> Result<(), String> {
         let json = self.checkpoint();
         write_checkpoint_atomic(path, &json).map_err(|e| e.to_string())?;
-        let rounds = *self.rounds.lock();
-        let digest = self.witness.lock().digest_value();
-        self.durability.mark_checkpoint(rounds, digest);
+        self.durability
+            .mark_checkpoint(self.rounds, self.witness.digest_value());
         Ok(())
     }
 
@@ -1210,14 +1201,14 @@ impl EaseMl {
                     expected.round
                 ));
             }
-            let digest = server.witness.lock().digest_value();
+            let digest = server.witness.digest_value();
             if digest != expected.digest {
                 return Err(format!(
                     "round {}: replay digest {digest:016x} != logged {:016x}",
                     expected.round, expected.digest
                 ));
             }
-            if server.rng.lock().state() != expected.rng {
+            if server.rng.state() != expected.rng {
                 return Err(format!(
                     "round {}: replay RNG state diverged from the log",
                     expected.round
@@ -1262,7 +1253,7 @@ impl EaseMl {
     /// Returns the number of rounds executed.
     pub fn run_until(&mut self, budget: f64) -> usize {
         let mut rounds = 0;
-        while self.cluster.lock().makespan() < budget {
+        while self.cluster.makespan() < budget {
             self.run_round();
             rounds += 1;
         }
@@ -1271,7 +1262,7 @@ impl EaseMl {
 
     /// Total simulated time consumed so far.
     pub fn elapsed(&self) -> f64 {
-        self.cluster.lock().makespan()
+        self.cluster.makespan()
     }
 
     /// Job statuses of all users (for dashboards).
@@ -1282,7 +1273,7 @@ impl EaseMl {
     /// A point-in-time view of every user's job: status, served runs, cost
     /// consumed, and current best model.
     pub fn status_snapshot(&self) -> StatusSnapshot {
-        let cluster = self.cluster.lock();
+        let cluster = &self.cluster;
         let elapsed_cost = cluster.makespan();
         let history = cluster.history();
         let users = self

@@ -410,8 +410,8 @@ pub fn tenant_beta(dataset: &Dataset, cfg: &SimConfig) -> BetaSchedule {
 }
 
 /// Builds one [`Tenant`] per user with the multi-tenant β schedule derived
-/// from `cfg` — the shared setup of the serial, parallel, and multi-device
-/// simulators.
+/// from `cfg` — the shared setup of the serial simulator and the
+/// multi-device execution engine.
 pub fn build_tenants(
     dataset: &Dataset,
     priors: &[ArmPrior],
@@ -664,204 +664,6 @@ fn simulate_gp(
     }
 }
 
-/// The §4.5 / §5.3.2 multi-device extension: `devices` training runs execute
-/// concurrently (at most one outstanding run per user), and each run takes
-/// its full cost in wall-clock time. `cfg.budget` is interpreted as the
-/// *wall-clock* horizon — no new run is dispatched after it.
-///
-/// Contrast with [`simulate`], which models ease.ml's shipped design: the
-/// whole GPU pool as a single device. To compare the two fairly (same total
-/// GPU-time), scale the single-device run's costs by `1 / devices` — all
-/// GPUs speed up one model — as the `ablation_devices` bench does.
-///
-/// With `devices = 1` this is behaviourally identical to [`simulate`].
-///
-/// # Panics
-///
-/// Same contract as [`simulate`] plus `devices > 0`. Heuristic scheduler
-/// kinds are not supported here.
-pub fn simulate_parallel(
-    dataset: &Dataset,
-    priors: &[ArmPrior],
-    kind: SchedulerKind,
-    cfg: &SimConfig,
-    devices: usize,
-    rng: &mut dyn rand::RngCore,
-) -> SimTrace {
-    simulate_parallel_with_recorder(
-        dataset,
-        priors,
-        kind,
-        cfg,
-        devices,
-        rng,
-        &RecorderHandle::noop(),
-    )
-}
-
-/// [`simulate_parallel`] with an observability sink attached — the
-/// multi-device counterpart of [`simulate_with_recorder`]. Events are
-/// recorded at *completion* time, so the `TrainingCompleted` stream mirrors
-/// [`SimTrace::events`] in completion order.
-///
-/// # Panics
-///
-/// Same contract as [`simulate_parallel`].
-pub fn simulate_parallel_with_recorder(
-    dataset: &Dataset,
-    priors: &[ArmPrior],
-    kind: SchedulerKind,
-    cfg: &SimConfig,
-    devices: usize,
-    rng: &mut dyn rand::RngCore,
-    recorder: &RecorderHandle,
-) -> SimTrace {
-    assert!(cfg.budget > 0.0, "budget must be positive");
-    assert!(devices > 0, "need at least one device");
-    assert!(
-        !kind.is_heuristic(),
-        "heuristic schedulers are single-device only"
-    );
-    assert_eq!(
-        priors.len(),
-        dataset.num_users(),
-        "one prior per user is required"
-    );
-    let n = dataset.num_users();
-    let mut tenants = build_tenants(dataset, priors, cfg, recorder);
-    let mut picker = make_picker(kind, recorder);
-    let mut losses = LossTracker::new(dataset);
-
-    // Free warm-up, identical to the serial path.
-    for user in 0..n {
-        let model = cheapest_model(dataset, user);
-        tenants[user].observe(model, dataset.quality(user, model));
-        losses.observe(user, dataset.quality(user, model));
-        picker.after_observe(&tenants, user);
-    }
-    let initial_loss = losses.mean_loss();
-
-    // Event loop: (finish_time, user, model) per in-flight run; devices
-    // dispatch greedily whenever free, skipping users already running.
-    let mut in_flight: Vec<(f64, usize, usize)> = Vec::new(); // (finish, user, model)
-    let mut busy_user = vec![false; n];
-    let mut points = Vec::new();
-    let mut events = Vec::new();
-    let mut rounds = 0usize;
-    let mut step = 0usize;
-    let mut now = 0.0f64;
-
-    let dispatch = |now: f64,
-                    tenants: &[Tenant],
-                    busy_user: &mut Vec<bool>,
-                    in_flight: &mut Vec<(f64, usize, usize)>,
-                    picker: &mut Box<dyn UserPicker>,
-                    step: &mut usize,
-                    rng: &mut dyn rand::RngCore|
-     -> bool {
-        if busy_user.iter().all(|&b| b) {
-            return false;
-        }
-        // Ask the picker until it names a free user (bounded retries), then
-        // fall back to the first free user.
-        let mut user = None;
-        let _pick_span = recorder.span("pick_user");
-        let _pick = recorder.time(Component::SchedulerPick);
-        for _ in 0..4 * busy_user.len() {
-            let u = picker.pick(tenants, *step, rng);
-            *step += 1;
-            if !busy_user[u] {
-                user = Some(u);
-                break;
-            }
-        }
-        drop(_pick);
-        drop(_pick_span);
-        let user = user.unwrap_or_else(|| busy_user.iter().position(|&b| !b).unwrap());
-        let model = tenants[user].select_model();
-        let cost = dataset.cost(user, model);
-        busy_user[user] = true;
-        in_flight.push((now + cost, user, model));
-        true
-    };
-
-    // Fill the devices initially.
-    for _ in 0..devices.min(n) {
-        if !dispatch(
-            now,
-            &tenants,
-            &mut busy_user,
-            &mut in_flight,
-            &mut picker,
-            &mut step,
-            rng,
-        ) {
-            break;
-        }
-    }
-
-    while !in_flight.is_empty() {
-        // Pop the earliest completion.
-        let idx = in_flight
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
-        let (finish, user, model) = in_flight.swap_remove(idx);
-        now = finish;
-        busy_user[user] = false;
-        let quality = dataset.quality(user, model);
-        {
-            // Completion processing is one causal step: the posterior
-            // update and the completion record nest under it.
-            let _step_span = recorder.span("scheduler_step");
-            recorder.emit(|| Event::TrainingCompleted {
-                user,
-                model,
-                cost: dataset.cost(user, model),
-                quality,
-                parent: easeml_obs::current_span(),
-            });
-            tenants[user].observe(model, quality);
-        }
-        losses.observe(user, quality);
-        picker.after_observe(&tenants, user);
-        points.push((finish, losses.mean_loss()));
-        let cost = dataset.cost(user, model);
-        events.push(SimEvent {
-            user,
-            model,
-            cost,
-            quality,
-        });
-        recorder.count("sim/rounds", 1);
-        rounds += 1;
-        if now < cfg.budget {
-            dispatch(
-                now,
-                &tenants,
-                &mut busy_user,
-                &mut in_flight,
-                &mut picker,
-                &mut step,
-                rng,
-            );
-        }
-    }
-    recorder.gauge("sim/makespan", now);
-    recorder.gauge("sim/mean-loss", losses.mean_loss());
-
-    SimTrace {
-        budget: cfg.budget,
-        initial_loss,
-        points,
-        events,
-        final_losses: losses.losses(),
-        rounds,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,46 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_recorder_mirrors_completion_order() {
-        use easeml_obs::InMemoryRecorder;
-        use std::sync::Arc;
-        let d = small_dataset();
-        let priors = flat_priors(&d);
-        let cfg = SimConfig::new(8.0);
-        let rec = Arc::new(InMemoryRecorder::new());
-        let handle = RecorderHandle::new(rec.clone());
-        let trace = simulate_parallel_with_recorder(
-            &d,
-            &priors,
-            SchedulerKind::RoundRobin,
-            &cfg,
-            3,
-            &mut rng(),
-            &handle,
-        );
-        let completed: Vec<SimEvent> = rec
-            .events()
-            .iter()
-            .filter_map(|e| match *e {
-                Event::TrainingCompleted {
-                    user,
-                    model,
-                    cost,
-                    quality,
-                    ..
-                } => Some(SimEvent {
-                    user,
-                    model,
-                    cost,
-                    quality,
-                }),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(completed, trace.events);
-    }
-
-    #[test]
     fn heuristic_recorder_mirrors_events() {
         use easeml_obs::InMemoryRecorder;
         use std::sync::Arc;
@@ -1207,105 +969,6 @@ mod tests {
         let d = small_dataset();
         let cfg = SimConfig::new(5.0);
         let _ = simulate(&d, &[], SchedulerKind::MostCited, &cfg, &mut rng());
-    }
-
-    #[test]
-    fn parallel_with_one_device_matches_serial() {
-        let d = small_dataset();
-        let priors = flat_priors(&d);
-        let cfg = SimConfig {
-            budget: 8.0,
-            cost_aware: true,
-            noise_var: 1e-3,
-            delta: 0.1,
-            fault: None,
-        };
-        // Round robin is deterministic, so the two paths must agree
-        // point for point (the serial loop admits one final overshooting
-        // run; compare the common prefix).
-        let serial = simulate(&d, &priors, SchedulerKind::RoundRobin, &cfg, &mut rng());
-        let parallel =
-            simulate_parallel(&d, &priors, SchedulerKind::RoundRobin, &cfg, 1, &mut rng());
-        assert_eq!(serial.initial_loss, parallel.initial_loss);
-        let common = serial.points.len().min(parallel.points.len());
-        assert!(common > 0);
-        for i in 0..common {
-            assert!((serial.points[i].0 - parallel.points[i].0).abs() < 1e-12);
-            assert!((serial.points[i].1 - parallel.points[i].1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn parallel_devices_overlap_runs() {
-        let d = small_dataset();
-        let priors = flat_priors(&d);
-        let cfg = SimConfig {
-            budget: 6.0,
-            cost_aware: true,
-            noise_var: 1e-3,
-            delta: 0.1,
-            fault: None,
-        };
-        let t1 = simulate_parallel(&d, &priors, SchedulerKind::RoundRobin, &cfg, 1, &mut rng());
-        let t3 = simulate_parallel(&d, &priors, SchedulerKind::RoundRobin, &cfg, 3, &mut rng());
-        // More devices complete more runs within the same wall-clock.
-        assert!(
-            t3.rounds > t1.rounds,
-            "3 devices: {} runs vs 1 device: {} runs",
-            t3.rounds,
-            t1.rounds
-        );
-        // No user ever has two outstanding runs: completions per user are
-        // spaced by at least that user's minimum cost — verified implicitly
-        // by the busy flag; here check the trace is time-ordered.
-        for w in t3.points.windows(2) {
-            assert!(w[1].0 >= w[0].0 - 1e-12);
-        }
-    }
-
-    #[test]
-    fn pooled_single_device_reaches_low_loss_sooner_in_wall_clock() {
-        // §5.3.2: same GPU-time, but the pooled single device (costs / d)
-        // returns models faster, so its loss curve leads early on.
-        let d = small_dataset();
-        let priors = flat_priors(&d);
-        let devices = 4usize;
-        let budget = 4.0;
-        let pooled_dataset = {
-            let q = d.quality_matrix().clone();
-            let c = d.cost_matrix().scaled(1.0 / devices as f64);
-            Dataset::new(d.name().to_string(), q, c)
-        };
-        let cfg = SimConfig {
-            budget,
-            cost_aware: true,
-            noise_var: 1e-3,
-            delta: 0.1,
-            fault: None,
-        };
-        let pooled = simulate(
-            &pooled_dataset,
-            &priors,
-            SchedulerKind::RoundRobin,
-            &cfg,
-            &mut rng(),
-        );
-        let parallel = simulate_parallel(
-            &d,
-            &priors,
-            SchedulerKind::RoundRobin,
-            &cfg,
-            devices,
-            &mut rng(),
-        );
-        // Early in the horizon, the pooled strategy's loss is no worse.
-        let early = 0.25 * budget;
-        assert!(
-            pooled.loss_at(early) <= parallel.loss_at(early) + 1e-9,
-            "pooled {:.4} vs parallel {:.4}",
-            pooled.loss_at(early),
-            parallel.loss_at(early)
-        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use easeml::fault::{FaultConfig, FaultInjector};
 use easeml::prelude::*;
 use easeml::server::{EaseMl, QualityOracle, TrainingOutcome};
-use easeml::sim::simulate_parallel;
 use easeml_data::{Dataset, SynConfig};
 use easeml_gp::ArmPrior;
 use easeml_obs::{InMemoryRecorder, RecorderHandle};
@@ -106,29 +105,6 @@ proptest! {
             prop_assert!(w[1] <= w[0] + 1e-12, "loss increased along the grid");
         }
         prop_assert!(curve[0] <= t.initial_loss + 1e-12);
-    }
-
-    #[test]
-    fn parallel_simulation_invariants(
-        (devices, seed) in (1usize..5, 0u64..100)
-    ) {
-        let d = dataset(5, 3, seed);
-        let p = priors(5, 3);
-        let cfg = SimConfig {
-            budget: 6.0,
-            cost_aware: true,
-            noise_var: 1e-3,
-            delta: 0.1,
-            fault: None,
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = simulate_parallel(&d, &p, SchedulerKind::RoundRobin, &cfg, devices, &mut rng);
-        // Completions are time-ordered with non-increasing losses.
-        for w in t.points.windows(2) {
-            prop_assert!(w[1].0 >= w[0].0 - 1e-12);
-            prop_assert!(w[1].1 <= w[0].1 + 1e-12);
-        }
-        prop_assert_eq!(t.points.len(), t.rounds);
     }
 
     /// Under injected faults, cost accounting stays closed: every unit of

@@ -5,10 +5,10 @@
 //! same numeric path rebuilds bit-identical GP state), every in-flight
 //! run's pre-resolved outcome, the device fleet's busy/idle integrals, the
 //! fault injector's attempt counters, and the HYBRID picker's freeze
-//! detector. Restoring marks each in-flight run pending again in dispatch
-//! order, which rebuilds the GP-BUCB hallucinated posterior bit-identically
-//! (the hallucinated state is always the real posterior plus one mean-fake
-//! per pending arm, in order).
+//! detector. The in-flight runs come back in dispatch order, so the next
+//! dispatch for their user hallucinates over exactly the arms the original
+//! would have (a hallucinated view is always the real posterior plus one
+//! mean-fake per in-flight arm, in order, computed when it is needed).
 //!
 //! Serialization follows the same hand-rolled JSON conventions as the core
 //! checkpoint ([`easeml::checkpoint`]): finite floats round-trip bit-exactly,
@@ -481,16 +481,20 @@ impl ExecEngine<'_> {
 
     /// Rebuilds an engine from a checkpoint: replays the resolved
     /// observations through the same numeric path (bit-identical GP
-    /// posteriors), re-marks every in-flight run pending in dispatch order
-    /// (bit-identical hallucinated posteriors), and restores the fleet,
-    /// fault, board, and picker state. The restored engine carries a
-    /// disabled recorder; attach a live one with
+    /// posteriors), re-enters every in-flight run in dispatch order, and
+    /// restores the fleet, fault, board, and picker state. The restored
+    /// engine carries a disabled recorder; attach a live one with
     /// [`ExecEngine::attach_recorder`].
     ///
     /// # Errors
     ///
     /// Returns a message on a version mismatch, an unknown scheduler kind,
-    /// a malformed seed, or dimensions that do not fit `dataset`/`priors`.
+    /// a malformed seed, dimensions that do not fit `dataset`/`priors`, or
+    /// a field the engine cannot run from, naming the field: an
+    /// out-of-range user, model or device index, a non-finite resolved
+    /// quality, an empty fleet, a zero-slot device, device occupancy that
+    /// disagrees with the in-flight runs, a non-positive budget or noise
+    /// variance, or a zero HYBRID patience.
     pub fn restore<'a>(
         dataset: &'a Dataset,
         priors: &[ArmPrior],
@@ -515,6 +519,7 @@ impl ExecEngine<'_> {
                 ck.best_seen.len()
             ));
         }
+        check_runnable(ck, n, dataset.num_models())?;
         let fault = match &ck.fault {
             None => None,
             Some(f) => {
@@ -567,7 +572,6 @@ impl ExecEngine<'_> {
         // below (HYBRID) or is a pure function of `step` (the rest).
         for r in &ck.resolved {
             engine.tenants[r.user].observe(r.model, r.quality);
-            engine.bucbs[r.user].observe_direct(r.model, r.quality);
             engine.events.push(SimEvent {
                 user: r.user,
                 model: r.model,
@@ -607,12 +611,10 @@ impl ExecEngine<'_> {
         for cell in &ck.board_done {
             engine.board.finish(cell.user, cell.arm, cell.accuracy);
         }
-        // Re-mark in-flight runs pending in dispatch order — this rebuilds
-        // each user's hallucinated posterior bit-identically on top of the
-        // replayed real posterior.
+        // In-flight runs re-enter in dispatch order: the next dispatch for
+        // their user hallucinates over them exactly as the original would.
         for r in &ck.in_flight {
             engine.board.start(r.user, r.model);
-            engine.bucbs[r.user].mark_pending(r.model);
             engine.queue.push(r.finish, r.seq);
             engine.in_flight.push(InFlight {
                 seq: r.seq,
@@ -671,6 +673,72 @@ impl ExecEngine<'_> {
         engine.set_open_loop(ck.open_loop);
         Ok(engine)
     }
+}
+
+/// `Err` naming `field` unless `value < bound`.
+fn in_range(value: usize, bound: usize, field: impl FnOnce() -> String) -> Result<(), String> {
+    if value < bound {
+        Ok(())
+    } else {
+        Err(format!("{} = {value} is out of range (< {bound})", field()))
+    }
+}
+
+/// Rejects every field value that would make [`ExecEngine::restore`], or
+/// a later tick of the restored engine, panic: a checkpoint is outside
+/// input.
+fn check_runnable(ck: &ExecCheckpoint, users: usize, models: usize) -> Result<(), String> {
+    if ck.budget.is_nan() || ck.budget <= 0.0 {
+        return Err("budget must be positive".into());
+    }
+    if ck.noise_var.is_nan() || ck.noise_var <= 0.0 {
+        return Err("noise_var must be positive".into());
+    }
+    if ck.devices.is_empty() {
+        return Err("devices: a fleet needs at least one device".into());
+    }
+    for (i, d) in ck.devices.iter().enumerate() {
+        if !(d.speed.is_finite() && d.speed > 0.0) {
+            return Err(format!("devices[{i}].speed must be finite and positive"));
+        }
+        if d.slots == 0 {
+            return Err(format!("devices[{i}].slots must be positive"));
+        }
+    }
+    for (i, r) in ck.resolved.iter().enumerate() {
+        in_range(r.user, users, || format!("resolved[{i}].user"))?;
+        in_range(r.model, models, || format!("resolved[{i}].model"))?;
+        if !r.quality.is_finite() {
+            return Err(format!("resolved[{i}].quality must be finite"));
+        }
+    }
+    for (i, r) in ck.in_flight.iter().enumerate() {
+        in_range(r.user, users, || format!("in_flight[{i}].user"))?;
+        in_range(r.model, models, || format!("in_flight[{i}].model"))?;
+        in_range(r.device, ck.devices.len(), || {
+            format!("in_flight[{i}].device")
+        })?;
+    }
+    for (i, d) in ck.devices.iter().enumerate() {
+        let running = ck.in_flight.iter().filter(|r| r.device == i).count() as u64;
+        if d.in_use != running || d.in_use > d.slots {
+            return Err(format!(
+                "devices[{i}].in_use = {} does not fit its {} slot(s) and {running} in-flight run(s)",
+                d.in_use, d.slots
+            ));
+        }
+    }
+    for (i, c) in ck.board_done.iter().enumerate() {
+        in_range(c.user, users, || format!("board_done[{i}].user"))?;
+        in_range(c.arm, models, || format!("board_done[{i}].arm"))?;
+    }
+    if ck.hybrid.as_ref().is_some_and(|h| h.patience == 0) {
+        return Err("hybrid.patience must be positive".into());
+    }
+    for (i, a) in ck.arrivals.iter().enumerate() {
+        in_range(a.user, users, || format!("arrivals[{i}].user"))?;
+    }
+    Ok(())
 }
 
 impl ExecCheckpoint {
@@ -1105,6 +1173,91 @@ mod tests {
             .err()
             .expect("unknown kinds must be rejected");
         assert!(err.contains("unknown scheduler kind"));
+    }
+
+    #[test]
+    fn restore_names_every_field_it_cannot_run_from_without_panicking() {
+        let d = small_dataset();
+        let priors = flat_priors(&d);
+        let mut engine = ExecEngine::new(
+            &d,
+            &priors,
+            SchedulerKind::Hybrid,
+            &chaos_cfg(),
+            Fleet::uniform(3),
+            7,
+            RecorderHandle::noop(),
+        );
+        engine.set_open_loop(true);
+        for i in 0..24 {
+            engine.push_arrival(i % d.num_users(), 0.25 * i as f64);
+        }
+        for _ in 0..6 {
+            assert!(engine.tick());
+        }
+        let ck = ExecCheckpoint::from_json(&engine.checkpoint().to_json()).expect("round-trip");
+        assert!(!ck.resolved.is_empty() && !ck.in_flight.is_empty());
+        assert!(!ck.board_done.is_empty() && !ck.arrivals.is_empty());
+        let (users, models) = (d.num_users(), d.num_models());
+        type Edit = Box<dyn Fn(&mut ExecCheckpoint)>;
+        let edits: Vec<(&str, Edit)> = vec![
+            (
+                "resolved[0].user",
+                Box::new(move |c| c.resolved[0].user = users),
+            ),
+            (
+                "resolved[0].model",
+                Box::new(move |c| c.resolved[0].model = models),
+            ),
+            (
+                "in_flight[0].user",
+                Box::new(move |c| c.in_flight[0].user = users),
+            ),
+            (
+                "in_flight[0].model",
+                Box::new(move |c| c.in_flight[0].model = models),
+            ),
+            (
+                "in_flight[0].device",
+                Box::new(|c| c.in_flight[0].device = 3),
+            ),
+            (
+                "board_done[0].user",
+                Box::new(move |c| c.board_done[0].user = users),
+            ),
+            (
+                "board_done[0].arm",
+                Box::new(move |c| c.board_done[0].arm = models),
+            ),
+            ("devices", Box::new(|c| c.devices.clear())),
+            ("devices[1].slots", Box::new(|c| c.devices[1].slots = 0)),
+            ("devices[2].in_use", Box::new(|c| c.devices[2].in_use += 1)),
+            (
+                "hybrid.patience",
+                Box::new(|c| c.hybrid.as_mut().unwrap().patience = 0),
+            ),
+            (
+                "arrivals[0].user",
+                Box::new(move |c| c.arrivals[0].user = users),
+            ),
+            ("budget", Box::new(|c| c.budget = 0.0)),
+            ("noise_var", Box::new(|c| c.noise_var = -1.0)),
+        ];
+        for (field, edit) in edits {
+            let mut bad = ck.clone();
+            edit(&mut bad);
+            let bad = ExecCheckpoint::from_json(&bad.to_json()).expect("the edit still parses");
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ExecEngine::restore(&d, &priors, &bad).err()
+            }));
+            match outcome {
+                Ok(Some(err)) => assert!(err.contains(field), "{field}: {err}"),
+                Ok(None) => panic!("{field}: restore accepted the edit"),
+                Err(_) => panic!("{field}: restore panicked"),
+            }
+        }
+        let mut restored = ExecEngine::restore(&d, &priors, &ck).expect("the unedited checkpoint");
+        while restored.tick() {}
     }
 
     #[test]

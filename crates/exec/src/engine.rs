@@ -3,15 +3,17 @@
 //! GP-BUCB hallucinated updates, resolving completions into the posterior
 //! in completion order (delayed feedback).
 //!
-//! The engine generalizes the serial simulator
-//! ([`easeml::sim::simulate`]): with one unit-speed, single-slot device it
-//! reproduces the serial trajectory *bit for bit* — the GP-BUCB selection
-//! with an empty pending batch evaluates the exact GP-UCB expression, the
-//! committed-cost budget test equals the serial makespan test, and
-//! completions resolve immediately. With more devices, runs overlap: each
-//! dispatch hallucinates its outcome at the posterior mean so the next
-//! dispatch (possibly for the same user) explores a *different* arm, and
-//! the truth replaces the hallucination only when the run completes.
+//! Each tenant keeps one posterior, its GP-UCB policy's. A dispatch for a
+//! tenant with runs still in flight selects from
+//! [`GpUcb::hallucinate`](easeml_bandit::GpUcb::hallucinate) over those
+//! runs' arms in dispatch order, so it explores a *different* arm; a
+//! completion feeds the truth into the policy, and a censored run simply
+//! leaves the in-flight list. The engine generalizes the serial simulator
+//! ([`easeml::sim::simulate`]): with one unit-speed, single-slot device
+//! nothing is ever in flight at a dispatch, so every selection is the
+//! plain GP-UCB one, the committed-cost budget test equals the serial
+//! makespan test, and completions resolve immediately — the serial
+//! trajectory *bit for bit*.
 
 use crate::fleet::{DeviceSpec, Fleet};
 use crate::queue::EventQueue;
@@ -19,11 +21,9 @@ use easeml::durability::Durability;
 use easeml::fault::FaultInjector;
 use easeml::pool::TaskBoard;
 use easeml::server::TrainingOutcome;
-use easeml::sim::{
-    build_tenants, cheapest_model, tenant_beta, SchedulerKind, SimConfig, SimEvent, SimTrace,
-};
+use easeml::sim::{build_tenants, cheapest_model, SchedulerKind, SimConfig, SimEvent, SimTrace};
 use easeml::witness::{DecisionLog, RoundWitness};
-use easeml_bandit::{ArmExplanation, GpBucb};
+use easeml_bandit::ArmExplanation;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_linalg::vec_ops;
@@ -172,7 +172,6 @@ pub struct ExecEngine<'a> {
     pub(crate) rng: StdRng,
     pub(crate) fleet: Fleet,
     pub(crate) tenants: Vec<Tenant>,
-    pub(crate) bucbs: Vec<GpBucb>,
     pub(crate) picker: PickerSlot,
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) best_possible: Vec<f64>,
@@ -241,18 +240,6 @@ impl<'a> ExecEngine<'a> {
         );
         let n = dataset.num_users();
         let tenants = build_tenants(dataset, priors, cfg, &recorder);
-        let beta = tenant_beta(dataset, cfg);
-        let bucbs: Vec<GpBucb> = (0..n)
-            .map(|i| {
-                let policy = GpBucb::new(priors[i].clone(), cfg.noise_var, beta);
-                let policy = if cfg.cost_aware {
-                    policy.with_costs(dataset.user_costs(i).to_vec())
-                } else {
-                    policy
-                };
-                policy.with_recorder(recorder.clone(), i)
-            })
-            .collect();
         let picker = PickerSlot::build(kind, &recorder);
         let injector = cfg.fault.clone().map(FaultInjector::new);
         let mut engine = ExecEngine {
@@ -263,7 +250,6 @@ impl<'a> ExecEngine<'a> {
             rng: StdRng::seed_from_u64(seed),
             fleet,
             tenants,
-            bucbs,
             picker,
             injector,
             best_possible: (0..n).map(|i| dataset.best_quality(i)).collect(),
@@ -319,14 +305,12 @@ impl<'a> ExecEngine<'a> {
     }
 
     /// The budget-free warm-up pass, identical to the serial simulator's:
-    /// each user starts with her cheapest model already trained, observed by
-    /// both the tenant's GP-UCB (scheduler state) and the GP-BUCB dispatcher.
+    /// each user starts with her cheapest model already trained.
     fn warm_up(&mut self) {
         for user in 0..self.dataset.num_users() {
             let model = cheapest_model(self.dataset, user);
             let quality = self.dataset.quality(user, model);
             self.tenants[user].observe(model, quality);
-            self.bucbs[user].observe_direct(model, quality);
             if quality > self.best_seen[user] {
                 self.best_seen[user] = quality;
             }
@@ -341,9 +325,6 @@ impl<'a> ExecEngine<'a> {
     pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
         for tenant in &mut self.tenants {
             tenant.set_recorder(recorder.clone());
-        }
-        for (i, bucb) in self.bucbs.iter_mut().enumerate() {
-            bucb.set_recorder(recorder.clone(), i);
         }
         self.picker.as_mut().set_recorder(recorder.clone());
         self.recorder = recorder;
@@ -555,9 +536,10 @@ impl<'a> ExecEngine<'a> {
         }
     }
 
-    /// One dispatch: pick a user, select an arm through the hallucinated
-    /// posterior, roll the fault model, occupy the device, and schedule the
-    /// completion event.
+    /// One dispatch: pick a user, select an arm from the user's policy —
+    /// hallucinated over the user's in-flight arms when there are any —
+    /// roll the fault model, occupy the device, and schedule the completion
+    /// event.
     fn dispatch(&mut self, device: usize) {
         let _span = self.recorder.span("dispatch");
         let _timing = self.recorder.time(Component::ExecDispatch);
@@ -569,19 +551,31 @@ impl<'a> ExecEngine<'a> {
                 .pick(&self.tenants, self.step, &mut self.rng)
         };
         self.step += 1;
-        // Freeze the decision context before `select_next` hallucinates:
-        // the explanation must score the same posterior the argmax saw.
+        // GP-BUCB: the user's runs still in flight, in dispatch order, are
+        // the pending batch the selection hallucinates over.
+        let pending: Vec<usize> = self
+            .in_flight
+            .iter()
+            .filter(|r| r.user == user)
+            .map(|r| r.model)
+            .collect();
+        let batch =
+            (!pending.is_empty()).then(|| self.tenants[user].policy().hallucinate(&pending));
+        let policy = batch
+            .as_ref()
+            .unwrap_or_else(|| self.tenants[user].policy());
         let witness = if self.recorder.is_enabled() {
             let _w = self.recorder.span("witness");
             Some(Box::new(PendingWitness {
                 user_scores: self.picker.as_mut().decision_scores(&self.tenants),
                 candidates: self.picker.as_mut().last_candidates().to_vec(),
                 path: self.picker.as_mut().pick_path(),
-                arm_expl: self.bucbs[user].explain_next(self.wlog.top_k()),
+                arm_expl: policy.explain_selection(self.wlog.top_k()),
             }))
         } else {
             None
         };
+        let model = policy.select_arm();
         // Consume one backlogged job *after* the witness froze its scores:
         // eligibility flips must not leak into the recorded decision
         // context of the pick they follow.
@@ -593,7 +587,6 @@ impl<'a> ExecEngine<'a> {
             let eligible = !self.retired[user] && self.backlog[user] > 0;
             self.tenants[user].set_active(eligible);
         }
-        let model = self.bucbs[user].select_next();
         let clean = TrainingOutcome {
             accuracy: self.dataset.quality(user, model),
             cost: self.dataset.cost(user, model),
@@ -672,26 +665,20 @@ impl<'a> ExecEngine<'a> {
     }
 
     /// Resolves the earliest scheduled completion: frees the device, feeds
-    /// the truth into the posteriors (or retracts the hallucination for a
-    /// censored run), and advances the clock. Returns `false` when nothing
-    /// was in flight.
+    /// the truth into the user's posterior (a censored run feeds nothing),
+    /// and advances the clock. Returns `false` when nothing was in flight.
     fn process_next(&mut self) -> bool {
         let Some(event) = self.queue.pop() else {
             return false;
         };
         self.now = event.time;
-        // `in_flight` is push-ordered by seq, so the entry's position is
-        // also its position in the GP-BUCB pending batch *among this user's
-        // pending arms* — recover both before removal.
+        // Removing the run keeps `in_flight` in seq order: the remaining
+        // runs are the pending batches of later dispatches.
         let idx = self
             .in_flight
             .iter()
             .position(|r| r.seq == event.seq)
             .expect("queued event must have an in-flight run");
-        let pending_idx = self.in_flight[..idx]
-            .iter()
-            .filter(|r| r.user == self.in_flight[idx].user)
-            .count();
         let run = self.in_flight.remove(idx);
         // The span opens before the device release so the busy-integral
         // sweep inside `release` is attributed to `complete` — it is part
@@ -715,8 +702,6 @@ impl<'a> ExecEngine<'a> {
                 parent: easeml_obs::current_span(),
             });
             self.tenants[run.user].observe(run.model, run.quality);
-            let resolved = self.bucbs[run.user].resolve_at(pending_idx, run.quality);
-            debug_assert_eq!(resolved, run.model, "pending batch out of sync");
             self.board.finish(run.user, run.model, run.quality);
             if run.quality > self.best_seen[run.user] {
                 self.best_seen[run.user] = run.quality;
@@ -732,8 +717,6 @@ impl<'a> ExecEngine<'a> {
             self.rounds += 1;
             self.recorder.count("sim/rounds", 1);
         } else {
-            let cancelled = self.bucbs[run.user].cancel_at(pending_idx);
-            debug_assert_eq!(cancelled, run.model, "pending batch out of sync");
             self.board.fail(run.user, run.model);
             self.recorder.emit(|| Event::TrainingFailed {
                 user: run.user,
@@ -973,6 +956,40 @@ mod tests {
         // Both commit (at least) the budget, within one run's overshoot.
         assert!(t1.total_charged >= cfg.budget);
         assert!(t4.total_charged >= cfg.budget);
+    }
+
+    #[test]
+    fn pooled_single_device_reaches_low_loss_sooner_in_wall_clock() {
+        // §5.3.2: same GPU-time, but the pooled single device (costs / d)
+        // returns models faster, so its loss curve leads early on.
+        let d = small_dataset();
+        let priors = flat_priors(&d);
+        let devices = 4usize;
+        let horizon = 4.0;
+        let pooled_dataset = Dataset::new(
+            d.name().to_string(),
+            d.quality_matrix().clone(),
+            d.cost_matrix().scaled(1.0 / devices as f64),
+        );
+        let pooled = easeml::sim::simulate(
+            &pooled_dataset,
+            &priors,
+            SchedulerKind::RoundRobin,
+            &SimConfig::new(horizon),
+            &mut StdRng::seed_from_u64(11),
+        );
+        // The fleet's budget is GPU-time: d devices over the same horizon.
+        let cfg = SimConfig::new(horizon * devices as f64);
+        let fleet =
+            simulate_multi_device(&d, &priors, SchedulerKind::RoundRobin, &cfg, devices, 11);
+        // Early in the horizon, the pooled strategy's loss is no worse.
+        let early = 0.25 * horizon;
+        assert!(
+            pooled.loss_at(early) <= fleet.sim.loss_at(early) + 1e-9,
+            "pooled {:.5} vs fleet {:.5}",
+            pooled.loss_at(early),
+            fleet.sim.loss_at(early)
+        );
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! * an [`EventQueue`] keyed on simulated completion time, with dispatch
 //!   sequence numbers breaking ties deterministically;
 //! * an [`ExecEngine`] dispatcher that keeps the fleet saturated by
-//!   selecting arms through [`easeml_bandit::GpBucb`] *hallucinated*
-//!   updates while earlier runs are still in flight, and resolves the true
-//!   rewards into the posterior in completion order — the delayed-feedback
-//!   regime of Desautels et al. (JMLR 2014) the paper's §6 points to;
+//!   selecting arms from each tenant's one GP-UCB posterior, hallucinated
+//!   ([`easeml_bandit::GpUcb::hallucinate`]) over the tenant's runs still
+//!   in flight, and resolves the true rewards into that posterior in
+//!   completion order — the GP-BUCB delayed-feedback regime of Desautels
+//!   et al. (JMLR 2014) the paper's §6 points to;
 //! * fault-layer integration: a crashed in-flight run frees its device at
 //!   censoring time and charges only its partial cost;
 //! * [`ExecCheckpoint`] — crash-safe JSON checkpoint/restore of the full

@@ -18,6 +18,7 @@ use easeml_exec::{
 use easeml_gp::ArmPrior;
 use easeml_obs::RecorderHandle;
 use easeml_sched::PickRule;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -375,5 +376,25 @@ fn makespan_shrinks_as_devices_are_added() {
             trace.makespan
         );
         last = trace.makespan;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn parallel_simulation_invariants(
+        (devices, seed) in (1usize..5, 0u64..100)
+    ) {
+        let d = dataset(5, 3, seed);
+        let p = priors(&d);
+        let cfg = SimConfig::new(6.0);
+        let t = simulate_multi_device(&d, &p, SchedulerKind::RoundRobin, &cfg, devices, seed);
+        // Completions are time-ordered with non-increasing losses.
+        for w in t.sim.points.windows(2) {
+            prop_assert!(w[1].0 >= w[0].0 - 1e-12);
+            prop_assert!(w[1].1 <= w[0].1 + 1e-12);
+        }
+        prop_assert_eq!(t.sim.points.len(), t.sim.rounds);
     }
 }

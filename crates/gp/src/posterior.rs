@@ -424,9 +424,11 @@ mod tests {
         prop::sample::select(vec![0.1, 1e-3, 1e-6, 1e-10, 1e-14, 1e-17])
     }
 
-    /// GP-BUCB's posterior bookkeeping, as `easeml_bandit::GpBucb` keeps
-    /// it: the hallucinated posterior is the real one plus one mean-valued
-    /// fake observation per pending arm, in dispatch order.
+    /// GP-BUCB's posterior bookkeeping: the hallucinated posterior is the
+    /// real one plus one mean-valued fake observation per pending arm, in
+    /// dispatch order (what `easeml_bandit::GpUcb::hallucinate` builds over
+    /// a tenant's in-flight arms), grown at each selection and rebuilt at
+    /// each resolution.
     struct Bucb {
         real: GpPosterior,
         halluc: GpPosterior,

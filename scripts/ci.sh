@@ -196,4 +196,12 @@ bench_out="$(python3 perfbench/run.py --workload service-1k --trace 1 --seconds 
 echo "$bench_out"
 echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
 
+echo "==> benchmark smoke (open-loop, traced)"
+# ReplayDriver over the exec engine on 16 devices: the only workload that
+# dispatches while runs are in flight (GP-BUCB hallucination), and it checks
+# slot-time conservation and that no more jobs are served than arrived.
+bench_out="$(python3 perfbench/run.py --workload open-loop --trace 1 --seconds 6)"
+echo "$bench_out"
+echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
+
 echo "CI gate passed."

@@ -19,6 +19,7 @@ use rand::SeedableRng;
 const SERIAL_DIGEST: &str = "bf37b39219236e65";
 const POSTERIOR_DIGEST: &str = "a92ea39bc9bc04ce";
 const FLEET_DIGEST: &str = "7bea0e8b13db08a8";
+const MIXED_FLEET_DIGEST: &str = "421907eee3a6c1c3";
 const SERVICE_DIGEST: &str = "809f12286b2453b3";
 const EXPERIMENT_DIGEST: &str = "38c6ee324d94626d";
 
@@ -93,6 +94,83 @@ fn gp_bucb_fleet_decisions_are_pinned() {
     let mut d = trace_digest(&trace.sim);
     d.absorb_f64(trace.makespan);
     assert_eq!(d.hex(), FLEET_DIGEST);
+}
+
+/// HYBRID on a mixed-speed fleet under fault injection, with so few arms
+/// per tenant that GP-BUCB hallucinates the same arm twice while its runs
+/// finish out of dispatch order: every dispatch conditions on a pending
+/// batch that completions and censorings have punched holes into.
+#[test]
+fn mixed_speed_fleet_with_duplicate_pending_arms_is_pinned() {
+    use easeml_exec::{simulate_fleet_with_recorder, DeviceSpec};
+    use easeml_obs::{Event, InMemoryRecorder, RecorderHandle};
+    use std::sync::Arc;
+
+    let dataset = SynConfig {
+        num_users: 3,
+        num_models: 3,
+        ..SynConfig::paper(0.5, 0.5)
+    }
+    .generate(7);
+    let priors = vec![ArmPrior::independent(3, 0.05); 3];
+    let mut cfg = SimConfig::new(dataset.total_cost() * 2.0);
+    cfg.fault = Some(
+        FaultConfig::new(29)
+            .with_crash_rate(0.15)
+            .with_timeout_rate(0.05),
+    );
+    let fleet: Vec<DeviceSpec> = [2.0, 1.0, 0.5, 1.5, 0.75, 3.0]
+        .into_iter()
+        .map(DeviceSpec::with_speed)
+        .collect();
+    let rec = Arc::new(InMemoryRecorder::new());
+    let trace = simulate_fleet_with_recorder(
+        &dataset,
+        &priors,
+        SchedulerKind::Hybrid,
+        &cfg,
+        fleet,
+        11,
+        &RecorderHandle::new(rec.clone()),
+    );
+    assert!(trace.censored > 0, "faults fired");
+
+    // Single-slot devices name their run: replay the dispatch/finish
+    // stream to find a duplicate pending arm and an out-of-order finish.
+    let mut on_device: Vec<Option<(usize, usize, usize)>> = vec![None; 6];
+    let mut next = 0usize;
+    let (mut duplicate, mut overtaken) = (false, false);
+    for event in rec.events().iter() {
+        match *event {
+            Event::RunDispatched {
+                user,
+                model,
+                device,
+                ..
+            } => {
+                duplicate |= on_device
+                    .iter()
+                    .flatten()
+                    .any(|&(_, u, m)| u == user && m == model);
+                on_device[device] = Some((next, user, model));
+                next += 1;
+            }
+            Event::RunFinished { user, device, .. } => {
+                let (order, ..) = on_device[device].take().expect("device was running");
+                overtaken |= on_device
+                    .iter()
+                    .flatten()
+                    .any(|&(o, u, _)| u == user && o < order);
+            }
+            _ => {}
+        }
+    }
+    assert!(duplicate, "no tenant had the same arm in flight twice");
+    assert!(overtaken, "no tenant's runs finished out of dispatch order");
+
+    let mut d = trace_digest(&trace.sim);
+    d.absorb_f64(trace.makespan);
+    assert_eq!(d.hex(), MIXED_FLEET_DIGEST);
 }
 
 #[test]
