@@ -5,7 +5,13 @@
 //! ([`RecorderHandle`]): the handle wraps `Option<Arc<…>>`, every append
 //! takes a *closure* so the disabled path neither encodes nor locks, and
 //! attaching durability is one `set_durability` call on the server or exec
-//! engine. Recovery is the inverse: [`EaseMl::recover`](crate::server::EaseMl::recover)
+//! engine. Appends are group-committed: each record is framed into the
+//! writer's staging buffer, and the batch reaches the file in one
+//! `write(2)` when a commit point ([`DurableEvent::is_commit_point`]) is
+//! appended, so every public call of the server or engine returns with
+//! everything it logged written.
+//!
+//! Recovery is the inverse: [`EaseMl::recover`](crate::server::EaseMl::recover)
 //! loads the latest checkpoint, parses the WAL suffix into per-round
 //! replay plans, re-executes each round with the logged outcomes
 //! substituted for the oracle, and asserts the rolling witness digest and
@@ -15,7 +21,8 @@ use crate::fault::TrainingError;
 use crate::server::TrainingOutcome;
 use easeml_obs::{Component, Histogram, RecorderHandle};
 use easeml_wal::{
-    CrashPoint, DurableEvent, ReadRecord, WalLog, WalOptions, WalWriter, KIND_CRASH, KIND_TIMEOUT,
+    AppendOutcome, CrashPoint, DurableEvent, ReadRecord, WalCall, WalLog, WalOptions, WalWriter,
+    KIND_CRASH, KIND_TIMEOUT,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -275,6 +282,8 @@ pub struct RecoveryReport {
 
 struct DurabilityInner {
     writer: WalWriter,
+    /// Latency of one commit: the batch's `write(2)`, plus any rotation
+    /// or policy fsync it triggers.
     append_ns: Histogram,
     append_bytes: u64,
     replayed_records: u64,
@@ -282,6 +291,14 @@ struct DurabilityInner {
     last_checkpoint_rounds: u64,
     last_error: Option<String>,
     recorder: RecorderHandle,
+}
+
+/// The span the recorder opens around one WAL system call.
+fn span_name(call: WalCall) -> &'static str {
+    match call {
+        WalCall::Write => "wal_append",
+        WalCall::Fsync => "wal_fsync",
+    }
 }
 
 impl DurabilityInner {
@@ -292,6 +309,40 @@ impl DurabilityInner {
                 self.last_error = Some(e.to_string());
                 None
             }
+        }
+    }
+
+    /// Counts one batch write (nothing when the call wrote nothing).
+    fn note_write(&mut self, outcome: AppendOutcome) {
+        self.append_bytes += outcome.bytes;
+        if let Some(recorder) = self.recorder.recorder() {
+            if outcome.bytes > 0 {
+                recorder.add_counter("wal/appends", outcome.records);
+                recorder.add_counter("wal/writes", 1);
+            }
+            if outcome.synced {
+                recorder.add_counter("wal/fsyncs", 1);
+            }
+        }
+    }
+
+    /// Writes the staged batch: the commit point's one `write(2)` under a
+    /// `wal_append` span, every fdatasync under `wal_fsync`.
+    fn commit(&mut self) {
+        let recorder = &self.recorder;
+        let start = Instant::now();
+        let result = self
+            .writer
+            .commit_scoped(|call| recorder.span(span_name(call)));
+        let nanos = start.elapsed().as_nanos() as u64;
+        if let Some(outcome) = self.note_io(result) {
+            if outcome.bytes > 0 {
+                self.append_ns.record(nanos);
+                if let Some(recorder) = self.recorder.recorder() {
+                    recorder.record_timing(Component::WalAppend, nanos);
+                }
+            }
+            self.note_write(outcome);
         }
     }
 }
@@ -349,38 +400,43 @@ impl Durability {
 
     /// Appends the event built by `make`, which is only called when a WAL
     /// is attached — pass a closure so the disabled path stays free.
+    ///
+    /// The record is framed into the writer's staging buffer without
+    /// allocating. When it is a commit point
+    /// ([`DurableEvent::is_commit_point`]) the staged batch — this record
+    /// and every record staged since the last commit — is written with one
+    /// `write(2)` and synced per [`FsyncPolicy`](easeml_wal::FsyncPolicy)
+    /// before this call returns; any other record waits for the commit
+    /// point that closes its batch, as recovery would discard it without
+    /// one.
     pub fn append<F: FnOnce() -> DurableEvent>(&self, make: F) {
         if let Some(inner) = &self.inner {
             let mut inner = inner.lock();
-            let payload = make().encode();
-            let start = Instant::now();
-            let outcome = inner.writer.append(&payload);
-            let nanos = start.elapsed().as_nanos() as u64;
-            if let Some(outcome) = inner.note_io(outcome) {
-                inner.append_bytes += outcome.bytes;
-                inner.append_ns.record(nanos);
-                if let Some(recorder) = inner.recorder.recorder().cloned() {
-                    recorder.record_timing(Component::WalAppend, nanos);
-                    recorder.add_counter("wal/appends", 1);
-                    if outcome.synced {
-                        recorder.add_counter("wal/fsyncs", 1);
-                    }
-                }
+            let event = make();
+            let staged = inner.writer.stage_with(|buf| event.encode_into(buf));
+            inner.note_io(staged);
+            if event.is_commit_point() {
+                inner.commit();
             }
         }
     }
 
-    /// Forces an fsync of the current segment.
+    /// Writes any staged records, then forces an fsync of the current
+    /// segment: afterwards everything appended is on disk.
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
-            let mut inner = inner.lock();
+            let mut guard = inner.lock();
+            let inner = &mut *guard;
+            let recorder = &inner.recorder;
             let start = Instant::now();
-            let result = inner.writer.sync();
+            let result = inner
+                .writer
+                .sync_scoped(|call| recorder.span(span_name(call)));
             let nanos = start.elapsed().as_nanos() as u64;
-            if inner.note_io(result).is_some() {
-                if let Some(recorder) = inner.recorder.recorder().cloned() {
+            if let Some(outcome) = inner.note_io(result) {
+                inner.note_write(outcome);
+                if let Some(recorder) = inner.recorder.recorder() {
                     recorder.record_timing(Component::WalFsync, nanos);
-                    recorder.add_counter("wal/fsyncs", 1);
                 }
             }
         }
@@ -392,22 +448,27 @@ impl Durability {
     /// checkpoint document is durably on disk.
     pub fn mark_checkpoint(&self, rounds: u64, digest: u64) {
         if let Some(inner) = &self.inner {
-            let mut inner = inner.lock();
+            let mut guard = inner.lock();
+            let inner = &mut *guard;
+            let recorder = &inner.recorder;
+            let scope = |call| recorder.span(span_name(call));
+            let writer = &mut inner.writer;
             let start = Instant::now();
-            let result = inner
-                .writer
-                .rotate()
-                .and_then(|()| inner.writer.compact())
+            let result = writer
+                .rotate_scoped(scope)
+                .and_then(|()| writer.compact())
                 .and_then(|removed| {
-                    let payload = DurableEvent::CheckpointMark { rounds, digest }.encode();
-                    inner.writer.append(&payload)?;
-                    inner.writer.sync()?;
+                    writer.stage_with(|buf| {
+                        DurableEvent::CheckpointMark { rounds, digest }.encode_into(buf);
+                    })?;
+                    writer.commit_scoped(scope)?;
+                    writer.sync_scoped(scope)?;
                     Ok(removed)
                 });
             let nanos = start.elapsed().as_nanos() as u64;
             if let Some(removed) = inner.note_io(result) {
                 inner.last_checkpoint_rounds = rounds;
-                if let Some(recorder) = inner.recorder.recorder().cloned() {
+                if let Some(recorder) = inner.recorder.recorder() {
                     recorder.record_timing(Component::WalFsync, nanos);
                     recorder.add_counter("wal/checkpoint-marks", 1);
                     recorder.add_counter("wal/segments-compacted", removed as u64);
@@ -445,6 +506,14 @@ impl Durability {
             .is_some_and(|inner| inner.lock().writer.is_dead())
     }
 
+    /// Records appended but not yet written: the open batch, waiting for
+    /// its commit point. Zero whenever a server or engine call returns.
+    pub fn staged(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.lock().writer.staged())
+    }
+
     /// Global bytes appended across the log's lifetime (crash-sweep hook).
     pub fn stream_offset(&self) -> u64 {
         self.inner
@@ -453,7 +522,9 @@ impl Durability {
     }
 
     /// Durability counters as one JSON object — the `/durability` section
-    /// of the telemetry hub.
+    /// of the telemetry hub. `appends` counts records and `writes` counts
+    /// the batch `write(2)` calls that carried them (one per commit
+    /// point); the `append_*_ns` quantiles time one commit each.
     pub fn stats_json(&self) -> String {
         let Some(inner) = &self.inner else {
             return "{\"enabled\":false}".to_string();
@@ -466,7 +537,7 @@ impl Durability {
         format!(
             concat!(
                 "{{\"enabled\":true,\"appends\":{},\"append_bytes\":{},",
-                "\"fsyncs\":{},\"rotations\":{},\"segment_index\":{},",
+                "\"writes\":{},\"fsyncs\":{},\"rotations\":{},\"segment_index\":{},",
                 "\"stream_offset\":{},\"append_p50_ns\":{},",
                 "\"append_p95_ns\":{},\"append_max_ns\":{},",
                 "\"replayed_rounds\":{},\"replay_ns\":{},",
@@ -474,6 +545,7 @@ impl Durability {
             ),
             inner.writer.appends(),
             inner.append_bytes,
+            inner.writer.writes(),
             inner.writer.fsyncs(),
             inner.writer.rotations(),
             inner.writer.segment_index(),
@@ -559,6 +631,53 @@ mod tests {
         assert!(stats.contains("\"enabled\":true"), "{stats}");
         assert!(stats.contains("\"last_checkpoint_rounds\":1"), "{stats}");
         assert!(stats.contains("\"last_error\":null"), "{stats}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_wait_for_their_commit_point_or_a_flush() {
+        let dir = scratch_dir("staging");
+        let d = Durability::open(
+            &dir,
+            WalOptions {
+                segment_bytes: 4096,
+                fsync: FsyncPolicy::Always,
+            },
+        )
+        .unwrap();
+        let on_disk = || easeml_wal::read_log(&dir).unwrap().records.len();
+        d.append(|| DurableEvent::RoundStart { round: 0 });
+        d.append(|| DurableEvent::ObservationResolved {
+            round: 0,
+            user: 0,
+            arm: 1,
+            accuracy: 0.5,
+            cost: 1.0,
+        });
+        assert_eq!((d.staged(), on_disk()), (2, 0), "staged records do no I/O");
+        d.append(|| DurableEvent::RoundCommit {
+            round: 0,
+            user: 0,
+            arm: 1,
+            censored: false,
+            digest: 9,
+            rng: [0; 4],
+        });
+        assert_eq!(
+            (d.staged(), on_disk()),
+            (0, 3),
+            "the commit writes the batch"
+        );
+        let stats = d.stats_json();
+        assert!(stats.contains("\"appends\":3,"), "{stats}");
+        assert!(stats.contains("\"writes\":1,\"fsyncs\":1,"), "{stats}");
+        // An uncommitted batch stays off the disk until an explicit flush.
+        d.append(|| DurableEvent::RoundStart { round: 1 });
+        assert_eq!((d.staged(), on_disk()), (1, 3));
+        d.flush();
+        assert_eq!((d.staged(), on_disk()), (0, 4));
+        let stats = d.stats_json();
+        assert!(stats.contains("\"writes\":2,\"fsyncs\":2,"), "{stats}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -453,10 +453,11 @@ impl<'a> ExecEngine<'a> {
         }
         self.retired[user] = true;
         self.refresh_eligibility(user);
-        let serves = self.events.iter().filter(|e| e.user == user).count() as u64;
+        // Counting serves scans every completed run, so only a live
+        // recorder pays for it.
         self.recorder.emit(|| Event::TenantRetired {
             user,
-            serves,
+            serves: self.events.iter().filter(|e| e.user == user).count() as u64,
             at: self.now,
             parent: easeml_obs::current_span(),
         });

@@ -29,7 +29,8 @@ pub enum Component {
     /// One dispatch decision of the multi-device execution engine
     /// (pick user + pick arm + device placement).
     ExecDispatch = 7,
-    /// One write-ahead-log record append (framing + write + policy sync).
+    /// One write-ahead-log commit: the staged batch's single `write(2)`,
+    /// plus any segment rotation or policy fsync it triggers.
     WalAppend = 8,
     /// One explicit write-ahead-log fsync (flush or checkpoint barrier).
     WalFsync = 9,

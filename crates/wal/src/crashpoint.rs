@@ -1,9 +1,11 @@
 //! Deterministic crash-point injection for the WAL write path.
 //!
 //! A [`CrashPoint`] kills the writer at an exact global byte offset: the
-//! append that would cross the offset writes only the bytes up to it and
-//! every later write, fsync, rotation or compaction silently no-ops — the
-//! same observable outcome as the process dying mid-`write(2)`. Offsets
+//! batch write that would cross the offset writes only the bytes up to it
+//! and every later write, fsync, rotation or compaction silently no-ops —
+//! the same observable outcome as the process dying mid-`write(2)`.
+//! Batching moves no byte, so a crash at offset k leaves the same prefix
+//! whether records were written one by one or group-committed. Offsets
 //! are plain numbers so a sweep test can enumerate *every* byte boundary,
 //! and [`sample_offsets`] draws a reproducible subset with the same
 //! splitmix64 generator `core::fault` uses for fault injection.

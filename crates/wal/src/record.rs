@@ -261,14 +261,43 @@ impl DurableEvent {
         }
     }
 
+    /// Whether this record ends a batch: the writer stages records and
+    /// writes them with one `write(2)` when it logs a commit point.
+    ///
+    /// Recovery keeps nothing logged after the last round commit, exec
+    /// completion, checkpoint mark or tenant lifecycle record (see
+    /// `plan_replay` and `recover_engine`), so those are the records whose
+    /// logging must reach the file before the call that logged them
+    /// returns. Everything else (round starts, attempt outcomes,
+    /// quarantine transitions, dispatches) rides in the batch its commit
+    /// point closes.
+    #[must_use]
+    pub fn is_commit_point(&self) -> bool {
+        matches!(
+            self,
+            Self::RoundCommit { .. }
+                | Self::ExecCompletion { .. }
+                | Self::CheckpointMark { .. }
+                | Self::TenantJoined { .. }
+                | Self::TenantRetired { .. }
+        )
+    }
+
     /// Encode the event into its binary payload (without framing).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(80);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the event's binary payload (without framing) to `buf`, so a
+    /// caller that keeps one buffer encodes without allocating.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match *self {
             Self::RoundStart { round } => {
                 buf.push(TAG_ROUND_START);
-                put_u64(&mut buf, round);
+                put_u64(buf, round);
             }
             Self::ObservationResolved {
                 round,
@@ -278,11 +307,11 @@ impl DurableEvent {
                 cost,
             } => {
                 buf.push(TAG_OBS_RESOLVED);
-                put_u64(&mut buf, round);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arm);
-                put_f64(&mut buf, accuracy);
-                put_f64(&mut buf, cost);
+                put_u64(buf, round);
+                put_u64(buf, user);
+                put_u64(buf, arm);
+                put_f64(buf, accuracy);
+                put_f64(buf, cost);
             }
             Self::ObservationCensored {
                 round,
@@ -292,10 +321,10 @@ impl DurableEvent {
                 kind,
             } => {
                 buf.push(TAG_OBS_CENSORED);
-                put_u64(&mut buf, round);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arm);
-                put_f64(&mut buf, charge);
+                put_u64(buf, round);
+                put_u64(buf, user);
+                put_u64(buf, arm);
+                put_f64(buf, charge);
                 buf.push(kind);
             }
             Self::ArmQuarantined {
@@ -304,15 +333,15 @@ impl DurableEvent {
                 release_round,
             } => {
                 buf.push(TAG_QUARANTINED);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arm);
-                put_u64(&mut buf, release_round);
+                put_u64(buf, user);
+                put_u64(buf, arm);
+                put_u64(buf, release_round);
             }
             Self::ProbationRelease { round, user, arm } => {
                 buf.push(TAG_PROBATION);
-                put_u64(&mut buf, round);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arm);
+                put_u64(buf, round);
+                put_u64(buf, user);
+                put_u64(buf, arm);
             }
             Self::RoundCommit {
                 round,
@@ -323,19 +352,19 @@ impl DurableEvent {
                 rng,
             } => {
                 buf.push(TAG_ROUND_COMMIT);
-                put_u64(&mut buf, round);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arm);
+                put_u64(buf, round);
+                put_u64(buf, user);
+                put_u64(buf, arm);
                 buf.push(u8::from(censored));
-                put_u64(&mut buf, digest);
+                put_u64(buf, digest);
                 for word in rng {
-                    put_u64(&mut buf, word);
+                    put_u64(buf, word);
                 }
             }
             Self::CheckpointMark { rounds, digest } => {
                 buf.push(TAG_CHECKPOINT);
-                put_u64(&mut buf, rounds);
-                put_u64(&mut buf, digest);
+                put_u64(buf, rounds);
+                put_u64(buf, digest);
             }
             Self::ExecDispatch {
                 seq,
@@ -344,10 +373,10 @@ impl DurableEvent {
                 device,
             } => {
                 buf.push(TAG_EXEC_DISPATCH);
-                put_u64(&mut buf, seq);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arm);
-                put_u64(&mut buf, device);
+                put_u64(buf, seq);
+                put_u64(buf, user);
+                put_u64(buf, arm);
+                put_u64(buf, device);
             }
             Self::ExecCompletion {
                 seq,
@@ -357,11 +386,11 @@ impl DurableEvent {
                 digest,
             } => {
                 buf.push(TAG_EXEC_COMPLETION);
-                put_u64(&mut buf, seq);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arm);
+                put_u64(buf, seq);
+                put_u64(buf, user);
+                put_u64(buf, arm);
                 buf.push(u8::from(censored));
-                put_u64(&mut buf, digest);
+                put_u64(buf, digest);
             }
             Self::TenantJoined {
                 round,
@@ -371,19 +400,18 @@ impl DurableEvent {
                 ref program,
             } => {
                 buf.push(TAG_TENANT_JOINED);
-                put_u64(&mut buf, round);
-                put_u64(&mut buf, user);
-                put_u64(&mut buf, arms);
-                put_str(&mut buf, name);
-                put_str(&mut buf, program);
+                put_u64(buf, round);
+                put_u64(buf, user);
+                put_u64(buf, arms);
+                put_str(buf, name);
+                put_str(buf, program);
             }
             Self::TenantRetired { round, user } => {
                 buf.push(TAG_TENANT_RETIRED);
-                put_u64(&mut buf, round);
-                put_u64(&mut buf, user);
+                put_u64(buf, round);
+                put_u64(buf, user);
             }
         }
-        buf
     }
 
     /// Decode a payload produced by [`DurableEvent::encode`].
@@ -545,6 +573,35 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", event.tag_name()));
             assert_eq!(decoded, event);
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_encoded_payload() {
+        let mut buf = vec![0xaa; 3];
+        for event in samples() {
+            let start = buf.len();
+            event.encode_into(&mut buf);
+            assert_eq!(buf[start..], event.encode()[..], "{}", event.tag_name());
+        }
+    }
+
+    #[test]
+    fn commit_points_are_the_records_recovery_keeps() {
+        let commits: Vec<&str> = samples()
+            .iter()
+            .filter(|e| e.is_commit_point())
+            .map(DurableEvent::tag_name)
+            .collect();
+        assert_eq!(
+            commits,
+            [
+                "round-commit",
+                "checkpoint-mark",
+                "exec-completion",
+                "tenant-joined",
+                "tenant-retired"
+            ]
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Segmented log files: append path, torn-tolerant reader, compaction.
+//! Segmented log files: group-commit append path, torn-tolerant reader,
+//! compaction.
 //!
 //! A log directory holds segments named `wal-NNNNNNNN.log` in strictly
 //! increasing index order. Only the highest-indexed segment is ever
@@ -22,11 +23,15 @@ pub const MAX_RECORD_BYTES: u32 = 1 << 20;
 const HEADER_BYTES: u64 = 8;
 
 /// When the writer flushes to the platter.
+///
+/// The policy is applied per *commit write* (see [`WalWriter::commit`]):
+/// a sync never lands between the records of one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every append — maximum durability, slowest.
+    /// `fdatasync` after every commit write — maximum durability, slowest.
     Always,
-    /// `fdatasync` every N appends — bounded loss window.
+    /// `fdatasync` after the first commit write that brings the records
+    /// written since the last sync to N or more — bounded loss window.
     EveryN(u64),
     /// Never sync explicitly — the OS decides; fastest, weakest.
     Never,
@@ -252,19 +257,43 @@ pub fn truncate_log(dir: &Path, keep: Option<(u64, u64)>) -> io::Result<()> {
     Ok(())
 }
 
-/// What one [`WalWriter::append`] call did.
+/// What one [`WalWriter::commit`] (or [`WalWriter::append`]) call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendOutcome {
-    /// Bytes actually written (framing included; less than the full frame
-    /// only when a crash point fired mid-record).
+    /// Bytes this call wrote: the whole staged batch, framing included
+    /// (fewer only when a crash point fired inside it, zero when nothing
+    /// was staged or the writer is dead).
     pub bytes: u64,
-    /// Whether this append triggered an fsync under the policy.
+    /// Records the batch carried (zero when the write was torn).
+    pub records: u64,
+    /// Whether an fsync followed the write (the policy's, or the one
+    /// [`WalWriter::sync`] always makes).
     pub synced: bool,
-    /// Whether the append rotated to a fresh segment first.
+    /// Whether the write rotated to a fresh segment first.
     pub rotated: bool,
 }
 
-/// Append-only writer over a segment directory.
+/// A system call the writer makes, for callers that scope each one (with
+/// a profiler span, say) through [`WalWriter::commit_scoped`] and its
+/// siblings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalCall {
+    /// The single `write(2)` of one batch.
+    Write,
+    /// One `fdatasync(2)`.
+    Fsync,
+}
+
+/// Append-only writer over a segment directory, with group commit.
+///
+/// Records are framed in place into the writer's own staging buffer by
+/// [`WalWriter::stage_with`], which does no I/O, and reach the file in
+/// one `write(2)` per [`WalWriter::commit`]. The bytes on disk are the
+/// same as writing each record on its own, in the same order; only the
+/// write boundaries differ. Recovery keeps nothing after the last commit
+/// point, so a caller commits at each one and loses nothing durable by
+/// batching the records before it. Dropping the writer discards a staged
+/// batch, exactly as a crash before its commit would.
 ///
 /// Opening repairs a torn tail (truncates the last segment to its valid
 /// prefix, deletes any stale later segments) and resumes appending, so a
@@ -280,7 +309,12 @@ pub struct WalWriter {
     stream_offset: u64,
     crash: Option<CrashPoint>,
     dead: bool,
+    /// Framed records not yet written: the open batch.
+    pending: Vec<u8>,
+    /// Records in `pending`.
+    pending_records: u64,
     appends: u64,
+    writes: u64,
     fsyncs: u64,
     rotations: u64,
 }
@@ -341,7 +375,10 @@ impl WalWriter {
             stream_offset,
             crash: None,
             dead: false,
+            pending: Vec::new(),
+            pending_records: 0,
             appends: 0,
+            writes: 0,
             fsyncs: 0,
             rotations: 0,
         })
@@ -359,8 +396,9 @@ impl WalWriter {
         self.dead
     }
 
-    /// Global bytes appended across all segments since the log was first
-    /// created (monotone; unaffected by compaction).
+    /// Global bytes written across all segments since the log was first
+    /// created (monotone; unaffected by compaction; staged records are not
+    /// counted until their batch is written).
     #[must_use]
     pub fn stream_offset(&self) -> u64 {
         self.stream_offset
@@ -372,10 +410,19 @@ impl WalWriter {
         self.segment_index
     }
 
-    /// Records appended by this writer instance.
+    /// Records written by this writer instance (staged records count once
+    /// their batch is written; a batch torn by a crash point counts none).
     #[must_use]
     pub fn appends(&self) -> u64 {
         self.appends
+    }
+
+    /// Batch `write(2)` calls made by this writer instance: one per
+    /// [`WalWriter::commit`] (or [`WalWriter::sync`]/[`WalWriter::rotate`])
+    /// that found records staged.
+    #[must_use]
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 
     /// Fsyncs issued by this writer instance.
@@ -390,105 +437,197 @@ impl WalWriter {
         self.rotations
     }
 
-    /// Append one framed record, rotating and syncing per policy.
+    /// Records staged and not yet written.
+    #[must_use]
+    pub fn staged(&self) -> u64 {
+        self.pending_records
+    }
+
+    /// Stage one record: `encode` appends its payload to the staging
+    /// buffer (leaving the bytes already there alone), which the writer
+    /// frames in place (length and CRC32 header) without allocating once
+    /// the buffer has grown to a batch. No I/O — the record reaches the
+    /// file with the next [`WalWriter::commit`].
+    ///
+    /// # Errors
+    /// Rejects (and unstages) a payload above [`MAX_RECORD_BYTES`].
+    pub fn stage_with<F: FnOnce(&mut Vec<u8>)>(&mut self, encode: F) -> io::Result<()> {
+        if self.dead {
+            return Ok(());
+        }
+        let start = self.pending.len();
+        let body = start + HEADER_BYTES as usize;
+        self.pending.resize(body, 0);
+        encode(&mut self.pending);
+        let len = self.pending.len() - body;
+        if len as u64 > u64::from(MAX_RECORD_BYTES) {
+            self.pending.truncate(start);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("record payload {len} bytes exceeds cap"),
+            ));
+        }
+        let crc = crc32(&self.pending[body..]);
+        self.pending[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.pending[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+        self.pending_records += 1;
+        Ok(())
+    }
+
+    /// Write the staged batch with one `write(2)`, then sync per policy.
+    ///
+    /// Rotation is checked before the write, so a batch never straddles
+    /// two segments; an armed crash point tears the batch at the same
+    /// global byte it would have torn the records written one by one.
+    ///
+    /// # Errors
+    /// Propagates I/O errors.
+    pub fn commit(&mut self) -> io::Result<AppendOutcome> {
+        self.commit_scoped(|_| ())
+    }
+
+    /// [`WalWriter::commit`], opening `scope` around each system call
+    /// (the batch write, and every fdatasync of a rotation or the policy)
+    /// and holding its guard for the call's duration.
+    ///
+    /// # Errors
+    /// Propagates I/O errors.
+    pub fn commit_scoped<G>(
+        &mut self,
+        mut scope: impl FnMut(WalCall) -> G,
+    ) -> io::Result<AppendOutcome> {
+        let mut outcome = self.write_pending(&mut scope)?;
+        let due = match self.options.fsync {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
+            FsyncPolicy::Never => false,
+        };
+        if outcome.records > 0 && due {
+            self.fdatasync(&mut scope)?;
+            outcome.synced = true;
+        }
+        Ok(outcome)
+    }
+
+    /// Stage one record and commit it: the one-record batch.
     ///
     /// # Errors
     /// Rejects payloads above [`MAX_RECORD_BYTES`]; propagates I/O errors.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<AppendOutcome> {
-        if self.dead {
-            return Ok(AppendOutcome {
-                bytes: 0,
-                synced: false,
-                rotated: false,
-            });
-        }
-        if payload.len() as u64 > u64::from(MAX_RECORD_BYTES) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("record payload {} bytes exceeds cap", payload.len()),
-            ));
-        }
-        let mut rotated = false;
-        if self.segment_len >= self.options.segment_bytes && self.segment_len > 0 {
-            self.rotate()?;
-            rotated = true;
-        }
-        let mut frame = Vec::with_capacity(HEADER_BYTES as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        if let Some(crash) = self.crash {
-            let end = self.stream_offset + frame.len() as u64;
-            if end > crash.offset() {
-                // The process "dies" mid-write: persist only the prefix up
-                // to the crash offset, then go silent forever.
-                let keep = crash.offset().saturating_sub(self.stream_offset) as usize;
-                self.file.write_all(&frame[..keep])?;
-                self.file.flush()?;
-                self.stream_offset += keep as u64;
-                self.segment_len += keep as u64;
-                self.dead = true;
-                return Ok(AppendOutcome {
-                    bytes: keep as u64,
-                    synced: false,
-                    rotated,
-                });
-            }
-        }
-        self.file.write_all(&frame)?;
-        self.stream_offset += frame.len() as u64;
-        self.segment_len += frame.len() as u64;
-        self.appends += 1;
-        self.unsynced += 1;
-        let synced = match self.options.fsync {
-            FsyncPolicy::Always => {
-                self.sync()?;
-                true
-            }
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                    true
-                } else {
-                    false
-                }
-            }
-            FsyncPolicy::Never => false,
-        };
-        Ok(AppendOutcome {
-            bytes: frame.len() as u64,
-            synced,
-            rotated,
-        })
+        self.stage_with(|buf| buf.extend_from_slice(payload))?;
+        self.commit()
     }
 
-    /// Force an fsync of the current segment.
+    /// Rotation (when the segment is full), the crash point and the batch
+    /// write; no policy sync.
+    fn write_pending<G>(
+        &mut self,
+        scope: &mut impl FnMut(WalCall) -> G,
+    ) -> io::Result<AppendOutcome> {
+        let mut outcome = AppendOutcome {
+            bytes: 0,
+            records: 0,
+            synced: false,
+            rotated: false,
+        };
+        if self.dead || self.pending.is_empty() {
+            return Ok(outcome);
+        }
+        if self.segment_len >= self.options.segment_bytes && self.segment_len > 0 {
+            self.open_next_segment(scope)?;
+            outcome.rotated = true;
+        }
+        let records = std::mem::take(&mut self.pending_records);
+        let mut keep = self.pending.len();
+        if let Some(crash) = self.crash {
+            if self.stream_offset + keep as u64 > crash.offset() {
+                // The process "dies" mid-write: persist only the prefix up
+                // to the crash offset, then go silent forever.
+                keep = crash.offset().saturating_sub(self.stream_offset) as usize;
+                self.dead = true;
+            }
+        }
+        let written = {
+            let _call = scope(WalCall::Write);
+            self.file.write_all(&self.pending[..keep])
+        };
+        // Clearing keeps the capacity: the next batch stages without
+        // allocating.
+        self.pending.clear();
+        written?;
+        self.writes += 1;
+        self.stream_offset += keep as u64;
+        self.segment_len += keep as u64;
+        outcome.bytes = keep as u64;
+        if !self.dead {
+            outcome.records = records;
+            self.appends += records;
+            self.unsynced += records;
+        }
+        Ok(outcome)
+    }
+
+    /// Write anything staged, then force an fsync of the current segment:
+    /// afterwards everything appended is on disk. Returns what the write
+    /// of the staged records did.
     ///
     /// # Errors
-    /// Propagates `fdatasync` failures.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.dead {
-            return Ok(());
+    /// Propagates write and `fdatasync` failures.
+    pub fn sync(&mut self) -> io::Result<AppendOutcome> {
+        self.sync_scoped(|_| ())
+    }
+
+    /// [`WalWriter::sync`], opening `scope` around each system call.
+    ///
+    /// # Errors
+    /// Propagates write and `fdatasync` failures.
+    pub fn sync_scoped<G>(
+        &mut self,
+        mut scope: impl FnMut(WalCall) -> G,
+    ) -> io::Result<AppendOutcome> {
+        let mut outcome = self.write_pending(&mut scope)?;
+        if !self.dead {
+            self.fdatasync(&mut scope)?;
+            outcome.synced = true;
         }
-        self.file.sync_data()?;
+        Ok(outcome)
+    }
+
+    fn fdatasync<G>(&mut self, scope: &mut impl FnMut(WalCall) -> G) -> io::Result<()> {
+        {
+            let _call = scope(WalCall::Fsync);
+            self.file.sync_data()?;
+        }
         self.fsyncs += 1;
         self.unsynced = 0;
         Ok(())
     }
 
-    /// Seal the current segment and start a fresh one.
+    /// Write anything staged, then seal the current segment and start a
+    /// fresh one.
     ///
     /// # Errors
-    /// Propagates file creation/sync failures.
+    /// Propagates write and file creation/sync failures.
     pub fn rotate(&mut self) -> io::Result<()> {
+        self.rotate_scoped(|_| ())
+    }
+
+    /// [`WalWriter::rotate`], opening `scope` around each system call.
+    ///
+    /// # Errors
+    /// Propagates write and file creation/sync failures.
+    pub fn rotate_scoped<G>(&mut self, mut scope: impl FnMut(WalCall) -> G) -> io::Result<()> {
+        self.write_pending(&mut scope)?;
+        self.open_next_segment(&mut scope)
+    }
+
+    fn open_next_segment<G>(&mut self, scope: &mut impl FnMut(WalCall) -> G) -> io::Result<()> {
         if self.dead {
             return Ok(());
         }
         // Seal: whatever reached the old segment must be durable before
         // the new one exists, or compaction could delete unsynced data.
-        self.file.sync_data()?;
-        self.fsyncs += 1;
-        self.unsynced = 0;
+        self.fdatasync(scope)?;
         self.segment_index += 1;
         let path = self.dir.join(segment_name(self.segment_index));
         self.file = OpenOptions::new()
@@ -497,7 +636,11 @@ impl WalWriter {
             .create(true)
             .truncate(true)
             .open(path)?;
-        self.file.sync_data()?;
+        {
+            // Not counted in `fsyncs`, which counts syncs of written data.
+            let _call = scope(WalCall::Fsync);
+            self.file.sync_data()?;
+        }
         self.segment_len = 0;
         self.rotations += 1;
         Ok(())
@@ -561,6 +704,175 @@ mod tests {
             assert_eq!(record.payload, payload(i as u64));
         }
         assert_eq!(log.valid_bytes, writer.stream_offset());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every segment of `dir`, in index order, concatenated.
+    fn stream_bytes(dir: &Path) -> Vec<u8> {
+        list_segments(dir)
+            .unwrap()
+            .iter()
+            .flat_map(|(_, path)| fs::read(path).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn staged_records_reach_the_file_in_one_write_at_commit() {
+        let dir = scratch_dir("stage");
+        let options = WalOptions {
+            segment_bytes: 1 << 20,
+            fsync: FsyncPolicy::Always,
+        };
+        let mut writer = WalWriter::open(&dir, options).unwrap();
+        for i in 0..3 {
+            writer
+                .stage_with(|buf| buf.extend_from_slice(&payload(i)))
+                .unwrap();
+        }
+        assert_eq!(writer.staged(), 3);
+        assert_eq!(writer.stream_offset(), 0, "staging does no I/O");
+        assert!(read_log(&dir).unwrap().records.is_empty());
+        let outcome = writer.commit().unwrap();
+        assert_eq!(outcome.records, 3);
+        assert!(outcome.synced);
+        assert_eq!(outcome.bytes, writer.stream_offset());
+        assert_eq!(
+            (writer.appends(), writer.writes(), writer.fsyncs()),
+            (3, 1, 1)
+        );
+        assert_eq!(writer.staged(), 0);
+        // A commit with nothing staged writes and syncs nothing.
+        let idle = writer.commit().unwrap();
+        assert_eq!((idle.bytes, idle.records, idle.synced), (0, 0, false));
+        assert_eq!((writer.writes(), writer.fsyncs()), (1, 1));
+        let log = read_log(&dir).unwrap();
+        assert!(log.torn.is_none());
+        let payloads: Vec<Vec<u8>> = log.records.into_iter().map(|r| r.payload).collect();
+        assert_eq!(payloads, (0..3).map(payload).collect::<Vec<_>>());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn batched_and_per_record_writers_leave_the_same_stream() {
+        let options = WalOptions {
+            segment_bytes: 96,
+            fsync: FsyncPolicy::Never,
+        };
+        let single = scratch_dir("single");
+        let mut writer = WalWriter::open(&single, options).unwrap();
+        for i in 0..40 {
+            writer.append(&payload(i)).unwrap();
+        }
+        drop(writer);
+        let batched = scratch_dir("batched");
+        let mut writer = WalWriter::open(&batched, options).unwrap();
+        for i in 0..40 {
+            writer
+                .stage_with(|buf| buf.extend_from_slice(&payload(i)))
+                .unwrap();
+            if i % 4 == 3 {
+                writer.commit().unwrap();
+            }
+        }
+        assert_eq!((writer.appends(), writer.writes()), (40, 10));
+        drop(writer);
+        assert_eq!(stream_bytes(&single), stream_bytes(&batched));
+        // A batch never straddles segments: every record of a commit lands
+        // in the segment the batch started in.
+        let log = read_log(&batched).unwrap();
+        assert!(log.torn.is_none());
+        for batch in log.records.chunks(4) {
+            assert!(batch.iter().all(|r| r.segment == batch[0].segment));
+        }
+        fs::remove_dir_all(&single).unwrap();
+        fs::remove_dir_all(&batched).unwrap();
+    }
+
+    #[test]
+    fn oversize_records_are_unstaged_and_the_batch_survives() {
+        let dir = scratch_dir("oversize");
+        let mut writer = WalWriter::open(&dir, WalOptions::default()).unwrap();
+        writer
+            .stage_with(|buf| buf.extend_from_slice(&payload(1)))
+            .unwrap();
+        let err = writer
+            .stage_with(|buf| buf.resize(buf.len() + MAX_RECORD_BYTES as usize + 1, 7))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(writer
+            .append(&vec![0; MAX_RECORD_BYTES as usize + 1])
+            .is_err());
+        assert_eq!(writer.staged(), 1);
+        writer.commit().unwrap();
+        let log = read_log(&dir).unwrap();
+        assert!(log.torn.is_none());
+        assert_eq!(log.records.len(), 1);
+        assert_eq!(log.records[0].payload, payload(1));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_writes_the_staged_batch_and_drop_discards_it() {
+        let dir = scratch_dir("sync-drop");
+        let mut writer = WalWriter::open(&dir, WalOptions::default()).unwrap();
+        writer
+            .stage_with(|buf| buf.extend_from_slice(&payload(1)))
+            .unwrap();
+        writer.sync().unwrap();
+        assert_eq!((writer.writes(), writer.fsyncs()), (1, 1));
+        assert_eq!(read_log(&dir).unwrap().records.len(), 1);
+        writer
+            .stage_with(|buf| buf.extend_from_slice(&payload(2)))
+            .unwrap();
+        drop(writer);
+        // The uncommitted record never reached the file.
+        assert_eq!(read_log(&dir).unwrap().records.len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_n_syncs_after_the_commit_that_reaches_n_records() {
+        let dir = scratch_dir("every-n");
+        let options = WalOptions {
+            segment_bytes: 1 << 20,
+            fsync: FsyncPolicy::EveryN(4),
+        };
+        let mut writer = WalWriter::open(&dir, options).unwrap();
+        let mut synced = Vec::new();
+        for batch in [3, 3, 1, 2, 5] {
+            for i in 0..batch {
+                writer
+                    .stage_with(|buf| buf.extend_from_slice(&payload(i)))
+                    .unwrap();
+            }
+            synced.push(writer.commit().unwrap().synced);
+        }
+        // 3 → 6 (sync) → 1 → 3 → 8 (sync): never between a batch's records.
+        assert_eq!(synced, [false, true, false, false, true]);
+        assert_eq!(writer.fsyncs(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scoped_calls_wrap_each_write_and_fdatasync() {
+        let dir = scratch_dir("scoped");
+        let options = WalOptions {
+            segment_bytes: 16,
+            fsync: FsyncPolicy::Always,
+        };
+        let mut writer = WalWriter::open(&dir, options).unwrap();
+        let mut calls = Vec::new();
+        for i in 0..2 {
+            writer
+                .stage_with(|buf| buf.extend_from_slice(&payload(i + 8)))
+                .unwrap();
+            writer.commit_scoped(|call| calls.push(call)).unwrap();
+        }
+        writer.sync_scoped(|call| calls.push(call)).unwrap();
+        use WalCall::{Fsync, Write};
+        // The second commit finds the segment full: it seals it and syncs
+        // the fresh one before its write.
+        assert_eq!(calls, [Write, Fsync, Fsync, Fsync, Write, Fsync, Fsync]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -755,6 +1067,47 @@ mod tests {
         assert!(empty.records.is_empty());
         assert!(empty.torn.is_none());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_points_tear_batches_where_they_tore_single_records() {
+        // Per-record reference: the end offset of every record.
+        let options = WalOptions {
+            segment_bytes: 96,
+            fsync: FsyncPolicy::Never,
+        };
+        let dir = scratch_dir("batch-crash-ref");
+        let mut writer = WalWriter::open(&dir, options).unwrap();
+        let mut ends = Vec::new();
+        for i in 0..12 {
+            writer.append(&payload(i)).unwrap();
+            ends.push(writer.stream_offset());
+        }
+        let total = writer.stream_offset();
+        drop(writer);
+        fs::remove_dir_all(&dir).unwrap();
+
+        for k in 0..=total {
+            let dir = scratch_dir("batch-crash");
+            let mut writer = WalWriter::open(&dir, options).unwrap();
+            writer.set_crash_point(Some(CrashPoint::at_byte(k)));
+            for i in 0..12 {
+                writer
+                    .stage_with(|buf| buf.extend_from_slice(&payload(i)))
+                    .unwrap();
+                if i % 3 == 2 {
+                    writer.commit().unwrap();
+                }
+            }
+            drop(writer);
+            let log = read_log(&dir).unwrap();
+            let expected = ends.iter().filter(|&&end| end <= k).count();
+            assert_eq!(log.records.len(), expected, "crash at byte {k}");
+            for (i, record) in log.records.iter().enumerate() {
+                assert_eq!(record.payload, payload(i as u64), "crash at byte {k}");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

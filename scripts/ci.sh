@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> WAL tests, optimised (CRC kernel, group commit, every-byte crash sweep)"
+# The CRC kernel and the batching are arithmetic that perfbench and users
+# run optimised; the tests run again under the release profile.
+cargo test --release -q -p easeml-wal
+cargo test --release -q --test wal_crash_sweep
+
 echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
