@@ -10,8 +10,8 @@
 
 use crate::metrics::AggregatedCurves;
 use crate::sim::{simulate, SchedulerKind, SimConfig, SimTrace};
-use easeml_data::{model_quality_features, Dataset, TrainTestSplit};
-use easeml_gp::mll::log_marginal_likelihoods;
+use easeml_data::{Dataset, TrainTestSplit};
+use easeml_gp::mll::{gram_log_marginal_likelihoods, LowRankLml};
 use easeml_gp::{ArmPrior, TuneGrid};
 use easeml_linalg::{vec_ops, Matrix};
 use rand::rngs::StdRng;
@@ -59,9 +59,11 @@ pub struct ExperimentConfig {
     /// Hyperparameter grid for the LML tuner.
     pub tune_grid: TuneGrid,
     /// How many training users' rows enter the LML objective (the paper
-    /// does not specify). The rows share one Gram factorization per grid
-    /// point, so each extra row costs one O(K²) solve, not an O(K³)
-    /// factorization.
+    /// does not specify). The rows share one factorization per grid point.
+    /// With T training users and K models, when T < K each extra row costs
+    /// O(K·T) once per split, for its projection onto the T user columns,
+    /// plus an O(T²) solve per grid point; otherwise it costs one O(K²)
+    /// solve per grid point.
     pub tune_rows: usize,
     /// Number of points on the output grid.
     pub grid_points: usize,
@@ -116,37 +118,112 @@ pub struct ExperimentResult {
 /// performance of a model on other users' data sets defines the similarity
 /// between models" (§5.3.2).
 ///
+/// With C the K×T matrix of centred quality vectors (one column per
+/// training user), the covariance is Σ = CCᵀ/T + ρI. CCᵀ/T is positive
+/// semi-definite, and the ridge ρ = 10⁻³ × its mean diagonal (at least
+/// 10⁻⁹) is positive, so Σ is positive definite even for one training user
+/// or duplicated models.
+///
 /// Keeping the mean scalar is essential: per-model skill must be encoded in
 /// the *covariance*, so that the value of the kernel — and hence of more
 /// training users (Figure 14) — is visible to the scheduler.
 pub fn empirical_prior(dataset: &Dataset, train_users: &[usize]) -> (Vec<f64>, Matrix) {
-    let features = model_quality_features(dataset, train_users);
-    let k = features.len();
-    let t = train_users.len() as f64;
-    let global_mean = vec_ops::mean(
-        &features
-            .iter()
-            .map(|f| vec_ops::mean(f))
-            .collect::<Vec<_>>(),
-    );
-    // Second-moment Gram about the global mean: exactly PSD, and it keeps
-    // per-model mean offsets inside the covariance.
-    let centered: Vec<Vec<f64>> = features
-        .iter()
-        .map(|f| f.iter().map(|&q| q - global_mean).collect())
-        .collect();
-    let mut cov = Matrix::zeros(k, k);
-    for a in 0..k {
-        for b in a..k {
-            let v = vec_ops::dot(&centered[a], &centered[b]) / t;
-            cov[(a, b)] = v;
-            cov[(b, a)] = v;
+    let prior = EmpiricalPrior::build(dataset, train_users);
+    (prior.means, prior.cov)
+}
+
+/// [`empirical_prior`] together with the factors its covariance is built
+/// from, so the tuner can score the low-rank form CCᵀ/T + ρI directly.
+struct EmpiricalPrior {
+    means: Vec<f64>,
+    /// Σ = CCᵀ/T + ρI.
+    cov: Matrix,
+    /// Cᵀ: one row per training user, of the K centred qualities.
+    users: Matrix,
+    /// The ridge ρ.
+    ridge: f64,
+}
+
+impl EmpiricalPrior {
+    fn build(dataset: &Dataset, train_users: &[usize]) -> Self {
+        assert!(!train_users.is_empty(), "need at least one training user");
+        let k = dataset.num_models();
+        let t = train_users.len() as f64;
+        let mut users = Matrix::zeros(train_users.len(), k);
+        for (row, &u) in train_users.iter().enumerate() {
+            users
+                .row_mut(row)
+                .copy_from_slice(dataset.user_qualities(u));
+        }
+        // Each model's mean quality, summed over the users in order from
+        // −0.0 as `vec_ops::mean` sums a model's quality vector.
+        let mut means = vec![-0.0; k];
+        for row in 0..train_users.len() {
+            for (m, q) in means.iter_mut().zip(users.row(row)) {
+                *m += q;
+            }
+        }
+        for m in &mut means {
+            *m /= t;
+        }
+        let global_mean = vec_ops::mean(&means);
+        means.fill(global_mean);
+        // Second-moment Gram about the global mean: exactly PSD, and it keeps
+        // per-model mean offsets inside the covariance.
+        for q in users.as_mut_slice() {
+            *q -= global_mean;
+        }
+        let mut cov = users.transpose().row_gram();
+        for v in cov.as_mut_slice() {
+            *v /= t;
+        }
+        // Ridge so single-user splits and duplicated models stay factorable.
+        let mean_diag = vec_ops::mean(&cov.diag()).max(1e-6);
+        let ridge = 1e-3 * mean_diag;
+        cov.add_diag_mut(ridge);
+        EmpiricalPrior {
+            means,
+            cov,
+            users,
+            ridge,
         }
     }
-    // Ridge so single-user splits and duplicated models stay factorable.
-    let mean_diag = vec_ops::mean(&cov.diag()).max(1e-6);
-    cov.add_diag_mut(1e-3 * mean_diag);
-    (vec![global_mean; k], cov)
+
+    /// The tuning objective at every grid point, scales outer and noises
+    /// inner: `(scale, noise, total)`, where `total` is the log marginal
+    /// likelihood of `rows` (one reward per model each) under
+    /// `N(means, scale·Σ + noise·I)`.
+    ///
+    /// This is the one place that picks the side to score in. With T
+    /// training users and K models, each grid point's Gram is
+    /// (scale/T)·CCᵀ + (scale·ρ + noise)·I. When T < K, [`LowRankLml`]
+    /// factors a T×T matrix per grid point; otherwise the dense K×K Gram
+    /// scale·Σ + noise·I is the smaller one to factor.
+    fn grid_totals(&self, rows: &[&[f64]], grid: &TuneGrid) -> Vec<(f64, f64, f64)> {
+        let (t, k) = self.users.shape();
+        let mut totals = Vec::with_capacity(grid.scales.len() * grid.noises.len());
+        if t < k {
+            let lml = LowRankLml::new(&self.users, &self.means, rows);
+            for &scale in &grid.scales {
+                for &noise in &grid.noises {
+                    let alpha = scale / t as f64;
+                    let c = scale * self.ridge + noise;
+                    let total = lml.log_marginal_likelihoods(alpha, c).iter().sum();
+                    totals.push((scale, noise, total));
+                }
+            }
+        } else {
+            let arms: Vec<usize> = (0..k).collect();
+            for &scale in &grid.scales {
+                let cov = self.cov.scaled(scale);
+                for &noise in &grid.noises {
+                    let lmls = gram_log_marginal_likelihoods(&cov, &self.means, noise, &arms, rows);
+                    totals.push((scale, noise, lmls.iter().sum()));
+                }
+            }
+        }
+        totals
+    }
 }
 
 /// Runs the full repeated protocol for one scheduler on one dataset.
@@ -205,13 +282,13 @@ pub fn run_experiment(
             (Vec::new(), 1e-3)
         } else {
             let obs = easeml_obs::global_handle();
-            let (means, cov) = {
+            let empirical = {
                 let _span = obs.span("prior_build");
-                empirical_prior(dataset, &split.train_users)
+                EmpiricalPrior::build(dataset, &split.train_users)
             };
             let (prior, noise) = {
                 let _span = obs.span("prior_tune");
-                tune_prior(dataset, &split.train_users, &means, &cov, cfg)
+                tune_prior(dataset, &split.train_users, &empirical, cfg)
             };
             (vec![prior; test.num_users()], noise)
         };
@@ -243,49 +320,53 @@ pub fn run_experiment(
 
 /// Tunes (scale, noise) by summing the LML over up to `tune_rows` training
 /// users' full quality rows; returns the winning grid point's prior and
-/// noise. Every row observes all K arms in order, so each grid point factors
-/// one Gram matrix and scores every row against it.
+/// noise. Only the winner is built: `ArmPrior::from_gram` factors its
+/// covariance once to check it.
 fn tune_prior(
     dataset: &Dataset,
     train_users: &[usize],
-    means: &[f64],
-    cov: &Matrix,
+    prior: &EmpiricalPrior,
     cfg: &ExperimentConfig,
 ) -> (ArmPrior, f64) {
-    let prior_at = |scale: f64| ArmPrior::from_gram(cov.scaled(scale)).with_mean(means.to_vec());
+    let (scale, noise) = tuned_grid_point(dataset, train_users, prior, cfg).unwrap_or((1.0, 1e-3));
+    let tuned = ArmPrior::from_gram(prior.cov.scaled(scale)).with_mean(prior.means.clone());
+    (tuned, noise)
+}
+
+/// The (scale, noise) grid point with the largest LML total, the first on
+/// ties; `None` without tuning rows or when no total exceeds −∞.
+fn tuned_grid_point(
+    dataset: &Dataset,
+    train_users: &[usize],
+    prior: &EmpiricalPrior,
+    cfg: &ExperimentConfig,
+) -> Option<(f64, f64)> {
     let rows = train_users.len().min(cfg.tune_rows);
     if rows == 0 {
-        return (prior_at(1.0), 1e-3);
+        return None;
     }
     // Arms repeat across users, which the LML handles as replicated noisy
     // draws.
-    let arms: Vec<usize> = (0..dataset.num_models()).collect();
     let histories: Vec<&[f64]> = train_users[..rows]
         .iter()
         .map(|&u| dataset.user_qualities(u))
         .collect();
     let mut best = None;
     let mut best_total = f64::NEG_INFINITY;
-    for &scale in &cfg.tune_grid.scales {
-        let prior = prior_at(scale);
-        for &noise in &cfg.tune_grid.noises {
-            let mut total = 0.0;
-            for lml in log_marginal_likelihoods(&prior, noise, &arms, &histories) {
-                total += lml;
-            }
-            if total > best_total {
-                best_total = total;
-                best = Some((prior.clone(), noise));
-            }
+    for (scale, noise, total) in prior.grid_totals(&histories, &cfg.tune_grid) {
+        if total > best_total {
+            best_total = total;
+            best = Some((scale, noise));
         }
     }
-    best.unwrap_or_else(|| (prior_at(1.0), 1e-3))
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easeml_data::SynConfig;
+    use easeml_data::{model_quality_features, SynConfig};
+    use proptest::prelude::*;
 
     fn tiny_dataset() -> Dataset {
         SynConfig {
@@ -321,6 +402,36 @@ mod tests {
         assert!(easeml_linalg::Cholesky::factor_with_jitter(&cov, 1e-10, 8).is_ok());
         // Means are plausible qualities.
         assert!(means.iter().all(|&m| (0.0..=1.0).contains(&m)));
+    }
+
+    #[test]
+    fn empirical_prior_is_bit_identical_to_per_model_gathering() {
+        // The covariance as built from one quality vector per model.
+        let d = tiny_dataset();
+        let train = [6, 0, 3, 9, 1];
+        let features = model_quality_features(&d, &train);
+        let model_means: Vec<f64> = features.iter().map(|f| vec_ops::mean(f)).collect();
+        let global_mean = vec_ops::mean(&model_means);
+        let centered: Vec<Vec<f64>> = features
+            .iter()
+            .map(|f| f.iter().map(|&q| q - global_mean).collect())
+            .collect();
+        let k = d.num_models();
+        let mut cov = Matrix::from_fn(k, k, |a, b| {
+            vec_ops::dot(&centered[a], &centered[b]) / train.len() as f64
+        });
+        cov.add_diag_mut(1e-3 * vec_ops::mean(&cov.diag()).max(1e-6));
+
+        let (means, built) = empirical_prior(&d, &train);
+        assert_eq!(means, vec![global_mean; k]);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&built), bits(&cov));
+        // The factor rebuilds it: Σ = CCᵀ/T + ρI.
+        let prior = EmpiricalPrior::build(&d, &train);
+        let mut low_rank = prior.users.transpose().row_gram();
+        low_rank.scale_mut(1.0 / train.len() as f64);
+        low_rank.add_diag_mut(prior.ridge);
+        assert!(low_rank.approx_eq(&cov, 1e-15));
     }
 
     #[test]
@@ -399,5 +510,74 @@ mod tests {
         let mut cfg = quick_cfg(Budget::FractionOfRuns(0.5));
         cfg.test_users = 10;
         let _ = run_experiment(&d, SchedulerKind::RoundRobin, &cfg, 1);
+    }
+
+    /// The dense total of `rows` at every grid point, through `ArmPrior`.
+    fn dense_grid_totals(
+        dataset: &Dataset,
+        train: &[usize],
+        rows: &[&[f64]],
+        grid: &TuneGrid,
+    ) -> Vec<(f64, f64, f64)> {
+        let (means, cov) = empirical_prior(dataset, train);
+        let arms: Vec<usize> = (0..dataset.num_models()).collect();
+        let mut totals = Vec::new();
+        for &scale in &grid.scales {
+            let prior = ArmPrior::from_gram(cov.scaled(scale)).with_mean(means.clone());
+            for &noise in &grid.noises {
+                let lmls = easeml_gp::mll::log_marginal_likelihoods(&prior, noise, &arms, rows);
+                totals.push((scale, noise, lmls.iter().sum()));
+            }
+        }
+        totals
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn the_tuned_grid_point_is_the_dense_maximum(
+            (quality, t) in (2usize..25)
+                .prop_flat_map(|k| (Just(k), 1usize..k + 3))
+                .prop_flat_map(|(k, t)| {
+                    (
+                        prop::collection::vec(0.0f64..1.0, t * k)
+                            .prop_map(move |q| Matrix::from_vec(t, k, q)),
+                        Just(t),
+                    )
+                })
+        ) {
+            // T < K tunes in the T-space, T ≥ K on the dense side.
+            let cost = Matrix::filled(quality.rows(), quality.cols(), 1.0);
+            let dataset = Dataset::new("random", quality, cost);
+            let train: Vec<usize> = (0..t).rev().collect();
+            let cfg = ExperimentConfig::default();
+            let prior = EmpiricalPrior::build(&dataset, &train);
+            let (scale, noise) = tuned_grid_point(&dataset, &train, &prior, &cfg)
+                .expect("the default grid has finite totals");
+            let rows: Vec<&[f64]> = train[..t.min(cfg.tune_rows)]
+                .iter()
+                .map(|&u| dataset.user_qualities(u))
+                .collect();
+            let dense = dense_grid_totals(&dataset, &train, &rows, &cfg.tune_grid);
+            // Whichever side scored them, the totals are the dense ones.
+            for (got, want) in prior.grid_totals(&rows, &cfg.tune_grid).iter().zip(&dense) {
+                prop_assert_eq!((got.0, got.1), (want.0, want.1));
+                prop_assert!(
+                    (got.2 - want.2).abs() <= 1e-10 * want.2.abs().max(1.0),
+                    "T = {t} at ({}, {}): scored {}, dense {}", got.0, got.1, got.2, want.2
+                );
+            }
+            let max = dense.iter().map(|d| d.2).fold(f64::NEG_INFINITY, f64::max);
+            let (_, _, at_winner) = dense
+                .iter()
+                .find(|d| d.0 == scale && d.1 == noise)
+                .copied()
+                .expect("the winner is a grid point");
+            prop_assert!(
+                max - at_winner <= 1e-12 * max.abs(),
+                "T = {t}: winner ({scale}, {noise}) scores {at_winner}, the maximum is {max}"
+            );
+        }
     }
 }

@@ -30,26 +30,71 @@ pub fn normal(mean: f64, std: f64, rng: &mut impl Rng) -> f64 {
     mean + std * standard_normal(rng)
 }
 
-/// Draws a sample from the multivariate normal `N(0, cov)` by coloring a
-/// standard-normal vector with the Cholesky factor of `cov`. Mildly
-/// indefinite covariances are handled with jitter escalation.
+/// The multivariate normal `N(0, cov)`, factored once and sampled many
+/// times. Sampling colors a standard-normal vector with the Cholesky factor
+/// of `cov`.
+///
+/// # Examples
+///
+/// ```
+/// use easeml_data::dist::MultivariateNormal;
+/// use easeml_linalg::Matrix;
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let mvn = MultivariateNormal::new(&Matrix::from_rows(&[&[1.0, 0.9], &[0.9, 1.0]]));
+/// let mut rng = StdRng::seed_from_u64(7);
+/// let draws: Vec<Vec<f64>> = (0..3).map(|_| mvn.sample(&mut rng)).collect();
+/// assert!(draws.iter().all(|d| d.len() == 2));
+/// ```
+#[derive(Debug, Clone)]
+pub struct MultivariateNormal {
+    chol: Cholesky,
+}
+
+impl MultivariateNormal {
+    /// Factors `cov`. Mildly indefinite covariances are handled with jitter
+    /// escalation: jitter from 10⁻¹⁰ of the mean diagonal, growing tenfold,
+    /// for up to 12 tries. Under a global recorder, a factorization that
+    /// needed jitter emits one `JitterRetry` event here, however many
+    /// samples are then drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cov` is not square or cannot be factored even with jitter.
+    pub fn new(cov: &Matrix) -> Self {
+        assert!(cov.is_square(), "covariance must be square");
+        if cov.rows() == 0 {
+            return MultivariateNormal {
+                chol: Cholesky::empty(),
+            };
+        }
+        let (chol, _) = Cholesky::factor_with_jitter(cov, 1e-10, 12)
+            .expect("covariance must be (nearly) positive semi-definite");
+        MultivariateNormal { chol }
+    }
+
+    /// Draws one sample: n standard normals in order, then `L z`.
+    pub fn sample(&self, rng: &mut impl Rng) -> Vec<f64> {
+        let n = self.chol.dim();
+        let z: Vec<f64> = (0..n).map(|_| standard_normal(rng)).collect();
+        let l = self.chol.l();
+        (0..n)
+            .map(|i| easeml_linalg::vec_ops::dot(&l.row(i)[..=i], &z[..=i]))
+            .collect()
+    }
+}
+
+/// Draws one sample from the multivariate normal `N(0, cov)`; it factors
+/// `cov` on every call, so use [`MultivariateNormal`] to draw several from
+/// one covariance. Under a global recorder, a call whose factorization
+/// needed jitter emits one `JitterRetry` event.
 ///
 /// # Panics
 ///
 /// Panics if `cov` is not square or cannot be factored even with jitter.
 pub fn multivariate_normal(cov: &Matrix, rng: &mut impl Rng) -> Vec<f64> {
-    assert!(cov.is_square(), "covariance must be square");
-    let n = cov.rows();
-    if n == 0 {
-        return Vec::new();
-    }
-    let (chol, _) = Cholesky::factor_with_jitter(cov, 1e-10, 12)
-        .expect("covariance must be (nearly) positive semi-definite");
-    let z: Vec<f64> = (0..n).map(|_| standard_normal(rng)).collect();
-    let l = chol.l();
-    (0..n)
-        .map(|i| easeml_linalg::vec_ops::dot(&l.row(i)[..=i], &z[..=i]))
-        .collect()
+    MultivariateNormal::new(cov).sample(rng)
 }
 
 /// Draws from `U(lo, hi)`.
@@ -129,6 +174,22 @@ mod tests {
         let mut r = rng(4);
         let s = multivariate_normal(&cov, &mut r);
         assert!((s[0] - s[1]).abs() < 1e-3, "components must nearly match");
+    }
+
+    #[test]
+    fn factored_mvn_draws_what_per_call_sampling_draws() {
+        // Rank-deficient, so the factorization takes the jitter path.
+        let cov = Matrix::from_rows(&[&[1.0, 1.0, 0.5], &[1.0, 1.0, 0.5], &[0.5, 0.5, 2.0]]);
+        let mvn = MultivariateNormal::new(&cov);
+        let (mut a, mut b) = (rng(11), rng(11));
+        for _ in 0..20 {
+            let per_call = multivariate_normal(&cov, &mut a);
+            let factored = mvn.sample(&mut b);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&per_call), bits(&factored));
+        }
+        // Both streams consumed the same draws.
+        assert_eq!(standard_normal(&mut a), standard_normal(&mut b));
     }
 
     #[test]

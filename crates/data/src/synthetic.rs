@@ -90,6 +90,10 @@ impl SynConfig {
 
     /// Generates the dataset deterministically from `seed`.
     ///
+    /// Σ_M is factored once and every user's `[m_1..m_K]` is drawn from
+    /// that factor, so under a global recorder a Σ_M that needs jitter emits
+    /// one `JitterRetry` event per dataset, not one per user.
+    ///
     /// # Panics
     ///
     /// Panics on degenerate configurations (zero users/models, non-positive
@@ -100,7 +104,8 @@ impl SynConfig {
 
         // Hidden model features and their covariance (Appendix B.1.2).
         let features: Vec<f64> = (0..self.num_models).map(|_| rng.gen::<f64>()).collect();
-        let cov_m = hidden_feature_cov(&features, self.sigma_m);
+        let model_fluct =
+            dist::MultivariateNormal::new(&hidden_feature_cov(&features, self.sigma_m));
 
         // User baselines.
         let baselines: Vec<f64> = (0..self.num_users)
@@ -110,7 +115,7 @@ impl SynConfig {
         let mut quality = Matrix::zeros(self.num_users, self.num_models);
         for i in 0..self.num_users {
             // §5.1: "We sample for each user i: [m1, ..., mK] ~ N(0, ΣM)".
-            let m = dist::multivariate_normal(&cov_m, &mut rng);
+            let m = model_fluct.sample(&mut rng);
             for j in 0..self.num_models {
                 quality[(i, j)] = (baselines[i] + self.alpha * m[j]).clamp(0.0, 1.0);
             }

@@ -24,7 +24,9 @@
 //! approach the paper describes as "tuned by maximizing the
 //! log-marginal-likelihood as in scikit-learn" (§5.2). Histories that
 //! observe the same arms share one factorization
-//! ([`mll::log_marginal_likelihoods`]).
+//! ([`mll::log_marginal_likelihoods`]), and full rows under a
+//! low-rank-plus-ridge covariance are scored in the low-rank space
+//! ([`mll::LowRankLml`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,4 +1,6 @@
-//! Log marginal likelihood of observations under a GP prior.
+//! Log marginal likelihood of observations under a GP prior, on a dense
+//! covariance or, for full rows under a low-rank-plus-ridge covariance, in
+//! the low-rank space ([`LowRankLml`]).
 
 use crate::prior::ArmPrior;
 use easeml_linalg::{vec_ops, Cholesky, Matrix};
@@ -48,16 +50,37 @@ pub fn log_marginal_likelihoods<H: AsRef<[f64]>>(
     arms: &[usize],
     histories: &[H],
 ) -> Vec<f64> {
+    gram_log_marginal_likelihoods(prior.cov(), prior.mean(), noise_var, arms, histories)
+}
+
+/// [`log_marginal_likelihoods`] under the prior `N(mean, cov)` given as a
+/// raw covariance. It scores a candidate covariance without building an
+/// [`ArmPrior`], whose constructor factors the matrix once more to check
+/// it; for a covariance that check accepts, the results are bit-identical.
+///
+/// # Panics
+///
+/// As [`log_marginal_likelihoods`], and if `cov` is not square or `mean`
+/// does not hold one entry per arm.
+pub fn gram_log_marginal_likelihoods<H: AsRef<[f64]>>(
+    cov: &Matrix,
+    mean: &[f64],
+    noise_var: f64,
+    arms: &[usize],
+    histories: &[H],
+) -> Vec<f64> {
     assert!(noise_var > 0.0, "noise variance must be positive");
+    assert!(cov.is_square(), "prior covariance must be square");
+    assert_eq!(mean.len(), cov.rows(), "prior mean length mismatch");
     let t = arms.len();
     if t == 0 {
         return vec![0.0; histories.len()];
     }
     for &a in arms {
-        assert!(a < prior.num_arms(), "arm index {a} out of range");
+        assert!(a < cov.rows(), "arm index {a} out of range");
     }
 
-    let mut k = Matrix::from_fn(t, t, |i, j| prior.cov()[(arms[i], arms[j])]);
+    let mut k = Matrix::from_fn(t, t, |i, j| cov[(arms[i], arms[j])]);
     k.add_diag_mut(noise_var);
     let (chol, _) =
         Cholesky::factor_with_jitter(&k, 1e-10, 12).expect("noisy Gram matrix must be factorable");
@@ -71,7 +94,7 @@ pub fn log_marginal_likelihoods<H: AsRef<[f64]>>(
             let centered: Vec<f64> = arms
                 .iter()
                 .zip(rewards)
-                .map(|(&a, &y)| y - prior.mean()[a])
+                .map(|(&a, &y)| y - mean[a])
                 .collect();
             let quad = chol
                 .quad_form(&centered)
@@ -79,6 +102,100 @@ pub fn log_marginal_likelihoods<H: AsRef<[f64]>>(
             -0.5 * quad - 0.5 * log_det - 0.5 * t as f64 * LN_2PI
         })
         .collect()
+}
+
+/// Scores full rows, one reward for each of the K arms in order, under a
+/// low-rank-plus-ridge prior `N(μ₀, α·CCᵀ + c·I)`, where C is K×T, in the
+/// T-space rather than the K-space.
+///
+/// With `M = I_T + (α/c)·CᵀC`, the matrix determinant lemma and the
+/// Woodbury identity give, for `r = y − μ₀`:
+///
+/// ```text
+/// log|α·CCᵀ + c·I| = K·ln c + ln|M|
+/// rᵀ(α·CCᵀ + c·I)⁻¹r = (rᵀr − (α/c)·‖L_M⁻¹Cᵀr‖²) / c
+/// ```
+///
+/// [`LowRankLml::new`] forms CᵀC and each row's Cᵀr and rᵀr once, in
+/// O(K·T²). After that, [`LowRankLml::log_marginal_likelihoods`] costs one
+/// T×T factorization per (α, c), where the dense
+/// [`gram_log_marginal_likelihoods`] factors a K×K matrix; so it is the
+/// cheaper side when T < K. The two agree to rounding.
+#[derive(Debug, Clone)]
+pub struct LowRankLml {
+    arms: usize,
+    /// CᵀC.
+    inner: Matrix,
+    /// Cᵀr, one row of T entries per scored row.
+    projected: Matrix,
+    /// rᵀr of each row.
+    sq_norms: Vec<f64>,
+}
+
+impl LowRankLml {
+    /// Prepares to score `rows` (one reward per arm each) under priors with
+    /// mean `mean` and covariance `α·CCᵀ + c·I`. `factor` holds Cᵀ: T rows,
+    /// one per column of C, of K entries each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` has no rows, or `mean` or a row does not hold one
+    /// entry per arm.
+    pub fn new<H: AsRef<[f64]>>(factor: &Matrix, mean: &[f64], rows: &[H]) -> Self {
+        let (t, k) = factor.shape();
+        assert!(t > 0, "the factor needs at least one column");
+        assert_eq!(mean.len(), k, "prior mean length mismatch");
+        let mut projected = Matrix::zeros(rows.len(), t);
+        let mut sq_norms = Vec::with_capacity(rows.len());
+        let mut r = vec![0.0; k];
+        for (h, rewards) in rows.iter().enumerate() {
+            let rewards = rewards.as_ref();
+            assert_eq!(rewards.len(), k, "a history needs one reward per arm");
+            for ((ri, y), m) in r.iter_mut().zip(rewards).zip(mean) {
+                *ri = y - m;
+            }
+            for (u, p) in projected.row_mut(h).iter_mut().enumerate() {
+                *p = vec_ops::dot(factor.row(u), &r);
+            }
+            sq_norms.push(vec_ops::dot(&r, &r));
+        }
+        LowRankLml {
+            arms: k,
+            inner: factor.row_gram(),
+            projected,
+            sq_norms,
+        }
+    }
+
+    /// The log marginal likelihood of each row under `α·CCᵀ + c·I`, in the
+    /// order the rows were given; entry h agrees with
+    /// [`gram_log_marginal_likelihoods`] on that dense covariance (with
+    /// `noise_var` folded into `c`) to rounding.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `alpha >= 0` and `c > 0`.
+    pub fn log_marginal_likelihoods(&self, alpha: f64, c: f64) -> Vec<f64> {
+        assert!(alpha >= 0.0, "the low-rank scale must be non-negative");
+        assert!(c > 0.0, "the ridge must be positive");
+        let ratio = alpha / c;
+        let mut m = self.inner.scaled(ratio);
+        m.add_diag_mut(1.0);
+        let chol = Cholesky::factor(&m).expect("I plus a PSD matrix is positive definite");
+        let k = self.arms as f64;
+        let log_det = k * c.ln() + chol.log_det();
+        self.sq_norms
+            .iter()
+            .enumerate()
+            .map(|(h, &rr)| {
+                let z = chol
+                    .half_solve(self.projected.row(h))
+                    .expect("dimension matches the factor");
+                let quad = (rr - ratio * vec_ops::dot(&z, &z)) / c;
+                -0.5 * quad - 0.5 * log_det - 0.5 * k * LN_2PI
+            })
+            .collect()
+    }
 }
 
 /// Per-observation average log marginal likelihood — a scale-free score for

@@ -1,9 +1,9 @@
 //! Property-based tests for the GP layer.
 
 use easeml_gp::kernel::{Kernel, Matern52Kernel, RbfKernel};
-use easeml_gp::mll::log_marginal_likelihood;
+use easeml_gp::mll::{log_marginal_likelihood, log_marginal_likelihoods, LowRankLml};
 use easeml_gp::{ArmPrior, GpPosterior};
-use easeml_linalg::Cholesky;
+use easeml_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
 
 fn features(n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -86,5 +86,47 @@ proptest! {
         gp.observe(0, y);
         prop_assert!((gp.mean(0) - y).abs() < 1e-6);
         prop_assert!(gp.var(0) < 1e-6);
+    }
+
+    #[test]
+    fn low_rank_lml_matches_the_dense_lml(
+        (users, ridge, scale, noise, mean, mut rows) in (1usize..41)
+            .prop_flat_map(|k| (Just(k), 1usize..k.max(2)))
+            .prop_flat_map(|(k, t)| {
+                (
+                    prop::collection::vec(-1.0f64..1.0, t * k)
+                        .prop_map(move |vals| Matrix::from_vec(t, k, vals)),
+                    (-5.0f64..-1.0).prop_map(|e| 10f64.powf(e)),
+                    prop::sample::select(vec![0.3, 1.0, 3.0]),
+                    prop::sample::select(vec![1e-4, 1e-3, 1e-2]),
+                    0.0f64..1.0,
+                    prop::collection::vec(prop::collection::vec(0.0f64..1.0, k), 1..5),
+                )
+            })
+    ) {
+        // `users` holds Cᵀ: T rows of K entries. The prior is the empirical
+        // one, Σ = CCᵀ/T + ρI, at one grid point (scale, noise).
+        let (t, k) = users.shape();
+        let mut cov = users.transpose().row_gram();
+        for v in cov.as_mut_slice() {
+            *v /= t as f64;
+        }
+        cov.add_diag_mut(ridge);
+        let means = vec![mean; k];
+        // The tuner scores training users' own rows, which lie in C's span
+        // about the mean: there the T-space form cancels the most.
+        rows[0] = users.row(0).iter().map(|c| mean + c).collect();
+        let prior = ArmPrior::from_gram(cov.scaled(scale)).with_mean(means.clone());
+        let arms: Vec<usize> = (0..k).collect();
+        let dense = log_marginal_likelihoods(&prior, noise, &arms, &rows);
+        let low = LowRankLml::new(&users, &means, &rows)
+            .log_marginal_likelihoods(scale / t as f64, scale * ridge + noise);
+        prop_assert_eq!(low.len(), dense.len());
+        for (d, l) in dense.iter().zip(&low) {
+            prop_assert!(
+                (d - l).abs() <= 1e-10 * d.abs().max(1.0),
+                "K = {k}, T = {t}: dense {d}, T-space {l}"
+            );
+        }
     }
 }

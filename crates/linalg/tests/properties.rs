@@ -213,4 +213,31 @@ proptest! {
         let rhs = b.transpose().matmul(&a.transpose()).unwrap();
         prop_assert!(lhs.approx_eq(&rhs, 1e-12));
     }
+
+    #[test]
+    fn row_gram_entries_are_bit_equal_to_dot(
+        (rows, len, vals, zeroed, sign) in (0usize..12, 0usize..65).prop_flat_map(|(n, m)| {
+            (
+                Just(n),
+                Just(m),
+                prop::collection::vec(-10.0f64..10.0, n * m),
+                0usize..n + 2,
+                prop::sample::select(vec![0.0, -0.0]),
+            )
+        })
+    ) {
+        // Row counts run past the four-row blocks, and one row may be all
+        // (signed) zeros.
+        let mut a = Matrix::from_vec(rows, len, vals);
+        if zeroed < rows {
+            a.row_mut(zeroed).fill(sign);
+        }
+        let g = a.row_gram();
+        prop_assert_eq!(g.shape(), (rows, rows));
+        for i in 0..rows {
+            for j in 0..rows {
+                prop_assert_eq!(g[(i, j)].to_bits(), vec_ops::dot(a.row(i), a.row(j)).to_bits());
+            }
+        }
+    }
 }

@@ -184,30 +184,37 @@ cargo run --quiet -p easeml-trace -- workload-report "$workload_trace" \
   | grep -q "tenant churn: 6 retirement(s)"
 test -s "$workload_report_file"
 
+# Runs one traced perfbench smoke of workload $1. The result line (the
+# last line of stdout) reports "correct": true only when every pass
+# reproduces the first pass's decision digest and the traced run makes the
+# untraced run's decisions. That compares a run with itself, so both runs
+# must also print the default seed's recorded digest $2: a change that
+# moves every decision fails here.
+bench_smoke() {
+  local out
+  out="$(python3 perfbench/run.py --workload "$1" --trace 1 --seconds 6 2>&1)"
+  echo "$out"
+  echo "$out" | tail -n 1 | grep -q '"correct": true'
+  echo "$out" | grep -q "digest of the perfbench run: $2"
+  echo "$out" | grep -q "digest of the perfbench-traced run: $2"
+}
+
 echo "==> benchmark smoke (zoo-batch, traced)"
 # Builds perfbench against the crates' current API and runs the paper
-# protocol workload briefly. The result line (the last line of stdout)
-# reports "correct": true only when every pass reproduces the first pass's
-# decision digest, the traced run makes the untraced run's decisions, and
-# the exec engine at one device makes the serial simulator's decisions.
-bench_out="$(python3 perfbench/run.py --workload zoo-batch --trace 1 --seconds 6)"
-echo "$bench_out"
-echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
+# protocol workload briefly. Its "correct" check also requires the exec
+# engine at one device to make the serial simulator's decisions.
+bench_smoke zoo-batch 40b4d254c60652d8
 
 echo "==> benchmark smoke (service-1k, traced)"
 # 1,000 tenants behind the EaseMl facade: HYBRID crosses from greedy to
 # round robin, the checkpoint codec round-trips the service, and recovery
 # from checkpoint + WAL must reproduce the live state digest.
-bench_out="$(python3 perfbench/run.py --workload service-1k --trace 1 --seconds 6)"
-echo "$bench_out"
-echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
+bench_smoke service-1k ac8d71c7d61495f5
 
 echo "==> benchmark smoke (open-loop, traced)"
 # ReplayDriver over the exec engine on 16 devices: the only workload that
 # dispatches while runs are in flight (GP-BUCB hallucination), and it checks
 # slot-time conservation and that no more jobs are served than arrived.
-bench_out="$(python3 perfbench/run.py --workload open-loop --trace 1 --seconds 6)"
-echo "$bench_out"
-echo "$bench_out" | tail -n 1 | grep -q '"correct": true'
+bench_smoke open-loop a9b4ca10fb9c21e3
 
 echo "CI gate passed."

@@ -5,11 +5,11 @@
 //! decisions with a constant recorded from an earlier build; a change that
 //! moves one of them changes decisions and must say so.
 
-use easeml::experiment::{empirical_prior, run_experiment, ExperimentConfig};
+use easeml::experiment::{empirical_prior, run_experiment, ExperimentConfig, ExperimentResult};
 use easeml::fault::{FaultConfig, FaultInjector};
 use easeml::server::{EaseMl, QualityOracle, TrainingOutcome};
 use easeml::sim::{simulate, SchedulerKind, SimConfig, SimTrace};
-use easeml_data::{Dataset, SynConfig, TrainTestSplit};
+use easeml_data::{Dataset, DatasetKind, SynConfig, TrainTestSplit};
 use easeml_exec::simulate_multi_device;
 use easeml_gp::{ArmPrior, GpPosterior};
 use easeml_obs::RollingDigest;
@@ -22,6 +22,8 @@ const FLEET_DIGEST: &str = "7bea0e8b13db08a8";
 const MIXED_FLEET_DIGEST: &str = "421907eee3a6c1c3";
 const SERVICE_DIGEST: &str = "809f12286b2453b3";
 const EXPERIMENT_DIGEST: &str = "38c6ee324d94626d";
+const CLASSIFIER179_EXPERIMENT_DIGEST: &str = "e79c01184b23a706";
+const DEEPLEARNING_EXPERIMENT_DIGESTS: [&str; 2] = ["6bfcaae48ef7060a", "db8306c295cb6527"];
 
 const TEST_USERS: usize = 10;
 
@@ -216,15 +218,7 @@ fn fault_injected_service_digest_is_pinned() {
     assert_eq!(server.state_digest(), SERVICE_DIGEST);
 }
 
-#[test]
-fn tuned_experiment_curves_are_pinned() {
-    let cfg = ExperimentConfig {
-        test_users: TEST_USERS,
-        repetitions: 4,
-        grid_points: 21,
-        ..ExperimentConfig::default()
-    };
-    let result = run_experiment(&dataset(), SchedulerKind::EaseMl, &cfg, 5);
+fn experiment_digest(result: &ExperimentResult) -> String {
     let mut d = RollingDigest::new();
     for x in result
         .mean_curve
@@ -235,5 +229,55 @@ fn tuned_experiment_curves_are_pinned() {
         d.absorb_f64(*x);
     }
     d.absorb_f64(result.mean_rounds);
-    assert_eq!(d.hex(), EXPERIMENT_DIGEST);
+    d.hex()
+}
+
+/// SYN 60×50 with 10 test users leaves T = 50 training users for K = 50
+/// models, so this tunes on the dense K×K side.
+#[test]
+fn tuned_experiment_curves_are_pinned() {
+    let cfg = ExperimentConfig {
+        test_users: TEST_USERS,
+        repetitions: 4,
+        grid_points: 21,
+        ..ExperimentConfig::default()
+    };
+    let result = run_experiment(&dataset(), SchedulerKind::EaseMl, &cfg, 5);
+    assert_eq!(experiment_digest(&result), EXPERIMENT_DIGEST);
+}
+
+/// 179CLASSIFIER with 10 test users leaves T = 111 training users for
+/// K = 179 models, so this tunes in the T-space.
+#[test]
+fn tuned_classifier179_experiment_is_pinned() {
+    let cfg = ExperimentConfig {
+        test_users: TEST_USERS,
+        repetitions: 2,
+        grid_points: 21,
+        ..ExperimentConfig::default()
+    };
+    let dataset = DatasetKind::Classifier179.generate(2018);
+    let result = run_experiment(&dataset, SchedulerKind::EaseMl, &cfg, 5);
+    assert_eq!(experiment_digest(&result), CLASSIFIER179_EXPERIMENT_DIGEST);
+}
+
+/// DEEPLEARNING with 10 test users leaves 12 training users for K = 8
+/// models. Keeping 10% or 50% of them (Figure 14) leaves T = 1 or 6 < K,
+/// so both tune in the T-space; at 100%, T = 12 tunes on the dense side.
+#[test]
+fn tuned_deeplearning_training_fractions_are_pinned() {
+    let dataset = DatasetKind::DeepLearning.generate(2018);
+    let mut digests = Vec::new();
+    for train_fraction in [0.1, 0.5] {
+        let cfg = ExperimentConfig {
+            test_users: TEST_USERS,
+            repetitions: 3,
+            grid_points: 21,
+            train_fraction,
+            ..ExperimentConfig::default()
+        };
+        let result = run_experiment(&dataset, SchedulerKind::EaseMl, &cfg, 5);
+        digests.push(experiment_digest(&result));
+    }
+    assert_eq!(digests, DEEPLEARNING_EXPERIMENT_DIGESTS);
 }
