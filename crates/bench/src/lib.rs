@@ -1,13 +1,18 @@
 //! Shared helpers for the figure-regeneration bench targets.
 //!
-//! Every bench target in `benches/` is a `harness = false` binary that runs
-//! the corresponding experiment of the paper's §5 and prints the same
-//! rows/series the figure plots, plus a CSV dump under
+//! Every bench target in `benches/` is a `harness = false` binary.
+//! `fig00_micro` times the hot paths with criterion; the others run an
+//! experiment of the paper's §5 (or an ablation or regret check beside one)
+//! and print the same rows/series the figure plots, plus a CSV dump under
 //! `target/experiments/`. Two environment variables tune the scale:
 //!
 //! * `EASEML_REPS` — number of repetitions per experiment (default 50, the
 //!   paper's setting; lower it for quick smoke runs);
 //! * `EASEML_SEED` — base RNG seed (default 20180801).
+//!
+//! The system's own costs, end to end and per layer, are measured by the
+//! repository benchmark (`python3 perfbench/run.py`, see
+//! `perfbench/README.md`), not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -127,954 +132,9 @@ pub fn loss_at_pct(result: &ExperimentResult, pct: f64, metric: &str) -> f64 {
     curve[idx]
 }
 
-/// Runs one fully instrumented HYBRID simulation (recorder attached to the
-/// scheduler and every tenant, plus the process-global timer registry that
-/// covers Cholesky and posterior refreshes) and writes a machine-readable
-/// performance snapshot under `target/experiments/`:
-///
-/// * `<id>.trace.jsonl` — the full structured-event stream;
-/// * `<id>.perf.json` — per-component latency quantiles plus event totals.
-///
-/// Returns the perf-json path, or `None` when the filesystem is
-/// unavailable.
-pub fn obs_snapshot(id: &str) -> Option<std::path::PathBuf> {
-    use easeml_gp::ArmPrior;
-    use easeml_obs::{set_global_recorder, Component, InMemoryRecorder, Recorder, RecorderHandle};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-
-    let dataset = easeml_data::SynConfig {
-        num_users: 10,
-        num_models: 20,
-        ..easeml_data::SynConfig::paper(0.5, 1.0)
-    }
-    .generate(seed());
-    let unit = dataset.unit_cost_view();
-    let priors: Vec<ArmPrior> = (0..10).map(|_| ArmPrior::independent(20, 0.05)).collect();
-    let cfg = SimConfig {
-        budget: 100.0,
-        cost_aware: false,
-        noise_var: 1e-3,
-        delta: 0.1,
-        fault: None,
-    };
-
-    let rec = Arc::new(InMemoryRecorder::new());
-    let handle = RecorderHandle::new(rec.clone());
-    let previous = set_global_recorder(Some(rec.clone() as Arc<dyn Recorder>));
-    let mut rng = StdRng::seed_from_u64(seed());
-    let trace = simulate_with_recorder(
-        &unit,
-        &priors,
-        SchedulerKind::EaseMl,
-        &cfg,
-        &mut rng,
-        &handle,
-    );
-    set_global_recorder(previous);
-
-    report::write_artifact(&format!("{id}.trace.jsonl"), &rec.to_jsonl()).ok()?;
-
-    let mut json = String::from("{\n  \"components\": [\n");
-    for (i, &comp) in Component::ALL.iter().enumerate() {
-        let h = rec.timing(comp);
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"count\": {}, \"p50_ns\": {:.0}, \"p95_ns\": {:.0}, \"max_ns\": {}}}{}",
-            comp.name(),
-            h.count(),
-            h.quantile_ns(0.5),
-            h.quantile_ns(0.95),
-            h.max_ns(),
-            if i + 1 < Component::ALL.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"events\": [\n");
-    let counts = rec.event_counts();
-    let n = counts.len();
-    for (i, (name, c)) in counts.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"count\": {c}}}{}",
-            if i + 1 < n { "," } else { "" }
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"rounds\": {},\n  \"makespan\": {:.6}\n}}",
-        trace.rounds,
-        rec.gauge("sim/makespan").unwrap_or(0.0)
-    );
-    report::write_artifact(&format!("{id}.perf.json"), &json).ok()
-}
-
-/// One row of the multi-device scaling sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecScalingRow {
-    /// Fleet size D.
-    pub devices: usize,
-    /// Simulated makespan of the run.
-    pub makespan: f64,
-    /// Cumulative multi-tenant regret accrued by the time the shared
-    /// budget is spent — the equal-cost comparison point across fleet
-    /// sizes (every run commits the same budget; larger fleets just spend
-    /// it faster).
-    pub regret_at_budget: f64,
-    /// Total dispatches (completed + censored).
-    pub dispatches: usize,
-    /// Dispatches made while other runs were in flight.
-    pub parallel_dispatches: usize,
-}
-
-/// The fixed workload every exec-scaling measurement runs: 10 tenants x
-/// 20 models, unit costs, 100-unit budget, HYBRID scheduling — the same
-/// shape as [`obs_snapshot`], so component timings are comparable.
-pub fn exec_workload() -> (Dataset, Vec<easeml_gp::ArmPrior>, SimConfig) {
-    let dataset = easeml_data::SynConfig {
-        num_users: 10,
-        num_models: 20,
-        ..easeml_data::SynConfig::paper(0.5, 1.0)
-    }
-    .generate(seed())
-    .unit_cost_view();
-    let priors = (0..10)
-        .map(|_| easeml_gp::ArmPrior::independent(20, 0.05))
-        .collect();
-    let cfg = SimConfig {
-        budget: 100.0,
-        cost_aware: false,
-        noise_var: 1e-3,
-        delta: 0.1,
-        fault: None,
-    };
-    (dataset, priors, cfg)
-}
-
-/// Cumulative multi-tenant regret of `trace`, truncated at `cost_cap` —
-/// the equal-cost anchor of the scaling sweep.
-fn regret_at_cost(trace: &SimTrace, dataset: &Dataset, cost_cap: f64) -> f64 {
-    let mu_stars: Vec<f64> = (0..dataset.num_users())
-        .map(|i| dataset.best_quality(i))
-        .collect();
-    let mut tracker = easeml_sched::MultiTenantRegret::new(mu_stars);
-    let mut spent = 0.0;
-    for e in &trace.events {
-        if spent >= cost_cap {
-            break;
-        }
-        tracker.record_round(e.user, e.quality, e.cost);
-        spent += e.cost;
-    }
-    tracker.cumulative()
-}
-
-/// Runs the [`exec_workload`] through the multi-device engine at each
-/// fleet size and reports makespan and regret at the shared budget.
-pub fn exec_scaling_sweep(fleet_sizes: &[usize]) -> Vec<ExecScalingRow> {
-    let (dataset, priors, cfg) = exec_workload();
-    fleet_sizes
-        .iter()
-        .map(|&devices| {
-            let trace = easeml_exec::simulate_multi_device(
-                &dataset,
-                &priors,
-                SchedulerKind::Hybrid,
-                &cfg,
-                devices,
-                seed(),
-            );
-            ExecScalingRow {
-                devices,
-                makespan: trace.makespan,
-                regret_at_budget: regret_at_cost(&trace.sim, &dataset, cfg.budget),
-                dispatches: trace.dispatches,
-                parallel_dispatches: trace.parallel_dispatches,
-            }
-        })
-        .collect()
-}
-
-/// Runs one fully instrumented 4-device execution plus the scaling sweep
-/// and writes `<id>.perf.json` under `target/experiments/`: the same
-/// per-component latency quantiles [`obs_snapshot`] emits (so
-/// `scripts/bench_snapshot_diff.sh` diffs it unchanged) plus a `scaling`
-/// array with per-fleet-size makespan and regret-at-equal-cost.
-///
-/// Returns the perf-json path, or `None` when the filesystem is
-/// unavailable.
-pub fn exec_snapshot(id: &str, rows: &[ExecScalingRow]) -> Option<std::path::PathBuf> {
-    use easeml_obs::{Component, InMemoryRecorder, RecorderHandle};
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-
-    let (dataset, priors, cfg) = exec_workload();
-    let rec = Arc::new(InMemoryRecorder::new());
-    let handle = RecorderHandle::new(rec.clone());
-    let trace = easeml_exec::simulate_multi_device_with_recorder(
-        &dataset,
-        &priors,
-        SchedulerKind::Hybrid,
-        &cfg,
-        4,
-        seed(),
-        &handle,
-    );
-
-    let mut json = String::from("{\n  \"components\": [\n");
-    for (i, &comp) in Component::ALL.iter().enumerate() {
-        let h = rec.timing(comp);
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"count\": {}, \"p50_ns\": {:.0}, \"p95_ns\": {:.0}, \"max_ns\": {}}}{}",
-            comp.name(),
-            h.count(),
-            h.quantile_ns(0.5),
-            h.quantile_ns(0.95),
-            h.max_ns(),
-            if i + 1 < Component::ALL.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"scaling\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"devices\": {}, \"makespan\": {:.6}, \"regret_at_budget\": {:.6}, \
-             \"dispatches\": {}, \"parallel_dispatches\": {}}}{}",
-            row.devices,
-            row.makespan,
-            row.regret_at_budget,
-            row.dispatches,
-            row.parallel_dispatches,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"rounds\": {},\n  \"makespan\": {:.6},\n  \"parallel_dispatches\": {}\n}}",
-        trace.sim.rounds, trace.makespan, trace.parallel_dispatches
-    );
-    report::write_artifact(&format!("{id}.perf.json"), &json).ok()
-}
-
-/// One row of the telemetry-scale sweep: how the aggregate-mode recorder
-/// behaves as the tenant count grows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryScaleRow {
-    /// Tenant count U of this run.
-    pub users: usize,
-    /// Events folded into the recorder.
-    pub events: usize,
-    /// Per-event fold latency samples taken.
-    pub fold_count: u64,
-    /// Median per-event fold latency, nanoseconds.
-    pub fold_p50_ns: f64,
-    /// 95th-percentile per-event fold latency, nanoseconds.
-    pub fold_p95_ns: f64,
-    /// Worst per-event fold latency, nanoseconds.
-    pub fold_max_ns: u64,
-    /// Estimated recorder state footprint after the fold, bytes. In
-    /// aggregate mode this must stay bounded as U grows.
-    pub state_bytes: usize,
-    /// Size of the rendered `/metrics` body, bytes. Bounded families keep
-    /// this independent of U.
-    pub metrics_bytes: usize,
-}
-
-/// Folds a synthetic `events_per_run`-event stream over `U` tenants into
-/// an aggregate-mode [`easeml_obs::TimeSeriesRecorder`] for each tenant
-/// count, timing every fold and measuring the resulting state and
-/// `/metrics` body sizes — the constant-memory-telemetry gate of the
-/// scale work. The stream mixes `TrainingCompleted` runs (random tenant,
-/// random cost/quality) with periodic `SchedulerDecision`s cycling
-/// through three rule labels, so the per-strategy sketches, top-K
-/// offenders, and exemplar reservoir all engage.
-pub fn telemetry_scale_sweep(
-    tenant_counts: &[usize],
-    events_per_run: usize,
-) -> Vec<TelemetryScaleRow> {
-    use easeml_obs::{Event, Histogram, InMemoryRecorder, ScaleConfig, TimeSeriesRecorder};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::Instant;
-
-    const RULES: [&str; 3] = ["hybrid", "greedy(max-gap)", "round-robin"];
-    tenant_counts
-        .iter()
-        .map(|&users| {
-            let recorder = TimeSeriesRecorder::aggregate(ScaleConfig::default());
-            recorder.set_default_target(0.95);
-            let mut rng = StdRng::seed_from_u64(seed() ^ users as u64);
-            let mut fold = Histogram::new();
-            for i in 0..events_per_run {
-                let user = rng.gen_range(0..users.max(1));
-                let event = if i % 16 == 0 {
-                    Event::SchedulerDecision {
-                        round: i as u64,
-                        user,
-                        rule: RULES[(i / 16) % RULES.len()].to_string(),
-                        scores: Vec::new(),
-                        parent: 0,
-                    }
-                } else {
-                    Event::TrainingCompleted {
-                        user,
-                        model: i % 20,
-                        cost: rng.gen_range(0.5..1.5),
-                        quality: rng.gen_range(0.0..1.0),
-                        parent: 0,
-                    }
-                };
-                let t = Instant::now();
-                recorder.fold(&event);
-                fold.record(t.elapsed().as_nanos() as u64);
-            }
-            let snapshot = recorder.snapshot();
-            let body = easeml_obs_http::render_metrics(&InMemoryRecorder::new(), Some(&snapshot));
-            TelemetryScaleRow {
-                users,
-                events: events_per_run,
-                fold_count: fold.count(),
-                fold_p50_ns: fold.quantile_ns(0.5),
-                fold_p95_ns: fold.quantile_ns(0.95),
-                fold_max_ns: fold.max_ns(),
-                state_bytes: recorder.approx_state_bytes(),
-                metrics_bytes: body.len(),
-            }
-        })
-        .collect()
-}
-
-/// Writes the telemetry-scale rows as `<id>.perf.json` under
-/// `target/experiments/`, one component row per tenant count named
-/// `telemetry/fold@u=N`. The rows carry the same `count`/`p50_ns`/
-/// `p95_ns`/`max_ns` keys `scripts/bench_snapshot_diff.sh` diffs, plus
-/// `state_bytes`/`metrics_bytes` for the boundedness check (the differ
-/// ignores keys it does not know).
-///
-/// Returns the perf-json path, or `None` when the filesystem is
-/// unavailable.
-pub fn telemetry_snapshot(id: &str, rows: &[TelemetryScaleRow]) -> Option<std::path::PathBuf> {
-    use std::fmt::Write as _;
-
-    let mut json = String::from("{\n  \"components\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"telemetry/fold@u={}\", \"count\": {}, \"p50_ns\": {:.0}, \
-             \"p95_ns\": {:.0}, \"max_ns\": {}, \"state_bytes\": {}, \"metrics_bytes\": {}}}{}",
-            row.users,
-            row.fold_count,
-            row.fold_p50_ns,
-            row.fold_p95_ns,
-            row.fold_max_ns,
-            row.state_bytes,
-            row.metrics_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    report::write_artifact(&format!("{id}.perf.json"), &json).ok()
-}
-
-/// One per-phase row of the hot-path profiling sweep at one tenant count —
-/// what [`profile_snapshot`] serialises and `benches/profile_scaling.rs`
-/// prints and gates on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfilePhaseRow {
-    /// Tenant count U of this run.
-    pub users: usize,
-    /// Span name of the phase.
-    pub phase: String,
-    /// Closed occurrences across the whole call tree.
-    pub calls: u64,
-    /// Median per-call latency, nanoseconds.
-    pub p50_ns: f64,
-    /// 95th-percentile per-call latency, nanoseconds.
-    pub p95_ns: f64,
-    /// Worst per-call latency, nanoseconds.
-    pub max_ns: u64,
-    /// Wall time attributed to the phase itself (children excluded).
-    pub self_ns: u64,
-    /// Self time per scheduler step.
-    pub self_ns_per_step: f64,
-    /// Heap allocations attributed to the phase's self windows (0 unless
-    /// the binary installs [`easeml_obs::CountingAlloc`]).
-    pub allocs: u64,
-    /// Allocations per scheduler step.
-    pub allocs_per_step: f64,
-    /// Bytes allocated in the phase's self windows.
-    pub alloc_bytes: u64,
-    /// Largest single-call peak live-byte growth.
-    pub peak_bytes: u64,
-}
-
-/// The fixed workload one profiling measurement runs at tenant count
-/// `users`: U tenants x 20 models, unit costs, a `steps`-round budget, and
-/// no faults. The sweep schedules it with the greedy max-UCB-gap rule —
-/// not HYBRID, whose freeze decays into round-robin and would wash the
-/// `pick_user` scaling exponent out.
-pub fn profile_workload(
-    users: usize,
-    steps: usize,
-) -> (Dataset, Vec<easeml_gp::ArmPrior>, SimConfig) {
-    let dataset = easeml_data::SynConfig {
-        num_users: users,
-        num_models: 20,
-        ..easeml_data::SynConfig::paper(0.5, 1.0)
-    }
-    .generate(seed())
-    .unit_cost_view();
-    let priors = (0..users)
-        .map(|_| easeml_gp::ArmPrior::independent(20, 0.05))
-        .collect();
-    let cfg = SimConfig {
-        budget: steps as f64,
-        cost_aware: false,
-        noise_var: 1e-3,
-        delta: 0.1,
-        fault: None,
-    };
-    (dataset, priors, cfg)
-}
-
-/// Runs [`profile_workload`] under a live [`easeml_obs::Profiler`] at each
-/// tenant count and returns the captured call trees, ready for
-/// [`easeml_obs::scaling_exponents`]. The recorder is a noop handle: the
-/// profiler hooks on span enter/exit fire anyway, so the measurement
-/// carries no event-buffer cost — it times exactly the simulation's own
-/// work. Each run gets a fresh profiler; the previous global profiler is
-/// restored afterwards.
-pub fn profile_scaling_sweep(
-    tenant_counts: &[usize],
-    steps: usize,
-) -> Vec<(usize, easeml_obs::CallTreeProfile)> {
-    use easeml_obs::{set_global_profiler, Profiler, RecorderHandle};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::sync::Arc;
-
-    tenant_counts
-        .iter()
-        .map(|&users| {
-            let (dataset, priors, cfg) = profile_workload(users, steps);
-            let profiler = Arc::new(Profiler::new());
-            let previous = set_global_profiler(Some(profiler.clone()));
-            let mut rng = StdRng::seed_from_u64(seed() ^ users as u64);
-            let _ = simulate_with_recorder(
-                &dataset,
-                &priors,
-                SchedulerKind::Greedy(easeml_sched::PickRule::MaxUcbGap),
-                &cfg,
-                &mut rng,
-                &RecorderHandle::noop(),
-            );
-            set_global_profiler(previous);
-            (users, profiler.snapshot())
-        })
-        .collect()
-}
-
-/// Flattens the sweep's call trees into per-phase rows, normalising self
-/// time and allocations by each run's `scheduler_step` count.
-pub fn profile_rows(runs: &[(usize, easeml_obs::CallTreeProfile)]) -> Vec<ProfilePhaseRow> {
-    let mut out = Vec::new();
-    for (users, profile) in runs {
-        let steps = profile
-            .find(&["scheduler_step"])
-            .map_or(0, |node| node.count)
-            .max(1);
-        for phase in profile.phase_table() {
-            out.push(ProfilePhaseRow {
-                users: *users,
-                calls: phase.calls,
-                p50_ns: phase.latency.quantile(0.5).unwrap_or(0.0),
-                p95_ns: phase.latency.quantile(0.95).unwrap_or(0.0),
-                max_ns: phase.latency.max().unwrap_or(0.0) as u64,
-                self_ns: phase.self_ns,
-                self_ns_per_step: phase.self_ns as f64 / steps as f64,
-                allocs: phase.allocs,
-                allocs_per_step: phase.allocs as f64 / steps as f64,
-                alloc_bytes: phase.alloc_bytes,
-                peak_bytes: phase.peak_bytes,
-                phase: phase.name,
-            });
-        }
-    }
-    out
-}
-
-/// Writes the profiling rows as `<id>.perf.json` under
-/// `target/experiments/`, one component row per (phase, tenant count)
-/// named `profile/<phase>@u=N`. The rows carry the same `count`/`p50_ns`/
-/// `p95_ns`/`max_ns` keys `scripts/bench_snapshot_diff.sh` diffs, plus
-/// `self_ns`/`allocs` (and their per-step forms) for the per-phase budget
-/// check.
-///
-/// Returns the perf-json path, or `None` when the filesystem is
-/// unavailable.
-pub fn profile_snapshot(id: &str, rows: &[ProfilePhaseRow]) -> Option<std::path::PathBuf> {
-    use std::fmt::Write as _;
-
-    let mut json = String::from("{\n  \"components\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"profile/{}@u={}\", \"count\": {}, \"p50_ns\": {:.0}, \
-             \"p95_ns\": {:.0}, \"max_ns\": {}, \"self_ns\": {}, \"self_ns_per_step\": {:.0}, \
-             \"allocs\": {}, \"allocs_per_step\": {:.2}, \"alloc_bytes\": {}, \
-             \"peak_bytes\": {}}}{}",
-            row.phase,
-            row.users,
-            row.calls,
-            row.p50_ns,
-            row.p95_ns,
-            row.max_ns,
-            row.self_ns,
-            row.self_ns_per_step,
-            row.allocs,
-            row.allocs_per_step,
-            row.alloc_bytes,
-            row.peak_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    report::write_artifact(&format!("{id}.perf.json"), &json).ok()
-}
-
-/// Latency distribution of [`easeml_wal::WalWriter::append`] over a burst
-/// of round-commit records — the write the serial hot path pays per
-/// logging site when a WAL is attached.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WalAppendRow {
-    /// Appends measured.
-    pub count: u64,
-    /// Median append latency, nanoseconds.
-    pub p50_ns: f64,
-    /// 95th-percentile append latency, nanoseconds.
-    pub p95_ns: f64,
-    /// Worst append latency, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// One row of the incremental-recovery sweep: recover a `total_rounds`
-/// run whose checkpoint was taken `delta` rounds before the end, so the
-/// WAL suffix replays exactly `delta` rounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WalRecoverRow {
-    /// Rounds between the checkpoint and the crash (the replay suffix).
-    pub delta: u64,
-    /// Total rounds the original run executed.
-    pub total_rounds: u64,
-    /// Rounds the recovery actually replayed (must equal `delta`).
-    pub replayed: u64,
-    /// Wall time of [`easeml::prelude::EaseMl::recover`], milliseconds.
-    pub recover_ms: f64,
-    /// Recovery time per replayed round — the O(delta) constant.
-    pub ms_per_round: f64,
-}
-
-/// The deterministic oracle the WAL benches run: same shape as the core
-/// test suite's toy oracle (parity base quality plus a model-year bonus),
-/// so the replayed trajectory is discriminative but reproducible.
-fn wal_bench_oracle() -> QualityOracle {
-    Box::new(|user, model: easeml_dsl::ModelId| {
-        let info = model.info();
-        let base = if user % 2 == 0 { 0.7 } else { 0.5 };
-        Ok(TrainingOutcome {
-            accuracy: (base + 0.02 * (info.year as f64 - 2010.0)).min(0.99),
-            cost: info.relative_cost,
-        })
-    })
-}
-
-const WAL_IMAGE_PROG: &str = "{input: {[Tensor[64, 64, 3]], []}, output: {[Tensor[5]], []}}";
-const WAL_TS_PROG: &str = "{input: {[Tensor[16]], [next]}, output: {[Tensor[3]], []}}";
-
-/// Times `appends` framed record writes through a fresh
-/// [`easeml_wal::WalWriter`] (group-commit fsync every 16 records, 256 KiB
-/// segments) and returns the latency quantiles. The scratch directory is
-/// removed afterwards.
-pub fn wal_append_sweep(appends: usize) -> WalAppendRow {
-    use easeml_wal::{DurableEvent, FsyncPolicy, WalOptions, WalWriter};
-
-    let dir = std::env::temp_dir().join(format!("easeml-wal-bench-append-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("wal bench scratch dir");
-    let mut writer = WalWriter::open(
-        &dir,
-        WalOptions {
-            segment_bytes: 256 * 1024,
-            fsync: FsyncPolicy::EveryN(16),
-        },
-    )
-    .expect("open bench WAL");
-    let mut hist = easeml_obs::Histogram::new();
-    for round in 0..appends as u64 {
-        let payload = DurableEvent::RoundCommit {
-            round,
-            user: round % 10,
-            arm: round % 20,
-            censored: false,
-            digest: round.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            rng: [round; 4],
-        }
-        .encode();
-        let start = std::time::Instant::now();
-        writer.append(&payload).expect("bench append");
-        hist.record(start.elapsed().as_nanos() as u64);
-    }
-    writer.sync().expect("bench sync");
-    drop(writer);
-    let _ = std::fs::remove_dir_all(&dir);
-    WalAppendRow {
-        count: hist.count(),
-        p50_ns: hist.quantile_ns(0.5),
-        p95_ns: hist.quantile_ns(0.95),
-        max_ns: hist.max_ns(),
-    }
-}
-
-/// For each `delta`, runs a two-tenant serial simulation for
-/// `total_rounds` rounds with a WAL attached, checkpoints `delta` rounds
-/// before the end, then times a full [`easeml::prelude::EaseMl::recover`]
-/// from the checkpoint + WAL pair. Every recovery is digest-verified
-/// against the live server before the row is returned.
-pub fn wal_recover_sweep(total_rounds: u64, deltas: &[u64]) -> Vec<WalRecoverRow> {
-    use easeml_wal::WalOptions;
-
-    deltas
-        .iter()
-        .map(|&delta| {
-            assert!(
-                delta > 0 && delta < total_rounds,
-                "delta must split the run"
-            );
-            let base = std::env::temp_dir().join(format!(
-                "easeml-wal-bench-recover-{}-{delta}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&base);
-            let wal_dir = base.join("wal");
-            std::fs::create_dir_all(&wal_dir).expect("wal bench scratch dir");
-            let ckpt = base.join("checkpoint.json");
-
-            let mut server = EaseMl::new(wal_bench_oracle(), seed());
-            server.register_user("vision-lab", WAL_IMAGE_PROG).unwrap();
-            server.register_user("meteo-lab", WAL_TS_PROG).unwrap();
-            server.set_durability(
-                Durability::open(&wal_dir, WalOptions::default()).expect("open bench WAL"),
-            );
-            for _ in 0..total_rounds - delta {
-                server.try_run_round().expect("bench round");
-            }
-            server.checkpoint_to(&ckpt).expect("bench checkpoint");
-            for _ in 0..delta {
-                server.try_run_round().expect("bench round");
-            }
-            let reference_digest = server.state_digest();
-            drop(server);
-
-            let start = std::time::Instant::now();
-            let (recovered, report) =
-                EaseMl::recover(&ckpt, &wal_dir, wal_bench_oracle()).expect("bench recover");
-            let recover_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(report.replayed_rounds, delta, "suffix length is the delta");
-            assert_eq!(
-                recovered.state_digest(),
-                reference_digest,
-                "recovery must be bit-exact before it is timed"
-            );
-            let _ = std::fs::remove_dir_all(&base);
-            WalRecoverRow {
-                delta,
-                total_rounds,
-                replayed: report.replayed_rounds,
-                recover_ms,
-                ms_per_round: recover_ms / delta as f64,
-            }
-        })
-        .collect()
-}
-
-/// Writes the WAL rows as `<id>.perf.json` under `target/experiments/`.
-/// The append row is a normal component row (`wal/append_ns`, with the
-/// `count`/`p50_ns`/`p95_ns`/`max_ns` keys the differ's quantile pass
-/// reads); the recovery rows are named `wal/recover_ms@delta=N` and carry
-/// `delta`/`recover_ms`/`ms_per_round` — deliberately **without** a
-/// `p50_ns` key, so only the boundedness pass in
-/// `scripts/bench_snapshot_diff.sh` sees them (absolute recovery time is
-/// machine-dependent; the per-round constant is the contract).
-///
-/// Returns the perf-json path, or `None` when the filesystem is
-/// unavailable.
-pub fn wal_snapshot(
-    id: &str,
-    append: &WalAppendRow,
-    rows: &[WalRecoverRow],
-) -> Option<std::path::PathBuf> {
-    use std::fmt::Write as _;
-
-    let mut json = String::from("{\n  \"components\": [\n");
-    let _ = writeln!(
-        json,
-        "    {{\"name\": \"wal/append_ns\", \"count\": {}, \"p50_ns\": {:.0}, \
-         \"p95_ns\": {:.0}, \"max_ns\": {}}}{}",
-        append.count,
-        append.p50_ns,
-        append.p95_ns,
-        append.max_ns,
-        if rows.is_empty() { "" } else { "," }
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"wal/recover_ms@delta={}\", \"delta\": {}, \"rounds\": {}, \
-             \"replayed_rounds\": {}, \"recover_ms\": {:.3}, \"ms_per_round\": {:.6}}}{}",
-            row.delta,
-            row.delta,
-            row.total_rounds,
-            row.replayed,
-            row.recover_ms,
-            row.ms_per_round,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    report::write_artifact(&format!("{id}.perf.json"), &json).ok()
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop workload scaling
-// ---------------------------------------------------------------------------
-
-/// One cell of the workload-scaling sweep: a seeded open-loop replay at a
-/// fixed per-tenant Poisson arrival rate, with or without tenant churn,
-/// through the multi-device execution engine.
-#[derive(Debug, Clone)]
-pub struct WorkloadScalingRow {
-    /// Per-tenant arrival rate (jobs per simulated time unit).
-    pub rate: f64,
-    /// Whether the script includes tenant churn (retire/rejoin).
-    pub churn: bool,
-    /// Scripted arrivals.
-    pub arrivals: u64,
-    /// Jobs actually dispatched (churn strands some arrivals).
-    pub served: u64,
-    /// Scripted lifecycle (retire/rejoin) events.
-    pub lifecycle: u64,
-    /// Simulated time of the last completion.
-    pub makespan: f64,
-    /// Wall time of the whole replay, milliseconds.
-    pub wall_ms: f64,
-    /// Wall time per dispatched job — the engine's open-loop overhead
-    /// constant. Must stay bounded as the arrival rate grows.
-    pub ns_per_served: f64,
-}
-
-/// Tenants every workload cell replays over.
-pub const WORKLOAD_BENCH_USERS: usize = 8;
-
-/// Devices in the workload cell's fleet.
-pub const WORKLOAD_BENCH_DEVICES: usize = 4;
-
-/// Runs one open-loop replay cell: `WORKLOAD_BENCH_USERS` tenants each
-/// arriving at Poisson rate `rate` over `[0, horizon)`, on a
-/// `WORKLOAD_BENCH_DEVICES`-device fleet, optionally with churn (mean
-/// lifetime `horizon / 4`, mean absence `horizon / 8`). The budget is set
-/// far beyond the scripted work so the replay always ends because the
-/// arrivals run dry.
-pub fn workload_replay_cell(
-    kind: SchedulerKind,
-    rate: f64,
-    churn: bool,
-    horizon: f64,
-) -> WorkloadScalingRow {
-    use easeml_exec::{ExecEngine, Fleet};
-    use easeml_gp::ArmPrior;
-    use easeml_obs::RecorderHandle;
-    use easeml_workload::{ArrivalKind, ChurnConfig, ReplayDriver, WorkloadScript};
-
-    let dataset = easeml_data::SynConfig {
-        num_users: WORKLOAD_BENCH_USERS,
-        num_models: 6,
-        ..easeml_data::SynConfig::paper(0.5, 0.5)
-    }
-    .generate(seed());
-    let priors: Vec<ArmPrior> = (0..WORKLOAD_BENCH_USERS)
-        .map(|_| ArmPrior::independent(6, 0.05))
-        .collect();
-    let cfg = SimConfig::new(1e12);
-    let churn_cfg = churn.then(|| ChurnConfig::new(horizon / 4.0, horizon / 8.0));
-    let script = WorkloadScript::synthetic(
-        WORKLOAD_BENCH_USERS,
-        ArrivalKind::Poisson { rate },
-        horizon,
-        churn_cfg.as_ref(),
-        seed(),
-    );
-    let arrivals = script.arrivals() as u64;
-    let lifecycle = script.lifecycle_events() as u64;
-    let driver = ReplayDriver::new(
-        ExecEngine::new(
-            &dataset,
-            &priors,
-            kind,
-            &cfg,
-            Fleet::uniform(WORKLOAD_BENCH_DEVICES),
-            seed(),
-            RecorderHandle::noop(),
-        ),
-        script,
-    );
-    let start = std::time::Instant::now();
-    let trace = driver.run();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let served = trace.dispatches as u64;
-    WorkloadScalingRow {
-        rate,
-        churn,
-        arrivals,
-        served,
-        lifecycle,
-        makespan: trace.makespan,
-        wall_ms,
-        ns_per_served: wall_ms * 1e6 / served.max(1) as f64,
-    }
-}
-
-/// The arrival-rate × churn sweep: for each churn setting, every rate in
-/// ascending order, all through the HYBRID scheduler. The horizon scales
-/// inversely with the rate (`jobs_per_tenant / rate`) so every cell
-/// scripts the same expected job count — GP posterior updates get more
-/// expensive with the observation count, so holding the count fixed is
-/// what isolates the open-loop machinery's per-job overhead from the
-/// scheduler's own scaling in run length. Row order matches what
-/// `scripts/bench_snapshot_diff.sh` expects: within a churn group the
-/// first row is the lowest rate and the last the highest.
-pub fn workload_scaling_sweep(rates: &[f64], jobs_per_tenant: f64) -> Vec<WorkloadScalingRow> {
-    let mut out = Vec::new();
-    for &churn in &[false, true] {
-        for &rate in rates {
-            let horizon = jobs_per_tenant / rate;
-            out.push(workload_replay_cell(
-                SchedulerKind::Hybrid,
-                rate,
-                churn,
-                horizon,
-            ));
-        }
-    }
-    out
-}
-
-/// Runs the highest-stress cell (churn on) once per headline scheduler —
-/// GREEDY, HYBRID, and the round-robin+GP-UCB baseline (the paper's B-UCB
-/// shape) — for the strategy comparison table.
-pub fn workload_kind_comparison(
-    rate: f64,
-    horizon: f64,
-) -> Vec<(&'static str, WorkloadScalingRow)> {
-    [
-        SchedulerKind::Greedy(easeml_sched::PickRule::MaxUcbGap),
-        SchedulerKind::Hybrid,
-        SchedulerKind::RoundRobin,
-    ]
-    .into_iter()
-    .map(|kind| (kind.name(), workload_replay_cell(kind, rate, true, horizon)))
-    .collect()
-}
-
-/// Renders the sweep as perf-snapshot JSON. Workload rows deliberately
-/// carry no `p50_ns` key: absolute wall time is machine-dependent, so the
-/// quantile diff pass must not see them — only the candidate-only
-/// one-sided boundedness check in `scripts/bench_snapshot_diff.sh` reads
-/// `ns_per_served` across the rate sweep.
-pub fn workload_snapshot_json(rows: &[WorkloadScalingRow]) -> String {
-    use std::fmt::Write as _;
-
-    let mut json = String::from("{\n  \"components\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"workload/replay@rate={},churn={}\", \"rate\": {}, \
-             \"churn\": {}, \"arrivals\": {}, \"served\": {}, \"lifecycle\": {}, \
-             \"makespan\": {:.4}, \"wall_ms\": {:.3}, \"ns_per_served\": {:.0}}}{}",
-            row.rate,
-            u8::from(row.churn),
-            row.rate,
-            u8::from(row.churn),
-            row.arrivals,
-            row.served,
-            row.lifecycle,
-            row.makespan,
-            row.wall_ms,
-            row.ns_per_served,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    json
-}
-
-/// Writes the sweep as `<id>.perf.json` under `target/experiments/`.
-pub fn workload_snapshot(id: &str, rows: &[WorkloadScalingRow]) -> Option<std::path::PathBuf> {
-    report::write_artifact(&format!("{id}.perf.json"), &workload_snapshot_json(rows)).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wal_sweeps_produce_verified_rows() {
-        let append = wal_append_sweep(200);
-        assert_eq!(append.count, 200);
-        assert!(append.p95_ns >= append.p50_ns);
-
-        // The sweep itself digest-verifies every recovery before
-        // returning, so a passing row is a bit-exact recovery.
-        let rows = wal_recover_sweep(16, &[4]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].replayed, 4);
-        assert!(rows[0].recover_ms > 0.0);
-
-        let json_path = wal_snapshot("test_wal_rows", &append, &rows);
-        if let Some(p) = &json_path {
-            let text = std::fs::read_to_string(p).unwrap();
-            assert!(text.contains("\"wal/append_ns\""), "{text}");
-            assert!(text.contains("\"wal/recover_ms@delta=4\""), "{text}");
-            // The recovery rows must stay invisible to the quantile diff
-            // pass, which keys on p50_ns.
-            let recover_line = text
-                .lines()
-                .find(|l| l.contains("recover_ms@delta"))
-                .unwrap();
-            assert!(!recover_line.contains("p50_ns"), "{recover_line}");
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn workload_rows_have_the_gate_shape() {
-        let row = workload_replay_cell(SchedulerKind::Hybrid, 2.0, true, 4.0);
-        assert!(row.arrivals > 0, "a rate-2 script over 4 units must arrive");
-        assert!(row.served > 0, "some arrivals must be served");
-        assert!(row.ns_per_served > 0.0);
-
-        let json = workload_snapshot_json(&[row.clone(), row]);
-        // The gate keys workload rows on their name prefix and reads
-        // ns_per_served; they must stay invisible to the p50_ns diff pass.
-        assert!(
-            json.contains("\"workload/replay@rate=2,churn=1\""),
-            "{json}"
-        );
-        assert!(json.contains("\"ns_per_served\":"), "{json}");
-        assert!(json.contains("\"lifecycle\":"), "{json}");
-        assert!(!json.contains("p50_ns"), "{json}");
-    }
 
     #[test]
     fn env_defaults() {
@@ -1082,94 +142,5 @@ mod tests {
         // the defaults are sane when unset or the parse falls back.
         assert!(reps() > 0);
         let _ = seed();
-    }
-
-    #[test]
-    fn telemetry_sweep_state_is_bounded_in_tenant_count() {
-        let rows = telemetry_scale_sweep(&[10, 1_000], 2_000);
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert_eq!(row.fold_count, 2_000);
-            assert!(row.state_bytes > 0 && row.metrics_bytes > 0);
-        }
-        // Aggregate mode: a 100x tenant-count jump must not move the
-        // recorder footprint or the /metrics body by more than a small
-        // constant factor (exemplar identity strings and top-K labels
-        // may differ slightly in length).
-        let ratio = rows[1].state_bytes as f64 / rows[0].state_bytes as f64;
-        assert!(
-            ratio < 1.5,
-            "state bytes must be ~flat across U: {} -> {} ({ratio:.2}x)",
-            rows[0].state_bytes,
-            rows[1].state_bytes
-        );
-        let body_ratio = rows[1].metrics_bytes as f64 / rows[0].metrics_bytes as f64;
-        assert!(
-            body_ratio < 1.5,
-            "/metrics body must be ~flat across U: {} -> {} ({body_ratio:.2}x)",
-            rows[0].metrics_bytes,
-            rows[1].metrics_bytes
-        );
-    }
-
-    #[test]
-    fn profile_sweep_captures_the_step_phases() {
-        // One combined test: the global profiler is process-wide state, so
-        // the sweep, row flattening, and snapshot are exercised together.
-        let runs = profile_scaling_sweep(&[5, 50], 40);
-        assert_eq!(runs.len(), 2);
-        for (users, profile) in &runs {
-            let step = profile
-                .find(&["scheduler_step"])
-                .unwrap_or_else(|| panic!("u={users}: no scheduler_step node"));
-            assert_eq!(step.count, 40, "unit costs: one step per budget unit");
-            assert_eq!(profile.dropped_exits, 0);
-            let (attributed, total) = profile
-                .phase_coverage("scheduler_step")
-                .expect("steps were profiled");
-            assert!(
-                attributed as f64 >= 0.95 * total as f64,
-                "u={users}: phase coverage {attributed}/{total}"
-            );
-        }
-        let rows = profile_rows(&runs);
-        for phase in [
-            "scheduler_step",
-            "pick_user",
-            "pick_arm",
-            "train",
-            "posterior_update",
-        ] {
-            assert!(
-                rows.iter().any(|r| r.phase == phase && r.users == 50),
-                "missing phase row {phase}"
-            );
-        }
-        let step_row = rows
-            .iter()
-            .find(|r| r.phase == "scheduler_step" && r.users == 50)
-            .unwrap();
-        assert!(step_row.p95_ns >= step_row.p50_ns);
-        assert!(step_row.self_ns_per_step > 0.0);
-
-        let path = profile_snapshot("profile_scaling_test", &rows)
-            .expect("target/experiments must be writable in tests");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"name\": \"profile/pick_user@u=50\""));
-        assert!(body.contains("\"p50_ns\""), "differ keys off p50_ns lines");
-        assert!(body.contains("\"self_ns_per_step\""));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn telemetry_snapshot_rows_feed_the_perf_differ() {
-        let rows = telemetry_scale_sweep(&[50], 400);
-        let path = telemetry_snapshot("telemetry_scale_test", &rows)
-            .expect("target/experiments must be writable in tests");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"name\": \"telemetry/fold@u=50\""));
-        assert!(body.contains("\"p50_ns\""), "differ keys off p50_ns lines");
-        assert!(body.contains("\"state_bytes\""));
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -492,7 +492,22 @@ pub fn read_checkpoint_file(path: &Path) -> Result<CheckpointDoc, CheckpointErro
     })
 }
 
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
+// JSON field accessors and checks, shared with the exec engine's
+// checkpoint codec. Each error names the field (or `what` the value is) it
+// tripped over.
+
+/// `Err` naming `field` unless `value < bound`: an index read from a
+/// checkpoint must fit what it indexes.
+pub fn in_range(value: usize, bound: usize, field: impl FnOnce() -> String) -> Result<(), String> {
+    if value < bound {
+        Ok(())
+    } else {
+        Err(format!("{} = {value} is out of range (< {bound})", field()))
+    }
+}
+
+/// The value of field `key`; `Err` when the object has none.
+pub fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
     fields
         .iter()
         .find(|(k, _)| k == key)
@@ -500,21 +515,24 @@ fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> 
         .ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+/// The fields of an object; `Err` for any other value.
+pub fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
     match value {
         Json::Object(fields) => Ok(fields),
         other => Err(format!("{what}: expected an object, got {other:?}")),
     }
 }
 
-fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
+/// The items of an array; `Err` for any other value.
+pub fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
     match value {
         Json::Array(items) => Ok(items),
         other => Err(format!("{what}: expected an array, got {other:?}")),
     }
 }
 
-fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
+/// A number; `Err` for any other value.
+pub fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
     match value {
         Json::Number(n) => Ok(*n),
         other => Err(format!("{what}: expected a number, got {other:?}")),
@@ -528,18 +546,22 @@ fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, String> {
     }
 }
 
-fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
+/// Number field `key`.
+pub fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
     as_f64(get(fields, key)?, key)
 }
 
-fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
+/// Number field `key`, where `null` stands for `-inf` (HYBRID's initial
+/// best-reward sum).
+pub fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
     match get(fields, key)? {
         Json::Null => Ok(f64::NEG_INFINITY),
         value => as_f64(value, key),
     }
 }
 
-fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
+/// Non-negative integer field `key`; `Err` when negative or fractional.
+pub fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
     let n = get_f64(fields, key)?;
     if n < 0.0 || n.fract() != 0.0 {
         return Err(format!("field {key:?}: expected a non-negative integer"));
@@ -547,25 +569,29 @@ fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
-fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
+/// Boolean field `key`.
+pub fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
     match get(fields, key)? {
         Json::Bool(b) => Ok(*b),
         other => Err(format!("field {key:?}: expected a bool, got {other:?}")),
     }
 }
 
-fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
+/// String field `key`.
+pub fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
     as_str(get(fields, key)?, key).map(str::to_string)
 }
 
-fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
+/// An array of indices.
+pub fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
     as_array(value, what)?
         .iter()
         .map(|v| as_f64(v, what).map(|n| n as usize))
         .collect()
 }
 
-fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
+/// An array of numbers.
+pub fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
     as_array(value, what)?
         .iter()
         .map(|v| as_f64(v, what))
@@ -580,7 +606,8 @@ fn parse_pair(value: &Json, what: &str) -> Result<(usize, f64), String> {
     Ok((as_f64(&items[0], what)? as usize, as_f64(&items[1], what)?))
 }
 
-fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
+/// A `[a, b, c]` triple of integers.
+pub fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
     let items = as_array(value, what)?;
     if items.len() != 3 {
         return Err(format!("{what}: expected a triple"));
@@ -592,14 +619,17 @@ fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
     ))
 }
 
-fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
+/// Fault rates in their [`FaultRates::to_array`](crate::fault::FaultRates::to_array)
+/// form.
+pub fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
     let items = parse_f64_array(value, what)?;
     items
         .try_into()
         .map_err(|_| format!("{what}: expected 4 rates"))
 }
 
-fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
+/// Per-user or per-arm rate overrides: `[key, rates]` entries.
+pub fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
     as_array(value, what)?
         .iter()
         .map(|entry| {

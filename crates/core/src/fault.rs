@@ -99,6 +99,22 @@ impl FaultRates {
         invalid: 0.0,
         straggler: 0.0,
     };
+
+    /// The rates as `[crash, timeout, invalid, straggler]`, the form the
+    /// checkpoints store.
+    pub fn to_array(self) -> [f64; 4] {
+        [self.crash, self.timeout, self.invalid, self.straggler]
+    }
+
+    /// The inverse of [`FaultRates::to_array`].
+    pub fn from_array([crash, timeout, invalid, straggler]: [f64; 4]) -> Self {
+        FaultRates {
+            crash,
+            timeout,
+            invalid,
+            straggler,
+        }
+    }
 }
 
 /// Seeded fault-injection configuration: base rates, per-user and per-arm

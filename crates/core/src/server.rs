@@ -8,7 +8,7 @@
 //! dataset's (quality, cost) matrix or any user-supplied closure.
 
 use crate::checkpoint::{
-    decode_u64, encode_u64, read_checkpoint_file, write_checkpoint_atomic, CheckpointDoc,
+    decode_u64, encode_u64, in_range, read_checkpoint_file, write_checkpoint_atomic, CheckpointDoc,
     ClusterCheckpoint, FaultCheckpoint, PickerCheckpoint, RetryPolicyCheckpoint, RunCheckpoint,
     TenantCheckpoint, UserCheckpoint, CHECKPOINT_VERSION,
 };
@@ -839,20 +839,18 @@ impl EaseMl {
         };
         let fault = self.fault.as_ref().map(|injector| {
             let config = injector.config();
-            let flatten =
-                |rates: &FaultRates| [rates.crash, rates.timeout, rates.invalid, rates.straggler];
             FaultCheckpoint {
                 seed: encode_u64(config.seed),
-                rates: flatten(&config.rates),
+                rates: config.rates.to_array(),
                 user_overrides: config
                     .user_overrides
                     .iter()
-                    .map(|(&k, r)| (k, flatten(r)))
+                    .map(|(&k, r)| (k, r.to_array()))
                     .collect(),
                 arm_overrides: config
                     .arm_overrides
                     .iter()
-                    .map(|(&k, r)| (k, flatten(r)))
+                    .map(|(&k, r)| (k, r.to_array()))
                     .collect(),
                 straggler_factor: config.straggler_factor,
                 crash_cost_fraction: config.crash_cost_fraction,
@@ -939,6 +937,7 @@ impl EaseMl {
 
     /// [`EaseMl::restore`] from an already parsed checkpoint.
     fn restore_doc(doc: &CheckpointDoc, oracle: QualityOracle) -> Result<Self, String> {
+        check_runnable(doc)?;
         let mut server = EaseMl::new(oracle, 0);
         server.noise_var = doc.noise_var;
         server.delta = doc.delta;
@@ -949,37 +948,25 @@ impl EaseMl {
                 .register_user(&user.name, &user.program)
                 .map_err(|e| format!("restoring user {:?}: {e}", user.name))?;
         }
-        if doc.tenants.len() != server.tenants.len() {
-            return Err(format!(
-                "checkpoint holds {} tenant states for {} users",
-                doc.tenants.len(),
-                server.tenants.len()
-            ));
-        }
         // Replay the observation sequences: same inputs through the same
         // numeric path rebuild bit-identical posterior state and job bests.
         for (idx, tenant_ckpt) in doc.tenants.iter().enumerate() {
             let num_arms = server.tenants[idx].policy().posterior().num_arms();
-            for &(arm, reward) in &tenant_ckpt.observations {
-                if arm >= num_arms {
-                    return Err(format!("tenant {idx}: observation arm {arm} out of range"));
-                }
+            for (j, &(arm, reward)) in tenant_ckpt.observations.iter().enumerate() {
+                in_range(arm, num_arms, || {
+                    format!("tenants[{idx}].observations[{j}].arm")
+                })?;
                 server.tenants[idx].observe(arm, reward);
                 server.jobs[idx].record_result(arm, reward);
             }
-            for &arm in &tenant_ckpt.masked {
-                if arm >= num_arms {
-                    return Err(format!("tenant {idx}: masked arm {arm} out of range"));
-                }
+            for (j, &arm) in tenant_ckpt.masked.iter().enumerate() {
+                in_range(arm, num_arms, || format!("tenants[{idx}].masked[{j}]"))?;
                 server.tenants[idx].set_arm_masked(arm, true);
             }
             server.tenants[idx].set_active(tenant_ckpt.active);
         }
         let rule = PickRule::from_name(&doc.picker.rule)
             .ok_or_else(|| format!("unknown picker rule {:?}", doc.picker.rule))?;
-        if doc.picker.patience == 0 {
-            return Err("picker patience must be positive".into());
-        }
         server.picker = Hybrid::from_state(HybridState {
             rule,
             patience: doc.picker.patience as usize,
@@ -989,9 +976,6 @@ impl EaseMl {
             switched: doc.picker.switched,
             rr_cursor: doc.picker.rr_cursor as usize,
         });
-        if doc.cluster.device_free_at.is_empty() {
-            return Err("cluster checkpoint has no devices".into());
-        }
         let history = doc
             .cluster
             .history
@@ -1040,23 +1024,17 @@ impl EaseMl {
             doc.retry_releases.clone(),
         );
         if let Some(fault) = &doc.fault {
-            let unflatten = |rates: &[f64; 4]| FaultRates {
-                crash: rates[0],
-                timeout: rates[1],
-                invalid: rates[2],
-                straggler: rates[3],
-            };
             let mut config = FaultConfig::new(decode_u64(&fault.seed)?);
-            config.rates = unflatten(&fault.rates);
+            config.rates = FaultRates::from_array(fault.rates);
             config.user_overrides = fault
                 .user_overrides
                 .iter()
-                .map(|(k, r)| (*k, unflatten(r)))
+                .map(|&(k, r)| (k, FaultRates::from_array(r)))
                 .collect();
             config.arm_overrides = fault
                 .arm_overrides
                 .iter()
-                .map(|(k, r)| (*k, unflatten(r)))
+                .map(|&(k, r)| (k, FaultRates::from_array(r)))
                 .collect();
             config.straggler_factor = fault.straggler_factor;
             config.crash_cost_fraction = fault.crash_cost_fraction;
@@ -1309,6 +1287,45 @@ impl EaseMl {
     pub fn status_json(&self) -> String {
         easeml_obs::json::to_string(&self.status_snapshot())
     }
+}
+
+/// Rejects every field value that would make [`EaseMl::restore`], or a
+/// later round of the restored server, panic: a checkpoint is outside
+/// input. Arm indices are checked while the observations replay, once the
+/// re-registered jobs have fixed each tenant's arm count.
+fn check_runnable(doc: &CheckpointDoc) -> Result<(), String> {
+    if !(doc.noise_var.is_finite() && doc.noise_var > 0.0) {
+        return Err("noise_var must be finite and positive".into());
+    }
+    if !(doc.delta > 0.0 && doc.delta < 1.0) {
+        return Err("delta must lie in (0, 1)".into());
+    }
+    let users = doc.users.len();
+    if doc.tenants.len() != users {
+        return Err(format!(
+            "tenants: checkpoint holds {} tenant states for {users} users",
+            doc.tenants.len()
+        ));
+    }
+    for (i, tenant) in doc.tenants.iter().enumerate() {
+        for (j, &(_, reward)) in tenant.observations.iter().enumerate() {
+            if !reward.is_finite() {
+                return Err(format!(
+                    "tenants[{i}].observations[{j}] reward must be finite"
+                ));
+            }
+        }
+    }
+    if doc.picker.patience == 0 {
+        return Err("picker.patience must be positive".into());
+    }
+    if doc.cluster.device_free_at.is_empty() {
+        return Err("cluster.device_free_at: a cluster needs at least one device".into());
+    }
+    for (i, &(_, user, _)) in doc.retry_releases.iter().enumerate() {
+        in_range(user, users, || format!("retry_releases[{i}].user"))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1780,6 +1797,45 @@ mod tests {
     }
 
     #[test]
+    fn recovery_reads_and_replays_only_the_delta_after_the_checkpoint() {
+        // A 600-round run checkpointed `delta` rounds before the end. The
+        // checkpoint compacts the log, so recovery reads the mark plus
+        // three records per clean round after it (start, observation,
+        // commit) and skips nothing: its work is O(delta), not O(history).
+        use easeml_wal::{read_log, WalOptions};
+        const ROUNDS: u64 = 600;
+        for delta in [32u64, 128, 512] {
+            let dir = std::env::temp_dir().join(format!(
+                "easeml-server-delta-recovery-{}-{delta}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let (ckpt_path, wal_dir) = (dir.join("ckpt.json"), dir.join("wal"));
+            let mut s = EaseMl::new(toy_oracle(), 20_180_801);
+            s.register_user("vision-lab", IMAGE_PROG).unwrap();
+            s.register_user("meteo-lab", TS_PROG).unwrap();
+            s.set_durability(Durability::open(&wal_dir, WalOptions::default()).unwrap());
+            for _ in 0..ROUNDS - delta {
+                s.try_run_round().unwrap();
+            }
+            s.checkpoint_to(&ckpt_path).unwrap();
+            for _ in 0..delta {
+                s.try_run_round().unwrap();
+            }
+            let live_digest = s.state_digest();
+            drop(s);
+
+            let records = read_log(&wal_dir).unwrap().records.len() as u64;
+            assert_eq!(records, 3 * delta + 1, "delta {delta}: records in the log");
+            let (recovered, report) = EaseMl::recover(&ckpt_path, &wal_dir, toy_oracle()).unwrap();
+            assert_eq!(recovered.state_digest(), live_digest, "delta {delta}");
+            assert_eq!(report.replayed_rounds, delta);
+            assert_eq!(report.skipped_records, 0, "delta {delta}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
     fn restore_rejects_malformed_documents() {
         assert!(EaseMl::restore("not json", toy_oracle()).is_err());
         assert!(EaseMl::restore("{\"version\":1}", toy_oracle()).is_err());
@@ -1788,5 +1844,63 @@ mod tests {
             Ok(_) => panic!("version 99 must be rejected"),
         };
         assert!(err.contains("unsupported checkpoint version"), "{err}");
+    }
+
+    #[test]
+    fn restore_names_every_field_it_cannot_run_from_without_panicking() {
+        let mut s = EaseMl::new(toy_oracle(), 14);
+        s.register_user("vision-lab", IMAGE_PROG).unwrap();
+        s.register_user("meteo-lab", TS_PROG).unwrap();
+        for _ in 0..5 {
+            s.try_run_round().unwrap();
+        }
+        let doc = CheckpointDoc::from_json(&s.checkpoint()).unwrap();
+        assert!(!doc.tenants[0].observations.is_empty());
+        // JSON has no +inf, so that reward is written as text: `1e400`
+        // parses, and overflows to +inf.
+        const REWARD_MARK: f64 = 0.123_456_789;
+        type Edit = Box<dyn Fn(&mut CheckpointDoc)>;
+        let edits: Vec<(&str, Edit, &str)> = vec![
+            ("noise_var", Box::new(|c| c.noise_var = 0.0), ""),
+            ("noise_var", Box::new(|c| c.noise_var = -1.0), ""),
+            ("delta", Box::new(|c| c.delta = 0.0), ""),
+            ("delta", Box::new(|c| c.delta = 2.0), ""),
+            (
+                "tenants[0].observations[0]",
+                Box::new(|c| c.tenants[0].observations[0].1 = REWARD_MARK),
+                "1e400",
+            ),
+            (
+                "retry_releases[0]",
+                Box::new(|c| c.retry_releases.push((5, 7, 0))),
+                "",
+            ),
+        ];
+        for (field, edit, reward_text) in edits {
+            let mut bad = doc.clone();
+            edit(&mut bad);
+            let mut json = bad.to_json();
+            if !reward_text.is_empty() {
+                json = json.replacen(&REWARD_MARK.to_string(), reward_text, 1);
+            }
+            // Some bad fields only panic in the first round after restore.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                match EaseMl::restore(&json, toy_oracle()) {
+                    Ok(mut restored) => {
+                        let _ = restored.try_run_round();
+                        None
+                    }
+                    Err(err) => Some(err),
+                }
+            }));
+            match outcome {
+                Ok(Some(err)) => assert!(err.contains(field), "{field}: {err}"),
+                Ok(None) => panic!("{field}: restore accepted the edit"),
+                Err(_) => panic!("{field}: restore or the next round panicked"),
+            }
+        }
+        let mut restored = EaseMl::restore(&doc.to_json(), toy_oracle()).unwrap();
+        assert_eq!(restored.state_digest(), s.state_digest());
+        restored.try_run_round().unwrap();
     }
 }

@@ -61,7 +61,27 @@ impl SchedulerKind {
         }
     }
 
-    fn is_heuristic(self) -> bool {
+    /// The kind [`SchedulerKind::name`] names, or `None` for an unknown
+    /// name. `"hybrid"` is [`SchedulerKind::Hybrid`], which
+    /// [`SchedulerKind::EaseMl`] aliases.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Some(match name {
+            "most-cited" => SchedulerKind::MostCited,
+            "most-recent" => SchedulerKind::MostRecent,
+            "fcfs" => SchedulerKind::Fcfs,
+            "round-robin" => SchedulerKind::RoundRobin,
+            "random" => SchedulerKind::Random,
+            "greedy(max-gap)" => SchedulerKind::Greedy(PickRule::MaxUcbGap),
+            "greedy(max-sigma)" => SchedulerKind::Greedy(PickRule::MaxSigmaTilde),
+            "greedy(random)" => SchedulerKind::Greedy(PickRule::Random),
+            "hybrid" => SchedulerKind::Hybrid,
+            _ => return None,
+        })
+    }
+
+    /// Whether this is one of §5.2's fixed-order heuristics, which run no
+    /// GP policy and record no decision witnesses.
+    pub fn is_heuristic(self) -> bool {
         matches!(self, SchedulerKind::MostCited | SchedulerKind::MostRecent)
     }
 }
@@ -670,6 +690,28 @@ mod tests {
     use easeml_data::SynConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn from_name_inverts_name() {
+        for kind in [
+            SchedulerKind::MostCited,
+            SchedulerKind::MostRecent,
+            SchedulerKind::Fcfs,
+            SchedulerKind::RoundRobin,
+            SchedulerKind::Random,
+            SchedulerKind::Greedy(PickRule::MaxUcbGap),
+            SchedulerKind::Greedy(PickRule::MaxSigmaTilde),
+            SchedulerKind::Greedy(PickRule::Random),
+            SchedulerKind::Hybrid,
+        ] {
+            assert_eq!(SchedulerKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(
+            SchedulerKind::from_name(SchedulerKind::EaseMl.name()),
+            Some(SchedulerKind::Hybrid)
+        );
+        assert_eq!(SchedulerKind::from_name("ease-ml"), None);
+    }
 
     fn small_dataset() -> Dataset {
         SynConfig {

@@ -23,7 +23,11 @@
 
 use crate::engine::{Arrival, ExecEngine, InFlight, PickerSlot};
 use crate::fleet::{DeviceSpec, Fleet};
-use easeml::checkpoint::{decode_u64, encode_u64};
+use easeml::checkpoint::{
+    as_array, as_f64, as_object, decode_u64, encode_u64, get, get_bool, get_f64,
+    get_f64_or_neg_inf, get_str, get_u64, in_range, parse_f64_array, parse_overrides, parse_rates,
+    parse_triple, parse_usize_array,
+};
 use easeml::fault::{FaultConfig, FaultRates};
 use easeml::sim::{SchedulerKind, SimConfig, SimEvent};
 use easeml::TaskState;
@@ -298,33 +302,6 @@ pub struct ExecCheckpoint {
     pub arrivals: Vec<ArrivalCheckpoint>,
 }
 
-fn rates_to_array(r: FaultRates) -> [f64; 4] {
-    [r.crash, r.timeout, r.invalid, r.straggler]
-}
-
-fn rates_from_array(a: [f64; 4]) -> FaultRates {
-    FaultRates {
-        crash: a[0],
-        timeout: a[1],
-        invalid: a[2],
-        straggler: a[3],
-    }
-}
-
-/// Maps a canonical scheduler name back to its kind.
-fn kind_from_name(name: &str) -> Result<SchedulerKind, String> {
-    Ok(match name {
-        "fcfs" => SchedulerKind::Fcfs,
-        "round-robin" => SchedulerKind::RoundRobin,
-        "random" => SchedulerKind::Random,
-        "greedy(max-gap)" => SchedulerKind::Greedy(PickRule::MaxUcbGap),
-        "greedy(max-sigma)" => SchedulerKind::Greedy(PickRule::MaxSigmaTilde),
-        "greedy(random)" => SchedulerKind::Greedy(PickRule::Random),
-        "hybrid" => SchedulerKind::Hybrid,
-        other => return Err(format!("unknown scheduler kind {other:?}")),
-    })
-}
-
 impl ExecEngine<'_> {
     /// Snapshots the full mid-flight state.
     pub fn checkpoint(&self) -> ExecCheckpoint {
@@ -386,16 +363,16 @@ impl ExecEngine<'_> {
             let c = inj.config();
             FaultStateCheckpoint {
                 seed: encode_u64(c.seed),
-                rates: rates_to_array(c.rates),
+                rates: c.rates.to_array(),
                 user_overrides: c
                     .user_overrides
                     .iter()
-                    .map(|(&u, &r)| (u, rates_to_array(r)))
+                    .map(|(&u, r)| (u, r.to_array()))
                     .collect(),
                 arm_overrides: c
                     .arm_overrides
                     .iter()
-                    .map(|(&a, &r)| (a, rates_to_array(r)))
+                    .map(|(&a, r)| (a, r.to_array()))
                     .collect(),
                 straggler_factor: c.straggler_factor,
                 crash_cost_fraction: c.crash_cost_fraction,
@@ -506,7 +483,10 @@ impl ExecEngine<'_> {
                 ck.version
             ));
         }
-        let kind = kind_from_name(&ck.kind)?;
+        // The engine runs GP-backed kinds only, not the §5.2 heuristics.
+        let kind = SchedulerKind::from_name(&ck.kind)
+            .filter(|k| !k.is_heuristic())
+            .ok_or_else(|| format!("unknown scheduler kind {:?}", ck.kind))?;
         let seed = decode_u64(&ck.seed)?;
         let n = dataset.num_users();
         if ck.best_seen.len() != n
@@ -524,16 +504,16 @@ impl ExecEngine<'_> {
             None => None,
             Some(f) => {
                 let mut config = FaultConfig::new(decode_u64(&f.seed)?);
-                config.rates = rates_from_array(f.rates);
+                config.rates = FaultRates::from_array(f.rates);
                 config.user_overrides = f
                     .user_overrides
                     .iter()
-                    .map(|&(u, r)| (u, rates_from_array(r)))
+                    .map(|&(u, r)| (u, FaultRates::from_array(r)))
                     .collect();
                 config.arm_overrides = f
                     .arm_overrides
                     .iter()
-                    .map(|&(a, r)| (a, rates_from_array(r)))
+                    .map(|&(a, r)| (a, FaultRates::from_array(r)))
                     .collect();
                 config.straggler_factor = f.straggler_factor;
                 config.crash_cost_fraction = f.crash_cost_fraction;
@@ -672,15 +652,6 @@ impl ExecEngine<'_> {
             .collect();
         engine.set_open_loop(ck.open_loop);
         Ok(engine)
-    }
-}
-
-/// `Err` naming `field` unless `value < bound`.
-fn in_range(value: usize, bound: usize, field: impl FnOnce() -> String) -> Result<(), String> {
-    if value < bound {
-        Ok(())
-    } else {
-        Err(format!("{} = {value} is out of range (< {bound})", field()))
     }
 }
 
@@ -941,80 +912,11 @@ fn parse_sketch(value: &Json, what: &str) -> Result<SketchCheckpoint, String> {
     })
 }
 
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match value {
-        Json::Object(fields) => Ok(fields),
-        other => Err(format!("{what}: expected an object, got {other:?}")),
-    }
-}
-
-fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    match value {
-        Json::Array(items) => Ok(items),
-        other => Err(format!("{what}: expected an array, got {other:?}")),
-    }
-}
-
-fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
-    match value {
-        Json::Number(n) => Ok(*n),
-        other => Err(format!("{what}: expected a number, got {other:?}")),
-    }
-}
-
-fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    as_f64(get(fields, key)?, key)
-}
-
 fn get_f64_or_nan(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
     match get(fields, key)? {
         Json::Null => Ok(f64::NAN),
         value => as_f64(value, key),
     }
-}
-
-fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(fields, key)? {
-        Json::Null => Ok(f64::NEG_INFINITY),
-        value => as_f64(value, key),
-    }
-}
-
-fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    let n = get_f64(fields, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("field {key:?}: expected a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match get(fields, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("field {key:?}: expected a bool, got {other:?}")),
-    }
-}
-
-fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
-    match get(fields, key)? {
-        Json::String(s) => Ok(s.clone()),
-        other => Err(format!("field {key:?}: expected a string, got {other:?}")),
-    }
-}
-
-fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what).map(|n| n as usize))
-        .collect()
 }
 
 fn parse_bool_array(value: &Json, what: &str) -> Result<Vec<bool>, String> {
@@ -1040,55 +942,12 @@ fn parse_u64_array(value: &Json, what: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what))
-        .collect()
-}
-
 fn parse_f64_pair(value: &Json, what: &str) -> Result<(f64, f64), String> {
     let items = as_array(value, what)?;
     if items.len() != 2 {
         return Err(format!("{what}: expected a pair"));
     }
     Ok((as_f64(&items[0], what)?, as_f64(&items[1], what)?))
-}
-
-fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 3 {
-        return Err(format!("{what}: expected a triple"));
-    }
-    Ok((
-        as_f64(&items[0], what)? as u64,
-        as_f64(&items[1], what)? as u64,
-        as_f64(&items[2], what)? as u64,
-    ))
-}
-
-fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
-    let items = parse_f64_array(value, what)?;
-    if items.len() != 4 {
-        return Err(format!("{what}: expected 4 rates"));
-    }
-    Ok([items[0], items[1], items[2], items[3]])
-}
-
-fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|entry| {
-            let items = as_array(entry, what)?;
-            if items.len() != 2 {
-                return Err(format!("{what}: expected (key, rates) pairs"));
-            }
-            Ok((
-                as_f64(&items[0], what)? as usize,
-                parse_rates(&items[1], what)?,
-            ))
-        })
-        .collect()
 }
 
 #[cfg(test)]

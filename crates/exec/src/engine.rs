@@ -945,18 +945,48 @@ mod tests {
         let priors = flat_priors(&d);
         let cfg = SimConfig::new(8.0);
         let t1 = simulate_multi_device(&d, &priors, SchedulerKind::RoundRobin, &cfg, 1, 7);
+        let t2 = simulate_multi_device(&d, &priors, SchedulerKind::RoundRobin, &cfg, 2, 7);
         let t4 = simulate_multi_device(&d, &priors, SchedulerKind::RoundRobin, &cfg, 4, 7);
         assert_eq!(t1.parallel_dispatches, 0, "one device cannot overlap");
         assert!(t4.parallel_dispatches > 0, "four devices must overlap");
         assert!(
-            t4.makespan < t1.makespan,
-            "4 devices: {} vs 1 device: {}",
-            t4.makespan,
-            t1.makespan
+            t4.makespan < t2.makespan && t2.makespan < t1.makespan,
+            "makespan must strictly shrink: D=1 {}, D=2 {}, D=4 {}",
+            t1.makespan,
+            t2.makespan,
+            t4.makespan
         );
-        // Both commit (at least) the budget, within one run's overshoot.
-        assert!(t1.total_charged >= cfg.budget);
-        assert!(t4.total_charged >= cfg.budget);
+        // All commit (at least) the budget, within one run's overshoot.
+        for t in [&t1, &t2, &t4] {
+            assert!(t.total_charged >= cfg.budget);
+        }
+
+        // HYBRID on SYN 10x20 with unit costs and a 100-run budget: every
+        // device stays busy, so the makespan is exactly budget / D.
+        let seed = 20_180_801;
+        let d = SynConfig {
+            num_users: 10,
+            num_models: 20,
+            ..SynConfig::paper(0.5, 1.0)
+        }
+        .generate(seed)
+        .unit_cost_view();
+        let priors = flat_priors(&d);
+        let cfg = SimConfig {
+            budget: 100.0,
+            cost_aware: false,
+            noise_var: 1e-3,
+            delta: 0.1,
+            fault: None,
+        };
+        let makespans: Vec<f64> = [1, 2, 4]
+            .iter()
+            .map(|&devices| {
+                simulate_multi_device(&d, &priors, SchedulerKind::Hybrid, &cfg, devices, seed)
+                    .makespan
+            })
+            .collect();
+        assert_eq!(makespans, [100.0, 50.0, 25.0]);
     }
 
     #[test]

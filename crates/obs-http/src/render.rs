@@ -910,6 +910,54 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_mode_metrics_body_is_independent_of_tenant_count() {
+        // The same 2,000-event stream shape over 10 and 1,000 tenants: runs
+        // with seeded users, costs and qualities, and every 16th event a
+        // decision cycling three rule labels, so the per-strategy sketches,
+        // top-K offenders and exemplar reservoir all engage. Bounded
+        // families keep the body flat within label-length jitter.
+        use easeml_obs::ScaleConfig;
+        const RULES: [&str; 3] = ["hybrid", "greedy(max-gap)", "round-robin"];
+        let body_bytes = |users: u64| {
+            let ts = TimeSeriesRecorder::aggregate(ScaleConfig::default());
+            ts.set_default_target(0.95);
+            let mut state = users;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            for i in 0..2_000usize {
+                let user = (next() % users) as usize;
+                ts.fold(&if i % 16 == 0 {
+                    Event::SchedulerDecision {
+                        round: i as u64,
+                        user,
+                        rule: RULES[(i / 16) % RULES.len()].into(),
+                        scores: vec![],
+                        parent: 0,
+                    }
+                } else {
+                    Event::TrainingCompleted {
+                        user,
+                        model: i % 20,
+                        cost: 0.5 + (next() % 1_000) as f64 / 1_000.0,
+                        quality: (next() % 1_000) as f64 / 1_000.0,
+                        parent: 0,
+                    }
+                });
+            }
+            render_metrics(&InMemoryRecorder::new(), Some(&ts.snapshot())).len()
+        };
+        let (small, large) = (body_bytes(10), body_bytes(1_000));
+        assert!(
+            large as f64 <= 1.5 * small as f64,
+            "/metrics body grew with U: {small} -> {large} bytes"
+        );
+    }
+
+    #[test]
     fn per_user_families_are_suppressed_past_the_cap() {
         let ts = TimeSeriesRecorder::new();
         for user in 0..5 {

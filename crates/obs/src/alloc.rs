@@ -17,9 +17,8 @@
 //! and [`thread_alloc_stats`] reads them back. The profiler
 //! (`crate::profile`) snapshots the counters when a span opens and closes,
 //! so each call-tree node can report the allocations attributed to its
-//! self-time. Binaries that do *not* install the wrapper (the
-//! `obs_overhead` noop-path benchmark, notably) pay nothing and simply
-//! read zeros.
+//! self-time. Binaries that do *not* install the wrapper (perfbench's
+//! untraced run, notably) pay nothing and simply read zeros.
 //!
 //! Caveats, by construction:
 //!

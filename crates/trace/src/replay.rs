@@ -26,7 +26,6 @@ use easeml_obs::json::Json;
 use easeml_obs::{
     schema_header_line, witness_records, Event, InMemoryRecorder, RecorderHandle, WitnessRecord,
 };
-use easeml_sched::PickRule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -197,19 +196,16 @@ impl ReplayScenario {
     /// Rejects unknown names and the §5.2 heuristics (`most-cited`,
     /// `most-recent`), which emit no decision witnesses to diff.
     pub fn scheduler_kind(&self) -> Result<SchedulerKind, String> {
-        match self.kind.as_str() {
-            "fcfs" => Ok(SchedulerKind::Fcfs),
-            "round-robin" => Ok(SchedulerKind::RoundRobin),
-            "random" => Ok(SchedulerKind::Random),
-            "greedy(max-gap)" => Ok(SchedulerKind::Greedy(PickRule::MaxUcbGap)),
-            "greedy(max-sigma)" => Ok(SchedulerKind::Greedy(PickRule::MaxSigmaTilde)),
-            "greedy(random)" => Ok(SchedulerKind::Greedy(PickRule::Random)),
-            "hybrid" | "ease-ml" => Ok(SchedulerKind::Hybrid),
-            "most-cited" | "most-recent" => Err(format!(
+        if self.kind == "ease-ml" {
+            return Ok(SchedulerKind::Hybrid);
+        }
+        match SchedulerKind::from_name(&self.kind) {
+            Some(kind) if kind.is_heuristic() => Err(format!(
                 "kind {:?} is a §5.2 heuristic; it records no decision witnesses to diff",
                 self.kind
             )),
-            other => Err(format!("unknown scheduler kind {other:?}")),
+            Some(kind) => Ok(kind),
+            None => Err(format!("unknown scheduler kind {:?}", self.kind)),
         }
     }
 }

@@ -7,7 +7,10 @@
 //!    round-tripped through its serialized form — resumes bit-exactly
 //!    under churn;
 //! 3. a retired tenant is never dispatched again until it rejoins;
-//! 4. a cluster-trace CSV replays end-to-end into served jobs.
+//! 4. a cluster-trace CSV replays end-to-end into served jobs;
+//! 5. (ignored, a wall-clock bound) the engine's cost per served job stays
+//!    bounded as the arrival rate grows. Run it optimised:
+//!    `cargo test --release -p easeml-workload --test replay -- --ignored`.
 
 use easeml::sim::{SchedulerKind, SimConfig};
 use easeml_data::{Dataset, SynConfig};
@@ -19,6 +22,7 @@ use easeml_workload::{
     TraceReader, WorkloadEvent, WorkloadScript,
 };
 use std::sync::Arc;
+use std::time::Instant;
 
 fn dataset(users: usize, models: usize, seed: u64) -> Dataset {
     SynConfig {
@@ -249,4 +253,75 @@ vm_id,vm_type_id,start_time,end_time
         .filter(|e| matches!(e, Event::TenantRetired { .. }))
         .count();
     assert_eq!(retirements, 2);
+}
+
+#[test]
+#[ignore = "wall-clock bound; run with --release -- --ignored"]
+fn per_job_engine_cost_is_bounded_across_arrival_rates() {
+    // An open-loop engine that slowed down as load rises would be useless
+    // as a simulator of overload, and churn only removes work. No engine
+    // count sees the extra hallucination work a higher load brings, so
+    // this bound is on wall time per served job, with the same factor of
+    // 2 across a 4x rate sweep. A cell replays in milliseconds, so each
+    // is timed as the best of REPS replays: one preempted replay on a
+    // shared machine must not read as a slower engine.
+    const SEED: u64 = 20_180_801;
+    const REPS: usize = 5;
+    const USERS: usize = 8;
+    // Every cell scripts the same expected job count: the horizon is
+    // JOBS_PER_TENANT / rate, so a higher rate packs the same work into
+    // less simulated time. GP updates grow with the observation count, and
+    // holding it fixed isolates the open-loop machinery's per-job cost.
+    const JOBS_PER_TENANT: f64 = 60.0;
+    let d = dataset(USERS, 6, SEED);
+    let p = priors(&d);
+    let cfg = SimConfig::new(1e12);
+    for churn in [false, true] {
+        let cells: Vec<(f64, f64)> = [1.0, 2.0, 4.0]
+            .into_iter()
+            .map(|rate| {
+                let horizon = JOBS_PER_TENANT / rate;
+                let churn_cfg = churn.then(|| ChurnConfig::new(horizon / 4.0, horizon / 8.0));
+                let script = WorkloadScript::synthetic(
+                    USERS,
+                    ArrivalKind::Poisson { rate },
+                    horizon,
+                    churn_cfg.as_ref(),
+                    SEED,
+                );
+                let best = (0..REPS)
+                    .map(|_| {
+                        let driver = ReplayDriver::new(
+                            ExecEngine::new(
+                                &d,
+                                &p,
+                                SchedulerKind::Hybrid,
+                                &cfg,
+                                Fleet::uniform(4),
+                                SEED,
+                                RecorderHandle::noop(),
+                            ),
+                            script.clone(),
+                        );
+                        let start = Instant::now();
+                        let trace = driver.run();
+                        let ns = start.elapsed().as_nanos() as f64;
+                        assert!(
+                            trace.dispatches > 0,
+                            "rate {rate}, churn {churn}: nothing served"
+                        );
+                        ns / trace.dispatches as f64
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                (rate, best)
+            })
+            .collect();
+        let ((low, low_ns), (high, high_ns)) = (cells[0], cells[cells.len() - 1]);
+        assert!(
+            high_ns <= 2.0 * low_ns,
+            "per-job cost grows with the arrival rate (churn {churn}): \
+             {high_ns:.0} ns/served at rate {high} vs {low_ns:.0} ns/served at rate {low}; \
+             cells {cells:?}"
+        );
+    }
 }

@@ -20,6 +20,12 @@ echo "==> WAL tests, optimised (CRC kernel, group commit, every-byte crash sweep
 cargo test --release -q -p easeml-wal
 cargo test --release -q --test wal_crash_sweep
 
+echo "==> wall-clock scaling gates, optimised (ignored by the default test run)"
+# The scaling windows with no work-count equivalent: the pick_user and
+# posterior_update exponents over 1k-100k tenants, and the open-loop
+# engine's cost per served job across arrival rates.
+cargo test --release -q -p easeml-core -p easeml-workload -- --ignored
+
 echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
