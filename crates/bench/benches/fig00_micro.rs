@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the hot paths: GP posterior updates,
-//! incremental Cholesky, one scheduler round, DSL parsing, and the
+//! Cholesky factorization, one scheduler round, DSL parsing, and the
 //! Appendix-B generator.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -21,25 +21,6 @@ fn bench_cholesky(c: &mut Criterion) {
     c.bench_function("cholesky/factor_64", |b| {
         b.iter(|| Cholesky::factor(black_box(&gram)).unwrap())
     });
-
-    let full = Cholesky::factor(&gram).unwrap();
-    c.bench_function("cholesky/extend_63_to_64", |b| {
-        let small = {
-            let sub = gram.submatrix(&(0..n - 1).collect::<Vec<_>>());
-            Cholesky::factor(&sub).unwrap()
-        };
-        let col: Vec<f64> = (0..n - 1).map(|i| gram[(n - 1, i)]).collect();
-        let d = gram[(n - 1, n - 1)];
-        b.iter_batched(
-            || small.clone(),
-            |mut chol| {
-                chol.extend(black_box(&col), black_box(d)).unwrap();
-                chol
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    black_box(full);
 }
 
 fn bench_gp_posterior(c: &mut Criterion) {

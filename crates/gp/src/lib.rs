@@ -11,10 +11,9 @@
 //! `easeml-bandit` turn into upper confidence bounds.
 //!
 //! The posterior is maintained *incrementally*: each new observation extends
-//! a Cholesky factor `L` in O(t²) rather than refactorizing in O(t³)
-//! (see [`easeml_linalg::Cholesky::extend`]), and appends one row to the
-//! cached t×K rows of `L⁻¹Σ_t(·)`, so refreshing all K posterior means and
-//! variances costs O(K·t). The rows are never larger than the t×t factor
+//! a packed Cholesky factor `L` in O(t) rather than refactorizing in O(t³),
+//! and appends one row to the cached t×K rows of `L⁻¹Σ_t(·)`, so refreshing
+//! all K posterior variances costs O(K·t). The rows are never larger than the t×t factor
 //! once t ≥ K. An [`ArmPrior`] shares its covariance between clones, so the
 //! posteriors of many tenants, and GP-BUCB's hallucinated copies, hold one
 //! K×K matrix between them.

@@ -48,7 +48,11 @@ pub struct GpPosterior {
     noise_var: f64,
     obs_arms: Vec<usize>,
     obs_y: Vec<f64>,
-    chol: Cholesky,
+    /// The Cholesky factor `L` of `Σ_t + σ²I`, packed and append-only: row
+    /// `i` holds its `i + 1` entries at offset `i(i+1)/2`.
+    l: Vec<f64>,
+    /// `z = L⁻¹(y − μ₀)`, one entry per observation.
+    z: Vec<f64>,
     alpha: Vec<f64>,
     /// Rows of `L⁻¹Σ_t(·)`, t×K row-major: entry `(i, k)` is step `i` of
     /// the forward solve `L h = Σ_t(k)`.
@@ -64,6 +68,12 @@ pub struct GpPosterior {
 /// as a per-arm dot product would.
 fn sum_start() -> f64 {
     std::iter::empty::<f64>().sum()
+}
+
+/// Offset of row `i` in a packed lower-triangular factor.
+#[inline]
+fn row_offset(i: usize) -> usize {
+    i * (i + 1) / 2
 }
 
 impl GpPosterior {
@@ -82,7 +92,8 @@ impl GpPosterior {
             noise_var,
             obs_arms: Vec::new(),
             obs_y: Vec::new(),
-            chol: Cholesky::empty(),
+            l: Vec::new(),
+            z: Vec::new(),
             alpha: Vec::new(),
             half_rows: Vec::new(),
             reduction: vec![sum_start(); means.len()],
@@ -153,13 +164,27 @@ impl GpPosterior {
         &self.vars
     }
 
-    /// Cheap condition-number estimate of the `Σ_t + σ²I` Cholesky factor
-    /// (see [`Cholesky::condition_estimate`]); 1 before any observation.
-    /// Exposed so telemetry can watch the posterior's numerical health as
-    /// the observation history grows.
-    #[inline]
+    /// Cheap condition-number estimate of the `Σ_t + σ²I` Cholesky factor,
+    /// `(max Lᵢᵢ / min Lᵢᵢ)²` as [`Cholesky::condition_estimate`] computes
+    /// it; 1 before any observation. Exposed so telemetry can watch the
+    /// posterior's numerical health as the observation history grows.
     pub fn condition_estimate(&self) -> f64 {
-        self.chol.condition_estimate()
+        let t = self.obs_arms.len();
+        if t == 0 {
+            return 1.0;
+        }
+        let mut min = f64::INFINITY;
+        let mut max = 0.0f64;
+        for i in 0..t {
+            let d = self.l[row_offset(i) + i];
+            min = min.min(d);
+            max = max.max(d);
+        }
+        if min <= 0.0 {
+            return f64::INFINITY;
+        }
+        let ratio = max / min;
+        ratio * ratio
     }
 
     /// Best reward observed so far and the arm that produced it, or `None`
@@ -178,18 +203,12 @@ impl GpPosterior {
         assert!(arm < self.num_arms(), "arm index {arm} out of range");
         assert!(reward.is_finite(), "reward must be finite");
 
-        // Cross-covariances between the new arm and the history.
-        let cross: Vec<f64> = self
-            .obs_arms
-            .iter()
-            .map(|&a| self.prior.cov()[(a, arm)])
-            .collect();
-        let diag = self.prior.cov()[(arm, arm)] + self.noise_var;
-
-        let extended = self.chol.extend(&cross, diag).is_ok();
+        let t = self.obs_arms.len();
+        let extended = self.extend_factor(arm);
         self.obs_arms.push(arm);
         self.obs_y.push(reward);
         if extended {
+            self.push_z(t);
             self.recompute_alpha();
         } else {
             // Numerically degenerate extension (e.g. nearly-duplicate rows
@@ -199,16 +218,22 @@ impl GpPosterior {
         self.refresh();
     }
 
-    /// Discards all observations, returning to the prior.
+    /// Discards all observations, returning to the prior. Every buffer
+    /// keeps its capacity, so replaying a history no longer than the
+    /// longest one seen allocates nothing.
     pub fn reset(&mut self) {
         self.obs_arms.clear();
         self.obs_y.clear();
-        self.chol = Cholesky::empty();
+        self.l.clear();
+        self.z.clear();
         self.alpha.clear();
         self.half_rows.clear();
         self.reduction.fill(sum_start());
-        self.means = self.prior.mean().to_vec();
-        self.vars = self.prior.cov().diag();
+        self.means.copy_from_slice(self.prior.mean());
+        let cov = self.prior.cov();
+        for (k, var) in self.vars.iter_mut().enumerate() {
+            *var = cov[(k, k)];
+        }
     }
 
     /// Posterior covariance between two arms,
@@ -249,6 +274,39 @@ impl GpPosterior {
         m
     }
 
+    /// Appends the factor row of a new observation of `arm`, or returns
+    /// `false` and leaves the factor alone when the extended Gram is not
+    /// numerically positive definite.
+    ///
+    /// The row is `L⁻¹Σ_t(arm)`, which is column `arm` of the cached rows,
+    /// computed in `solve_lower`'s operation order, and the pivot is
+    /// `Σ(arm,arm) + σ² − ‖L⁻¹Σ_t(arm)‖²` with the squared norm read from
+    /// the running reductions. So extension is an O(t) gather plus one
+    /// square root, and the row rounds exactly as a fresh forward solve
+    /// would.
+    fn extend_factor(&mut self, arm: usize) -> bool {
+        let _timing = easeml_obs::global_timer(easeml_obs::Component::CholeskyExtend);
+        let pivot = self.prior.cov()[(arm, arm)] + self.noise_var - self.reduction[arm];
+        if pivot <= 0.0 || !pivot.is_finite() {
+            return false;
+        }
+        let k_arms = self.num_arms();
+        self.l
+            .extend(self.half_rows.chunks_exact(k_arms).map(|row| row[arm]));
+        self.l.push(pivot.sqrt());
+        true
+    }
+
+    /// Appends `z_i`, step `i` of `solve_lower` on `L z = y − μ₀`.
+    fn push_z(&mut self, i: usize) {
+        let l_row = &self.l[row_offset(i)..][..=i];
+        let mut s = self.obs_y[i] - self.prior.mean()[self.obs_arms[i]];
+        for (&l_ij, &z_j) in l_row[..i].iter().zip(&self.z) {
+            s -= l_ij * z_j;
+        }
+        self.z.push(s / l_row[i]);
+    }
+
     /// Rebuilds the Cholesky factor from scratch with jitter escalation.
     fn refactor(&mut self) {
         let t = self.obs_arms.len();
@@ -258,24 +316,32 @@ impl GpPosterior {
         gram.add_diag_mut(self.noise_var);
         let (chol, _) = Cholesky::factor_with_jitter(&gram, 1e-10, 12)
             .expect("noisy Gram matrix must be factorable");
-        self.chol = chol;
+        self.l.clear();
+        for i in 0..t {
+            self.l.extend_from_slice(&chol.l().row(i)[..=i]);
+        }
+        self.z.clear();
+        for i in 0..t {
+            self.push_z(i);
+        }
         self.recompute_alpha();
         // A new factor invalidates every cached row; `refresh` rebuilds them.
         self.half_rows.clear();
         self.reduction.fill(sum_start());
     }
 
+    /// `α = L⁻ᵀz`, in `solve_lower_transpose`'s operation order.
     fn recompute_alpha(&mut self) {
-        let centered: Vec<f64> = self
-            .obs_arms
-            .iter()
-            .zip(&self.obs_y)
-            .map(|(&a, &y)| y - self.prior.mean()[a])
-            .collect();
-        self.alpha = self
-            .chol
-            .solve(&centered)
-            .expect("solve dimension matches history length");
+        let t = self.z.len();
+        self.alpha.clear();
+        self.alpha.extend_from_slice(&self.z);
+        for i in (0..t).rev() {
+            let mut s = self.alpha[i];
+            for j in (i + 1)..t {
+                s -= self.l[row_offset(j) + i] * self.alpha[j];
+            }
+            self.alpha[i] = s / self.l[row_offset(i) + i];
+        }
     }
 
     /// Appends the rows of `L⁻¹Σ_t(·)` the factor has gained, then
@@ -306,7 +372,7 @@ impl GpPosterior {
     /// order, and adds its squares to the running reductions.
     fn push_half_row(&mut self, i: usize) {
         let k_arms = self.num_arms();
-        let l_row = &self.chol.l().row(i)[..=i];
+        let l_row = &self.l[row_offset(i)..][..=i];
         self.half_rows
             .extend_from_slice(self.prior.cov().row(self.obs_arms[i]));
         let (done, row) = self.half_rows.split_at_mut(i * k_arms);
@@ -333,6 +399,32 @@ mod tests {
         ArmPrior::from_gram(Matrix::from_rows(&[&[1.0, rho], &[rho, 1.0]]))
     }
 
+    /// The packed factor `L` as a dense lower-triangular matrix.
+    fn factor(gp: &GpPosterior) -> Matrix {
+        let t = gp.obs_arms.len();
+        Matrix::from_fn(
+            t,
+            t,
+            |i, j| {
+                if j <= i {
+                    gp.l[row_offset(i) + j]
+                } else {
+                    0.0
+                }
+            },
+        )
+    }
+
+    /// `L⁻¹Σ_t(k)` by a fresh forward solve.
+    fn half_solve(gp: &GpPosterior, l: &Matrix, k: usize) -> Vec<f64> {
+        let cross: Vec<f64> = gp
+            .obs_arms
+            .iter()
+            .map(|&a| gp.prior.cov()[(a, k)])
+            .collect();
+        easeml_linalg::solve_lower(l, &cross).unwrap()
+    }
+
     /// The refresh the cached rows replaced, kept as their bit-exact
     /// reference: for every arm, gather `Σ_t(k)`, forward-solve
     /// `L h = Σ_t(k)` from scratch and take `‖h‖²`, O(K·t²) per refresh.
@@ -340,15 +432,17 @@ mod tests {
         if gp.obs_arms.is_empty() {
             return (gp.prior.mean().to_vec(), gp.prior.cov().diag());
         }
+        let l = factor(gp);
         let k_arms = gp.num_arms();
         let (mut means, mut vars) = (vec![0.0; k_arms], vec![0.0; k_arms]);
-        let mut cross = vec![0.0; gp.obs_arms.len()];
         for k in 0..k_arms {
-            for (slot, &a) in cross.iter_mut().zip(&gp.obs_arms) {
-                *slot = gp.prior.cov()[(a, k)];
-            }
+            let cross: Vec<f64> = gp
+                .obs_arms
+                .iter()
+                .map(|&a| gp.prior.cov()[(a, k)])
+                .collect();
             means[k] = gp.prior.mean()[k] + vec_ops::dot(&cross, &gp.alpha);
-            let half = gp.chol.half_solve(&cross).unwrap();
+            let half = half_solve(gp, &l, k);
             vars[k] = (gp.prior.cov()[(k, k)] - vec_ops::dot(&half, &half)).max(0.0);
         }
         (means, vars)
@@ -359,15 +453,8 @@ mod tests {
         if gp.obs_arms.is_empty() {
             return gp.prior.cov()[(k1, k2)];
         }
-        let half = |k: usize| {
-            let cross: Vec<f64> = gp
-                .obs_arms
-                .iter()
-                .map(|&a| gp.prior.cov()[(a, k)])
-                .collect();
-            gp.chol.half_solve(&cross).unwrap()
-        };
-        gp.prior.cov()[(k1, k2)] - vec_ops::dot(&half(k1), &half(k2))
+        let l = factor(gp);
+        gp.prior.cov()[(k1, k2)] - vec_ops::dot(&half_solve(gp, &l, k1), &half_solve(gp, &l, k2))
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
@@ -391,13 +478,17 @@ mod tests {
         }
     }
 
-    /// Whether plain `Cholesky::extend` fails somewhere along `plays`, so
-    /// that a posterior observing them takes the refactorization fallback.
+    /// Whether the factor extension's pivot test, `Σ(a,a) + σ² − ‖L⁻¹Σ_t(a)‖²`
+    /// non-positive or non-finite, fails somewhere along `plays`, so that a
+    /// posterior observing them takes the refactorization fallback.
     fn extend_fails(prior: &ArmPrior, noise: f64, plays: &[usize]) -> bool {
-        let mut chol = Cholesky::empty();
-        plays.iter().enumerate().any(|(t, &a)| {
-            let cross: Vec<f64> = plays[..t].iter().map(|&b| prior.cov()[(b, a)]).collect();
-            chol.extend(&cross, prior.cov()[(a, a)] + noise).is_err()
+        let mut gp = GpPosterior::new(prior.clone(), noise);
+        plays.iter().any(|&a| {
+            let l = factor(&gp);
+            let half = half_solve(&gp, &l, a);
+            let pivot = prior.cov()[(a, a)] + noise - vec_ops::dot(&half, &half);
+            gp.observe(a, 0.0);
+            pivot <= 0.0 || !pivot.is_finite()
         })
     }
 
@@ -419,7 +510,7 @@ mod tests {
     }
 
     /// Noise levels from well-posed down to below the prior's rounding
-    /// error, where repeated arms make `Cholesky::extend` fail.
+    /// error, where repeated arms make the factor extension fail.
     fn noise() -> impl Strategy<Value = f64> {
         prop::sample::select(vec![0.1, 1e-3, 1e-6, 1e-10, 1e-14, 1e-17])
     }

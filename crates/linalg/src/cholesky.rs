@@ -1,19 +1,13 @@
-//! Cholesky factorization of symmetric positive-definite matrices, with the
-//! incremental operations the GP posterior needs.
+//! Cholesky factorization of symmetric positive-definite matrices, with
+//! rank-1 updates.
 
 use crate::triangular::{solve_lower, solve_lower_transpose};
 use crate::{LinalgError, Matrix, Result};
 
 /// Lower-triangular Cholesky factor `L` of an SPD matrix `A = L Lᵀ`.
 ///
-/// Beyond the usual solve/log-det operations, this factor supports the two
-/// incremental updates that make the GP-UCB inner loop cheap:
-///
-/// * [`Cholesky::extend`] grows the factored matrix by one row and column in
-///   O(n²) — used every time the bandit observes a new reward, instead of
-///   refactorizing the (t+1)×(t+1) Gram matrix from scratch in O(t³);
-/// * [`Cholesky::rank1_update`] / [`Cholesky::rank1_downdate`] apply
-///   `A ± v vᵀ` in O(n²).
+/// Beyond the usual solve/log-det operations, [`Cholesky::rank1_update`] /
+/// [`Cholesky::rank1_downdate`] apply `A ± v vᵀ` in O(n²).
 ///
 /// # Examples
 ///
@@ -131,8 +125,7 @@ impl Cholesky {
         Err(last_err)
     }
 
-    /// Creates an empty 0×0 factor; useful as the starting point for a purely
-    /// incremental build via [`Cholesky::extend`].
+    /// Creates an empty 0×0 factor.
     pub fn empty() -> Self {
         Cholesky {
             l: Matrix::zeros(0, 0),
@@ -219,47 +212,6 @@ impl Cholesky {
             let k = i.min(j) + 1;
             (0..k).map(|t| self.l[(i, t)] * self.l[(j, t)]).sum()
         })
-    }
-
-    /// Extends the factor of an n×n matrix `A` to the factor of the
-    /// (n+1)×(n+1) matrix
-    ///
-    /// ```text
-    /// [ A   c ]
-    /// [ cᵀ  d ]
-    /// ```
-    ///
-    /// in O(n²): the new off-diagonal row solves `L r = c` and the new
-    /// diagonal entry is `sqrt(d − ‖r‖²)`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `c.len() != dim()`, and
-    /// [`LinalgError::NotPositiveDefinite`] when the extended matrix is not
-    /// positive definite (`d ≤ ‖r‖²`).
-    pub fn extend(&mut self, c: &[f64], d: f64) -> Result<()> {
-        let _timing = easeml_obs::global_timer(easeml_obs::Component::CholeskyExtend);
-        let n = self.dim();
-        if c.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (n, 1),
-                found: (c.len(), 1),
-            });
-        }
-        let r = solve_lower(&self.l, c)?;
-        let s = d - crate::vec_ops::dot(&r, &r);
-        if s <= 0.0 || !s.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite { pivot: n, value: s });
-        }
-        let mut l = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            let (src, dst) = (self.l.row(i), l.row_mut(i));
-            dst[..=i].copy_from_slice(&src[..=i]);
-        }
-        l.row_mut(n)[..n].copy_from_slice(&r);
-        l[(n, n)] = s.sqrt();
-        self.l = l;
-        Ok(())
     }
 
     /// Applies the rank-1 update `A ← A + v vᵀ` directly on the factor in
@@ -527,33 +479,6 @@ mod tests {
         assert!(matches!(
             Cholesky::factor_with_jitter(&rect, 1e-10, 3),
             Err(LinalgError::NotSquare { .. })
-        ));
-    }
-
-    #[test]
-    fn extend_matches_full_factorization() {
-        let a = spd(8, 3);
-        // Build incrementally from the empty factor.
-        let mut inc = Cholesky::empty();
-        for k in 0..8 {
-            let c: Vec<f64> = (0..k).map(|i| a[(k, i)]).collect();
-            inc.extend(&c, a[(k, k)]).unwrap();
-        }
-        let full = Cholesky::factor(&a).unwrap();
-        assert!(inc.l().approx_eq(full.l(), 1e-9));
-    }
-
-    #[test]
-    fn extend_rejects_indefinite_growth() {
-        let mut c = Cholesky::factor(&Matrix::from_rows(&[&[1.0]])).unwrap();
-        // New diagonal too small: [1 1; 1 0.5] has det < 0.
-        assert!(matches!(
-            c.extend(&[1.0], 0.5),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
-        assert!(matches!(
-            c.extend(&[1.0, 2.0], 5.0),
-            Err(LinalgError::ShapeMismatch { .. })
         ));
     }
 

@@ -6,10 +6,10 @@
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual arithmetic,
 //!   products, and structural helpers;
-//! * [`Cholesky`] — an SPD factorization supporting solves, log-determinants,
-//!   **incremental extension** by one row/column (the GP posterior grows by
-//!   one observation per bandit step, so refactorizing from scratch would turn
-//!   an O(t²) update into O(t³)), and rank-1 updates;
+//! * [`Cholesky`] — an SPD factorization supporting solves, log-determinants
+//!   and rank-1 updates. The GP posterior factors its Gram with it only when
+//!   it must start over; each new observation appends one row to a packed
+//!   copy of the factor that the posterior keeps itself;
 //! * triangular solves ([`solve_lower`], [`solve_upper`], and transposed
 //!   variants) used by both the factorization and the marginal likelihood;
 //! * a symmetric [`eigen`] decomposition (cyclic Jacobi) used to repair

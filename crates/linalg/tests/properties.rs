@@ -47,20 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_extension_matches_batch(
-        a in (3usize..9).prop_flat_map(spd_matrix)
-    ) {
-        let n = a.rows();
-        let full = Cholesky::factor(&a).unwrap();
-        let mut inc = Cholesky::empty();
-        for k in 0..n {
-            let col: Vec<f64> = (0..k).map(|i| a[(k, i)]).collect();
-            inc.extend(&col, a[(k, k)]).unwrap();
-        }
-        prop_assert!(inc.l().approx_eq(full.l(), 1e-8));
-    }
-
-    #[test]
     fn rank1_update_then_downdate_roundtrips(
         (a, v) in (2usize..8).prop_flat_map(|n| (spd_matrix(n), vector(n)))
     ) {
