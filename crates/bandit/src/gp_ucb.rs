@@ -87,6 +87,11 @@ pub struct GpUcb {
     /// Quarantine mask: a `true` entry excludes the arm from the argmax
     /// (e.g. after repeated training failures) until it is unmasked again.
     masked: Vec<bool>,
+    /// The arm [`GpUcb::select_arm`] plays from the current state, or
+    /// `usize::MAX` when no score is comparable. Set by [`GpUcb::rescan`].
+    chosen: usize,
+    /// [`GpUcb::max_ucb`] of the current state. Set by [`GpUcb::rescan`].
+    max_ucb: f64,
 }
 
 impl GpUcb {
@@ -96,16 +101,7 @@ impl GpUcb {
     ///
     /// Panics if `noise_var <= 0` (propagated from [`GpPosterior::new`]).
     pub fn cost_oblivious(prior: ArmPrior, noise_var: f64, beta: BetaSchedule) -> Self {
-        let masked = vec![false; prior.num_arms()];
-        GpUcb {
-            gp: GpPosterior::new(prior, noise_var),
-            costs: None,
-            beta,
-            t: 0,
-            recorder: RecorderHandle::noop(),
-            owner: 0,
-            masked,
-        }
+        Self::new(prior, noise_var, beta, None)
     }
 
     /// Creates a cost-aware GP-UCB policy with per-arm costs `c_k`.
@@ -129,16 +125,24 @@ impl GpUcb {
             costs.iter().all(|&c| c > 0.0),
             "arm costs must be strictly positive"
         );
+        Self::new(prior, noise_var, beta, Some(costs))
+    }
+
+    fn new(prior: ArmPrior, noise_var: f64, beta: BetaSchedule, costs: Option<Vec<f64>>) -> Self {
         let masked = vec![false; prior.num_arms()];
-        GpUcb {
+        let mut policy = GpUcb {
             gp: GpPosterior::new(prior, noise_var),
-            costs: Some(costs),
+            costs,
             beta,
             t: 0,
             recorder: RecorderHandle::noop(),
             owner: 0,
             masked,
-        }
+            chosen: usize::MAX,
+            max_ucb: f64::NEG_INFINITY,
+        };
+        policy.rescan();
+        policy
     }
 
     /// Attaches a recorder; `owner` is the user id stamped on the emitted
@@ -214,10 +218,11 @@ impl GpUcb {
     }
 
     /// The largest upper confidence bound over all arms (masked or not) for
-    /// the next selection: `ucbs()` folded with `f64::max` from `-∞`,
-    /// without allocating.
+    /// the next selection: `ucbs()` folded with `f64::max` from `-∞`. O(1):
+    /// it is cached by the scan that also picks the next arm.
+    #[inline]
     pub fn max_ucb(&self) -> f64 {
-        self.ucb_iter().fold(f64::NEG_INFINITY, f64::max)
+        self.max_ucb
     }
 
     /// Exploration width `√(β/c_k) σ(k)` of `arm` — the UCB minus the mean.
@@ -235,6 +240,7 @@ impl GpUcb {
     pub fn set_arm_masked(&mut self, arm: usize, masked: bool) {
         assert!(arm < self.masked.len(), "arm {arm} out of range");
         self.masked[arm] = masked;
+        self.rescan();
     }
 
     /// Whether `arm` is currently masked out of selection.
@@ -254,16 +260,22 @@ impl GpUcb {
     /// Chooses the next arm: argmax of the UCB over unmasked arms, ties
     /// toward the lower index. If every arm is masked the mask is ignored —
     /// the service must keep making progress, so quarantine degrades to a
-    /// no-op rather than deadlocking the tenant.
+    /// no-op rather than deadlocking the tenant. O(1): the argmax is cached
+    /// by the scan that runs whenever the posterior, the step count or the
+    /// mask changes.
     ///
     /// Runs under a `pick_arm` span; the emitted [`Event::ArmChosen`] carries
     /// the chosen arm's posterior mean and standard deviation so offline
     /// tooling can score the GP's calibration against the realized quality.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no arm has a comparable score (no arms, or every UCB NaN).
     pub fn select_arm(&self) -> usize {
         let _span = self.recorder.span("pick_arm");
         let _timing = self.recorder.time(Component::ArmSelect);
-        let arm = vec_ops::argmax_by(self.effective_score_iter().enumerate())
-            .expect("policy has at least one arm");
+        let arm = self.chosen;
+        assert!(arm != usize::MAX, "policy has at least one arm");
         self.recorder.emit(|| Event::ArmChosen {
             user: self.owner,
             arm,
@@ -282,10 +294,31 @@ impl GpUcb {
     /// (in which case quarantine degrades to a no-op, matching the selection
     /// rule).
     fn effective_score_iter(&self) -> impl Iterator<Item = f64> + '_ {
-        let masking = self.masked.iter().any(|&m| m) && !self.masked.iter().all(|&m| m);
+        let masking = self.masking();
         self.ucb_iter()
             .zip(&self.masked)
-            .map(move |(ucb, &m)| if masking && m { f64::NEG_INFINITY } else { ucb })
+            .map(move |(ucb, &m)| effective_score(masking, m, ucb))
+    }
+
+    /// Whether the mask applies: some arm is masked, but not every arm.
+    fn masking(&self) -> bool {
+        self.masked.iter().any(|&m| m) && !self.masked.iter().all(|&m| m)
+    }
+
+    /// Recomputes the cached argmax and max UCB in one pass over the arms:
+    /// the same UCBs, fold and argmax (`vec_ops::argmax_by`, ties to the
+    /// lower index) that [`GpUcb::ucbs`] and [`GpUcb::explain_selection`]
+    /// compute, so the cached values equal theirs bit for bit.
+    fn rescan(&mut self) {
+        let masking = self.masking();
+        let mut max_ucb = f64::NEG_INFINITY;
+        let scores = self.ucb_iter().zip(&self.masked).map(|(ucb, &m)| {
+            max_ucb = max_ucb.max(ucb);
+            effective_score(masking, m, ucb)
+        });
+        let chosen = vec_ops::argmax_by(scores.enumerate()).unwrap_or(usize::MAX);
+        self.chosen = chosen;
+        self.max_ucb = max_ucb;
     }
 
     /// Read-only why-chain for the *next* selection: the arm
@@ -337,6 +370,7 @@ impl GpUcb {
         let _span = self.recorder.span("posterior_update");
         self.gp.observe(arm, reward);
         self.t += 1;
+        self.rescan();
         self.recorder.emit(|| Event::PosteriorUpdated {
             arm,
             reward,
@@ -373,7 +407,21 @@ impl GpUcb {
             copy.gp.observe(arm, fake);
             copy.t += 1;
         }
+        if !pending.is_empty() {
+            copy.rescan();
+        }
         copy
+    }
+}
+
+/// An arm's score in [`GpUcb::select_arm`]'s argmax: its UCB, or `-∞` when
+/// the mask applies and the arm is masked.
+#[inline]
+fn effective_score(masking: bool, masked: bool, ucb: f64) -> f64 {
+    if masking && masked {
+        f64::NEG_INFINITY
+    } else {
+        ucb
     }
 }
 
