@@ -53,7 +53,6 @@ pub struct GpPosterior {
     l: Vec<f64>,
     /// `z = L⁻¹(y − μ₀)`, one entry per observation.
     z: Vec<f64>,
-    alpha: Vec<f64>,
     /// Rows of `L⁻¹Σ_t(·)`, t×K row-major: entry `(i, k)` is step `i` of
     /// the forward solve `L h = Σ_t(k)`.
     half_rows: Vec<f64>,
@@ -94,7 +93,6 @@ impl GpPosterior {
             obs_y: Vec::new(),
             l: Vec::new(),
             z: Vec::new(),
-            alpha: Vec::new(),
             half_rows: Vec::new(),
             reduction: vec![sum_start(); means.len()],
             means,
@@ -209,7 +207,6 @@ impl GpPosterior {
         self.obs_y.push(reward);
         if extended {
             self.push_z(t);
-            self.recompute_alpha();
         } else {
             // Numerically degenerate extension (e.g. nearly-duplicate rows
             // with tiny noise): refactorize the whole Gram with jitter.
@@ -226,7 +223,6 @@ impl GpPosterior {
         self.obs_y.clear();
         self.l.clear();
         self.z.clear();
-        self.alpha.clear();
         self.half_rows.clear();
         self.reduction.fill(sum_start());
         self.means.copy_from_slice(self.prior.mean());
@@ -324,44 +320,23 @@ impl GpPosterior {
         for i in 0..t {
             self.push_z(i);
         }
-        self.recompute_alpha();
-        // A new factor invalidates every cached row; `refresh` rebuilds them.
+        // A new factor invalidates every cached row, reduction and mean;
+        // `refresh` rebuilds them in the same row order.
         self.half_rows.clear();
         self.reduction.fill(sum_start());
+        self.means.copy_from_slice(self.prior.mean());
     }
 
-    /// `α = L⁻ᵀz`, in `solve_lower_transpose`'s operation order.
-    fn recompute_alpha(&mut self) {
-        let t = self.z.len();
-        self.alpha.clear();
-        self.alpha.extend_from_slice(&self.z);
-        for i in (0..t).rev() {
-            let mut s = self.alpha[i];
-            for j in (i + 1)..t {
-                s -= self.l[row_offset(j) + i] * self.alpha[j];
-            }
-            self.alpha[i] = s / self.l[row_offset(i) + i];
-        }
-    }
-
-    /// Appends the rows of `L⁻¹Σ_t(·)` the factor has gained, then
-    /// recomputes the posterior means and variances of all arms: O(K·t)
-    /// after an extension, O(K·t²) after a refactorization.
+    /// Appends the rows of `L⁻¹Σ_t(·)` the factor has gained, which
+    /// updates the reductions and means, then recomputes the variances of
+    /// all arms: O(K·t) after an extension, O(K·t²) after a
+    /// refactorization.
     fn refresh(&mut self) {
         let _timing = easeml_obs::global_timer(easeml_obs::Component::PosteriorRefresh);
         for i in self.half_rows.len() / self.num_arms()..self.obs_arms.len() {
             self.push_half_row(i);
         }
-        // μ₀ + Σ_t(·)ᵀα, each arm's sum taken over the history in
-        // `vec_ops::dot`'s order.
         let cov = self.prior.cov();
-        self.means.fill(sum_start());
-        for (&a, &w) in self.obs_arms.iter().zip(&self.alpha) {
-            vec_ops::axpy(w, cov.row(a), &mut self.means);
-        }
-        for (mean, &m0) in self.means.iter_mut().zip(self.prior.mean()) {
-            *mean += m0;
-        }
         for (k, (var, &r)) in self.vars.iter_mut().zip(&self.reduction).enumerate() {
             *var = (cov[(k, k)] - r).max(0.0);
         }
@@ -369,10 +344,12 @@ impl GpPosterior {
 
     /// Appends row `i` of `L⁻¹Σ_t(·)`: step `i` of `solve_lower` on
     /// `L h = Σ_t(k)`, for every arm `k` at once and in the same operation
-    /// order, and adds its squares to the running reductions.
+    /// order. It adds the row's squares to the running reductions and
+    /// `h_i(k)·z_i` to the running means.
     fn push_half_row(&mut self, i: usize) {
         let k_arms = self.num_arms();
         let l_row = &self.l[row_offset(i)..][..=i];
+        let z_i = self.z[i];
         self.half_rows
             .extend_from_slice(self.prior.cov().row(self.obs_arms[i]));
         let (done, row) = self.half_rows.split_at_mut(i * k_arms);
@@ -382,9 +359,10 @@ impl GpPosterior {
             }
         }
         let d = l_row[i];
-        for (s, r) in row.iter_mut().zip(&mut self.reduction) {
+        for ((s, r), m) in row.iter_mut().zip(&mut self.reduction).zip(&mut self.means) {
             *s /= d;
             *r += *s * *s;
+            *m += *s * z_i;
         }
     }
 }
@@ -425,27 +403,61 @@ mod tests {
         easeml_linalg::solve_lower(l, &cross).unwrap()
     }
 
-    /// The refresh the cached rows replaced, kept as their bit-exact
-    /// reference: for every arm, gather `Σ_t(k)`, forward-solve
-    /// `L h = Σ_t(k)` from scratch and take `‖h‖²`, O(K·t²) per refresh.
+    /// `L⁻¹(y − μ₀)` by a fresh forward solve.
+    fn centered_solve(gp: &GpPosterior, l: &Matrix) -> Vec<f64> {
+        let centered: Vec<f64> = gp
+            .observations()
+            .map(|(a, y)| y - gp.prior.mean()[a])
+            .collect();
+        easeml_linalg::solve_lower(l, &centered).unwrap()
+    }
+
+    /// The per-arm solve the cached rows replaced, kept as their bit-exact
+    /// reference: for every arm, gather `Σ_t(k)` and forward-solve
+    /// `L h = Σ_t(k)` from scratch, O(K·t²) per refresh. The variance is
+    /// `Σ(k,k) − ‖h‖²`; the mean is `μ₀(k) + Σ_j h_j·z_j`, summed row by row
+    /// from `μ₀(k)`, with `z = L⁻¹(y − μ₀)` also solved from scratch.
     fn reference_moments(gp: &GpPosterior) -> (Vec<f64>, Vec<f64>) {
         if gp.obs_arms.is_empty() {
             return (gp.prior.mean().to_vec(), gp.prior.cov().diag());
         }
         let l = factor(gp);
+        let z = centered_solve(gp, &l);
         let k_arms = gp.num_arms();
         let (mut means, mut vars) = (vec![0.0; k_arms], vec![0.0; k_arms]);
         for k in 0..k_arms {
-            let cross: Vec<f64> = gp
-                .obs_arms
-                .iter()
-                .map(|&a| gp.prior.cov()[(a, k)])
-                .collect();
-            means[k] = gp.prior.mean()[k] + vec_ops::dot(&cross, &gp.alpha);
             let half = half_solve(gp, &l, k);
+            means[k] = half
+                .iter()
+                .zip(&z)
+                .fold(gp.prior.mean()[k], |m, (&h, &z_j)| m + h * z_j);
             vars[k] = (gp.prior.cov()[(k, k)] - vec_ops::dot(&half, &half)).max(0.0);
         }
         (means, vars)
+    }
+
+    /// The means the running sums replaced: `μ₀ + Σ_t(·)ᵀα` with
+    /// `α = L⁻ᵀL⁻¹(y − μ₀)` from two fresh triangular solves, each arm's sum
+    /// in `vec_ops::dot`'s order. Returns each arm's mean and the magnitude
+    /// its rounding scales with, `|μ₀(k)| + Σ_j |Σ(a_j,k)·α_j|`.
+    fn alpha_means(gp: &GpPosterior) -> Vec<(f64, f64)> {
+        if gp.obs_arms.is_empty() {
+            return gp.prior.mean().iter().map(|&m0| (m0, m0.abs())).collect();
+        }
+        let l = factor(gp);
+        let alpha = easeml_linalg::solve_lower_transpose(&l, &centered_solve(gp, &l)).unwrap();
+        (0..gp.num_arms())
+            .map(|k| {
+                let cross: Vec<f64> = gp
+                    .obs_arms
+                    .iter()
+                    .map(|&a| gp.prior.cov()[(a, k)])
+                    .collect();
+                let m0 = gp.prior.mean()[k];
+                let terms: f64 = cross.iter().zip(&alpha).map(|(c, a)| (c * a).abs()).sum();
+                (m0 + vec_ops::dot(&cross, &alpha), m0.abs() + terms)
+            })
+            .collect()
     }
 
     /// The two-forward-solve `posterior_cov` the cached rows replaced.
@@ -462,11 +474,25 @@ mod tests {
     }
 
     /// Panics unless every cached mean, variance and posterior covariance
-    /// of `gp` equals the reference bit for bit.
+    /// of `gp` equals the reference bit for bit, and every mean lies within
+    /// `8·t·ε·κ̂` of the `Σᵀα` mean, relative to the magnitude that sum
+    /// rounds at, where `κ̂` is [`GpPosterior::condition_estimate`]. The
+    /// two orders of summation round apart by at most about a quarter of
+    /// that on random priors, well-posed or singular, at every noise level
+    /// `noise()` draws.
     fn assert_matches_reference(gp: &GpPosterior, context: &str) {
         let (means, vars) = reference_moments(gp);
         assert_eq!(bits(gp.means()), bits(&means), "means, {context}");
         assert_eq!(bits(gp.vars()), bits(&vars), "variances, {context}");
+        let t = gp.num_observations() as f64;
+        let tolerance = 8.0 * t * f64::EPSILON * gp.condition_estimate();
+        for (k, (mean, magnitude)) in alpha_means(gp).into_iter().enumerate() {
+            assert!(
+                (gp.mean(k) - mean).abs() <= tolerance * magnitude,
+                "mean {k} is {} against Σᵀα's {mean} (magnitude {magnitude}), {context}",
+                gp.mean(k)
+            );
+        }
         for k1 in 0..gp.num_arms() {
             for k2 in 0..gp.num_arms() {
                 assert_eq!(
