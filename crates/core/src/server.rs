@@ -1847,6 +1847,28 @@ mod tests {
     }
 
     #[test]
+    fn restored_round_robin_cursor_at_the_top_of_its_range_wraps() {
+        let mut s = EaseMl::new(toy_oracle(), 14);
+        s.register_user("vision-lab", IMAGE_PROG).unwrap();
+        s.register_user("meteo-lab", TS_PROG).unwrap();
+        for _ in 0..5 {
+            s.try_run_round().unwrap();
+        }
+        let mut doc = CheckpointDoc::from_json(&s.checkpoint()).unwrap();
+        doc.picker.switched = true;
+        const CURSOR_MARK: u64 = 987_654_321;
+        doc.picker.rr_cursor = CURSOR_MARK;
+        // The cursor field parses `1e300` and saturates it to `u64::MAX`.
+        let json = doc.to_json().replacen(&CURSOR_MARK.to_string(), "1e300", 1);
+        let mut restored = EaseMl::restore(&json, toy_oracle()).unwrap();
+        let served: Vec<usize> = (0..4)
+            .map(|_| restored.try_run_round().unwrap().user)
+            .collect();
+        // u64::MAX mod 2 picks tenant 1; the cursor then wraps to 0.
+        assert_eq!(served, [1, 0, 1, 0]);
+    }
+
+    #[test]
     fn restore_names_every_field_it_cannot_run_from_without_panicking() {
         let mut s = EaseMl::new(toy_oracle(), 14);
         s.register_user("vision-lab", IMAGE_PROG).unwrap();
