@@ -225,6 +225,21 @@ mod tests {
         )
     }
 
+    /// Every picker scans the tenant list at `Tenant`'s stride, several
+    /// times a round (1,000 tenants a round on perfbench's `service-1k`).
+    /// Like rustc's `static_assert_size!` on its hot types, this pins the
+    /// size, so a change that resizes `Tenant` re-pins it here and shows a
+    /// paired `service-1k` run. On a 2-vCPU VM, one more 24-byte field in
+    /// the posterior made `Tenant` exactly 512 bytes, and `service-1k` ran
+    /// at 224–290k decisions/s against 301–415k for the same code padded to
+    /// 520 bytes; padding the older 488-byte layout to 512 reproduced the
+    /// drop.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn tenant_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Tenant>(), 488);
+    }
+
     #[test]
     fn activity_toggles_without_touching_bandit_state() {
         let mut t = tenant(0, 2);
