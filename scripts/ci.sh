@@ -223,4 +223,20 @@ echo "==> benchmark smoke (open-loop, traced)"
 # slot-time conservation and that no more jobs are served than arrived.
 bench_smoke open-loop a9b4ca10fb9c21e3
 
+# Runs one short untraced perfbench run of workload $1 at the held-out seed
+# 4242, which must print that seed's recorded digest $2: the smokes above
+# pin the default seed's decisions only.
+seed_smoke() {
+  local out
+  out="$(python3 perfbench/run.py --workload "$1" --seed 4242 --trace 0 --seconds 2 2>&1)"
+  echo "$out"
+  echo "$out" | tail -n 1 | grep -q '"correct": true'
+  echo "$out" | grep -q "digest of the perfbench run: $2"
+}
+
+echo "==> benchmark digests at the held-out seed 4242 (untraced)"
+seed_smoke zoo-batch 79424303c3af5fa2
+seed_smoke service-1k 11ff70338a20c489
+seed_smoke open-loop 075ca31d37015d44
+
 echo "CI gate passed."
