@@ -10,13 +10,16 @@
 //! the posterior mean and variance of every arm, which the GP-UCB policies in
 //! `easeml-bandit` turn into upper confidence bounds.
 //!
-//! The posterior is maintained *incrementally*: each new observation extends
-//! a packed Cholesky factor `L` in O(t) rather than refactorizing in O(t³),
-//! and appends one row to the cached t×K rows of `L⁻¹Σ_t(·)`, so refreshing
-//! all K posterior variances costs O(K·t). The rows are never larger than the t×t factor
-//! once t ≥ K. An [`ArmPrior`] shares its covariance between clones, so the
-//! posteriors of many tenants, and GP-BUCB's hallucinated copies, hold one
-//! K×K matrix between them.
+//! The posterior is maintained *incrementally*. It keeps the Cholesky factor
+//! `L` of the observed Gram packed and append-only, next to the cached t×K
+//! rows of `L⁻¹Σ_t(·)`. A new observation's factor row is one column of
+//! those rows, so extending `L` is an O(t) gather plus a square root rather
+//! than an O(t²) solve or an O(t³) refactorization. The observation then
+//! appends one row of K entries in O(K·t), and that row updates every arm's
+//! posterior mean and variance in O(K), with no temporaries. The rows are
+//! never larger than the t×t factor once t ≥ K. An [`ArmPrior`] shares its
+//! covariance between clones, so the posteriors of many tenants, and
+//! GP-BUCB's hallucinated copies, hold one K×K matrix between them.
 //!
 //! Hyperparameters (output scale, noise) are chosen by maximizing the
 //! [log marginal likelihood](mll::log_marginal_likelihood) on a grid, the

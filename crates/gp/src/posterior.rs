@@ -14,17 +14,31 @@ use easeml_linalg::{vec_ops, Cholesky, Matrix};
 /// where `Σ_t(k)` is the vector of prior covariances between arm `k` and the
 /// arms played so far, and `Σ_t` is the Gram matrix of the played arms.
 ///
-/// Each [`GpPosterior::observe`] call extends the Cholesky factor `L` of
-/// `Σ_t + σ²I` in O(t²) and refreshes the cached posterior means and
-/// variances of all K arms in O(K·t). The refresh keeps the rows of
-/// `L⁻¹Σ_t(·)`, one row of K entries per observation: a new observation
-/// adds one row, the last step of the forward solve `L h = Σ_t(k)` run for
-/// all arms at once, and each arm's variance reduction `‖h‖²` is a running
-/// sum over the rows. The means are `μ₀ + Σ_t(·)ᵀα` over the history, row
-/// by row. The t×K rows are never larger than the t×t factor once t ≥ K,
-/// and every cached value rounds exactly as a from-scratch per-arm solve
-/// would. [`GpPosterior::posterior_cov`] reads the same rows. Reads are
-/// O(1).
+/// The posterior keeps the Cholesky factor `L` of `Σ_t + σ²I`, packed and
+/// append-only, and the rows of `V = L⁻¹Σ_t(·)`, one row of K entries per
+/// observation. With `z = L⁻¹(y − μ₀)`, the moments are running sums over
+/// those rows, in row order:
+///
+/// ```text
+/// μ_t(k)  = μ₀(k) + Σ_j V[j][k]·z_j
+/// σ_t²(k) = Σ(k,k) − Σ_j V[j][k]²
+/// ```
+///
+/// So each [`GpPosterior::observe`] call costs one O(K·t) row append plus
+/// O(t + K) bookkeeping. The new factor row is column `arm` of `V` and its
+/// pivot is `Σ(arm,arm) + σ² − Σ_j V[j][arm]²`, so extending `L` is an
+/// O(t) gather and one square root. `z` gains one entry. The new row of
+/// `V` is the last step of the forward solve `L h = Σ_t(k)` run for all
+/// arms at once, and it adds one term to every mean and variance. No step
+/// allocates beyond `Vec` growth, and [`GpPosterior::reset`] keeps
+/// capacity. The t×K rows are never larger than the t×t factor once t ≥ K.
+/// `L`, `z` and `V` round exactly as from-scratch forward solves would;
+/// the means differ from the `μ₀ + Σ_tᵀα` form only in rounding.
+/// [`GpPosterior::posterior_cov`] reads the same rows. Reads are O(1).
+///
+/// When a pivot is not numerically positive (near-duplicate rows under tiny
+/// noise), the posterior refactors the whole Gram with jitter and rebuilds
+/// `z`, the rows and the sums in the same row order.
 ///
 /// # Examples
 ///

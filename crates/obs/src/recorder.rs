@@ -16,7 +16,7 @@ pub enum Component {
     CholeskyFactor = 0,
     /// Triangular solve against an existing factor.
     CholeskySolve = 1,
-    /// O(t²) incremental extension of a factor by one row/column.
+    /// The GP posterior's O(t) extension of its factor by one row.
     CholeskyExtend = 2,
     /// GP posterior mean/variance refresh after an observation.
     PosteriorRefresh = 3,

@@ -229,11 +229,12 @@ mod tests {
     /// times a round (1,000 tenants a round on perfbench's `service-1k`).
     /// Like rustc's `static_assert_size!` on its hot types, this pins the
     /// size, so a change that resizes `Tenant` re-pins it here and shows a
-    /// paired `service-1k` run. On a 2-vCPU VM, one more 24-byte field in
-    /// the posterior made `Tenant` exactly 512 bytes, and `service-1k` ran
-    /// at 224–290k decisions/s against 301–415k for the same code padded to
-    /// 520 bytes; padding the older 488-byte layout to 512 reproduced the
-    /// drop.
+    /// paired `service-1k` run. A power-of-two stride is a cliff: on a
+    /// 2-vCPU x86-64 VM, `service-1k` ran at 249–259k decisions/s with
+    /// `Tenant` padded to exactly 512 bytes, against 316–383k padded to 520
+    /// and 335–389k at 488 (five 10 s runs each), likely because at a
+    /// 512-byte stride the fields a pick reads share an eighth of the L1
+    /// cache's sets.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn tenant_size_is_pinned() {
