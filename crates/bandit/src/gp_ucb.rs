@@ -316,8 +316,7 @@ impl GpUcb {
             max_ucb = max_ucb.max(ucb);
             effective_score(masking, m, ucb)
         });
-        let chosen = vec_ops::argmax_by(scores.enumerate()).unwrap_or(usize::MAX);
-        self.chosen = chosen;
+        self.chosen = vec_ops::argmax_by(scores.enumerate()).unwrap_or(usize::MAX);
         self.max_ucb = max_ucb;
     }
 

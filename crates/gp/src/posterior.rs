@@ -29,12 +29,13 @@ use easeml_linalg::{vec_ops, Cholesky, Matrix};
 /// pivot is `Σ(arm,arm) + σ² − Σ_j V[j][arm]²`, so extending `L` is an
 /// O(t) gather and one square root. `z` gains one entry. The new row of
 /// `V` is the last step of the forward solve `L h = Σ_t(k)` run for all
-/// arms at once, and it adds one term to every mean and variance. No step
-/// allocates beyond `Vec` growth, and [`GpPosterior::reset`] keeps
-/// capacity. The t×K rows are never larger than the t×t factor once t ≥ K.
-/// `L`, `z` and `V` round exactly as from-scratch forward solves would;
-/// the means differ from the `μ₀ + Σ_tᵀα` form only in rounding.
-/// [`GpPosterior::posterior_cov`] reads the same rows. Reads are O(1).
+/// arms at once, and it adds one term to every mean and variance. Outside
+/// the fallback below, no step allocates beyond `Vec` growth, and
+/// [`GpPosterior::reset`] keeps capacity. The t×K rows are never larger
+/// than the t×t factor once t ≥ K. `L`, `z` and `V` round exactly as
+/// from-scratch forward solves would; the means differ from the
+/// `μ₀ + Σ_tᵀα` form only in rounding. [`GpPosterior::posterior_cov`]
+/// reads the same rows. Reads are O(1).
 ///
 /// When a pivot is not numerically positive (near-duplicate rows under tiny
 /// noise), the posterior refactors the whole Gram with jitter and rebuilds
@@ -231,7 +232,8 @@ impl GpPosterior {
 
     /// Discards all observations, returning to the prior. Every buffer
     /// keeps its capacity, so replaying a history no longer than the
-    /// longest one seen allocates nothing.
+    /// longest one seen allocates nothing unless it takes the jitter
+    /// refactorization.
     pub fn reset(&mut self) {
         self.obs_arms.clear();
         self.obs_y.clear();

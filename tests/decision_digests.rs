@@ -17,9 +17,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SERIAL_DIGEST: &str = "bf37b39219236e65";
-/// Re-pinned when the posterior means became running row sums
-/// `μ₀ + Σ_j (L⁻¹Σ_t)_j·z_j` instead of `μ₀ + Σ_tᵀα`: they round differently,
-/// while every decision pin in this file held.
 const POSTERIOR_DIGEST: &str = "7474a7db4b23e95f";
 const FLEET_DIGEST: &str = "7bea0e8b13db08a8";
 const MIXED_FLEET_DIGEST: &str = "421907eee3a6c1c3";
