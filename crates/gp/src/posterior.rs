@@ -1,7 +1,7 @@
 //! The incremental GP posterior over a finite arm set.
 
 use crate::prior::ArmPrior;
-use easeml_linalg::{vec_ops, Cholesky, Matrix};
+use easeml_linalg::{diagonal_condition_estimate, vec_ops, Cholesky, Matrix};
 
 /// Posterior belief over arm qualities after a sequence of noisy
 /// observations, per lines 6–7 of the paper's Algorithm 1:
@@ -177,27 +177,12 @@ impl GpPosterior {
         &self.vars
     }
 
-    /// Cheap condition-number estimate of the `Σ_t + σ²I` Cholesky factor,
-    /// `(max Lᵢᵢ / min Lᵢᵢ)²` as [`Cholesky::condition_estimate`] computes
-    /// it; 1 before any observation. Exposed so telemetry can watch the
-    /// posterior's numerical health as the observation history grows.
+    /// Cheap condition-number estimate of the `Σ_t + σ²I` Cholesky factor
+    /// (see [`diagonal_condition_estimate`]); 1 before any observation.
+    /// Exposed so telemetry can watch the posterior's numerical health as
+    /// the observation history grows.
     pub fn condition_estimate(&self) -> f64 {
-        let t = self.obs_arms.len();
-        if t == 0 {
-            return 1.0;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for i in 0..t {
-            let d = self.l[row_offset(i) + i];
-            min = min.min(d);
-            max = max.max(d);
-        }
-        if min <= 0.0 {
-            return f64::INFINITY;
-        }
-        let ratio = max / min;
-        ratio * ratio
+        diagonal_condition_estimate((0..self.obs_arms.len()).map(|i| self.l[row_offset(i) + i]))
     }
 
     /// Best reward observed so far and the arm that produced it, or `None`

@@ -145,27 +145,9 @@ impl Cholesky {
     }
 
     /// Cheap 2-norm condition-number estimate of the factored matrix:
-    /// `(max Lᵢᵢ / min Lᵢᵢ)²`. The diagonal of `L` brackets the singular
-    /// values of `A = L Lᵀ`, so this underestimates the true κ₂ but tracks
-    /// its growth — enough to flag numerical degradation in telemetry
-    /// without an O(n³) SVD. Returns 1 for an empty factor.
+    /// [`diagonal_condition_estimate`] of `L`'s diagonal.
     pub fn condition_estimate(&self) -> f64 {
-        let n = self.l.rows();
-        if n == 0 {
-            return 1.0;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for i in 0..n {
-            let d = self.l[(i, i)];
-            min = min.min(d);
-            max = max.max(d);
-        }
-        if min <= 0.0 {
-            return f64::INFINITY;
-        }
-        let ratio = max / min;
-        ratio * ratio
+        diagonal_condition_estimate((0..self.dim()).map(|i| self.l[(i, i)]))
     }
 
     /// Solves `A x = b` using the factor (`L Lᵀ x = b`).
@@ -280,6 +262,26 @@ impl Cholesky {
         self.l = l;
         Ok(())
     }
+}
+
+/// Cheap 2-norm condition-number estimate of `A = L Lᵀ` from the diagonal
+/// of its Cholesky factor `L`: `(max Lᵢᵢ / min Lᵢᵢ)²`. The diagonal brackets
+/// the singular values of `A`, so this underestimates the true κ₂ but tracks
+/// its growth — enough to flag numerical degradation in telemetry without an
+/// O(n³) SVD. Returns 1 for an empty diagonal and ∞ when an entry is ≤ 0.
+pub fn diagonal_condition_estimate(diagonal: impl IntoIterator<Item = f64>) -> f64 {
+    let mut diagonal = diagonal.into_iter().peekable();
+    if diagonal.peek().is_none() {
+        return 1.0;
+    }
+    let (min, max) = diagonal.fold((f64::INFINITY, 0.0f64), |(min, max), d| {
+        (min.min(d), max.max(d))
+    });
+    if min <= 0.0 {
+        return f64::INFINITY;
+    }
+    let ratio = max / min;
+    ratio * ratio
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ mod qr;
 mod triangular;
 pub mod vec_ops;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{diagonal_condition_estimate, Cholesky};
 pub use eigen::{eigen, project_psd, SymmetricEigen};
 pub use error::LinalgError;
 pub use lu::Lu;
