@@ -278,6 +278,63 @@ impl Matrix {
         out
     }
 
+    /// The Gram matrix of the columns, `AᵀA`: entry (i, j) equals
+    /// `transpose().row_gram()`'s bit for bit, without the transposed copy.
+    ///
+    /// The output is computed in 4×4 tiles on and above the diagonal, and
+    /// mirrored. A tile adds each row's outer product of its two 4-column
+    /// slices to sixteen sums that start from −0.0 and take the rows in
+    /// order, as the column dot products do. The tile's left-hand columns
+    /// are first copied with every entry twice, `[a₀, a₀, a₁, a₁, …]` per
+    /// row, so that its products pair up in two-wide vectors with no
+    /// shuffles.
+    pub fn col_gram(&self) -> Matrix {
+        const TILE: usize = 4;
+        let n = self.cols;
+        let mut out = Matrix::zeros(n, n);
+        let mut pairs = vec![[0.0f64; 2 * TILE]; self.rows];
+        for i in (0..n).step_by(TILE) {
+            let wi = TILE.min(n - i);
+            if wi == TILE {
+                for (d, row) in pairs.iter_mut().zip(self.data.chunks_exact(n)) {
+                    for (d, &x) in d.chunks_exact_mut(2).zip(&row[i..i + TILE]) {
+                        d.fill(x);
+                    }
+                }
+            }
+            for j in (i..n).step_by(TILE) {
+                let wj = TILE.min(n - j);
+                let mut s = [[-0.0f64; TILE]; TILE];
+                if wi == TILE && wj == TILE {
+                    for (a, row) in pairs.iter().zip(self.data.chunks_exact(n)) {
+                        let b = &row[j..j + TILE];
+                        for (sums, a) in s.iter_mut().zip(a.chunks_exact(2)) {
+                            sums[0] += a[0] * b[0];
+                            sums[1] += a[1] * b[1];
+                            sums[2] += a[0] * b[2];
+                            sums[3] += a[1] * b[3];
+                        }
+                    }
+                } else {
+                    for row in self.data.chunks_exact(n) {
+                        for (sums, x) in s.iter_mut().zip(&row[i..i + wi]) {
+                            for (v, y) in sums.iter_mut().zip(&row[j..j + wj]) {
+                                *v += x * y;
+                            }
+                        }
+                    }
+                }
+                for (p, sums) in s.iter().enumerate().take(wi) {
+                    for (q, &v) in sums.iter().enumerate().take(wj) {
+                        out[(i + p, j + q)] = v;
+                        out[(j + q, i + p)] = v;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Scales every entry by `s`, in place.
     pub fn scale_mut(&mut self, s: f64) {
         for x in &mut self.data {
@@ -449,6 +506,32 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn col_gram_edge_shapes_match_the_transposed_row_gram() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let wide = Matrix::from_fn(3, 11, |i, j| (i as f64 + 1.0) * (j as f64 - 4.5));
+        let mut signed_zero_row = Matrix::from_fn(5, 6, |i, j| (i * 7 + j) as f64 * 0.1 - 1.0);
+        signed_zero_row.row_mut(2).fill(-0.0);
+        for a in [
+            Matrix::zeros(0, 0),
+            Matrix::zeros(0, 5),
+            Matrix::zeros(4, 0),
+            Matrix::filled(1, 1, -0.0),
+            wide,
+            signed_zero_row,
+        ] {
+            let g = a.col_gram();
+            assert_eq!(g.shape(), (a.cols(), a.cols()));
+            assert_eq!(bits(&g), bits(&a.transpose().row_gram()), "{:?}", a.shape());
+        }
+        // With no rows every sum is the empty sum, −0.0.
+        assert!(Matrix::zeros(0, 5)
+            .col_gram()
+            .as_slice()
+            .iter()
+            .all(|x| x.to_bits() == (-0.0f64).to_bits()));
+    }
 
     #[test]
     fn constructors_and_shape() {

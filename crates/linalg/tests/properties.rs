@@ -226,4 +226,28 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn col_gram_is_bit_equal_to_the_transposed_row_gram(
+        (rows, cols, vals, zeroed, sign) in (0usize..20, 0usize..14).prop_flat_map(|(n, m)| {
+            (
+                Just(n),
+                Just(m),
+                prop::collection::vec(-10.0f64..10.0, n * m),
+                0usize..n + 2,
+                prop::sample::select(vec![0.0, -0.0]),
+            )
+        })
+    ) {
+        // Widths run past the 4×4 tiles, and one row may be all (signed)
+        // zeros.
+        let mut a = Matrix::from_vec(rows, cols, vals);
+        if zeroed < rows {
+            a.row_mut(zeroed).fill(sign);
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let g = a.col_gram();
+        prop_assert_eq!(g.shape(), (cols, cols));
+        prop_assert_eq!(bits(&g), bits(&a.transpose().row_gram()));
+    }
 }
