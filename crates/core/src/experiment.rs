@@ -59,11 +59,11 @@ pub struct ExperimentConfig {
     /// Hyperparameter grid for the LML tuner.
     pub tune_grid: TuneGrid,
     /// How many training users' rows enter the LML objective (the paper
-    /// does not specify). The rows share one factorization per grid point.
-    /// With T training users and K models, when T < K each extra row costs
-    /// O(K·T) once per split, for its projection onto the T user columns,
-    /// plus an O(T²) solve per grid point; otherwise it costs one O(K²)
-    /// solve per grid point.
+    /// does not specify). With T training users and K models, when T < K
+    /// each extra row costs O(K·T + T²) once per split, for its projection
+    /// onto the T user columns and its rotation into the tridiagonal basis,
+    /// plus O(T) per grid point; otherwise the rows share one factorization
+    /// per grid point and each costs one O(K²) solve there.
     pub tune_rows: usize,
     /// Number of points on the output grid.
     pub grid_points: usize,
@@ -173,7 +173,7 @@ impl EmpiricalPrior {
         for q in users.as_mut_slice() {
             *q -= global_mean;
         }
-        let mut cov = users.transpose().row_gram();
+        let mut cov = users.col_gram();
         for v in cov.as_mut_slice() {
             *v /= t;
         }
@@ -197,8 +197,9 @@ impl EmpiricalPrior {
     /// This is the one place that picks the side to score in. With T
     /// training users and K models, each grid point's Gram is
     /// (scale/T)·CCᵀ + (scale·ρ + noise)·I. When T < K, [`LowRankLml`]
-    /// factors a T×T matrix per grid point; otherwise the dense K×K Gram
-    /// scale·Σ + noise·I is the smaller one to factor.
+    /// reduces CᵀC once and scores each grid point in O(T) per row;
+    /// otherwise the dense K×K Gram scale·Σ + noise·I is the smaller one to
+    /// factor.
     fn grid_totals(&self, rows: &[&[f64]], grid: &TuneGrid) -> Vec<(f64, f64, f64)> {
         let (t, k) = self.users.shape();
         let mut totals = Vec::with_capacity(grid.scales.len() * grid.noises.len());

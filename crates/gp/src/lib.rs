@@ -28,7 +28,8 @@
 //! observe the same arms share one factorization
 //! ([`mll::log_marginal_likelihoods`]), and full rows under a
 //! low-rank-plus-ridge covariance are scored in the low-rank space
-//! ([`mll::LowRankLml`]).
+//! ([`mll::LowRankLml`]): one tridiagonalization of the T×T inner Gram per
+//! set of rows, then O(T) per row at each grid point.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -3,7 +3,7 @@
 //! the low-rank space ([`LowRankLml`]).
 
 use crate::prior::ArmPrior;
-use easeml_linalg::{vec_ops, Cholesky, Matrix};
+use easeml_linalg::{vec_ops, Cholesky, Matrix, SymmetricTridiagonal};
 
 const LN_2PI: f64 = 1.8378770664093453;
 
@@ -117,16 +117,28 @@ pub fn gram_log_marginal_likelihoods<H: AsRef<[f64]>>(
 /// ```
 ///
 /// [`LowRankLml::new`] forms CᵀC and each row's Cᵀr and rᵀr once, in
-/// O(K·T²). After that, [`LowRankLml::log_marginal_likelihoods`] costs one
-/// T×T factorization per (α, c), where the dense
-/// [`gram_log_marginal_likelihoods`] factors a K×K matrix; so it is the
-/// cheaper side when T < K. The two agree to rounding.
+/// O(K·T²), and reduces CᵀC once to tridiagonal form `QᵀCᵀCQ = Tri`, in
+/// ⅔T³ ([`SymmetricTridiagonal`]); it keeps `QᵀCᵀr` for each row. Then
+/// `M = Q(I + (α/c)·Tri)Qᵀ`, and `I + (α/c)·Tri` has the LDLᵀ recurrence
+///
+/// ```text
+/// d₀ = 1 + (α/c)·Tri₀₀,  dᵢ = 1 + (α/c)·Triᵢᵢ − ((α/c)·Triᵢ,ᵢ₋₁)² / dᵢ₋₁
+/// ```
+///
+/// whose pivots are all ≥ 1, as `I` plus a positive semi-definite matrix
+/// has. So `ln|M| = Σ ln dᵢ` and `‖L_M⁻¹Cᵀr‖² = Σ zᵢ²/dᵢ`, with z the
+/// forward substitution of `QᵀCᵀr` through the unit bidiagonal factor, and
+/// [`LowRankLml::log_marginal_likelihoods`] costs O(T) per row for each
+/// (α, c), where the dense [`gram_log_marginal_likelihoods`] factors a K×K
+/// matrix. The two agree to rounding.
 #[derive(Debug, Clone)]
 pub struct LowRankLml {
     arms: usize,
-    /// CᵀC.
-    inner: Matrix,
-    /// Cᵀr, one row of T entries per scored row.
+    /// The diagonal of Tri.
+    diag: Vec<f64>,
+    /// The sub-diagonal of Tri: `off[i] = Tri[i + 1][i]`.
+    off: Vec<f64>,
+    /// QᵀCᵀr, one row of T entries per scored row.
     projected: Matrix,
     /// rᵀr of each row.
     sq_norms: Vec<f64>,
@@ -145,6 +157,7 @@ impl LowRankLml {
         let (t, k) = factor.shape();
         assert!(t > 0, "the factor needs at least one column");
         assert_eq!(mean.len(), k, "prior mean length mismatch");
+        let tri = SymmetricTridiagonal::new(&factor.row_gram()).expect("CᵀC is square");
         let mut projected = Matrix::zeros(rows.len(), t);
         let mut sq_norms = Vec::with_capacity(rows.len());
         let mut r = vec![0.0; k];
@@ -154,14 +167,17 @@ impl LowRankLml {
             for ((ri, y), m) in r.iter_mut().zip(rewards).zip(mean) {
                 *ri = y - m;
             }
-            for (u, p) in projected.row_mut(h).iter_mut().enumerate() {
-                *p = vec_ops::dot(factor.row(u), &r);
+            let p = projected.row_mut(h);
+            for (u, pu) in p.iter_mut().enumerate() {
+                *pu = vec_ops::dot(factor.row(u), &r);
             }
+            tri.apply_qt(p);
             sq_norms.push(vec_ops::dot(&r, &r));
         }
         LowRankLml {
             arms: k,
-            inner: factor.row_gram(),
+            diag: tri.diag().to_vec(),
+            off: tri.off_diag().to_vec(),
             projected,
             sq_norms,
         }
@@ -170,7 +186,7 @@ impl LowRankLml {
     /// The log marginal likelihood of each row under `α·CCᵀ + c·I`, in the
     /// order the rows were given; entry h agrees with
     /// [`gram_log_marginal_likelihoods`] on that dense covariance (with
-    /// `noise_var` folded into `c`) to rounding.
+    /// `noise_var` folded into `c`) to rounding. O(T) per row.
     ///
     /// # Panics
     ///
@@ -179,19 +195,31 @@ impl LowRankLml {
         assert!(alpha >= 0.0, "the low-rank scale must be non-negative");
         assert!(c > 0.0, "the ridge must be positive");
         let ratio = alpha / c;
-        let mut m = self.inner.scaled(ratio);
-        m.add_diag_mut(1.0);
-        let chol = Cholesky::factor(&m).expect("I plus a PSD matrix is positive definite");
+        let rows = self.sq_norms.len();
+        // Running z_{i−1} and Σ zᵢ²/dᵢ of each row.
+        let mut z = vec![0.0; rows];
+        let mut quads = vec![0.0; rows];
+        let mut ln_det_m = 0.0;
+        let mut d_prev = 1.0;
+        for (i, &t_ii) in self.diag.iter().enumerate() {
+            let e = if i == 0 { 0.0 } else { ratio * self.off[i - 1] };
+            let l = e / d_prev;
+            let d = 1.0 + ratio * t_ii - l * e;
+            ln_det_m += d.ln();
+            for (h, (zh, q)) in z.iter_mut().zip(&mut quads).enumerate() {
+                let zi = self.projected[(h, i)] - l * *zh;
+                *q += zi * zi / d;
+                *zh = zi;
+            }
+            d_prev = d;
+        }
         let k = self.arms as f64;
-        let log_det = k * c.ln() + chol.log_det();
+        let log_det = k * c.ln() + ln_det_m;
         self.sq_norms
             .iter()
-            .enumerate()
-            .map(|(h, &rr)| {
-                let z = chol
-                    .half_solve(self.projected.row(h))
-                    .expect("dimension matches the factor");
-                let quad = (rr - ratio * vec_ops::dot(&z, &z)) / c;
+            .zip(&quads)
+            .map(|(&rr, &zz)| {
+                let quad = (rr - ratio * zz) / c;
                 -0.5 * quad - 0.5 * log_det - 0.5 * k * LN_2PI
             })
             .collect()
