@@ -1319,6 +1319,15 @@ fn check_runnable(doc: &CheckpointDoc) -> Result<(), String> {
     if doc.picker.patience == 0 {
         return Err("picker.patience must be positive".into());
     }
+    // The round whose freeze count reaches `patience` switches the picker,
+    // so an unswitched picker never holds that many; its next frozen round
+    // would also overflow a saturated count.
+    if !doc.picker.switched && doc.picker.frozen_rounds >= doc.picker.patience {
+        return Err(format!(
+            "picker.frozen_rounds = {} must stay below picker.patience = {} until the picker switches",
+            doc.picker.frozen_rounds, doc.picker.patience
+        ));
+    }
     if doc.cluster.device_free_at.is_empty() {
         return Err("cluster.device_free_at: a cluster needs at least one device".into());
     }
@@ -1895,6 +1904,19 @@ mod tests {
             (
                 "retry_releases[0]",
                 Box::new(|c| c.retry_releases.push((5, 7, 0))),
+                "",
+            ),
+            // An unswitched picker whose next round is frozen (the candidate
+            // set after round 6 is [0] and nothing beats the best sum), with
+            // its freeze count saturated.
+            (
+                "picker.frozen_rounds",
+                Box::new(|c| {
+                    c.picker.switched = false;
+                    c.picker.prev_candidates = vec![0];
+                    c.picker.prev_best_sum = 1e300;
+                    c.picker.frozen_rounds = u64::MAX;
+                }),
                 "",
             ),
         ];

@@ -703,8 +703,18 @@ fn check_runnable(ck: &ExecCheckpoint, users: usize, models: usize) -> Result<()
         in_range(c.user, users, || format!("board_done[{i}].user"))?;
         in_range(c.arm, models, || format!("board_done[{i}].arm"))?;
     }
-    if ck.hybrid.as_ref().is_some_and(|h| h.patience == 0) {
-        return Err("hybrid.patience must be positive".into());
+    if let Some(h) = &ck.hybrid {
+        if h.patience == 0 {
+            return Err("hybrid.patience must be positive".into());
+        }
+        // The round whose freeze count reaches `patience` switches the
+        // picker, and a saturated count would overflow on its next round.
+        if !h.switched && h.frozen_rounds >= h.patience {
+            return Err(format!(
+                "hybrid.frozen_rounds = {} must stay below hybrid.patience = {} until the picker switches",
+                h.frozen_rounds, h.patience
+            ));
+        }
     }
     for (i, a) in ck.arrivals.iter().enumerate() {
         in_range(a.user, users, || format!("arrivals[{i}].user"))?;
@@ -1094,6 +1104,14 @@ mod tests {
             (
                 "hybrid.patience",
                 Box::new(|c| c.hybrid.as_mut().unwrap().patience = 0),
+            ),
+            (
+                "hybrid.frozen_rounds",
+                Box::new(|c| {
+                    let h = c.hybrid.as_mut().unwrap();
+                    h.switched = false;
+                    h.frozen_rounds = u64::MAX;
+                }),
             ),
             (
                 "arrivals[0].user",
