@@ -20,6 +20,11 @@ echo "==> WAL tests, optimised (CRC kernel, group commit, every-byte crash sweep
 cargo test --release -q -p easeml-wal
 cargo test --release -q --test wal_crash_sweep
 
+echo "==> linear-algebra and GP tests, optimised (blocked kernels, T-space LML)"
+# The panel Cholesky and the column Gram must stay bit-identical to their
+# plain loops in the vectorised code that perfbench and users run.
+cargo test --release -q -p easeml-linalg -p easeml-gp
+
 echo "==> wall-clock scaling gates, optimised (ignored by the default test run)"
 # The scaling windows with no work-count equivalent: the pick_user and
 # posterior_update exponents over 1k-100k tenants, and the open-loop
