@@ -428,8 +428,32 @@ mod tests {
         }
     }
 
-    /// The row-by-row loop `Cholesky::factor` ran before it was blocked:
-    /// row `i` fills left to right from the final rows above it.
+    /// The textbook `(i, k)`-indexed kernel: the operations, in order, that
+    /// `Cholesky::factor` must perform.
+    fn factor_by_index(a: &Matrix) -> Result<Matrix> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = a[(i, j)];
+                for k in 0..j {
+                    s -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if s <= 0.0 || !s.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite { pivot: i, value: s });
+                    }
+                    l[(i, j)] = s.sqrt();
+                } else {
+                    l[(i, j)] = s / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// The same kernel on row slices, unblocked: row `i` fills left to
+    /// right from the final rows above it.
     fn factor_by_rows(a: &Matrix) -> Result<Matrix> {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
@@ -468,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn factor_is_bit_identical_to_the_row_loop() {
+    fn factor_is_bit_identical_to_the_row_loop_and_the_indexed_kernel() {
         // Every panel remainder, on SPD, semi-definite, indefinite and
         // NaN-bearing input; a NaN above the diagonal is never read.
         let mut failures = 0;
@@ -495,6 +519,7 @@ mod tests {
                 failures += usize::from(want.is_err());
                 let got = factor_bits(Cholesky::factor(&a).map(|c| c.l().clone()));
                 assert_eq!(got, want, "{what}, n = {n}");
+                assert_eq!(factor_bits(factor_by_index(&a)), want, "{what}, n = {n}");
             }
         }
         assert!(failures > 80, "only {failures} inputs failed to factor");
