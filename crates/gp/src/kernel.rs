@@ -202,74 +202,6 @@ impl Kernel for WhiteKernel {
     }
 }
 
-/// Rational-quadratic kernel
-/// `k(x, y) = (1 + d²/(2 α ℓ²))^{−α}` — a scale mixture of RBF kernels,
-/// heavier-tailed than a single RBF.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RationalQuadraticKernel {
-    /// Length scale ℓ.
-    pub length_scale: f64,
-    /// Mixture parameter α; RBF in the limit α → ∞.
-    pub alpha: f64,
-}
-
-impl RationalQuadraticKernel {
-    /// Creates the kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are strictly positive.
-    pub fn new(length_scale: f64, alpha: f64) -> Self {
-        assert!(length_scale > 0.0, "length scale must be positive");
-        assert!(alpha > 0.0, "alpha must be positive");
-        RationalQuadraticKernel {
-            length_scale,
-            alpha,
-        }
-    }
-}
-
-impl Kernel for RationalQuadraticKernel {
-    fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
-        let d2 = vec_ops::dist2_sq(x, y);
-        (1.0 + d2 / (2.0 * self.alpha * self.length_scale * self.length_scale)).powf(-self.alpha)
-    }
-}
-
-/// Exp-sine-squared (periodic) kernel
-/// `k(x, y) = exp(−2 sin²(π d / p) / ℓ²)` over the Euclidean distance d.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeriodicKernel {
-    /// Length scale ℓ.
-    pub length_scale: f64,
-    /// Period p.
-    pub period: f64,
-}
-
-impl PeriodicKernel {
-    /// Creates the kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are strictly positive.
-    pub fn new(length_scale: f64, period: f64) -> Self {
-        assert!(length_scale > 0.0, "length scale must be positive");
-        assert!(period > 0.0, "period must be positive");
-        PeriodicKernel {
-            length_scale,
-            period,
-        }
-    }
-}
-
-impl Kernel for PeriodicKernel {
-    fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
-        let d = vec_ops::dist2_sq(x, y).sqrt();
-        let s = (std::f64::consts::PI * d / self.period).sin();
-        (-2.0 * s * s / (self.length_scale * self.length_scale)).exp()
-    }
-}
-
 /// Sum of two kernels.
 #[derive(Debug)]
 pub struct SumKernel<A, B>(pub A, pub B);
@@ -396,36 +328,6 @@ mod tests {
         assert_eq!(k.eval(X, X), 2.0);
         let k = ScaledKernel::new(RbfKernel::new(1.0), 4.0);
         assert_eq!(k.eval(X, X), 4.0);
-    }
-
-    #[test]
-    fn rational_quadratic_interpolates_towards_rbf() {
-        let d = [0.0];
-        let e = [1.3];
-        let rbf = RbfKernel::new(1.0).eval(&d, &e);
-        let rq_small = RationalQuadraticKernel::new(1.0, 0.5).eval(&d, &e);
-        let rq_huge = RationalQuadraticKernel::new(1.0, 1e6).eval(&d, &e);
-        assert!((rq_huge - rbf).abs() < 1e-4, "α→∞ limit is RBF");
-        assert!(rq_small > rbf, "small α has heavier tails");
-        assert_eq!(RationalQuadraticKernel::new(1.0, 1.0).eval(&d, &d), 1.0);
-    }
-
-    #[test]
-    fn periodic_kernel_repeats() {
-        let k = PeriodicKernel::new(1.0, 2.0);
-        let a = [0.0];
-        assert!((k.eval(&a, &[0.0]) - 1.0).abs() < 1e-12);
-        // Points one full period apart are perfectly correlated.
-        assert!((k.eval(&a, &[2.0]) - 1.0).abs() < 1e-12);
-        assert!((k.eval(&a, &[4.0]) - 1.0).abs() < 1e-12);
-        // Half a period apart: minimum correlation.
-        assert!(k.eval(&a, &[1.0]) < k.eval(&a, &[0.25]));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn periodic_rejects_zero_period() {
-        let _ = PeriodicKernel::new(1.0, 0.0);
     }
 
     #[test]

@@ -34,20 +34,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod icm;
 pub mod kernel;
 pub mod mll;
-pub mod optimize;
 pub mod posterior;
 pub mod prior;
 pub mod tune;
 
-pub use icm::{kronecker, MultiTaskGp};
 pub use kernel::{
-    ConstantKernel, Kernel, LinearKernel, Matern32Kernel, Matern52Kernel, PeriodicKernel,
-    ProductKernel, RationalQuadraticKernel, RbfKernel, ScaledKernel, SumKernel, WhiteKernel,
+    ConstantKernel, Kernel, LinearKernel, Matern32Kernel, Matern52Kernel, ProductKernel, RbfKernel,
+    ScaledKernel, SumKernel, WhiteKernel,
 };
-pub use optimize::{nelder_mead, tune_scale_noise_continuous, NelderMeadOptions};
 pub use posterior::GpPosterior;
 pub use prior::ArmPrior;
-pub use tune::{tune_scale_noise, TuneGrid, TunedHyperparams};
+pub use tune::TuneGrid;

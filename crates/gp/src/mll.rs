@@ -226,28 +226,6 @@ impl LowRankLml {
     }
 }
 
-/// Per-observation average log marginal likelihood — a scale-free score for
-/// comparing hyperparameter settings across histories of different lengths.
-pub fn mean_log_marginal_likelihood(
-    prior: &ArmPrior,
-    noise_var: f64,
-    observations: &[(usize, f64)],
-) -> f64 {
-    if observations.is_empty() {
-        return 0.0;
-    }
-    log_marginal_likelihood(prior, noise_var, observations) / observations.len() as f64
-}
-
-/// Centers rewards to zero mean, returning the centered observations and the
-/// subtracted mean. Centering before fitting is the standard companion of a
-/// zero-mean prior.
-pub fn center_rewards(observations: &[(usize, f64)]) -> (Vec<(usize, f64)>, f64) {
-    let ys: Vec<f64> = observations.iter().map(|&(_, y)| y).collect();
-    let m = vec_ops::mean(&ys);
-    (observations.iter().map(|&(a, y)| (a, y - m)).collect(), m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +234,6 @@ mod tests {
     fn empty_history_has_zero_lml() {
         let prior = ArmPrior::independent(2, 1.0);
         assert_eq!(log_marginal_likelihood(&prior, 0.1, &[]), 0.0);
-        assert_eq!(mean_log_marginal_likelihood(&prior, 0.1, &[]), 0.0);
     }
 
     #[test]
@@ -333,24 +310,6 @@ mod tests {
     fn short_history_panics() {
         let prior = ArmPrior::independent(2, 1.0);
         let _ = log_marginal_likelihoods(&prior, 0.1, &[0, 1], &[[0.5]]);
-    }
-
-    #[test]
-    fn mean_lml_is_average() {
-        let prior = ArmPrior::independent(2, 1.0);
-        let obs = [(0usize, 0.5), (1, -0.5)];
-        let total = log_marginal_likelihood(&prior, 0.2, &obs);
-        assert!((mean_log_marginal_likelihood(&prior, 0.2, &obs) - total / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn centering() {
-        let (centered, m) = center_rewards(&[(0, 1.0), (1, 3.0)]);
-        assert_eq!(m, 2.0);
-        assert_eq!(centered, vec![(0, -1.0), (1, 1.0)]);
-        let (c, m) = center_rewards(&[]);
-        assert!(c.is_empty());
-        assert_eq!(m, 0.0);
     }
 
     #[test]

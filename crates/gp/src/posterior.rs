@@ -258,19 +258,6 @@ impl GpPosterior {
         self.prior.cov()[(k1, k2)] - reduction
     }
 
-    /// The full posterior covariance over a subset of arms (symmetrized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn joint_cov(&self, arms: &[usize]) -> Matrix {
-        let mut m = Matrix::from_fn(arms.len(), arms.len(), |i, j| {
-            self.posterior_cov(arms[i], arms[j])
-        });
-        m.symmetrize_mut();
-        m
-    }
-
     /// Appends the factor row of a new observation of `arm`, or returns
     /// `false` and leaves the factor alone when the extended Gram is not
     /// numerically positive definite.
@@ -821,16 +808,6 @@ mod tests {
         gp.observe(0, 0.5);
         // Observing arm 0 explains away shared variance: |cov| shrinks.
         assert!(gp.posterior_cov(0, 1).abs() < 0.8);
-    }
-
-    #[test]
-    fn joint_cov_is_symmetric_and_consistent() {
-        let mut gp = GpPosterior::new(correlated_prior(0.6), 0.02);
-        gp.observe(1, 0.7);
-        let j = gp.joint_cov(&[0, 1]);
-        assert!(j.is_symmetric(1e-12));
-        assert!((j[(0, 0)] - gp.var(0)).abs() < 1e-10);
-        assert!((j[(0, 1)] - gp.posterior_cov(0, 1)).abs() < 1e-10);
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! Hyperparameter tuning by grid maximization of the log marginal
-//! likelihood.
+//! The hyperparameter grid scored by log marginal likelihood.
 //!
 //! The paper tunes "all hyperparameters for GP-UCB … by maximizing the
 //! log-marginal-likelihood as in scikit-learn" (§5.2). For a fixed Gram
 //! matrix over arms (e.g. an empirical quality-vector kernel), the free
 //! hyperparameters are an output scale `s` (multiplying the Gram matrix) and
-//! the observation-noise variance `σ²`. The grid search here is exhaustive
-//! and deterministic — robust for the small grids involved, and free of the
-//! gradient pathologies an L-BFGS restart scheme has to manage.
-
-use crate::mll::log_marginal_likelihood;
-use crate::prior::ArmPrior;
-use easeml_linalg::Matrix;
+//! the observation-noise variance `σ²`. `easeml::experiment` scores every
+//! grid point with [`crate::mll`]: exhaustive and deterministic, robust for
+//! the small grids involved, and free of the gradient pathologies an L-BFGS
+//! restart scheme has to manage.
 
 /// The grid of candidate hyperparameters to score.
 #[derive(Debug, Clone)]
@@ -30,148 +26,5 @@ impl Default for TuneGrid {
             scales: vec![0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0],
             noises: vec![1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1],
         }
-    }
-}
-
-/// The winning hyperparameters and their score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TunedHyperparams {
-    /// Output scale multiplying the base Gram matrix.
-    pub scale: f64,
-    /// Observation-noise variance.
-    pub noise_var: f64,
-    /// Log marginal likelihood achieved.
-    pub lml: f64,
-}
-
-/// Scores every `(scale, noise)` pair in `grid` against the observation
-/// history and returns the maximizer.
-///
-/// `gram` is the *base* covariance over arms; the scored prior is
-/// `scale · gram`. Rewards should be centered by the caller (see
-/// [`crate::mll::center_rewards`]) when using a zero-mean prior.
-///
-/// # Panics
-///
-/// Panics if the grid or the history is empty, or if any grid value is not
-/// strictly positive.
-pub fn tune_scale_noise(
-    gram: &Matrix,
-    observations: &[(usize, f64)],
-    grid: &TuneGrid,
-) -> TunedHyperparams {
-    assert!(
-        !grid.scales.is_empty() && !grid.noises.is_empty(),
-        "tuning grid must be non-empty"
-    );
-    assert!(!observations.is_empty(), "tuning needs observations");
-    assert!(
-        grid.scales.iter().chain(&grid.noises).all(|&v| v > 0.0),
-        "grid values must be positive"
-    );
-
-    let mut best = TunedHyperparams {
-        scale: grid.scales[0],
-        noise_var: grid.noises[0],
-        lml: f64::NEG_INFINITY,
-    };
-    for &scale in &grid.scales {
-        let prior = ArmPrior::from_gram(gram.scaled(scale));
-        for &noise in &grid.noises {
-            let lml = log_marginal_likelihood(&prior, noise, observations);
-            if lml > best.lml {
-                best = TunedHyperparams {
-                    scale,
-                    noise_var: noise,
-                    lml,
-                };
-            }
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::kernel::{Kernel, RbfKernel};
-
-    #[test]
-    fn recovers_noise_regime_from_noisy_replications() {
-        // Arm rewards replicated with visible scatter: the tuner should not
-        // pick the tiniest noise on the grid.
-        let gram = Matrix::identity(2);
-        let obs = [
-            (0usize, 0.50),
-            (0, 0.58),
-            (0, 0.44),
-            (0, 0.54),
-            (1, -0.50),
-            (1, -0.42),
-            (1, -0.55),
-        ];
-        let grid = TuneGrid {
-            scales: vec![0.3, 1.0, 3.0],
-            noises: vec![1e-6, 1e-3, 3e-3, 1e-2, 3e-2],
-        };
-        let t = tune_scale_noise(&gram, &obs, &grid);
-        assert!(t.noise_var >= 1e-3, "tuned noise {} too small", t.noise_var);
-        assert!(t.lml.is_finite());
-    }
-
-    #[test]
-    fn prefers_scale_matching_reward_magnitude() {
-        // Rewards of magnitude ~3 under a unit Gram: a larger scale should
-        // win over a much smaller one.
-        let gram = Matrix::identity(3);
-        let obs = [(0usize, 3.0), (1, -2.8), (2, 3.2)];
-        let grid = TuneGrid {
-            scales: vec![0.01, 10.0],
-            noises: vec![1e-3],
-        };
-        let t = tune_scale_noise(&gram, &obs, &grid);
-        assert_eq!(t.scale, 10.0);
-    }
-
-    #[test]
-    fn tuned_lml_dominates_all_grid_points() {
-        let feats: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64 * 0.5]).collect();
-        let gram = RbfKernel::new(1.0).gram(&feats);
-        let obs = [(0usize, 0.2), (1, 0.25), (2, 0.15), (3, 0.3)];
-        let grid = TuneGrid::default();
-        let best = tune_scale_noise(&gram, &obs, &grid);
-        for &s in &grid.scales {
-            for &n in &grid.noises {
-                let prior = ArmPrior::from_gram(gram.scaled(s));
-                let lml = log_marginal_likelihood(&prior, n, &obs);
-                assert!(lml <= best.lml + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "needs observations")]
-    fn empty_history_panics() {
-        let _ = tune_scale_noise(&Matrix::identity(2), &[], &TuneGrid::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_grid_panics() {
-        let grid = TuneGrid {
-            scales: vec![],
-            noises: vec![1.0],
-        };
-        let _ = tune_scale_noise(&Matrix::identity(2), &[(0, 0.0)], &grid);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn non_positive_grid_panics() {
-        let grid = TuneGrid {
-            scales: vec![0.0],
-            noises: vec![1.0],
-        };
-        let _ = tune_scale_noise(&Matrix::identity(2), &[(0, 0.0)], &grid);
     }
 }

@@ -1,5 +1,4 @@
-//! Cholesky factorization of symmetric positive-definite matrices, with
-//! rank-1 updates.
+//! Cholesky factorization of symmetric positive-definite matrices.
 
 use crate::triangular::{solve_lower, solve_lower_transpose};
 use crate::{LinalgError, Matrix, Result};
@@ -7,10 +6,8 @@ use crate::{LinalgError, Matrix, Result};
 /// Columns per panel of [`Cholesky::factor`].
 const PANEL: usize = 4;
 
-/// Lower-triangular Cholesky factor `L` of an SPD matrix `A = L Lᵀ`.
-///
-/// Beyond the usual solve/log-det operations, [`Cholesky::rank1_update`] /
-/// [`Cholesky::rank1_downdate`] apply `A ± v vᵀ` in O(n²).
+/// Lower-triangular Cholesky factor `L` of an SPD matrix `A = L Lᵀ`, with
+/// solves, quadratic forms and the log-determinant.
 ///
 /// # Examples
 ///
@@ -248,73 +245,6 @@ impl Cholesky {
             let k = i.min(j) + 1;
             (0..k).map(|t| self.l[(i, t)] * self.l[(j, t)]).sum()
         })
-    }
-
-    /// Applies the rank-1 update `A ← A + v vᵀ` directly on the factor in
-    /// O(n²) using Givens-style rotations.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `v.len() != dim()`.
-    pub fn rank1_update(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (n, 1),
-                found: (v.len(), 1),
-            });
-        }
-        let mut w = v.to_vec();
-        for k in 0..n {
-            let lkk = self.l[(k, k)];
-            let r = (lkk * lkk + w[k] * w[k]).sqrt();
-            let c = r / lkk;
-            let s = w[k] / lkk;
-            self.l[(k, k)] = r;
-            for i in (k + 1)..n {
-                let lik = self.l[(i, k)];
-                self.l[(i, k)] = (lik + s * w[i]) / c;
-                w[i] = c * w[i] - s * self.l[(i, k)];
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies the rank-1 downdate `A ← A − v vᵀ` on the factor in O(n²).
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] if `v.len() != dim()`;
-    /// [`LinalgError::DowndateBreaksPositivity`] when `A − v vᵀ` would not be
-    /// positive definite (the factor is left unchanged in that case).
-    pub fn rank1_downdate(&mut self, v: &[f64]) -> Result<()> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (n, 1),
-                found: (v.len(), 1),
-            });
-        }
-        let mut l = self.l.clone();
-        let mut w = v.to_vec();
-        for k in 0..n {
-            let lkk = l[(k, k)];
-            let under = lkk * lkk - w[k] * w[k];
-            if under <= 0.0 {
-                return Err(LinalgError::DowndateBreaksPositivity);
-            }
-            let r = under.sqrt();
-            let c = r / lkk;
-            let s = w[k] / lkk;
-            l[(k, k)] = r;
-            for i in (k + 1)..n {
-                let lik = l[(i, k)];
-                l[(i, k)] = (lik - s * w[i]) / c;
-                w[i] = c * w[i] - s * l[(i, k)];
-            }
-        }
-        self.l = l;
-        Ok(())
     }
 }
 
@@ -589,47 +519,6 @@ mod tests {
             Cholesky::factor_with_jitter(&rect, 1e-10, 3),
             Err(LinalgError::NotSquare { .. })
         ));
-    }
-
-    #[test]
-    fn rank1_update_matches_explicit() {
-        let a = spd(5, 11);
-        let v = [0.3, -0.8, 1.1, 0.0, 0.5];
-        let mut c = Cholesky::factor(&a).unwrap();
-        c.rank1_update(&v).unwrap();
-        let vv = Matrix::from_fn(5, 5, |i, j| v[i] * v[j]);
-        let expected = &a + &vv;
-        assert!(c.reconstruct().approx_eq(&expected, 1e-9));
-    }
-
-    #[test]
-    fn rank1_downdate_reverses_update() {
-        let a = spd(5, 13);
-        let v = [0.3, -0.8, 1.1, 0.0, 0.5];
-        let mut c = Cholesky::factor(&a).unwrap();
-        c.rank1_update(&v).unwrap();
-        c.rank1_downdate(&v).unwrap();
-        assert!(c.reconstruct().approx_eq(&a, 1e-8));
-    }
-
-    #[test]
-    fn downdate_refuses_to_break_positivity() {
-        let a = Matrix::identity(2);
-        let mut c = Cholesky::factor(&a).unwrap();
-        let before = c.clone();
-        assert_eq!(
-            c.rank1_downdate(&[2.0, 0.0]),
-            Err(LinalgError::DowndateBreaksPositivity)
-        );
-        // Factor must be untouched on failure.
-        assert_eq!(c, before);
-    }
-
-    #[test]
-    fn shape_errors_for_updates() {
-        let mut c = Cholesky::factor(&Matrix::identity(3)).unwrap();
-        assert!(c.rank1_update(&[1.0]).is_err());
-        assert!(c.rank1_downdate(&[1.0]).is_err());
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub enum LinalgError {
         /// Off-diagonal norm remaining after the final sweep.
         off_diagonal: f64,
     },
-    /// A rank-1 downdate would have made the factor indefinite.
-    DowndateBreaksPositivity,
 }
 
 impl fmt::Display for LinalgError {
@@ -64,9 +62,6 @@ impl fmt::Display for LinalgError {
                 f,
                 "Jacobi eigensolver failed to converge (off-diagonal norm {off_diagonal:.3e})"
             ),
-            LinalgError::DowndateBreaksPositivity => {
-                write!(f, "rank-1 downdate would break positive definiteness")
-            }
         }
     }
 }
@@ -99,10 +94,6 @@ mod tests {
 
         let e = LinalgError::EigenNoConvergence { off_diagonal: 1e-3 };
         assert!(e.to_string().contains("converge"));
-
-        assert!(LinalgError::DowndateBreaksPositivity
-            .to_string()
-            .contains("downdate"));
     }
 
     #[test]

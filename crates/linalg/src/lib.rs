@@ -6,20 +6,17 @@
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual arithmetic,
 //!   products, and structural helpers;
-//! * [`Cholesky`] — an SPD factorization supporting solves, log-determinants
-//!   and rank-1 updates. The GP posterior factors its Gram with it only when
+//! * [`Cholesky`] — an SPD factorization supporting solves and
+//!   log-determinants. The GP posterior factors its Gram with it only when
 //!   it must start over; each new observation appends one row to a packed
 //!   copy of the factor that the posterior keeps itself;
 //! * [`SymmetricTridiagonal`] — the Householder reduction `A = Q T Qᵀ`,
 //!   after which `I + ρA` has an O(n) LDLᵀ recurrence for every ρ;
-//! * triangular solves ([`solve_lower`], [`solve_upper`], and transposed
-//!   variants) used by both the factorization and the marginal likelihood;
+//! * triangular solves ([`solve_lower`] and [`solve_lower_transpose`]) used
+//!   by both the factorization and the marginal likelihood;
 //! * a symmetric [`eigen`] decomposition (cyclic Jacobi) used to repair
 //!   empirical kernels that are only *almost* positive semi-definite
 //!   ([`project_psd`]);
-//! * [`Lu`] (partial pivoting) for general square systems, determinants,
-//!   and inverses, and [`Qr`] (Householder) with [`least_squares`] for
-//!   overdetermined fits;
 //! * small vector helpers in [`vec_ops`].
 //!
 //! Everything is pure safe Rust with no external dependencies. The matrices
@@ -37,9 +34,7 @@
 mod cholesky;
 mod eigen;
 mod error;
-mod lu;
 mod matrix;
-mod qr;
 mod triangular;
 mod tridiagonal;
 pub mod vec_ops;
@@ -47,10 +42,8 @@ pub mod vec_ops;
 pub use cholesky::{diagonal_condition_estimate, Cholesky};
 pub use eigen::{eigen, project_psd, SymmetricEigen};
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::{least_squares, Qr};
-pub use triangular::{solve_lower, solve_lower_transpose, solve_upper, solve_upper_transpose};
+pub use triangular::{solve_lower, solve_lower_transpose};
 pub use tridiagonal::SymmetricTridiagonal;
 
 /// Convenience alias for results in this crate.

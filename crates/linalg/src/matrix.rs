@@ -166,12 +166,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copy column `j` into a new vector.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        debug_assert!(j < self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Copy the main diagonal into a new vector.
     pub fn diag(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
@@ -356,15 +350,6 @@ impl Matrix {
         for i in 0..n {
             self[(i, i)] += s;
         }
-    }
-
-    /// Extracts the square submatrix with rows and columns taken from
-    /// `indices`, in order. Used to restrict a kernel matrix to the arms a
-    /// bandit has actually played.
-    pub fn submatrix(&self, indices: &[usize]) -> Matrix {
-        Matrix::from_fn(indices.len(), indices.len(), |i, j| {
-            self[(indices[i], indices[j])]
-        })
     }
 
     /// Maximum absolute difference from its own transpose; 0 for symmetric
@@ -559,7 +544,6 @@ mod tests {
         let m = Matrix::from_fn(3, 2, |i, j| (i * 10 + j) as f64);
         assert_eq!(m[(2, 1)], 21.0);
         assert_eq!(m.row(1), &[10.0, 11.0]);
-        assert_eq!(m.col(0), vec![0.0, 10.0, 20.0]);
     }
 
     #[test]
@@ -623,16 +607,6 @@ mod tests {
         m.add_diag_mut(0.5);
         assert_eq!(m.diag(), vec![1.5, 1.5, 1.5]);
         assert_eq!(m[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn submatrix_selects_rows_and_cols() {
-        let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = m.submatrix(&[3, 1]);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s[(0, 0)], m[(3, 3)]);
-        assert_eq!(s[(0, 1)], m[(3, 1)]);
-        assert_eq!(s[(1, 0)], m[(1, 3)]);
     }
 
     #[test]

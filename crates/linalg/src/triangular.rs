@@ -46,31 +46,6 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Solves `U x = b` where `U` is upper triangular (entries below the
-/// diagonal are ignored).
-///
-/// # Errors
-///
-/// Same failure modes as [`solve_lower`].
-pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    check_square_system(u, b)?;
-    let n = u.rows();
-    let mut x = b.to_vec();
-    for i in (0..n).rev() {
-        let row = u.row(i);
-        let mut s = x[i];
-        for j in (i + 1)..n {
-            s -= row[j] * x[j];
-        }
-        let d = row[i];
-        if d.abs() < SINGULARITY_TOL {
-            return Err(LinalgError::SingularTriangular { index: i });
-        }
-        x[i] = s / d;
-    }
-    Ok(x)
-}
-
 /// Solves `Lᵀ x = b` given lower-triangular `L`, without materializing the
 /// transpose. This is the second half of a Cholesky solve.
 ///
@@ -88,30 +63,6 @@ pub fn solve_lower_transpose(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
             s -= l[(j, i)] * x[j];
         }
         let d = l[(i, i)];
-        if d.abs() < SINGULARITY_TOL {
-            return Err(LinalgError::SingularTriangular { index: i });
-        }
-        x[i] = s / d;
-    }
-    Ok(x)
-}
-
-/// Solves `Uᵀ x = b` given upper-triangular `U`, without materializing the
-/// transpose.
-///
-/// # Errors
-///
-/// Same failure modes as [`solve_lower`].
-pub fn solve_upper_transpose(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    check_square_system(u, b)?;
-    let n = u.rows();
-    let mut x = b.to_vec();
-    for i in 0..n {
-        let mut s = x[i];
-        for j in 0..i {
-            s -= u[(j, i)] * x[j];
-        }
-        let d = u[(i, i)];
         if d.abs() < SINGULARITY_TOL {
             return Err(LinalgError::SingularTriangular { index: i });
         }
@@ -141,31 +92,13 @@ mod tests {
     }
 
     #[test]
-    fn solve_upper_matches_back_substitution() {
-        let u = lower3().transpose();
-        let b = [2.0, 7.0, 10.0];
-        let x = solve_upper(&u, &b).unwrap();
-        let recon = u.matvec(&x).unwrap();
-        for i in 0..3 {
-            assert!((recon[i] - b[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn transpose_solvers_agree_with_explicit_transpose() {
+    fn transpose_solver_inverts_the_explicit_transpose() {
         let l = lower3();
         let b = [1.0, -2.0, 0.5];
-        let via_t = solve_lower_transpose(&l, &b).unwrap();
-        let explicit = solve_upper(&l.transpose(), &b).unwrap();
-        for (a, e) in via_t.iter().zip(&explicit) {
-            assert!((a - e).abs() < 1e-12);
-        }
-
-        let u = lower3().transpose();
-        let via_t = solve_upper_transpose(&u, &b).unwrap();
-        let explicit = solve_lower(&u.transpose(), &b).unwrap();
-        for (a, e) in via_t.iter().zip(&explicit) {
-            assert!((a - e).abs() < 1e-12);
+        let x = solve_lower_transpose(&l, &b).unwrap();
+        let recon = l.transpose().matvec(&x).unwrap();
+        for i in 0..3 {
+            assert!((recon[i] - b[i]).abs() < 1e-12);
         }
     }
 
@@ -188,7 +121,7 @@ mod tests {
         ));
         let l = Matrix::identity(2);
         assert!(matches!(
-            solve_upper(&l, &[1.0]),
+            solve_lower_transpose(&l, &[1.0]),
             Err(LinalgError::ShapeMismatch { .. })
         ));
     }
@@ -197,12 +130,7 @@ mod tests {
     fn identity_solves_are_no_ops() {
         let id = Matrix::identity(4);
         let b = [1.0, 2.0, 3.0, 4.0];
-        for f in [
-            solve_lower,
-            solve_upper,
-            solve_lower_transpose,
-            solve_upper_transpose,
-        ] {
+        for f in [solve_lower, solve_lower_transpose] {
             assert_eq!(f(&id, &b).unwrap(), b.to_vec());
         }
     }

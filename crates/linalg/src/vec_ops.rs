@@ -15,34 +15,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean (L2) norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Squared Euclidean distance between two equal-length slices.
 #[inline]
 pub fn dist2_sq(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dist length mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// `y += alpha * x`, the classic AXPY update.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Scales a slice in place.
-#[inline]
-pub fn scale(a: &mut [f64], s: f64) {
-    for x in a {
-        *x *= s;
-    }
 }
 
 /// Arithmetic mean; 0.0 for an empty slice.
@@ -107,72 +84,19 @@ pub fn min(a: &[f64]) -> Option<f64> {
     argmin(a).map(|i| a[i])
 }
 
-/// Clamps every entry into `[lo, hi]` in place.
-pub fn clamp_all(a: &mut [f64], lo: f64, hi: f64) {
-    for x in a {
-        *x = x.clamp(lo, hi);
-    }
-}
-
-/// Linear interpolation table lookup: given sorted `xs` and matching `ys`,
-/// evaluates the piecewise-linear interpolant at `x`, clamping outside the
-/// range. Used when resampling experiment curves onto a common grid.
-pub fn interp(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "interp length mismatch");
-    assert!(!xs.is_empty(), "interp needs at least one point");
-    if x <= xs[0] {
-        return ys[0];
-    }
-    if x >= xs[xs.len() - 1] {
-        return ys[ys.len() - 1];
-    }
-    // Binary search for the bracketing segment.
-    let mut lo = 0;
-    let mut hi = xs.len() - 1;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if xs[mid] <= x {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let t = if xs[hi] > xs[lo] {
-        (x - xs[lo]) / (xs[hi] - xs[lo])
-    } else {
-        0.0
-    };
-    ys[lo] + t * (ys[hi] - ys[lo])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_norm() {
+    fn dot_product() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(dot(&[], &[]), 0.0);
     }
 
     #[test]
     fn distance() {
         assert_eq!(dist2_sq(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut a = vec![1.0, -2.0];
-        scale(&mut a, -3.0);
-        assert_eq!(a, vec![-3.0, 6.0]);
     }
 
     #[test]
@@ -195,29 +119,5 @@ mod tests {
         assert_eq!(argmax_by(keyed), Some(5), "keys follow the first max");
         assert_eq!(max(&[1.0, 5.0, 2.0]), Some(5.0));
         assert_eq!(min(&[1.0, 5.0, 2.0]), Some(1.0));
-    }
-
-    #[test]
-    fn clamping() {
-        let mut a = vec![-1.0, 0.5, 2.0];
-        clamp_all(&mut a, 0.0, 1.0);
-        assert_eq!(a, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn interpolation() {
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [0.0, 10.0, 0.0];
-        assert_eq!(interp(&xs, &ys, -1.0), 0.0); // clamp left
-        assert_eq!(interp(&xs, &ys, 3.0), 0.0); // clamp right
-        assert_eq!(interp(&xs, &ys, 0.5), 5.0);
-        assert_eq!(interp(&xs, &ys, 1.5), 5.0);
-        assert_eq!(interp(&xs, &ys, 1.0), 10.0);
-    }
-
-    #[test]
-    fn interp_single_point() {
-        assert_eq!(interp(&[1.0], &[7.0], 0.0), 7.0);
-        assert_eq!(interp(&[1.0], &[7.0], 2.0), 7.0);
     }
 }

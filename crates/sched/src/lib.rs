@@ -39,7 +39,6 @@ pub mod picker;
 mod reference;
 pub mod regret;
 pub mod tenant;
-pub mod weighted;
 
 pub use deadline::{Deadline, DeadlinePicker};
 pub use greedy::{Greedy, PickRule};
@@ -47,4 +46,3 @@ pub use hybrid::{Hybrid, HybridState};
 pub use picker::{Fcfs, RandomPicker, RoundRobin, UserPicker};
 pub use regret::MultiTenantRegret;
 pub use tenant::Tenant;
-pub use weighted::WeightedFair;

@@ -10,7 +10,6 @@ use crate::greedy::{Greedy, PickRule};
 use crate::hybrid::Hybrid;
 use crate::picker::{Fcfs, RandomPicker, RoundRobin, UserPicker};
 use crate::tenant::Tenant;
-use crate::weighted::WeightedFair;
 use easeml_bandit::{BetaSchedule, GpUcb};
 use easeml_gp::ArmPrior;
 use easeml_linalg::{vec_ops, Matrix};
@@ -128,10 +127,6 @@ enum RefPicker {
     RoundRobin,
     Fcfs,
     Random,
-    WeightedFair {
-        weights: Vec<f64>,
-        credit: Vec<f64>,
-    },
 }
 
 impl RefPicker {
@@ -192,17 +187,6 @@ impl RefPicker {
             RefPicker::Random => {
                 let active = active_indices(tenants);
                 active[rng.gen_range(0..active.len())]
-            }
-            RefPicker::WeightedFair { weights, credit } => {
-                let active = active_indices(tenants);
-                let total: f64 = active.iter().map(|&i| weights[i]).sum();
-                for &i in &active {
-                    credit[i] += weights[i] / total;
-                }
-                let balances: Vec<f64> = active.iter().map(|&i| credit[i]).collect();
-                let choice = active[vec_ops::argmax(&balances).expect("at least one tenant")];
-                credit[choice] -= 1.0;
-                choice
             }
         }
     }
@@ -418,15 +402,5 @@ proptest! {
         run_against_reference(&mut RoundRobin::default(), &mut RefPicker::RoundRobin, &s)?;
         run_against_reference(&mut Fcfs::default(), &mut RefPicker::Fcfs, &s)?;
         run_against_reference(&mut RandomPicker::default(), &mut RefPicker::Random, &s)?;
-        let weights: Vec<f64> = (0..s.tenants.len()).map(|i| 1.0 + (i % 3) as f64).collect();
-        let mut fair = WeightedFair::new(weights.clone());
-        let mut reference = RefPicker::WeightedFair {
-            credit: vec![0.0; weights.len()],
-            weights,
-        };
-        run_against_reference(&mut fair, &mut reference, &s)?;
-        if let RefPicker::WeightedFair { credit, .. } = &reference {
-            prop_assert_eq!(bits(fair.credit()), bits(credit));
-        }
     }
 }
