@@ -13,7 +13,11 @@
 //! so they are carried as decimal *strings* — everything else fits JSON
 //! numbers losslessly.
 
-use easeml_obs::json::{self, Json};
+use easeml_obs::json::{
+    self, as_f64, as_object, as_str, as_tuple, as_u64, as_usize, get, get_bool, get_f64,
+    get_f64_or_neg_inf, get_str, get_u64, get_usize, parse_array, parse_f64_array, parse_object,
+    parse_objects, parse_usize_array, Json,
+};
 use serde::Serialize;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -259,7 +263,9 @@ impl CheckpointDoc {
     pub fn from_json(input: &str) -> Result<Self, CheckpointError> {
         let doc = json::parse(input)?;
         let fields = as_object(&doc, "checkpoint")?;
-        let version = get_u64(fields, "version")? as u32;
+        let version = get_u64(fields, "version")?;
+        let version = u32::try_from(version)
+            .map_err(|_| format!("version: {version} is out of range (< 2^32)"))?;
         match version.cmp(&CHECKPOINT_VERSION) {
             std::cmp::Ordering::Greater => {
                 return Err(CheckpointError::NewerVersion {
@@ -275,46 +281,26 @@ impl CheckpointDoc {
             }
             std::cmp::Ordering::Equal => {}
         }
-        let rng_raw = get(fields, "rng_state")?;
-        let rng_vec = as_array(rng_raw, "rng_state")?;
-        if rng_vec.len() != 4 {
-            return Err(CheckpointError::Malformed(
-                "rng_state must hold 4 words".into(),
-            ));
-        }
         let mut rng_state: [String; 4] = Default::default();
-        for (i, word) in rng_vec.iter().enumerate() {
-            rng_state[i] = as_str(word, "rng_state word")?.to_string();
+        let words: &[Json; 4] = as_tuple(get(fields, "rng_state")?, "rng_state")?;
+        for (state, word) in rng_state.iter_mut().zip(words) {
+            *state = as_str(word, "rng_state word")?.to_string();
         }
-        let users = as_array(get(fields, "users")?, "users")?
-            .iter()
-            .map(|u| {
-                let f = as_object(u, "user")?;
-                Ok(UserCheckpoint {
-                    name: get_str(f, "name")?,
-                    program: get_str(f, "program")?,
-                })
+        let users = parse_objects(get(fields, "users")?, "users", |f| {
+            Ok(UserCheckpoint {
+                name: get_str(f, "name")?,
+                program: get_str(f, "program")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let tenants = as_array(get(fields, "tenants")?, "tenants")?
-            .iter()
-            .map(|t| {
-                let f = as_object(t, "tenant")?;
-                let observations = as_array(get(f, "observations")?, "observations")?
-                    .iter()
-                    .map(|pair| parse_pair(pair, "observation"))
-                    .collect::<Result<Vec<_>, String>>()?;
-                let masked = parse_usize_array(get(f, "masked")?, "masked")?;
-                Ok(TenantCheckpoint {
-                    observations,
-                    masked,
-                    active: get_bool(f, "active")?,
-                })
+        })?;
+        let tenants = parse_objects(get(fields, "tenants")?, "tenants", |f| {
+            Ok(TenantCheckpoint {
+                observations: parse_array(get(f, "observations")?, "observations", parse_pair)?,
+                masked: parse_usize_array(get(f, "masked")?, "masked")?,
+                active: get_bool(f, "active")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let picker = {
-            let f = as_object(get(fields, "picker")?, "picker")?;
-            PickerCheckpoint {
+        })?;
+        let picker = parse_object(get(fields, "picker")?, "picker", |f| {
+            Ok(PickerCheckpoint {
                 rule: get_str(f, "rule")?,
                 patience: get_u64(f, "patience")?,
                 frozen_rounds: get_u64(f, "frozen_rounds")?,
@@ -322,80 +308,66 @@ impl CheckpointDoc {
                 prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
                 switched: get_bool(f, "switched")?,
                 rr_cursor: get_u64(f, "rr_cursor")?,
-            }
-        };
-        let cluster = {
-            let f = as_object(get(fields, "cluster")?, "cluster")?;
-            let device_free_at = parse_f64_array(get(f, "device_free_at")?, "device_free_at")?;
-            let history = as_array(get(f, "history")?, "history")?
-                .iter()
-                .map(|r| {
-                    let f = as_object(r, "run")?;
+            })
+        })?;
+        let cluster = parse_object(get(fields, "cluster")?, "cluster", |f| {
+            Ok(ClusterCheckpoint {
+                device_free_at: parse_f64_array(get(f, "device_free_at")?, "device_free_at")?,
+                history: parse_objects(get(f, "history")?, "history", |f| {
                     Ok(RunCheckpoint {
-                        user: get_u64(f, "user")? as usize,
-                        model: get_u64(f, "model")? as usize,
+                        user: get_usize(f, "user")?,
+                        model: get_usize(f, "model")?,
                         cost: get_f64(f, "cost")?,
                         censored: get_bool(f, "censored")?,
-                        device: get_u64(f, "device")? as usize,
+                        device: get_usize(f, "device")?,
                         started_at: get_f64(f, "started_at")?,
                         finished_at: get_f64(f, "finished_at")?,
                     })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            ClusterCheckpoint {
-                device_free_at,
-                history,
-            }
-        };
-        let retry_policy = {
-            let f = as_object(get(fields, "retry_policy")?, "retry_policy")?;
-            RetryPolicyCheckpoint {
+                })?,
+            })
+        })?;
+        let retry_policy = parse_object(get(fields, "retry_policy")?, "retry_policy", |f| {
+            Ok(RetryPolicyCheckpoint {
                 max_retries: get_u64(f, "max_retries")?,
                 backoff_cost: get_f64(f, "backoff_cost")?,
                 backoff_factor: get_f64(f, "backoff_factor")?,
                 quarantine_threshold: get_u64(f, "quarantine_threshold")?,
                 probation_rounds: get_u64(f, "probation_rounds")?,
-            }
-        };
-        let retry_counters = as_array(get(fields, "retry_counters")?, "retry_counters")?
-            .iter()
-            .map(|t| parse_triple(t, "retry counter"))
-            .collect::<Result<Vec<_>, String>>()?
-            .into_iter()
-            .map(|(a, b, c)| (a as usize, b as usize, c))
-            .collect();
-        let retry_releases = as_array(get(fields, "retry_releases")?, "retry_releases")?
-            .iter()
-            .map(|t| parse_triple(t, "retry release"))
-            .collect::<Result<Vec<_>, String>>()?
-            .into_iter()
-            .map(|(a, b, c)| (a, b as usize, c as usize))
-            .collect();
+            })
+        })?;
+        let retry_counters = parse_array(
+            get(fields, "retry_counters")?,
+            "retry_counters",
+            parse_triple,
+        )?
+        .into_iter()
+        .map(|(a, b, c)| (a as usize, b as usize, c))
+        .collect();
+        let retry_releases = parse_array(
+            get(fields, "retry_releases")?,
+            "retry_releases",
+            parse_triple,
+        )?
+        .into_iter()
+        .map(|(a, b, c)| (a, b as usize, c as usize))
+        .collect();
         let fault = match get(fields, "fault")? {
             Json::Null => None,
-            value => {
-                let f = as_object(value, "fault")?;
-                let rates = parse_rates(get(f, "rates")?, "rates")?;
-                let user_overrides = parse_overrides(get(f, "user_overrides")?, "user_overrides")?;
-                let arm_overrides = parse_overrides(get(f, "arm_overrides")?, "arm_overrides")?;
-                let attempts = as_array(get(f, "attempts")?, "attempts")?
-                    .iter()
-                    .map(|t| parse_triple(t, "attempt counter"))
-                    .collect::<Result<Vec<_>, String>>()?
-                    .into_iter()
-                    .map(|(a, b, c)| (a as usize, b as usize, c))
-                    .collect();
-                Some(FaultCheckpoint {
+            value => Some(parse_object(value, "fault", |f| {
+                Ok(FaultCheckpoint {
                     seed: get_str(f, "seed")?,
-                    rates,
-                    user_overrides,
-                    arm_overrides,
+                    rates: parse_rates(get(f, "rates")?, "rates")?,
+                    user_overrides: parse_overrides(get(f, "user_overrides")?, "user_overrides")?,
+                    arm_overrides: parse_overrides(get(f, "arm_overrides")?, "arm_overrides")?,
                     straggler_factor: get_f64(f, "straggler_factor")?,
                     crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
                     timeout_factor: get_f64(f, "timeout_factor")?,
-                    attempts,
+                    attempts: parse_array(get(f, "attempts")?, "attempts", parse_triple)?
+                        .into_iter()
+                        .map(|(a, b, c)| (a as usize, b as usize, c))
+                        .collect(),
                 })
-            }
+            })?),
         };
         Ok(CheckpointDoc {
             version,
@@ -492,9 +464,9 @@ pub fn read_checkpoint_file(path: &Path) -> Result<CheckpointDoc, CheckpointErro
     })
 }
 
-// JSON field accessors and checks, shared with the exec engine's
-// checkpoint codec. Each error names the field (or `what` the value is) it
-// tripped over.
+// Checkpoint-specific readers and checks, shared with the exec engine's
+// checkpoint codec; the generic field accessors live in `easeml_obs::json`.
+// Each error names the field (or `what` the value is) it tripped over.
 
 /// `Err` naming `field` unless `value < bound`: an index read from a
 /// checkpoint must fit what it indexes.
@@ -506,117 +478,15 @@ pub fn in_range(value: usize, bound: usize, field: impl FnOnce() -> String) -> R
     }
 }
 
-/// The value of field `key`; `Err` when the object has none.
-pub fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-/// The fields of an object; `Err` for any other value.
-pub fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match value {
-        Json::Object(fields) => Ok(fields),
-        other => Err(format!("{what}: expected an object, got {other:?}")),
-    }
-}
-
-/// The items of an array; `Err` for any other value.
-pub fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    match value {
-        Json::Array(items) => Ok(items),
-        other => Err(format!("{what}: expected an array, got {other:?}")),
-    }
-}
-
-/// A number; `Err` for any other value.
-pub fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
-    match value {
-        Json::Number(n) => Ok(*n),
-        other => Err(format!("{what}: expected a number, got {other:?}")),
-    }
-}
-
-fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, String> {
-    match value {
-        Json::String(s) => Ok(s),
-        other => Err(format!("{what}: expected a string, got {other:?}")),
-    }
-}
-
-/// Number field `key`.
-pub fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    as_f64(get(fields, key)?, key)
-}
-
-/// Number field `key`, where `null` stands for `-inf` (HYBRID's initial
-/// best-reward sum).
-pub fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(fields, key)? {
-        Json::Null => Ok(f64::NEG_INFINITY),
-        value => as_f64(value, key),
-    }
-}
-
-/// Non-negative integer field `key`; `Err` when negative or fractional.
-pub fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    let n = get_f64(fields, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("field {key:?}: expected a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-/// Boolean field `key`.
-pub fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match get(fields, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("field {key:?}: expected a bool, got {other:?}")),
-    }
-}
-
-/// String field `key`.
-pub fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
-    as_str(get(fields, key)?, key).map(str::to_string)
-}
-
-/// An array of indices.
-pub fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what).map(|n| n as usize))
-        .collect()
-}
-
-/// An array of numbers.
-pub fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| as_f64(v, what))
-        .collect()
-}
-
 fn parse_pair(value: &Json, what: &str) -> Result<(usize, f64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 2 {
-        return Err(format!("{what}: expected a pair"));
-    }
-    Ok((as_f64(&items[0], what)? as usize, as_f64(&items[1], what)?))
+    let [arm, reward] = as_tuple(value, what)?;
+    Ok((as_usize(arm, what)?, as_f64(reward, what)?))
 }
 
 /// A `[a, b, c]` triple of integers.
 pub fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 3 {
-        return Err(format!("{what}: expected a triple"));
-    }
-    Ok((
-        as_f64(&items[0], what)? as u64,
-        as_f64(&items[1], what)? as u64,
-        as_f64(&items[2], what)? as u64,
-    ))
+    let [a, b, c] = as_tuple(value, what)?;
+    Ok((as_u64(a, what)?, as_u64(b, what)?, as_u64(c, what)?))
 }
 
 /// Fault rates in their [`FaultRates::to_array`](crate::fault::FaultRates::to_array)
@@ -630,19 +500,10 @@ pub fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
 
 /// Per-user or per-arm rate overrides: `[key, rates]` entries.
 pub fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|entry| {
-            let items = as_array(entry, what)?;
-            if items.len() != 2 {
-                return Err(format!("{what}: expected [key, rates] entries"));
-            }
-            Ok((
-                as_f64(&items[0], what)? as usize,
-                parse_rates(&items[1], what)?,
-            ))
-        })
-        .collect()
+    parse_array(value, what, |entry, what| {
+        let [key, rates] = as_tuple(entry, what)?;
+        Ok((as_usize(key, what)?, parse_rates(rates, what)?))
+    })
 }
 
 #[cfg(test)]

@@ -1856,7 +1856,7 @@ mod tests {
     }
 
     #[test]
-    fn restored_round_robin_cursor_at_the_top_of_its_range_wraps() {
+    fn restored_round_robin_cursor_is_read_up_to_the_integer_bound() {
         let mut s = EaseMl::new(toy_oracle(), 14);
         s.register_user("vision-lab", IMAGE_PROG).unwrap();
         s.register_user("meteo-lab", TS_PROG).unwrap();
@@ -1867,13 +1867,18 @@ mod tests {
         doc.picker.switched = true;
         const CURSOR_MARK: u64 = 987_654_321;
         doc.picker.rr_cursor = CURSOR_MARK;
-        // The cursor field parses `1e300` and saturates it to `u64::MAX`.
-        let json = doc.to_json().replacen(&CURSOR_MARK.to_string(), "1e300", 1);
-        let mut restored = EaseMl::restore(&json, toy_oracle()).unwrap();
+        let with_cursor = |text: &str| doc.to_json().replacen(&CURSOR_MARK.to_string(), text, 1);
+        // A cursor past the bound is refused by name, not saturated.
+        let err = EaseMl::restore(&with_cursor("1e300"), toy_oracle())
+            .err()
+            .expect("a cursor of 1e300 must be rejected");
+        assert!(err.contains("picker.rr_cursor"), "{err}");
+        let top = with_cursor("8999999999999999");
+        let mut restored = EaseMl::restore(&top, toy_oracle()).unwrap();
         let served: Vec<usize> = (0..4)
             .map(|_| restored.try_run_round().unwrap().user)
             .collect();
-        // u64::MAX mod 2 picks tenant 1; the cursor then wraps to 0.
+        // The largest readable cursor is odd, so tenant 1 goes first.
         assert_eq!(served, [1, 0, 1, 0]);
     }
 
@@ -1919,6 +1924,15 @@ mod tests {
                 }),
                 "",
             ),
+            // Counters the first round adds to: past the integer bound they
+            // would overflow.
+            ("step", Box::new(|c| c.step = u64::MAX), ""),
+            ("rounds", Box::new(|c| c.rounds = u64::MAX), ""),
+            (
+                "witness_rounds",
+                Box::new(|c| c.witness_rounds = u64::MAX),
+                "",
+            ),
         ];
         for (field, edit, reward_text) in edits {
             let mut bad = doc.clone();
@@ -1946,5 +1960,29 @@ mod tests {
         let mut restored = EaseMl::restore(&doc.to_json(), toy_oracle()).unwrap();
         assert_eq!(restored.state_digest(), s.state_digest());
         restored.try_run_round().unwrap();
+    }
+
+    #[test]
+    fn restored_huge_witness_top_k_runs_under_a_live_recorder() {
+        use easeml_obs::InMemoryRecorder;
+        use std::sync::Arc;
+        let mut s = EaseMl::new(toy_oracle(), 14);
+        s.register_user("vision-lab", IMAGE_PROG).unwrap();
+        s.register_user("meteo-lab", TS_PROG).unwrap();
+        for _ in 0..5 {
+            s.try_run_round().unwrap();
+        }
+        let mut doc = CheckpointDoc::from_json(&s.checkpoint()).unwrap();
+        doc.witness_top_k = 1_000_000_000_000_000;
+        let mut restored = EaseMl::restore(&doc.to_json(), toy_oracle()).unwrap();
+        let rec = Arc::new(InMemoryRecorder::new());
+        restored.set_recorder(RecorderHandle::new(rec.clone()));
+        restored.try_run_round().unwrap();
+        let witnessed = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::UserScored { .. }))
+            .count();
+        assert_eq!(witnessed, 2, "every tenant is within the top k");
     }
 }

@@ -24,16 +24,18 @@
 use crate::engine::{Arrival, ExecEngine, InFlight, PickerSlot};
 use crate::fleet::{DeviceSpec, Fleet};
 use easeml::checkpoint::{
-    as_array, as_f64, as_object, decode_u64, encode_u64, get, get_bool, get_f64,
-    get_f64_or_neg_inf, get_str, get_u64, in_range, parse_f64_array, parse_overrides, parse_rates,
-    parse_triple, parse_usize_array,
+    decode_u64, encode_u64, in_range, parse_overrides, parse_rates, parse_triple,
 };
 use easeml::fault::{FaultConfig, FaultRates};
 use easeml::sim::{SchedulerKind, SimConfig, SimEvent};
 use easeml::TaskState;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
-use easeml_obs::json::{self, Json};
+use easeml_obs::json::{
+    self, as_bool, as_f64, as_object, as_tuple, as_u64, get, get_bool, get_f64, get_f64_or_nan,
+    get_f64_or_neg_inf, get_str, get_u64, get_usize, parse_array, parse_f64_array, parse_object,
+    parse_objects, parse_usize_array, Json,
+};
 use easeml_obs::RecorderHandle;
 use easeml_sched::{Hybrid, HybridState, PickRule};
 use serde::Serialize;
@@ -736,73 +738,58 @@ impl ExecCheckpoint {
     pub fn from_json(input: &str) -> Result<Self, String> {
         let doc = json::parse(input)?;
         let fields = as_object(&doc, "exec checkpoint")?;
-        let version = get_u64(fields, "version")? as u32;
+        let version = get_u64(fields, "version")?;
+        let version = u32::try_from(version)
+            .map_err(|_| format!("version: {version} is out of range (< 2^32)"))?;
         if version != EXEC_CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported exec checkpoint version {version} (expected {EXEC_CHECKPOINT_VERSION})"
             ));
         }
-        let devices = as_array(get(fields, "devices")?, "devices")?
-            .iter()
-            .map(|d| {
-                let f = as_object(d, "device")?;
-                Ok(DeviceCheckpoint {
-                    speed: get_f64(f, "speed")?,
-                    slots: get_u64(f, "slots")?,
-                    in_use: get_u64(f, "in_use")?,
-                    busy: get_f64(f, "busy")?,
-                    idle: get_f64(f, "idle")?,
-                    last_t: get_f64(f, "last_t")?,
-                    idle_since: get_f64(f, "idle_since")?,
-                })
+        let devices = parse_objects(get(fields, "devices")?, "devices", |f| {
+            Ok(DeviceCheckpoint {
+                speed: get_f64(f, "speed")?,
+                slots: get_u64(f, "slots")?,
+                in_use: get_u64(f, "in_use")?,
+                busy: get_f64(f, "busy")?,
+                idle: get_f64(f, "idle")?,
+                last_t: get_f64(f, "last_t")?,
+                idle_since: get_f64(f, "idle_since")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let resolved = as_array(get(fields, "resolved")?, "resolved")?
-            .iter()
-            .map(|r| {
-                let f = as_object(r, "resolved run")?;
-                Ok(ResolvedCheckpoint {
-                    user: get_u64(f, "user")? as usize,
-                    model: get_u64(f, "model")? as usize,
-                    cost: get_f64(f, "cost")?,
-                    quality: get_f64(f, "quality")?,
-                })
+        })?;
+        let resolved = parse_objects(get(fields, "resolved")?, "resolved", |f| {
+            Ok(ResolvedCheckpoint {
+                user: get_usize(f, "user")?,
+                model: get_usize(f, "model")?,
+                cost: get_f64(f, "cost")?,
+                quality: get_f64(f, "quality")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let in_flight = as_array(get(fields, "in_flight")?, "in_flight")?
-            .iter()
-            .map(|r| {
-                let f = as_object(r, "in-flight run")?;
-                Ok(InFlightCheckpoint {
-                    seq: get_u64(f, "seq")?,
-                    user: get_u64(f, "user")? as usize,
-                    model: get_u64(f, "model")? as usize,
-                    device: get_u64(f, "device")? as usize,
-                    dispatched_at: get_f64(f, "dispatched_at")?,
-                    finish: get_f64(f, "finish")?,
-                    charge: get_f64(f, "charge")?,
-                    ok: get_bool(f, "ok")?,
-                    quality: get_f64_or_nan(f, "quality")?,
-                    kind: get_str(f, "kind")?,
-                })
+        })?;
+        let in_flight = parse_objects(get(fields, "in_flight")?, "in_flight", |f| {
+            Ok(InFlightCheckpoint {
+                seq: get_u64(f, "seq")?,
+                user: get_usize(f, "user")?,
+                model: get_usize(f, "model")?,
+                device: get_usize(f, "device")?,
+                dispatched_at: get_f64(f, "dispatched_at")?,
+                finish: get_f64(f, "finish")?,
+                charge: get_f64(f, "charge")?,
+                ok: get_bool(f, "ok")?,
+                quality: get_f64_or_nan(f, "quality")?,
+                kind: get_str(f, "kind")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let board_done = as_array(get(fields, "board_done")?, "board_done")?
-            .iter()
-            .map(|c| {
-                let f = as_object(c, "done cell")?;
-                Ok(DoneCellCheckpoint {
-                    user: get_u64(f, "user")? as usize,
-                    arm: get_u64(f, "arm")? as usize,
-                    accuracy: get_f64(f, "accuracy")?,
-                })
+        })?;
+        let board_done = parse_objects(get(fields, "board_done")?, "board_done", |f| {
+            Ok(DoneCellCheckpoint {
+                user: get_usize(f, "user")?,
+                arm: get_usize(f, "arm")?,
+                accuracy: get_f64(f, "accuracy")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
         let hybrid = match get(fields, "hybrid")? {
             Json::Null => None,
-            value => {
-                let f = as_object(value, "hybrid")?;
-                Some(HybridCheckpoint {
+            value => Some(parse_object(value, "hybrid", |f| {
+                Ok(HybridCheckpoint {
                     rule: get_str(f, "rule")?,
                     patience: get_u64(f, "patience")?,
                     frozen_rounds: get_u64(f, "frozen_rounds")?,
@@ -814,13 +801,12 @@ impl ExecCheckpoint {
                     switched: get_bool(f, "switched")?,
                     rr_cursor: get_u64(f, "rr_cursor")?,
                 })
-            }
+            })?),
         };
         let fault = match get(fields, "fault")? {
             Json::Null => None,
-            value => {
-                let f = as_object(value, "fault")?;
-                Some(FaultStateCheckpoint {
+            value => Some(parse_object(value, "fault", |f| {
+                Ok(FaultStateCheckpoint {
                     seed: get_str(f, "seed")?,
                     rates: parse_rates(get(f, "rates")?, "rates")?,
                     user_overrides: parse_overrides(get(f, "user_overrides")?, "user_overrides")?,
@@ -828,15 +814,12 @@ impl ExecCheckpoint {
                     straggler_factor: get_f64(f, "straggler_factor")?,
                     crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
                     timeout_factor: get_f64(f, "timeout_factor")?,
-                    attempts: as_array(get(f, "attempts")?, "attempts")?
-                        .iter()
-                        .map(|t| parse_triple(t, "attempt counter"))
-                        .collect::<Result<Vec<_>, String>>()?
+                    attempts: parse_array(get(f, "attempts")?, "attempts", parse_triple)?
                         .into_iter()
                         .map(|(a, b, c)| (a as usize, b as usize, c))
                         .collect(),
                 })
-            }
+            })?),
         };
         Ok(ExecCheckpoint {
             version,
@@ -858,51 +841,48 @@ impl ExecCheckpoint {
             initial_loss: get_f64(fields, "initial_loss")?,
             best_seen: parse_f64_array(get(fields, "best_seen")?, "best_seen")?,
             user_cost: parse_f64_array(get(fields, "user_cost")?, "user_cost")?,
-            points: as_array(get(fields, "points")?, "points")?
-                .iter()
-                .map(|p| parse_f64_pair(p, "point"))
-                .collect::<Result<Vec<_>, String>>()?,
+            points: parse_array(get(fields, "points")?, "points", |p, what| {
+                let [x, y] = as_tuple(p, what)?;
+                Ok((as_f64(x, what)?, as_f64(y, what)?))
+            })?,
             resolved,
             in_flight,
             board_done,
             hybrid,
             fault,
-            queueing_delay: parse_sketch(get(fields, "queueing_delay")?, "queueing_delay")?,
-            busy_spans: parse_sketch(get(fields, "busy_spans")?, "busy_spans")?,
+            queueing_delay: parse_object(
+                get(fields, "queueing_delay")?,
+                "queueing_delay",
+                parse_sketch,
+            )?,
+            busy_spans: parse_object(get(fields, "busy_spans")?, "busy_spans", parse_sketch)?,
             witness_digest: get_str(fields, "witness_digest")?,
             witness_rounds: get_u64(fields, "witness_rounds")?,
             witness_top_k: get_u64(fields, "witness_top_k")?,
             open_loop: get_bool(fields, "open_loop")?,
-            retired: parse_bool_array(get(fields, "retired")?, "retired")?,
-            backlog: parse_u64_array(get(fields, "backlog")?, "backlog")?,
+            retired: parse_array(get(fields, "retired")?, "retired", as_bool)?,
+            backlog: parse_array(get(fields, "backlog")?, "backlog", as_u64)?,
             arrival_seq: get_u64(fields, "arrival_seq")?,
-            arrivals: as_array(get(fields, "arrivals")?, "arrivals")?
-                .iter()
-                .map(|a| {
-                    let f = as_object(a, "arrival")?;
-                    Ok(ArrivalCheckpoint {
-                        seq: get_u64(f, "seq")?,
-                        user: get_u64(f, "user")? as usize,
-                        at: get_f64(f, "at")?,
-                    })
+            arrivals: parse_objects(get(fields, "arrivals")?, "arrivals", |f| {
+                Ok(ArrivalCheckpoint {
+                    seq: get_u64(f, "seq")?,
+                    user: get_usize(f, "user")?,
+                    at: get_f64(f, "at")?,
                 })
-                .collect::<Result<Vec<_>, String>>()?,
+            })?,
         })
     }
 }
 
-fn parse_sketch(value: &Json, what: &str) -> Result<SketchCheckpoint, String> {
-    let f = as_object(value, what)?;
-    let buckets = as_array(get(f, "buckets")?, "buckets")?
-        .iter()
-        .map(|pair| {
-            let (index, count) = parse_f64_pair(pair, "sketch bucket")?;
-            if index.fract() != 0.0 || count < 0.0 || count.fract() != 0.0 {
-                return Err(format!("{what}: malformed sketch bucket"));
-            }
-            Ok((index as i32, count as u64))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+fn parse_sketch(f: &[(String, Json)]) -> Result<SketchCheckpoint, String> {
+    let buckets = parse_array(get(f, "buckets")?, "buckets", |pair, what| {
+        let [index, count] = as_tuple(pair, what)?;
+        let (index, count) = (as_f64(index, what)?, as_f64(count, what)?);
+        if index.fract() != 0.0 || count < 0.0 || count.fract() != 0.0 {
+            return Err(format!("{what}: malformed sketch bucket"));
+        }
+        Ok((index as i32, count as u64))
+    })?;
     let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
         match get(f, key)? {
             Json::Null => Ok(None),
@@ -920,44 +900,6 @@ fn parse_sketch(value: &Json, what: &str) -> Result<SketchCheckpoint, String> {
         min: opt_f64("min")?,
         max: opt_f64("max")?,
     })
-}
-
-fn get_f64_or_nan(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(fields, key)? {
-        Json::Null => Ok(f64::NAN),
-        value => as_f64(value, key),
-    }
-}
-
-fn parse_bool_array(value: &Json, what: &str) -> Result<Vec<bool>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| match v {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("{what}: expected a bool, got {other:?}")),
-        })
-        .collect()
-}
-
-fn parse_u64_array(value: &Json, what: &str) -> Result<Vec<u64>, String> {
-    as_array(value, what)?
-        .iter()
-        .map(|v| {
-            let n = as_f64(v, what)?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("{what}: expected a non-negative integer"));
-            }
-            Ok(n as u64)
-        })
-        .collect()
-}
-
-fn parse_f64_pair(value: &Json, what: &str) -> Result<(f64, f64), String> {
-    let items = as_array(value, what)?;
-    if items.len() != 2 {
-        return Err(format!("{what}: expected a pair"));
-    }
-    Ok((as_f64(&items[0], what)?, as_f64(&items[1], what)?))
 }
 
 #[cfg(test)]
@@ -1119,18 +1061,34 @@ mod tests {
             ),
             ("budget", Box::new(|c| c.budget = 0.0)),
             ("noise_var", Box::new(|c| c.noise_var = -1.0)),
+            // Counters the next ticks add to: past the integer bound they
+            // would overflow.
+            ("next_seq", Box::new(|c| c.next_seq = u64::MAX)),
+            ("step", Box::new(|c| c.step = u64::MAX)),
+            ("rounds", Box::new(|c| c.rounds = u64::MAX)),
+            ("dispatches", Box::new(|c| c.dispatches = u64::MAX)),
+            (
+                "parallel_dispatches",
+                Box::new(|c| c.parallel_dispatches = u64::MAX),
+            ),
+            ("censored", Box::new(|c| c.censored = u64::MAX)),
+            ("witness_rounds", Box::new(|c| c.witness_rounds = u64::MAX)),
         ];
         for (field, edit) in edits {
             let mut bad = ck.clone();
             edit(&mut bad);
-            let bad = ExecCheckpoint::from_json(&bad.to_json()).expect("the edit still parses");
+            // Either the parser or the restore may refuse the edit; a
+            // restored engine runs to the end.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ExecEngine::restore(&d, &priors, &bad).err()
+                let bad = ExecCheckpoint::from_json(&bad.to_json())?;
+                let mut restored = ExecEngine::restore(&d, &priors, &bad)?;
+                while restored.tick() {}
+                Ok::<(), String>(())
             }));
             match outcome {
-                Ok(Some(err)) => assert!(err.contains(field), "{field}: {err}"),
-                Ok(None) => panic!("{field}: restore accepted the edit"),
-                Err(_) => panic!("{field}: restore panicked"),
+                Ok(Err(err)) => assert!(err.contains(field), "{field}: {err}"),
+                Ok(Ok(())) => panic!("{field}: restore accepted the edit"),
+                Err(_) => panic!("{field}: restore or a later tick panicked"),
             }
         }
         let mut restored = ExecEngine::restore(&d, &priors, &ck).expect("the unedited checkpoint");

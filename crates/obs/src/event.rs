@@ -1,6 +1,9 @@
 //! The structured event vocabulary of the instrumentation layer.
 
-use crate::json::{self, Json};
+use crate::json::{
+    self, as_f64_or_nan, get, get_bool, get_f64_or_nan, get_or, get_str, get_u64, get_usize,
+    parse_array, Json,
+};
 use serde::Serialize;
 
 /// Version of the trace schema emitted by [`Event::to_json`].
@@ -498,86 +501,86 @@ impl Event {
                 round: get_u64(fields, "round")?,
                 user: get_usize(fields, "user")?,
                 rule: get_str(fields, "rule")?,
-                scores: get_f64_array(fields, "scores")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                scores: parse_array(get(fields, "scores")?, "scores", as_f64_or_nan)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "ArmChosen" => Ok(Event::ArmChosen {
                 user: get_usize(fields, "user")?,
                 arm: get_usize(fields, "arm")?,
-                ucb: get_f64(fields, "ucb")?,
-                beta: get_f64(fields, "beta")?,
-                cost: get_f64(fields, "cost")?,
-                mean: get_f64_or(fields, "mean", f64::NAN)?,
-                sigma: get_f64_or(fields, "sigma", f64::NAN)?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                ucb: get_f64_or_nan(fields, "ucb")?,
+                beta: get_f64_or_nan(fields, "beta")?,
+                cost: get_f64_or_nan(fields, "cost")?,
+                mean: get_or(fields, "mean", f64::NAN, get_f64_or_nan)?,
+                sigma: get_or(fields, "sigma", f64::NAN, get_f64_or_nan)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "HybridFallback" => Ok(Event::HybridFallback {
                 reason: get_str(fields, "reason")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "TrainingCompleted" => Ok(Event::TrainingCompleted {
                 user: get_usize(fields, "user")?,
                 model: get_usize(fields, "model")?,
-                cost: get_f64(fields, "cost")?,
-                quality: get_f64(fields, "quality")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                cost: get_f64_or_nan(fields, "cost")?,
+                quality: get_f64_or_nan(fields, "quality")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "TrainingFailed" => Ok(Event::TrainingFailed {
                 user: get_usize(fields, "user")?,
                 model: get_usize(fields, "model")?,
-                cost: get_f64(fields, "cost")?,
+                cost: get_f64_or_nan(fields, "cost")?,
                 kind: get_str(fields, "kind")?,
-                attempt: get_u64_or(fields, "attempt", 1)?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                attempt: get_or(fields, "attempt", 1, get_u64)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "RetryScheduled" => Ok(Event::RetryScheduled {
                 user: get_usize(fields, "user")?,
                 model: get_usize(fields, "model")?,
                 attempt: get_u64(fields, "attempt")?,
-                backoff_cost: get_f64(fields, "backoff_cost")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                backoff_cost: get_f64_or_nan(fields, "backoff_cost")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "ArmQuarantined" => Ok(Event::ArmQuarantined {
                 user: get_usize(fields, "user")?,
                 model: get_usize(fields, "model")?,
                 failures: get_u64(fields, "failures")?,
                 probation_rounds: get_u64(fields, "probation_rounds")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "CheckpointWritten" => Ok(Event::CheckpointWritten {
                 rounds: get_u64(fields, "rounds")?,
                 users: get_u64(fields, "users")?,
                 bytes: get_u64(fields, "bytes")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "RunDispatched" => Ok(Event::RunDispatched {
                 user: get_usize(fields, "user")?,
                 model: get_usize(fields, "model")?,
                 device: get_usize(fields, "device")?,
-                cost: get_f64(fields, "cost")?,
-                at: get_f64(fields, "at")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                cost: get_f64_or_nan(fields, "cost")?,
+                at: get_f64_or_nan(fields, "at")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "RunFinished" => Ok(Event::RunFinished {
                 user: get_usize(fields, "user")?,
                 model: get_usize(fields, "model")?,
                 device: get_usize(fields, "device")?,
-                at: get_f64(fields, "at")?,
+                at: get_f64_or_nan(fields, "at")?,
                 ok: get_bool(fields, "ok")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "DeviceIdle" => Ok(Event::DeviceIdle {
                 device: get_usize(fields, "device")?,
-                idle: get_f64(fields, "idle")?,
-                at: get_f64(fields, "at")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                idle: get_f64_or_nan(fields, "idle")?,
+                at: get_f64_or_nan(fields, "at")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "PosteriorUpdated" => Ok(Event::PosteriorUpdated {
                 arm: get_usize(fields, "arm")?,
-                reward: get_f64(fields, "reward")?,
+                reward: get_f64_or_nan(fields, "reward")?,
                 num_obs: get_usize(fields, "num_obs")?,
-                cond: get_f64_or(fields, "cond", f64::NAN)?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                cond: get_or(fields, "cond", f64::NAN, get_f64_or_nan)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "SpanStart" => Ok(Event::SpanStart {
                 span: get_u64(fields, "span")?,
@@ -591,144 +594,68 @@ impl Event {
             }),
             "JitterRetry" => Ok(Event::JitterRetry {
                 attempts: get_u64(fields, "attempts")?,
-                jitter: get_f64(fields, "jitter")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                jitter: get_f64_or_nan(fields, "jitter")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "PsdProjectionApplied" => Ok(Event::PsdProjectionApplied {
-                floor: get_f64(fields, "floor")?,
+                floor: get_f64_or_nan(fields, "floor")?,
                 clipped: get_u64(fields, "clipped")?,
-                clipped_mass: get_f64(fields, "clipped_mass")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                clipped_mass: get_f64_or_nan(fields, "clipped_mass")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "UserScored" => Ok(Event::UserScored {
                 round: get_u64(fields, "round")?,
                 user: get_usize(fields, "user")?,
-                score: get_f64(fields, "score")?,
+                score: get_f64_or_nan(fields, "score")?,
                 rank: get_u64(fields, "rank")?,
                 candidate: get_bool(fields, "candidate")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "ArmScored" => Ok(Event::ArmScored {
                 round: get_u64(fields, "round")?,
                 user: get_usize(fields, "user")?,
                 arm: get_usize(fields, "arm")?,
-                mean: get_f64(fields, "mean")?,
-                sigma: get_f64(fields, "sigma")?,
-                ucb: get_f64(fields, "ucb")?,
+                mean: get_f64_or_nan(fields, "mean")?,
+                sigma: get_f64_or_nan(fields, "sigma")?,
+                ucb: get_f64_or_nan(fields, "ucb")?,
                 rank: get_u64(fields, "rank")?,
                 masked: get_bool(fields, "masked")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "DecisionWitness" => Ok(Event::DecisionWitness {
                 round: get_u64(fields, "round")?,
                 user: get_usize(fields, "user")?,
                 arm: get_usize(fields, "arm")?,
-                user_margin: get_f64(fields, "user_margin")?,
-                arm_margin: get_f64(fields, "arm_margin")?,
+                user_margin: get_f64_or_nan(fields, "user_margin")?,
+                arm_margin: get_f64_or_nan(fields, "arm_margin")?,
                 path: get_str(fields, "path")?,
                 fallback: get_str(fields, "fallback")?,
                 censored: get_bool(fields, "censored")?,
                 candidates: get_u64(fields, "candidates")?,
                 digest: get_str(fields, "digest")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "TenantJoined" => Ok(Event::TenantJoined {
                 user: get_usize(fields, "user")?,
                 name: get_str(fields, "name")?,
                 models: get_u64(fields, "models")?,
-                at: get_f64(fields, "at")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                at: get_f64_or_nan(fields, "at")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "TenantRetired" => Ok(Event::TenantRetired {
                 user: get_usize(fields, "user")?,
                 serves: get_u64(fields, "serves")?,
-                at: get_f64(fields, "at")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                at: get_f64_or_nan(fields, "at")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             "JobArrived" => Ok(Event::JobArrived {
                 user: get_usize(fields, "user")?,
                 seq: get_u64(fields, "seq")?,
-                at: get_f64(fields, "at")?,
-                parent: get_u64_or(fields, "parent", 0)?,
+                at: get_f64_or_nan(fields, "at")?,
+                parent: get_or(fields, "parent", 0, get_u64)?,
             }),
             other => Err(format!("unknown event variant {other:?}")),
         }
-    }
-}
-
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
-    match get(fields, key)? {
-        Json::Number(n) => Ok(*n),
-        // Non-finite floats serialize as null; map them back to NaN.
-        Json::Null => Ok(f64::NAN),
-        other => Err(format!("field {key:?}: expected a number, got {other:?}")),
-    }
-}
-
-/// Like [`get_f64`] but with a default for fields added after schema v1.
-fn get_f64_or(fields: &[(String, Json)], key: &str, default: f64) -> Result<f64, String> {
-    if fields.iter().any(|(k, _)| k == key) {
-        get_f64(fields, key)
-    } else {
-        Ok(default)
-    }
-}
-
-fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    let n = get_f64(fields, key)?;
-    if n.fract() == 0.0 && (0.0..9.0e15).contains(&n) {
-        Ok(n as u64)
-    } else {
-        Err(format!("field {key:?}: {n} is not an unsigned integer"))
-    }
-}
-
-/// Like [`get_u64`] but with a default for fields added after schema v1.
-fn get_u64_or(fields: &[(String, Json)], key: &str, default: u64) -> Result<u64, String> {
-    if fields.iter().any(|(k, _)| k == key) {
-        get_u64(fields, key)
-    } else {
-        Ok(default)
-    }
-}
-
-fn get_usize(fields: &[(String, Json)], key: &str) -> Result<usize, String> {
-    Ok(get_u64(fields, key)? as usize)
-}
-
-fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match get(fields, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("field {key:?}: expected a bool, got {other:?}")),
-    }
-}
-
-fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
-    match get(fields, key)? {
-        Json::String(s) => Ok(s.clone()),
-        other => Err(format!("field {key:?}: expected a string, got {other:?}")),
-    }
-}
-
-fn get_f64_array(fields: &[(String, Json)], key: &str) -> Result<Vec<f64>, String> {
-    match get(fields, key)? {
-        Json::Array(items) => items
-            .iter()
-            .map(|item| match item {
-                Json::Number(n) => Ok(*n),
-                Json::Null => Ok(f64::NAN),
-                other => Err(format!("field {key:?}: non-number element {other:?}")),
-            })
-            .collect(),
-        other => Err(format!("field {key:?}: expected an array, got {other:?}")),
     }
 }
 

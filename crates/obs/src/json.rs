@@ -1,11 +1,13 @@
 //! A minimal JSON backend for the trace format.
 //!
 //! The vendored `serde` shim carries no `serde_json`, so this module
-//! provides the two halves the observability layer needs: a [`Serializer`]
-//! that renders any `Serialize` type to a compact JSON string, and a small
-//! recursive-descent [`parse`] function producing a [`Json`] value tree.
-//! Numbers are emitted with Rust's shortest round-trip formatting, so
-//! `f64 → JSON → f64` is exact; non-finite floats become `null`.
+//! provides what the trace format and the checkpoints need: a [`Serializer`]
+//! that renders any `Serialize` type to a compact JSON string, a small
+//! recursive-descent [`parse`] function producing a [`Json`] value tree, and
+//! the field accessors ([`get_f64`], [`get_u64`], ...) that the event parser
+//! and both checkpoint codecs read documents with. Numbers are emitted with
+//! Rust's shortest round-trip formatting, so `f64 → JSON → f64` is exact;
+//! non-finite floats become `null`.
 
 use serde::ser::{
     Error as SerError, Serialize, SerializeMap, SerializeSeq, SerializeStruct,
@@ -506,6 +508,199 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+// Accessors over a parsed document. Each error starts with the field (or
+// `what` the value is) it tripped over; [`parse_object`] and
+// [`parse_objects`] put the path of the enclosing object before it.
+
+/// Integers read from a document lie below this bound. Each is exact in an
+/// `f64`, and a counter restored from one cannot count up to overflow.
+pub const INTEGER_BOUND: f64 = 9.0e15;
+
+/// The value of field `key`; `Err` when the object has none.
+pub fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| format!("{key}: missing"))
+}
+
+/// `read(fields, key)`, or `default` when the object has no field `key`:
+/// how a parser reads a field its format added after version 1.
+pub fn get_or<T>(
+    fields: &[(String, Json)],
+    key: &str,
+    default: T,
+    read: impl FnOnce(&[(String, Json)], &str) -> Result<T, String>,
+) -> Result<T, String> {
+    if fields.iter().any(|(k, _)| k == key) {
+        read(fields, key)
+    } else {
+        Ok(default)
+    }
+}
+
+/// The fields of an object; `Err` for any other value.
+pub fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    match value {
+        Json::Object(fields) => Ok(fields),
+        other => Err(format!("{what}: expected an object, got {other:?}")),
+    }
+}
+
+/// The items of an array; `Err` for any other value.
+pub fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
+    match value {
+        Json::Array(items) => Ok(items),
+        other => Err(format!("{what}: expected an array, got {other:?}")),
+    }
+}
+
+/// The items of an array of exactly `N` items.
+pub fn as_tuple<'a, const N: usize>(value: &'a Json, what: &str) -> Result<&'a [Json; N], String> {
+    as_array(value, what)?
+        .try_into()
+        .map_err(|_| format!("{what}: expected {N} items"))
+}
+
+/// A number; `Err` for any other value.
+pub fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
+    match value {
+        Json::Number(n) => Ok(*n),
+        other => Err(format!("{what}: expected a number, got {other:?}")),
+    }
+}
+
+/// A number, where `null` stands for NaN: non-finite floats serialize as
+/// `null`.
+pub fn as_f64_or_nan(value: &Json, what: &str) -> Result<f64, String> {
+    match value {
+        Json::Null => Ok(f64::NAN),
+        value => as_f64(value, what),
+    }
+}
+
+/// An integer in `[0, INTEGER_BOUND)`; `Err` for any other value.
+pub fn as_u64(value: &Json, what: &str) -> Result<u64, String> {
+    let n = as_f64(value, what)?;
+    if n.fract() == 0.0 && (0.0..INTEGER_BOUND).contains(&n) {
+        Ok(n as u64)
+    } else {
+        Err(format!(
+            "{what}: {n} is not an integer in [0, {INTEGER_BOUND:e})"
+        ))
+    }
+}
+
+/// An index: an integer in `[0, INTEGER_BOUND)`.
+pub fn as_usize(value: &Json, what: &str) -> Result<usize, String> {
+    as_u64(value, what).map(|n| n as usize)
+}
+
+/// A boolean; `Err` for any other value.
+pub fn as_bool(value: &Json, what: &str) -> Result<bool, String> {
+    match value {
+        Json::Bool(b) => Ok(*b),
+        other => Err(format!("{what}: expected a bool, got {other:?}")),
+    }
+}
+
+/// A string; `Err` for any other value.
+pub fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, String> {
+    match value {
+        Json::String(s) => Ok(s),
+        other => Err(format!("{what}: expected a string, got {other:?}")),
+    }
+}
+
+/// Number field `key`.
+pub fn get_f64(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
+    as_f64(get(fields, key)?, key)
+}
+
+/// Number field `key`, where `null` stands for NaN.
+pub fn get_f64_or_nan(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
+    as_f64_or_nan(get(fields, key)?, key)
+}
+
+/// Number field `key`, where `null` stands for `-inf` (HYBRID's initial
+/// best-reward sum).
+pub fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, String> {
+    match get(fields, key)? {
+        Json::Null => Ok(f64::NEG_INFINITY),
+        value => as_f64(value, key),
+    }
+}
+
+/// Integer field `key`, in `[0, INTEGER_BOUND)`.
+pub fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
+    as_u64(get(fields, key)?, key)
+}
+
+/// Index field `key`, in `[0, INTEGER_BOUND)`.
+pub fn get_usize(fields: &[(String, Json)], key: &str) -> Result<usize, String> {
+    as_usize(get(fields, key)?, key)
+}
+
+/// Boolean field `key`.
+pub fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
+    as_bool(get(fields, key)?, key)
+}
+
+/// String field `key`.
+pub fn get_str(fields: &[(String, Json)], key: &str) -> Result<String, String> {
+    as_str(get(fields, key)?, key).map(str::to_string)
+}
+
+/// The items of an array, each read by `read`.
+pub fn parse_array<T>(
+    value: &Json,
+    what: &str,
+    read: impl Fn(&Json, &str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    as_array(value, what)?
+        .iter()
+        .map(|v| read(v, what))
+        .collect()
+}
+
+/// An object, read by `read`; an error inside it names the path, as
+/// `picker.patience`.
+pub fn parse_object<T>(
+    value: &Json,
+    what: &str,
+    read: impl FnOnce(&[(String, Json)]) -> Result<T, String>,
+) -> Result<T, String> {
+    read(as_object(value, what)?).map_err(|e| format!("{what}.{e}"))
+}
+
+/// An array of objects, each read by `read`; an error inside one names the
+/// path, as `devices[1].slots`.
+pub fn parse_objects<T>(
+    value: &Json,
+    what: &str,
+    mut read: impl FnMut(&[(String, Json)]) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    as_array(value, what)?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| match item {
+            Json::Object(fields) => read(fields).map_err(|e| format!("{what}[{i}].{e}")),
+            other => Err(format!("{what}[{i}]: expected an object, got {other:?}")),
+        })
+        .collect()
+}
+
+/// An array of numbers.
+pub fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
+    parse_array(value, what, as_f64)
+}
+
+/// An array of indices.
+pub fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
+    parse_array(value, what, as_usize)
 }
 
 #[cfg(test)]

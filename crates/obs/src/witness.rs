@@ -115,7 +115,9 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
     if k == 0 {
         return Vec::new();
     }
-    let mut top: Vec<usize> = Vec::with_capacity(k + 1);
+    // The list holds at most k entries, and one more between an insert and
+    // the truncate; k itself may be far past the number of scores.
+    let mut top: Vec<usize> = Vec::with_capacity(k.min(scores.len()) + 1);
     for (i, &score) in scores.iter().enumerate() {
         if score.is_nan() {
             continue;
@@ -340,6 +342,14 @@ mod tests {
         let scores = [0.2, f64::NEG_INFINITY, 0.9, 0.2, 0.7];
         assert_eq!(top_k_indices(&scores, 3), vec![2, 4, 0]);
         assert_eq!(top_k_indices(&scores, 10), vec![2, 4, 0, 3, 1]);
+    }
+
+    #[test]
+    fn top_k_far_past_the_score_count_returns_every_index() {
+        let scores = [0.3, 0.9, 0.1];
+        for k in [1_000_000_000_000_000, usize::MAX] {
+            assert_eq!(top_k_indices(&scores, k), vec![1, 0, 2], "k = {k}");
+        }
     }
 
     fn chain(round: u64, digest: &str) -> Vec<Event> {

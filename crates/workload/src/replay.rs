@@ -15,7 +15,7 @@ use crate::{ArrivalKind, ArrivalProcess};
 use easeml_data::Dataset;
 use easeml_exec::{ExecCheckpoint, ExecEngine, ExecTrace};
 use easeml_gp::ArmPrior;
-use easeml_obs::json::{self, Json};
+use easeml_obs::json::{self, as_object, get_u64, get_usize};
 use easeml_wal::splitmix64;
 
 /// One scripted workload event.
@@ -218,17 +218,10 @@ impl ReplayCheckpoint {
             "replay checkpoint needs a manifest line and an engine line".to_string()
         })?;
         let doc = json::parse(manifest)?;
-        let Json::Object(fields) = doc else {
-            return Err("replay manifest must be a JSON object".into());
-        };
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            match fields.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-                Some(Json::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-                Some(other) => Err(format!("manifest field {key:?}: bad value {other:?}")),
-                None => Err(format!("manifest field {key:?} missing")),
-            }
-        };
-        let version = get_u64("version")? as u32;
+        let fields = as_object(&doc, "replay manifest")?;
+        let version = get_u64(fields, "version")?;
+        let version = u32::try_from(version)
+            .map_err(|_| format!("version: {version} is out of range (< 2^32)"))?;
         if version != REPLAY_CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported replay checkpoint version {version} \
@@ -237,8 +230,8 @@ impl ReplayCheckpoint {
         }
         Ok(ReplayCheckpoint {
             version,
-            cursor: get_u64("cursor")? as usize,
-            script_len: get_u64("script_len")? as usize,
+            cursor: get_usize(fields, "cursor")?,
+            script_len: get_usize(fields, "script_len")?,
             engine: ExecCheckpoint::from_json(engine_json)?,
         })
     }
