@@ -12,15 +12,17 @@ use easeml::sim::{simulate, SchedulerKind, SimConfig, SimTrace};
 use easeml_data::{Dataset, DatasetKind, SynConfig, TrainTestSplit};
 use easeml_exec::simulate_multi_device;
 use easeml_gp::{ArmPrior, GpPosterior};
-use easeml_obs::RollingDigest;
+use easeml_obs::{Event, InMemoryRecorder, RecorderHandle, RollingDigest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const SERIAL_DIGEST: &str = "bf37b39219236e65";
 const POSTERIOR_DIGEST: &str = "7474a7db4b23e95f";
 const FLEET_DIGEST: &str = "7bea0e8b13db08a8";
 const MIXED_FLEET_DIGEST: &str = "421907eee3a6c1c3";
 const SERVICE_DIGEST: &str = "809f12286b2453b3";
+const STATUS_DIGEST: &str = "b3700fc0e94f1130";
 const EXPERIMENT_DIGEST: &str = "38c6ee324d94626d";
 const CLASSIFIER179_EXPERIMENT_DIGEST: &str = "e79c01184b23a706";
 const DEEPLEARNING_EXPERIMENT_DIGESTS: [&str; 2] = ["6bfcaae48ef7060a", "db8306c295cb6527"];
@@ -216,6 +218,70 @@ fn fault_injected_service_digest_is_pinned() {
     }
     assert!(server.status_snapshot().failed_runs > 0, "faults fired");
     assert_eq!(server.state_digest(), SERVICE_DIGEST);
+}
+
+/// `/status` and a retirement's serve count are read from the run history:
+/// every tenant's served and failed runs and the cost it was charged, bit
+/// for bit, under crash, timeout and straggler faults and a retirement.
+#[test]
+fn status_bodies_and_retirement_serves_are_pinned() {
+    let oracle: QualityOracle = Box::new(|user, model| {
+        let info = model.info();
+        let base = 0.5 + 0.04 * (user % 3) as f64;
+        Ok(TrainingOutcome {
+            accuracy: (base + 0.02 * (info.year as f64 - 2010.0)).min(0.99),
+            cost: info.relative_cost,
+        })
+    });
+    let mut server = EaseMl::new(oracle, 29);
+    let faults = FaultConfig::new(43)
+        .with_crash_rate(0.15)
+        .with_timeout_rate(0.05)
+        .with_stragglers(0.20, 2.5);
+    server.set_fault_injector(Some(FaultInjector::new(faults)));
+    for (name, program) in [
+        (
+            "vision-a",
+            "{input: {[Tensor[64, 64, 3]], []}, output: {[Tensor[5]], []}}",
+        ),
+        (
+            "meteo-a",
+            "{input: {[Tensor[16]], [next]}, output: {[Tensor[3]], []}}",
+        ),
+        (
+            "vision-b",
+            "{input: {[Tensor[32, 32, 3]], []}, output: {[Tensor[10]], []}}",
+        ),
+    ] {
+        server.register_user(name, program).unwrap();
+    }
+    let recorder = Arc::new(InMemoryRecorder::new());
+    server.set_recorder(RecorderHandle::new(recorder.clone()));
+    let mut d = RollingDigest::new();
+    for round in 1..=120 {
+        if round == 60 {
+            server.retire_tenant(1);
+        }
+        server.try_run_round().unwrap();
+        if round % 10 == 0 {
+            d.absorb_str(&server.status_json());
+        }
+    }
+    let serves: Vec<u64> = recorder
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::TenantRetired { serves, .. } => Some(*serves),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(serves.len(), 1, "one retirement");
+    assert!(serves[0] > 0, "the retired tenant was served");
+    d.absorb_u64(serves[0]);
+    let status = server.status_snapshot();
+    assert!(status.failed_runs > 0, "faults fired");
+    assert!(status.users.iter().all(|u| u.served > 0 && u.cost > 0.0));
+    assert_eq!(d.hex(), STATUS_DIGEST);
 }
 
 fn experiment_digest(result: &ExperimentResult) -> String {
