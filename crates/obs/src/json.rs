@@ -516,7 +516,7 @@ impl Parser<'_> {
 
 /// Integers read from a document lie below this bound. Each is exact in an
 /// `f64`, and a counter restored from one cannot count up to overflow.
-pub const INTEGER_BOUND: f64 = 9.0e15;
+const INTEGER_BOUND: f64 = 9.0e15;
 
 /// The value of field `key`; `Err` when the object has none.
 pub fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
@@ -529,7 +529,7 @@ pub fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, Stri
 
 /// `read(fields, key)`, or `default` when the object has no field `key`:
 /// how a parser reads a field its format added after version 1.
-pub fn get_or<T>(
+pub(crate) fn get_or<T>(
     fields: &[(String, Json)],
     key: &str,
     default: T,
@@ -575,14 +575,14 @@ pub fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
 
 /// A number, where `null` stands for NaN: non-finite floats serialize as
 /// `null`.
-pub fn as_f64_or_nan(value: &Json, what: &str) -> Result<f64, String> {
+pub(crate) fn as_f64_or_nan(value: &Json, what: &str) -> Result<f64, String> {
     match value {
         Json::Null => Ok(f64::NAN),
         value => as_f64(value, what),
     }
 }
 
-/// An integer in `[0, INTEGER_BOUND)`; `Err` for any other value.
+/// An integer in [0, 9.0e15); `Err` for any other value.
 pub fn as_u64(value: &Json, what: &str) -> Result<u64, String> {
     let n = as_f64(value, what)?;
     if n.fract() == 0.0 && (0.0..INTEGER_BOUND).contains(&n) {
@@ -594,9 +594,10 @@ pub fn as_u64(value: &Json, what: &str) -> Result<u64, String> {
     }
 }
 
-/// An index: an integer in `[0, INTEGER_BOUND)`.
+/// An index: an integer in [0, 9.0e15) that fits a `usize`.
 pub fn as_usize(value: &Json, what: &str) -> Result<usize, String> {
-    as_u64(value, what).map(|n| n as usize)
+    let n = as_u64(value, what)?;
+    usize::try_from(n).map_err(|_| format!("{what}: {n} does not fit a usize"))
 }
 
 /// A boolean; `Err` for any other value.
@@ -634,12 +635,12 @@ pub fn get_f64_or_neg_inf(fields: &[(String, Json)], key: &str) -> Result<f64, S
     }
 }
 
-/// Integer field `key`, in `[0, INTEGER_BOUND)`.
+/// Integer field `key`, in [0, 9.0e15).
 pub fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
     as_u64(get(fields, key)?, key)
 }
 
-/// Index field `key`, in `[0, INTEGER_BOUND)`.
+/// Index field `key`, in [0, 9.0e15).
 pub fn get_usize(fields: &[(String, Json)], key: &str) -> Result<usize, String> {
     as_usize(get(fields, key)?, key)
 }
