@@ -709,6 +709,29 @@ mod tests {
     use super::*;
 
     #[test]
+    fn integers_are_bounded_and_errors_name_their_path() {
+        let doc = parse(
+            r#"{"ok":[0,8999999999999999],"bad":[-1,1.5,9e15,1e300,null],
+                "runs":[{"user":2},{"user":-1}]}"#,
+        )
+        .unwrap();
+        let fields = as_object(&doc, "doc").unwrap();
+        let ok = parse_usize_array(get(fields, "ok").unwrap(), "ok").unwrap();
+        assert_eq!(ok, [0, 8_999_999_999_999_999]);
+        for bad in as_array(get(fields, "bad").unwrap(), "bad").unwrap() {
+            assert!(as_u64(bad, "n").is_err(), "{bad:?}");
+        }
+        let runs = get(fields, "runs").unwrap();
+        let err = parse_objects(runs, "runs", |f| get_usize(f, "user")).unwrap_err();
+        assert!(
+            err.starts_with("runs[1].user: -1 is not an integer"),
+            "{err}"
+        );
+        let err = parse_object(&doc, "doc", |f| get_u64(f, "absent")).unwrap_err();
+        assert_eq!(err, "doc.absent: missing");
+    }
+
+    #[test]
     fn primitives_render() {
         assert_eq!(to_string(&true), "true");
         assert_eq!(to_string(&42u64), "42");
