@@ -15,8 +15,8 @@
 
 use easeml_obs::json::{
     self, as_f64, as_object, as_str, as_tuple, as_u64, as_usize, get, get_bool, get_f64,
-    get_f64_or_neg_inf, get_str, get_u64, get_usize, parse_array, parse_f64_array, parse_object,
-    parse_objects, parse_usize_array, Json,
+    get_f64_or_neg_inf, get_str, get_u32, get_u64, get_usize, parse_array, parse_object,
+    parse_objects, Json,
 };
 use serde::Serialize;
 use std::fs::{self, File};
@@ -263,9 +263,7 @@ impl CheckpointDoc {
     pub fn from_json(input: &str) -> Result<Self, CheckpointError> {
         let doc = json::parse(input)?;
         let fields = as_object(&doc, "checkpoint")?;
-        let version = get_u64(fields, "version")?;
-        let version = u32::try_from(version)
-            .map_err(|_| format!("version: {version} is out of range (< 2^32)"))?;
+        let version = get_u32(fields, "version")?;
         match version.cmp(&CHECKPOINT_VERSION) {
             std::cmp::Ordering::Greater => {
                 return Err(CheckpointError::NewerVersion {
@@ -295,7 +293,7 @@ impl CheckpointDoc {
         let tenants = parse_objects(get(fields, "tenants")?, "tenants", |f| {
             Ok(TenantCheckpoint {
                 observations: parse_array(get(f, "observations")?, "observations", parse_pair)?,
-                masked: parse_usize_array(get(f, "masked")?, "masked")?,
+                masked: parse_array(get(f, "masked")?, "masked", as_usize)?,
                 active: get_bool(f, "active")?,
             })
         })?;
@@ -304,7 +302,11 @@ impl CheckpointDoc {
                 rule: get_str(f, "rule")?,
                 patience: get_u64(f, "patience")?,
                 frozen_rounds: get_u64(f, "frozen_rounds")?,
-                prev_candidates: parse_usize_array(get(f, "prev_candidates")?, "prev_candidates")?,
+                prev_candidates: parse_array(
+                    get(f, "prev_candidates")?,
+                    "prev_candidates",
+                    as_usize,
+                )?,
                 prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
                 switched: get_bool(f, "switched")?,
                 rr_cursor: get_u64(f, "rr_cursor")?,
@@ -312,7 +314,7 @@ impl CheckpointDoc {
         })?;
         let cluster = parse_object(get(fields, "cluster")?, "cluster", |f| {
             Ok(ClusterCheckpoint {
-                device_free_at: parse_f64_array(get(f, "device_free_at")?, "device_free_at")?,
+                device_free_at: parse_array(get(f, "device_free_at")?, "device_free_at", as_f64)?,
                 history: parse_objects(get(f, "history")?, "history", |f| {
                     Ok(RunCheckpoint {
                         user: get_usize(f, "user")?,
@@ -492,7 +494,7 @@ pub fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String>
 /// Fault rates in their [`FaultRates::to_array`](crate::fault::FaultRates::to_array)
 /// form.
 pub fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
-    let items = parse_f64_array(value, what)?;
+    let items = parse_array(value, what, as_f64)?;
     items
         .try_into()
         .map_err(|_| format!("{what}: expected 4 rates"))

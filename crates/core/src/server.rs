@@ -1895,6 +1895,10 @@ mod tests {
         // JSON has no +inf, so that reward is written as text: `1e400`
         // parses, and overflows to +inf.
         const REWARD_MARK: f64 = 0.123_456_789;
+        let frozen_at_patience = format!(
+            "picker.frozen_rounds = {0} must stay below picker.patience = {0}",
+            doc.picker.patience
+        );
         type Edit = Box<dyn Fn(&mut CheckpointDoc)>;
         let edits: Vec<(&str, Edit, &str)> = vec![
             ("noise_var", Box::new(|c| c.noise_var = 0.0), ""),
@@ -1913,7 +1917,8 @@ mod tests {
             ),
             // An unswitched picker whose next round is frozen (the candidate
             // set after round 6 is [0] and nothing beats the best sum), with
-            // its freeze count saturated.
+            // its freeze count saturated: past the integer bound, the parser
+            // refuses it.
             (
                 "picker.frozen_rounds",
                 Box::new(|c| {
@@ -1921,6 +1926,16 @@ mod tests {
                     c.picker.prev_candidates = vec![0];
                     c.picker.prev_best_sum = 1e300;
                     c.picker.frozen_rounds = u64::MAX;
+                }),
+                "",
+            ),
+            // A readable freeze count that an unswitched picker never holds:
+            // only the restore check refuses it.
+            (
+                &frozen_at_patience,
+                Box::new(|c| {
+                    c.picker.switched = false;
+                    c.picker.frozen_rounds = c.picker.patience;
                 }),
                 "",
             ),

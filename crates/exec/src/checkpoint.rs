@@ -32,9 +32,9 @@ use easeml::TaskState;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_obs::json::{
-    self, as_bool, as_f64, as_object, as_tuple, as_u64, get, get_bool, get_f64, get_f64_or_nan,
-    get_f64_or_neg_inf, get_str, get_u64, get_usize, parse_array, parse_f64_array, parse_object,
-    parse_objects, parse_usize_array, Json,
+    self, as_bool, as_f64, as_object, as_tuple, as_u64, as_usize, get, get_bool, get_f64,
+    get_f64_or_nan, get_f64_or_neg_inf, get_str, get_u32, get_u64, get_usize, parse_array,
+    parse_object, parse_objects, Json, INTEGER_BOUND,
 };
 use easeml_obs::RecorderHandle;
 use easeml_sched::{Hybrid, HybridState, PickRule};
@@ -721,6 +721,23 @@ fn check_runnable(ck: &ExecCheckpoint, users: usize, models: usize) -> Result<()
     for (i, a) in ck.arrivals.iter().enumerate() {
         in_range(a.user, users, || format!("arrivals[{i}].user"))?;
     }
+    // A restored sketch counts its zeros plus every bucket's count; each
+    // lies below the integer bound, but their sum must too, or rebuilding
+    // the sketch (or a later insert) overflows.
+    for (what, s) in [
+        ("queueing_delay", &ck.queueing_delay),
+        ("busy_spans", &ck.busy_spans),
+    ] {
+        let count = s
+            .buckets
+            .iter()
+            .try_fold(s.zeros, |n, &(_, c)| n.checked_add(c));
+        if count.is_none_or(|n| n >= INTEGER_BOUND) {
+            return Err(format!(
+                "{what}.buckets: the zero and bucket counts must sum below {INTEGER_BOUND:e}"
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -738,9 +755,7 @@ impl ExecCheckpoint {
     pub fn from_json(input: &str) -> Result<Self, String> {
         let doc = json::parse(input)?;
         let fields = as_object(&doc, "exec checkpoint")?;
-        let version = get_u64(fields, "version")?;
-        let version = u32::try_from(version)
-            .map_err(|_| format!("version: {version} is out of range (< 2^32)"))?;
+        let version = get_u32(fields, "version")?;
         if version != EXEC_CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported exec checkpoint version {version} (expected {EXEC_CHECKPOINT_VERSION})"
@@ -793,9 +808,10 @@ impl ExecCheckpoint {
                     rule: get_str(f, "rule")?,
                     patience: get_u64(f, "patience")?,
                     frozen_rounds: get_u64(f, "frozen_rounds")?,
-                    prev_candidates: parse_usize_array(
+                    prev_candidates: parse_array(
                         get(f, "prev_candidates")?,
                         "prev_candidates",
+                        as_usize,
                     )?,
                     prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
                     switched: get_bool(f, "switched")?,
@@ -839,8 +855,8 @@ impl ExecCheckpoint {
             parallel_dispatches: get_u64(fields, "parallel_dispatches")?,
             committed: get_f64(fields, "committed")?,
             initial_loss: get_f64(fields, "initial_loss")?,
-            best_seen: parse_f64_array(get(fields, "best_seen")?, "best_seen")?,
-            user_cost: parse_f64_array(get(fields, "user_cost")?, "user_cost")?,
+            best_seen: parse_array(get(fields, "best_seen")?, "best_seen", as_f64)?,
+            user_cost: parse_array(get(fields, "user_cost")?, "user_cost", as_f64)?,
             points: parse_array(get(fields, "points")?, "points", |p, what| {
                 let [x, y] = as_tuple(p, what)?;
                 Ok((as_f64(x, what)?, as_f64(y, what)?))
@@ -877,11 +893,11 @@ impl ExecCheckpoint {
 fn parse_sketch(f: &[(String, Json)]) -> Result<SketchCheckpoint, String> {
     let buckets = parse_array(get(f, "buckets")?, "buckets", |pair, what| {
         let [index, count] = as_tuple(pair, what)?;
-        let (index, count) = (as_f64(index, what)?, as_f64(count, what)?);
-        if index.fract() != 0.0 || count < 0.0 || count.fract() != 0.0 {
-            return Err(format!("{what}: malformed sketch bucket"));
+        let index = as_f64(index, what)?;
+        if index.fract() != 0.0 || !(f64::from(i32::MIN)..=f64::from(i32::MAX)).contains(&index) {
+            return Err(format!("{what}: bucket index {index} is not an i32"));
         }
-        Ok((index as i32, count as u64))
+        Ok((index as i32, as_u64(count, what)?))
     })?;
     let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
         match get(f, key)? {
@@ -1010,6 +1026,10 @@ mod tests {
         assert!(!ck.resolved.is_empty() && !ck.in_flight.is_empty());
         assert!(!ck.board_done.is_empty() && !ck.arrivals.is_empty());
         let (users, models) = (d.num_users(), d.num_models());
+        let frozen_at_patience = format!(
+            "hybrid.frozen_rounds = {0} must stay below hybrid.patience = {0}",
+            ck.hybrid.as_ref().unwrap().patience
+        );
         type Edit = Box<dyn Fn(&mut ExecCheckpoint)>;
         let edits: Vec<(&str, Edit)> = vec![
             (
@@ -1047,12 +1067,23 @@ mod tests {
                 "hybrid.patience",
                 Box::new(|c| c.hybrid.as_mut().unwrap().patience = 0),
             ),
+            // A saturated freeze count is past the integer bound, so the
+            // parser refuses it; a count at `patience` reads, and only the
+            // restore check refuses it.
             (
                 "hybrid.frozen_rounds",
                 Box::new(|c| {
                     let h = c.hybrid.as_mut().unwrap();
                     h.switched = false;
                     h.frozen_rounds = u64::MAX;
+                }),
+            ),
+            (
+                &frozen_at_patience,
+                Box::new(|c| {
+                    let h = c.hybrid.as_mut().unwrap();
+                    h.switched = false;
+                    h.frozen_rounds = h.patience;
                 }),
             ),
             (
@@ -1073,6 +1104,18 @@ mod tests {
             ),
             ("censored", Box::new(|c| c.censored = u64::MAX)),
             ("witness_rounds", Box::new(|c| c.witness_rounds = u64::MAX)),
+            // A saturated bucket count, and buckets each below the integer
+            // bound whose total overflows the restored sketch's count.
+            (
+                "busy_spans.buckets",
+                Box::new(|c| c.busy_spans.buckets[0].1 = u64::MAX),
+            ),
+            (
+                "queueing_delay.buckets",
+                Box::new(|c| {
+                    c.queueing_delay.buckets = (0..2100).map(|i| (i, INTEGER_BOUND - 1)).collect();
+                }),
+            ),
         ];
         for (field, edit) in edits {
             let mut bad = ck.clone();

@@ -516,7 +516,7 @@ impl Parser<'_> {
 
 /// Integers read from a document lie below this bound. Each is exact in an
 /// `f64`, and a counter restored from one cannot count up to overflow.
-const INTEGER_BOUND: f64 = 9.0e15;
+pub const INTEGER_BOUND: u64 = 9_000_000_000_000_000;
 
 /// The value of field `key`; `Err` when the object has none.
 pub fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
@@ -551,7 +551,7 @@ pub fn as_object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)]
 }
 
 /// The items of an array; `Err` for any other value.
-pub fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
+fn as_array<'a>(value: &'a Json, what: &str) -> Result<&'a [Json], String> {
     match value {
         Json::Array(items) => Ok(items),
         other => Err(format!("{what}: expected an array, got {other:?}")),
@@ -585,7 +585,7 @@ pub(crate) fn as_f64_or_nan(value: &Json, what: &str) -> Result<f64, String> {
 /// An integer in [0, 9.0e15); `Err` for any other value.
 pub fn as_u64(value: &Json, what: &str) -> Result<u64, String> {
     let n = as_f64(value, what)?;
-    if n.fract() == 0.0 && (0.0..INTEGER_BOUND).contains(&n) {
+    if n.fract() == 0.0 && (0.0..INTEGER_BOUND as f64).contains(&n) {
         Ok(n as u64)
     } else {
         Err(format!(
@@ -645,6 +645,12 @@ pub fn get_usize(fields: &[(String, Json)], key: &str) -> Result<usize, String> 
     as_usize(get(fields, key)?, key)
 }
 
+/// Integer field `key` that fits a `u32`, as a format's `version`.
+pub fn get_u32(fields: &[(String, Json)], key: &str) -> Result<u32, String> {
+    let n = get_u64(fields, key)?;
+    u32::try_from(n).map_err(|_| format!("{key}: {n} does not fit a u32"))
+}
+
 /// Boolean field `key`.
 pub fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
     as_bool(get(fields, key)?, key)
@@ -694,16 +700,6 @@ pub fn parse_objects<T>(
         .collect()
 }
 
-/// An array of numbers.
-pub fn parse_f64_array(value: &Json, what: &str) -> Result<Vec<f64>, String> {
-    parse_array(value, what, as_f64)
-}
-
-/// An array of indices.
-pub fn parse_usize_array(value: &Json, what: &str) -> Result<Vec<usize>, String> {
-    parse_array(value, what, as_usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,11 +708,11 @@ mod tests {
     fn integers_are_bounded_and_errors_name_their_path() {
         let doc = parse(
             r#"{"ok":[0,8999999999999999],"bad":[-1,1.5,9e15,1e300,null],
-                "runs":[{"user":2},{"user":-1}]}"#,
+                "runs":[{"user":2},{"user":-1}],"version":4294967299}"#,
         )
         .unwrap();
         let fields = as_object(&doc, "doc").unwrap();
-        let ok = parse_usize_array(get(fields, "ok").unwrap(), "ok").unwrap();
+        let ok = parse_array(get(fields, "ok").unwrap(), "ok", as_usize).unwrap();
         assert_eq!(ok, [0, 8_999_999_999_999_999]);
         for bad in as_array(get(fields, "bad").unwrap(), "bad").unwrap() {
             assert!(as_u64(bad, "n").is_err(), "{bad:?}");
@@ -727,6 +723,8 @@ mod tests {
             err.starts_with("runs[1].user: -1 is not an integer"),
             "{err}"
         );
+        let err = get_u32(fields, "version").unwrap_err();
+        assert_eq!(err, "version: 4294967299 does not fit a u32");
         let err = parse_object(&doc, "doc", |f| get_u64(f, "absent")).unwrap_err();
         assert_eq!(err, "doc.absent: missing");
     }

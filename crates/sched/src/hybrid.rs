@@ -163,8 +163,8 @@ impl UserPicker for Hybrid {
     fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
         let choice = if self.switched {
             let c = nth_live(tenants, self.rr_cursor);
-            // A restored cursor can sit at `usize::MAX`; the pick only
-            // reads it modulo the live count.
+            // `from_state` takes any cursor, `usize::MAX` included; the
+            // pick only reads it modulo the live count.
             self.rr_cursor = self.rr_cursor.wrapping_add(1);
             c
         } else {

@@ -15,7 +15,7 @@ use crate::{ArrivalKind, ArrivalProcess};
 use easeml_data::Dataset;
 use easeml_exec::{ExecCheckpoint, ExecEngine, ExecTrace};
 use easeml_gp::ArmPrior;
-use easeml_obs::json::{self, as_object, get_u64, get_usize};
+use easeml_obs::json::{self, as_object, get_u32, get_usize};
 use easeml_wal::splitmix64;
 
 /// One scripted workload event.
@@ -219,9 +219,7 @@ impl ReplayCheckpoint {
         })?;
         let doc = json::parse(manifest)?;
         let fields = as_object(&doc, "replay manifest")?;
-        let version = get_u64(fields, "version")?;
-        let version = u32::try_from(version)
-            .map_err(|_| format!("version: {version} is out of range (< 2^32)"))?;
+        let version = get_u32(fields, "version")?;
         if version != REPLAY_CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported replay checkpoint version {version} \
