@@ -4,8 +4,9 @@
 //! [`EaseMl`](crate::server::EaseMl) needs to resume mid-experiment:
 //! tenants' posterior sufficient statistics (their observation sequences —
 //! replaying them through the same numeric path rebuilds bit-identical GP
-//! state), the HYBRID picker's freeze detector, the cluster clocks and
-//! history, the RNG stream position, and the fault/retry bookkeeping.
+//! state) and billing counters, the HYBRID picker's freeze detector, the
+//! simulated clock, the RNG stream position, and the fault/retry
+//! bookkeeping.
 //!
 //! Serialization uses the same hand-rolled JSON as the trace stack:
 //! finite floats round-trip bit-exactly via Rust's shortest representation.
@@ -32,7 +33,11 @@ use std::path::Path;
 /// v3 added the per-tenant `active` flag: with tenant churn, a retired
 /// tenant's slot and GP state survive a restore but it must stay invisible
 /// to every picker, so activity is part of the durable state.
-pub const CHECKPOINT_VERSION: u32 = 3;
+///
+/// v4 replaced the cluster's per-device clocks and run history with one
+/// `clock` and each tenant's `failed` and `cost` counters: the history grew
+/// by one record per round, and nothing but those totals was read from it.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Why a checkpoint could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +115,8 @@ pub struct UserCheckpoint {
 }
 
 /// One tenant's bandit state: the observation sequence (oldest first) that
-/// rebuilds the posterior exactly, plus the quarantine mask.
+/// rebuilds the posterior exactly, the quarantine mask, and what the tenant
+/// was billed.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TenantCheckpoint {
     /// `(arm, reward)` pairs in observation order.
@@ -119,6 +125,10 @@ pub struct TenantCheckpoint {
     pub masked: Vec<usize>,
     /// Whether the tenant is live (false once retired).
     pub active: bool,
+    /// Failed (censored) runs charged to the tenant.
+    pub failed: usize,
+    /// Cost charged to the tenant, censored runs included.
+    pub cost: f64,
 }
 
 /// The HYBRID picker's freeze detector and round-robin cursor.
@@ -139,34 +149,6 @@ pub struct PickerCheckpoint {
     pub switched: bool,
     /// Round-robin cursor.
     pub rr_cursor: u64,
-}
-
-/// One completed (or censored) cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RunCheckpoint {
-    /// Tenant index.
-    pub user: usize,
-    /// Model index within the user's job.
-    pub model: usize,
-    /// Charged cost.
-    pub cost: f64,
-    /// Whether the run was censored (failed).
-    pub censored: bool,
-    /// Device that executed it.
-    pub device: usize,
-    /// Simulated start time.
-    pub started_at: f64,
-    /// Simulated finish time.
-    pub finished_at: f64,
-}
-
-/// The cluster: per-device clocks plus execution history.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ClusterCheckpoint {
-    /// Per-device free-at clocks.
-    pub device_free_at: Vec<f64>,
-    /// Execution history in order.
-    pub history: Vec<RunCheckpoint>,
 }
 
 /// The retry policy's knobs (mirrors [`crate::retry::RetryPolicy`]).
@@ -235,8 +217,8 @@ pub struct CheckpointDoc {
     pub tenants: Vec<TenantCheckpoint>,
     /// HYBRID picker state.
     pub picker: PickerCheckpoint,
-    /// Cluster clocks and history.
-    pub cluster: ClusterCheckpoint,
+    /// Simulated time consumed so far (the pooled device's clock).
+    pub clock: f64,
     /// Retry policy knobs.
     pub retry_policy: RetryPolicyCheckpoint,
     /// Consecutive-failure counters `(user, arm, count)`.
@@ -295,6 +277,8 @@ impl CheckpointDoc {
                 observations: parse_array(get(f, "observations")?, "observations", parse_pair)?,
                 masked: parse_array(get(f, "masked")?, "masked", as_usize)?,
                 active: get_bool(f, "active")?,
+                failed: get_usize(f, "failed")?,
+                cost: get_f64(f, "cost")?,
             })
         })?;
         let picker = parse_object(get(fields, "picker")?, "picker", |f| {
@@ -310,22 +294,6 @@ impl CheckpointDoc {
                 prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
                 switched: get_bool(f, "switched")?,
                 rr_cursor: get_u64(f, "rr_cursor")?,
-            })
-        })?;
-        let cluster = parse_object(get(fields, "cluster")?, "cluster", |f| {
-            Ok(ClusterCheckpoint {
-                device_free_at: parse_array(get(f, "device_free_at")?, "device_free_at", as_f64)?,
-                history: parse_objects(get(f, "history")?, "history", |f| {
-                    Ok(RunCheckpoint {
-                        user: get_usize(f, "user")?,
-                        model: get_usize(f, "model")?,
-                        cost: get_f64(f, "cost")?,
-                        censored: get_bool(f, "censored")?,
-                        device: get_usize(f, "device")?,
-                        started_at: get_f64(f, "started_at")?,
-                        finished_at: get_f64(f, "finished_at")?,
-                    })
-                })?,
             })
         })?;
         let retry_policy = parse_object(get(fields, "retry_policy")?, "retry_policy", |f| {
@@ -385,7 +353,7 @@ impl CheckpointDoc {
             users,
             tenants,
             picker,
-            cluster,
+            clock: get_f64(fields, "clock")?,
             retry_policy,
             retry_counters,
             retry_releases,
@@ -537,6 +505,8 @@ mod tests {
                 observations: vec![(0, 0.5), (3, 0.25 + 1e-17)],
                 masked: vec![3],
                 active: true,
+                failed: 1,
+                cost: 4.5,
             }],
             picker: PickerCheckpoint {
                 rule: "max-gap".into(),
@@ -547,18 +517,7 @@ mod tests {
                 switched: false,
                 rr_cursor: 0,
             },
-            cluster: ClusterCheckpoint {
-                device_free_at: vec![4.5],
-                history: vec![RunCheckpoint {
-                    user: 0,
-                    model: 3,
-                    cost: 4.5,
-                    censored: true,
-                    device: 0,
-                    started_at: 0.0,
-                    finished_at: 4.5,
-                }],
-            },
+            clock: 4.5,
             retry_policy: RetryPolicyCheckpoint {
                 max_retries: 2,
                 backoff_cost: 0.1,
@@ -631,20 +590,23 @@ mod tests {
 
     #[test]
     fn older_version_is_a_typed_error() {
-        let mut doc = sample();
-        doc.version = 1;
-        let err = CheckpointDoc::from_json(&doc.to_json()).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::OlderVersion {
-                found: 1,
-                supported: CHECKPOINT_VERSION
-            }
-        );
-        assert!(
-            err.to_string().contains("unsupported checkpoint version 1"),
-            "{err}"
-        );
+        for found in [1, 3] {
+            let mut doc = sample();
+            doc.version = found;
+            let err = CheckpointDoc::from_json(&doc.to_json()).unwrap_err();
+            assert_eq!(
+                err,
+                CheckpointError::OlderVersion {
+                    found,
+                    supported: CHECKPOINT_VERSION
+                }
+            );
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported checkpoint version {found}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -155,6 +155,14 @@ pub(crate) fn plan_replay(log: &WalLog, from_rounds: u64) -> Result<ReplayPlan, 
                 ..
             } => {
                 if round >= from_rounds {
+                    // The live path censors such an outcome; replaying it
+                    // would corrupt the clock or the posterior.
+                    if !(accuracy.is_finite() && cost.is_finite() && cost > 0.0) {
+                        return Err(format!(
+                            "round {round}: logged outcome (accuracy {accuracy}, cost {cost}) \
+                             needs a finite accuracy and a positive, finite cost"
+                        ));
+                    }
                     attempts.push_back(ReplayAttempt::Resolved { accuracy, cost });
                 } else {
                     skipped += 1;

@@ -35,6 +35,11 @@ pub struct Job {
     /// Best (model index, accuracy) found so far.
     best: Option<(usize, f64)>,
     trained: Vec<bool>,
+    /// Failed (censored) training runs charged to the job.
+    pub(crate) failed: usize,
+    /// Cost charged, censored runs included: added in run order from where
+    /// `Iterator::sum` starts, so it rounds as a sum of the runs' costs.
+    pub(crate) cost: f64,
 }
 
 impl Job {
@@ -55,6 +60,8 @@ impl Job {
             matched,
             best: None,
             trained: vec![false; k],
+            failed: 0,
+            cost: std::iter::empty::<f64>().sum(),
         })
     }
 

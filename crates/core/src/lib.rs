@@ -8,11 +8,10 @@
 //! * [`user`] / [`job`] / [`storage`] — the declarative service layer:
 //!   users submit a Figure-2 program, `feed` example pairs into shared
 //!   storage, `refine` them, and `infer` with the best model found so far;
-//! * [`cluster`] — the simulated GPU pool: ease.ml treats the whole pool as
-//!   a single device (§4.5), so training runs execute one at a time,
-//!   advancing a simulated clock by the run's cost;
-//! * [`server`] — [`server::EaseMl`], the façade tying programs, storage,
-//!   the scheduler, and the cluster together;
+//! * [`server`] — [`server::EaseMl`], the façade tying programs, storage
+//!   and the scheduler to the simulated GPU pool: ease.ml treats the whole
+//!   pool as a single device (§4.5), so training runs execute one at a
+//!   time, advancing one simulated clock by the run's cost;
 //! * [`sim`] — the trace-driven multi-tenant simulation over a
 //!   [`easeml_data::Dataset`] (quality/cost matrix), exactly the protocol
 //!   §5 evaluates;
@@ -52,7 +51,6 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-pub mod cluster;
 pub mod durability;
 pub mod experiment;
 pub mod fault;
@@ -73,7 +71,6 @@ pub mod prelude {
         read_checkpoint_file, write_checkpoint_atomic, CheckpointDoc, CheckpointError,
         CHECKPOINT_VERSION,
     };
-    pub use crate::cluster::{Cluster, TrainingRun};
     pub use crate::durability::{Durability, RecoveryReport};
     pub use crate::experiment::{run_experiment, Budget, ExperimentConfig, ExperimentResult};
     pub use crate::fault::{FaultConfig, FaultInjector, FaultRates, TrainingError};

@@ -2,17 +2,17 @@
 //!
 //! [`EaseMl`] wires together the declarative layer (program parsing,
 //! schema matching, task generation), the shared storage behind
-//! `feed`/`refine`, the multi-tenant scheduler, and the simulated cluster.
+//! `feed`/`refine`, the multi-tenant scheduler, and the simulated GPU pool:
+//! one device whose clock advances by each training run's cost (§4.5).
 //! Training outcomes come from a pluggable *quality oracle* — in production
 //! this is the deep-learning subsystem; in this reproduction it is the
 //! dataset's (quality, cost) matrix or any user-supplied closure.
 
 use crate::checkpoint::{
     decode_u64, encode_u64, in_range, read_checkpoint_file, write_checkpoint_atomic, CheckpointDoc,
-    ClusterCheckpoint, FaultCheckpoint, PickerCheckpoint, RetryPolicyCheckpoint, RunCheckpoint,
-    TenantCheckpoint, UserCheckpoint, CHECKPOINT_VERSION,
+    FaultCheckpoint, PickerCheckpoint, RetryPolicyCheckpoint, TenantCheckpoint, UserCheckpoint,
+    CHECKPOINT_VERSION,
 };
-use crate::cluster::{Cluster, CompletedRun, TrainingRun};
 use crate::durability::{
     censor_kind, plan_replay, Durability, LifecycleAction, RecoveryReport, ReplayAttempt,
 };
@@ -25,6 +25,7 @@ use crate::witness::{DecisionLog, RoundWitness};
 use easeml_bandit::{BetaSchedule, GpUcb};
 use easeml_dsl::{parse_program, ModelId, ParseError};
 use easeml_gp::ArmPrior;
+use easeml_obs::json::INTEGER_BOUND;
 use easeml_obs::{Component, Event, RecorderHandle};
 use easeml_sched::{Hybrid, HybridState, PickRule, Tenant, UserPicker};
 use easeml_wal::{read_log, truncate_log, DurableEvent};
@@ -159,7 +160,11 @@ pub struct EaseMl {
     jobs: Vec<Job>,
     tenants: Vec<Tenant>,
     storage: SharedStorage,
-    cluster: Cluster,
+    /// Simulated time consumed: the pooled device's clock, advanced by
+    /// every run's cost, censored runs included. Only positive, finite
+    /// costs reach it: the live path validates oracle output, and recovery
+    /// refuses logged outcomes the live path would not have logged.
+    clock: f64,
     picker: Hybrid,
     oracle: QualityOracle,
     rng: StdRng,
@@ -194,7 +199,7 @@ impl EaseMl {
             jobs: Vec::new(),
             tenants: Vec::new(),
             storage: SharedStorage::new(),
-            cluster: Cluster::single_device(),
+            clock: 0.0,
             picker: Hybrid::ease_ml(),
             oracle,
             rng: StdRng::seed_from_u64(seed),
@@ -265,7 +270,6 @@ impl EaseMl {
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.recorder = recorder.clone();
         self.picker.set_recorder(recorder.clone());
-        self.cluster.set_recorder(recorder.clone());
         self.durability.set_recorder(recorder.clone());
         for tenant in &mut self.tenants {
             tenant.set_recorder(recorder.clone());
@@ -332,7 +336,7 @@ impl EaseMl {
         let id = self.register_user(name, program_src)?;
         let round = self.rounds;
         let arms = self.jobs[id].candidate_models().len() as u64;
-        let at = self.cluster.makespan();
+        let at = self.clock;
         self.durability.append(|| DurableEvent::TenantJoined {
             round,
             user: id as u64,
@@ -366,15 +370,8 @@ impl EaseMl {
         }
         self.tenants[user].set_active(false);
         let round = self.rounds;
-        let (serves, at) = {
-            let cluster = &self.cluster;
-            let serves = cluster
-                .history()
-                .iter()
-                .filter(|r| r.run.user == user && !r.run.censored)
-                .count() as u64;
-            (serves, cluster.makespan())
-        };
+        let serves = self.tenants[user].policy().posterior().num_observations() as u64;
+        let at = self.clock;
         self.durability.append(|| DurableEvent::TenantRetired {
             round,
             user: user as u64,
@@ -621,8 +618,10 @@ impl EaseMl {
                 Ok(outcome) => {
                     {
                         let _train = self.recorder.span("train");
-                        self.cluster
-                            .execute(TrainingRun::new(user, model_idx, outcome.cost));
+                        self.clock += outcome.cost;
+                        self.jobs[user].cost += outcome.cost;
+                        self.recorder.count("cluster/runs", 1);
+                        self.recorder.gauge("cluster/makespan", self.clock);
                         self.recorder.emit(|| Event::TrainingCompleted {
                             user,
                             model: model_idx,
@@ -687,8 +686,11 @@ impl EaseMl {
                         // failure to the phase that paid for it.
                         let _train = self.recorder.span("train");
                         if total > 0.0 && total.is_finite() {
-                            self.cluster
-                                .execute(TrainingRun::censored(user, model_idx, total));
+                            self.clock += total;
+                            self.jobs[user].cost += total;
+                            self.jobs[user].failed += 1;
+                            self.recorder.count("cluster/runs", 1);
+                            self.recorder.gauge("cluster/makespan", self.clock);
                             censored_cost += total;
                         }
                         self.recorder.emit(|| Event::TrainingFailed {
@@ -782,19 +784,23 @@ impl EaseMl {
     /// The checkpoint carries the posterior *sufficient statistics* (each
     /// tenant's observation sequence — replaying it through the same
     /// numeric path rebuilds bit-identical GP state), the HYBRID freeze
-    /// detector, the cluster clocks and history, per-job bests (derived
-    /// from the replayed observations), the RNG stream position, and the
-    /// fault/retry bookkeeping. [`EaseMl::restore`] resumes from it with
-    /// the exact same remaining decision sequence as an uninterrupted run.
+    /// detector, the clock and each tenant's billing counters, per-job
+    /// bests (derived from the replayed observations), the RNG stream
+    /// position, and the fault/retry bookkeeping. [`EaseMl::restore`]
+    /// resumes from it with the exact same remaining decision sequence as
+    /// an uninterrupted run.
     pub fn checkpoint(&self) -> String {
         let rng_words = self.rng.state();
         let tenants = self
             .tenants
             .iter()
-            .map(|t| TenantCheckpoint {
+            .zip(&self.jobs)
+            .map(|(t, job)| TenantCheckpoint {
                 observations: t.policy().posterior().observations().collect(),
                 masked: t.policy().masked_arms(),
                 active: t.is_active(),
+                failed: job.failed,
+                cost: job.cost,
             })
             .collect();
         let users = self
@@ -816,25 +822,6 @@ impl EaseMl {
                 prev_best_sum: state.prev_best_sum,
                 switched: state.switched,
                 rr_cursor: state.rr_cursor as u64,
-            }
-        };
-        let cluster = {
-            let c = &self.cluster;
-            ClusterCheckpoint {
-                device_free_at: c.device_free_at().to_vec(),
-                history: c
-                    .history()
-                    .iter()
-                    .map(|r| RunCheckpoint {
-                        user: r.run.user,
-                        model: r.run.model,
-                        cost: r.run.cost,
-                        censored: r.run.censored,
-                        device: r.device,
-                        started_at: r.started_at,
-                        finished_at: r.finished_at,
-                    })
-                    .collect(),
             }
         };
         let fault = self.fault.as_ref().map(|injector| {
@@ -890,7 +877,7 @@ impl EaseMl {
             users,
             tenants,
             picker,
-            cluster,
+            clock: self.clock,
             retry_policy: RetryPolicyCheckpoint {
                 max_retries: self.retry_policy.max_retries,
                 backoff_cost: self.retry_policy.backoff_cost,
@@ -964,6 +951,8 @@ impl EaseMl {
                 server.tenants[idx].set_arm_masked(arm, true);
             }
             server.tenants[idx].set_active(tenant_ckpt.active);
+            server.jobs[idx].failed = tenant_ckpt.failed;
+            server.jobs[idx].cost = tenant_ckpt.cost;
         }
         let rule = PickRule::from_name(&doc.picker.rule)
             .ok_or_else(|| format!("unknown picker rule {:?}", doc.picker.rule))?;
@@ -976,23 +965,7 @@ impl EaseMl {
             switched: doc.picker.switched,
             rr_cursor: doc.picker.rr_cursor as usize,
         });
-        let history = doc
-            .cluster
-            .history
-            .iter()
-            .map(|r| CompletedRun {
-                run: TrainingRun {
-                    user: r.user,
-                    model: r.model,
-                    cost: r.cost,
-                    censored: r.censored,
-                },
-                device: r.device,
-                started_at: r.started_at,
-                finished_at: r.finished_at,
-            })
-            .collect();
-        server.cluster = Cluster::from_state(doc.cluster.device_free_at.clone(), history);
+        server.clock = doc.clock;
         let mut rng_words = [0u64; 4];
         for (i, word) in doc.rng_state.iter().enumerate() {
             rng_words[i] = decode_u64(word)?;
@@ -1227,11 +1200,11 @@ impl EaseMl {
         Ok((server, report))
     }
 
-    /// Runs rounds until the simulated cluster has consumed `budget` cost.
+    /// Runs rounds until the simulated clock has consumed `budget` cost.
     /// Returns the number of rounds executed.
     pub fn run_until(&mut self, budget: f64) -> usize {
         let mut rounds = 0;
-        while self.cluster.makespan() < budget {
+        while self.clock < budget {
             self.run_round();
             rounds += 1;
         }
@@ -1240,7 +1213,7 @@ impl EaseMl {
 
     /// Total simulated time consumed so far.
     pub fn elapsed(&self) -> f64 {
-        self.cluster.makespan()
+        self.clock
     }
 
     /// Job statuses of all users (for dashboards).
@@ -1251,34 +1224,33 @@ impl EaseMl {
     /// A point-in-time view of every user's job: status, served runs, cost
     /// consumed, and current best model.
     pub fn status_snapshot(&self) -> StatusSnapshot {
-        let cluster = &self.cluster;
-        let elapsed_cost = cluster.makespan();
-        let history = cluster.history();
-        let users = self
+        let users: Vec<UserStatus> = self
             .users
             .iter()
             .zip(&self.jobs)
-            .map(|(account, job)| {
+            .zip(&self.tenants)
+            .map(|((account, job), tenant)| {
                 let best = job.best_model();
-                let runs = history.iter().filter(|r| r.run.user == account.id());
                 UserStatus {
                     user: account.id(),
                     name: account.name().to_string(),
                     status: job.status().name().to_string(),
-                    served: runs.clone().filter(|r| !r.run.censored).count(),
-                    cost: runs.clone().map(|r| r.run.cost).sum(),
+                    // Every completed run observes once, so the posterior
+                    // counts the runs served.
+                    served: tenant.policy().posterior().num_observations(),
+                    cost: job.cost,
                     best_model: best.map(|(model, _)| model.name().to_string()),
                     best_accuracy: best.map(|(_, accuracy)| accuracy),
-                    failed: runs.filter(|r| r.run.censored).count(),
+                    failed: job.failed,
                 }
             })
             .collect();
         StatusSnapshot {
-            elapsed_cost,
-            completed_runs: history.iter().filter(|r| !r.run.censored).count(),
+            elapsed_cost: self.clock,
+            completed_runs: users.iter().map(|u| u.served).sum(),
             num_users: self.users.len(),
+            failed_runs: users.iter().map(|u| u.failed).sum(),
             users,
-            failed_runs: history.iter().filter(|r| r.run.censored).count(),
         }
     }
 
@@ -1307,13 +1279,26 @@ fn check_runnable(doc: &CheckpointDoc) -> Result<(), String> {
             doc.tenants.len()
         ));
     }
+    // `/status` sums the failure counts, so their total stays below the
+    // integer bound too: counting on from it cannot overflow.
+    let mut failed = 0u64;
     for (i, tenant) in doc.tenants.iter().enumerate() {
+        failed += tenant.failed as u64;
+        if failed >= INTEGER_BOUND {
+            return Err(format!(
+                "tenants[{i}].failed: the tenants' failed runs total {failed}, \
+                 past the integer bound {INTEGER_BOUND}"
+            ));
+        }
         for (j, &(_, reward)) in tenant.observations.iter().enumerate() {
             if !reward.is_finite() {
                 return Err(format!(
                     "tenants[{i}].observations[{j}] reward must be finite"
                 ));
             }
+        }
+        if !(tenant.cost.is_finite() && tenant.cost >= 0.0) {
+            return Err(format!("tenants[{i}].cost must be finite and non-negative"));
         }
     }
     if doc.picker.patience == 0 {
@@ -1328,8 +1313,8 @@ fn check_runnable(doc: &CheckpointDoc) -> Result<(), String> {
             doc.picker.frozen_rounds, doc.picker.patience
         ));
     }
-    if doc.cluster.device_free_at.is_empty() {
-        return Err("cluster.device_free_at: a cluster needs at least one device".into());
+    if !(doc.clock.is_finite() && doc.clock >= 0.0) {
+        return Err("clock must be finite and non-negative".into());
     }
     for (i, &(_, user, _)) in doc.retry_releases.iter().enumerate() {
         in_range(user, users, || format!("retry_releases[{i}].user"))?;
@@ -1845,6 +1830,104 @@ mod tests {
     }
 
     #[test]
+    fn recovery_refuses_logged_outcomes_the_live_path_never_logs() {
+        // A CRC-valid round appended after the checkpoint whose resolved
+        // outcome the live path would have censored instead of logging.
+        use easeml_wal::WalOptions;
+        let dir =
+            std::env::temp_dir().join(format!("easeml-server-bad-outcome-{}", std::process::id()));
+        let (ckpt_path, wal_dir) = (dir.join("ckpt.json"), dir.join("wal"));
+        for (accuracy, cost) in [
+            (0.5, 0.0),
+            (0.5, -1.0),
+            (0.5, f64::NAN),
+            (0.5, f64::INFINITY),
+            (f64::NAN, 1.0),
+            (f64::INFINITY, 1.0),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut s = EaseMl::new(toy_oracle(), 15);
+            s.register_user("vision-lab", IMAGE_PROG).unwrap();
+            s.set_durability(Durability::open(&wal_dir, WalOptions::default()).unwrap());
+            for _ in 0..3 {
+                s.try_run_round().unwrap();
+            }
+            s.checkpoint_to(&ckpt_path).unwrap();
+            let round = s.rounds_executed();
+            let wal = s.durability();
+            wal.append(|| DurableEvent::RoundStart { round });
+            wal.append(|| DurableEvent::ObservationResolved {
+                round,
+                user: 0,
+                arm: 0,
+                accuracy,
+                cost,
+            });
+            wal.append(|| DurableEvent::RoundCommit {
+                round,
+                user: 0,
+                arm: 0,
+                censored: false,
+                digest: 0,
+                rng: [0; 4],
+            });
+            drop(s);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                EaseMl::recover(&ckpt_path, &wal_dir, toy_oracle()).map(|_| ())
+            }));
+            match outcome {
+                Ok(Err(err)) => assert!(err.contains(&format!("round {round}")), "{err}"),
+                Ok(Ok(())) => panic!("accuracy {accuracy}, cost {cost}: recovery accepted it"),
+                Err(_) => panic!("accuracy {accuracy}, cost {cost}: recovery panicked"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_grows_only_by_gp_state() {
+        // Each tenant's observation list grows by one entry per completed
+        // run; everything else in the document is bounded by the tenants
+        // and arms, whatever the number of rounds run.
+        let oracle: QualityOracle = Box::new(|user, model| {
+            let info = model.info();
+            let base = 0.5 + 0.04 * (user % 3) as f64;
+            Ok(TrainingOutcome {
+                accuracy: (base + 0.02 * (info.year as f64 - 2010.0)).min(0.99),
+                cost: info.relative_cost,
+            })
+        });
+        let mut s = EaseMl::new(oracle, 29);
+        let faults = FaultConfig::new(43)
+            .with_crash_rate(0.15)
+            .with_timeout_rate(0.05)
+            .with_stragglers(0.20, 2.5);
+        s.set_fault_injector(Some(FaultInjector::new(faults)));
+        s.register_user("vision-a", IMAGE_PROG).unwrap();
+        s.register_user("meteo-a", TS_PROG).unwrap();
+        let mut rest = Vec::new();
+        for round in 1..=500 {
+            s.try_run_round().unwrap();
+            if round == 50 || round == 500 {
+                let json = s.checkpoint();
+                let doc = CheckpointDoc::from_json(&json).unwrap();
+                let observations: usize = doc
+                    .tenants
+                    .iter()
+                    .map(|t| easeml_obs::json::to_string(&t.observations).len())
+                    .sum();
+                rest.push((json.len() - observations) as i64);
+            }
+        }
+        assert!(s.status_snapshot().failed_runs > 0, "faults fired");
+        let growth = rest[1] - rest[0];
+        assert!(
+            growth < 128,
+            "the checkpoint beyond its observations grew by {growth} bytes"
+        );
+    }
+
+    #[test]
     fn restore_rejects_malformed_documents() {
         assert!(EaseMl::restore("not json", toy_oracle()).is_err());
         assert!(EaseMl::restore("{\"version\":1}", toy_oracle()).is_err());
@@ -1892,9 +1975,9 @@ mod tests {
         }
         let doc = CheckpointDoc::from_json(&s.checkpoint()).unwrap();
         assert!(!doc.tenants[0].observations.is_empty());
-        // JSON has no +inf, so that reward is written as text: `1e400`
+        // JSON has no +inf, so a field set to it is written as text: `1e400`
         // parses, and overflows to +inf.
-        const REWARD_MARK: f64 = 0.123_456_789;
+        const MARK: f64 = 0.123_456_789;
         let frozen_at_patience = format!(
             "picker.frozen_rounds = {0} must stay below picker.patience = {0}",
             doc.picker.patience
@@ -1907,8 +1990,35 @@ mod tests {
             ("delta", Box::new(|c| c.delta = 2.0), ""),
             (
                 "tenants[0].observations[0]",
-                Box::new(|c| c.tenants[0].observations[0].1 = REWARD_MARK),
+                Box::new(|c| c.tenants[0].observations[0].1 = MARK),
                 "1e400",
+            ),
+            ("clock", Box::new(|c| c.clock = MARK), "1e400"),
+            ("clock", Box::new(|c| c.clock = -1.0), ""),
+            (
+                "tenants[0].cost",
+                Box::new(|c| c.tenants[0].cost = MARK),
+                "1e400",
+            ),
+            (
+                "tenants[0].cost",
+                Box::new(|c| c.tenants[0].cost = -1.0),
+                "",
+            ),
+            (
+                "tenants[0].failed",
+                Box::new(|c| c.tenants[0].failed = usize::MAX),
+                "",
+            ),
+            // Each count is readable, but `/status` would sum them past the
+            // bound.
+            (
+                "tenants[1].failed",
+                Box::new(|c| {
+                    c.tenants[0].failed = 5_000_000_000_000_000;
+                    c.tenants[1].failed = 5_000_000_000_000_000;
+                }),
+                "",
             ),
             (
                 "retry_releases[0]",
@@ -1949,12 +2059,12 @@ mod tests {
                 "",
             ),
         ];
-        for (field, edit, reward_text) in edits {
+        for (field, edit, mark_text) in edits {
             let mut bad = doc.clone();
             edit(&mut bad);
             let mut json = bad.to_json();
-            if !reward_text.is_empty() {
-                json = json.replacen(&REWARD_MARK.to_string(), reward_text, 1);
+            if !mark_text.is_empty() {
+                json = json.replacen(&MARK.to_string(), mark_text, 1);
             }
             // Some bad fields only panic in the first round after restore.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -2,13 +2,13 @@
 //!
 //! A simulation replays a [`Dataset`]'s (quality, cost) matrix: at every
 //! global round the scheduler picks a user, the user's model-picking policy
-//! picks a model, the simulated cluster "trains" it — consuming the pair's
-//! cost and revealing the pair's quality — and the accuracy losses of all
+//! picks a model, the simulated GPU pool "trains" it — advancing one clock
+//! by the pair's cost and revealing the pair's quality, since ease.ml runs
+//! the whole pool as a single device (§4.5) — and the accuracy losses of all
 //! users are recorded. This is exactly how the paper evaluates ease.ml
 //! against its baselines: the schedulers only ever see (reward, cost)
 //! observations, never the hidden matrix.
 
-use crate::cluster::{Cluster, TrainingRun};
 use crate::fault::{FaultConfig, FaultInjector};
 use crate::witness::{DecisionLog, RoundWitness};
 use easeml_bandit::policies::FixedOrder;
@@ -267,7 +267,8 @@ impl LossTracker {
 ///
 /// Panics if `priors.len()` does not match the number of users (for GP
 /// schedulers), if a heuristic scheduler is used on a dataset that is not
-/// zoo-shaped (8 models), or on non-positive budget.
+/// zoo-shaped (8 models), on non-positive budget, or when a completed run's
+/// cost (after any straggler factor) is not positive and finite.
 pub fn simulate(
     dataset: &Dataset,
     priors: &[ArmPrior],
@@ -329,7 +330,7 @@ fn simulate_heuristic(
     let n = dataset.num_users();
     let mut policies: Vec<FixedOrder> = (0..n).map(|_| FixedOrder::new(order.clone())).collect();
     let mut losses = LossTracker::new(dataset);
-    let mut cluster = Cluster::single_device();
+    let mut clock = 0.0;
     let mut points = Vec::new();
     let mut dummy_rng = rand::rngs::mock::StepRng::new(0, 1);
 
@@ -345,7 +346,7 @@ fn simulate_heuristic(
 
     let mut step = 0usize;
     let mut events = Vec::new();
-    while cluster.makespan() < cfg.budget {
+    while clock < cfg.budget {
         let _round = recorder.time(Component::SimRound);
         let _step_span = recorder.span("scheduler_step");
         let user = {
@@ -365,7 +366,7 @@ fn simulate_heuristic(
         let cost = dataset.cost(user, model);
         {
             let _train = recorder.span("train");
-            cluster.execute(TrainingRun::new(user, model, cost));
+            advance(&mut clock, cost);
             recorder.emit(|| Event::TrainingCompleted {
                 user,
                 model,
@@ -376,7 +377,7 @@ fn simulate_heuristic(
         }
         policies[user].observe(model, quality);
         losses.observe(user, quality);
-        points.push((cluster.makespan(), losses.mean_loss()));
+        points.push((clock, losses.mean_loss()));
         events.push(SimEvent {
             user,
             model,
@@ -386,7 +387,7 @@ fn simulate_heuristic(
         recorder.count("sim/rounds", 1);
         step += 1;
     }
-    recorder.gauge("sim/makespan", cluster.makespan());
+    recorder.gauge("sim/makespan", clock);
     recorder.gauge("sim/mean-loss", losses.mean_loss());
     SimTrace {
         budget: cfg.budget,
@@ -480,11 +481,22 @@ pub fn make_picker(kind: SchedulerKind, recorder: &RecorderHandle) -> Box<dyn Us
     picker
 }
 
-/// Charges a failed run's consumed cost to the cluster as a censored run
+/// Advances the pooled device's clock by one run's cost. Panics unless the
+/// cost (the dataset's, times any straggler factor) is positive and finite:
+/// a NaN would poison the clock, and zero or ∞ would stall or end the run.
+fn advance(clock: &mut f64, cost: f64) {
+    assert!(
+        cost.is_finite() && cost > 0.0,
+        "training cost must be positive and finite, got {cost}"
+    );
+    *clock += cost;
+}
+
+/// Charges a failed run's consumed cost to the clock as a censored run
 /// and emits the `TrainingFailed` event. Zero (or non-finite) charges skip
-/// the cluster — there is nothing billable — but are still traced.
+/// the clock — there is nothing billable — but are still traced.
 fn censor_run(
-    cluster: &mut Cluster,
+    clock: &mut f64,
     recorder: &RecorderHandle,
     user: usize,
     model: usize,
@@ -493,7 +505,7 @@ fn censor_run(
 ) {
     let _train = recorder.span("train");
     if charge > 0.0 && charge.is_finite() {
-        cluster.execute(TrainingRun::censored(user, model, charge));
+        advance(clock, charge);
     }
     recorder.emit(|| Event::TrainingFailed {
         user,
@@ -519,7 +531,7 @@ fn simulate_gp(
     let mut tenants = build_tenants(dataset, priors, cfg, recorder);
     let mut picker = make_picker(kind, recorder);
     let mut losses = LossTracker::new(dataset);
-    let mut cluster = Cluster::single_device();
+    let mut clock = 0.0;
     let mut points = Vec::new();
     let mut rounds = 0usize;
     let mut injector = cfg.fault.clone().map(FaultInjector::new);
@@ -528,7 +540,7 @@ fn simulate_gp(
     let mut events = Vec::new();
     // Serves one round. Returns whether the run completed: a fault-injected
     // failure (or NaN quality) is censored — its consumed cost advances the
-    // cluster clock but nothing enters the posterior or the trace points.
+    // clock but nothing enters the posterior or the trace points.
     // Every round, censored or not, folds its decision into `wlog` and
     // (with a live recorder) commits a witness chain; `wctx` carries what
     // the picker ranked.
@@ -537,7 +549,7 @@ fn simulate_gp(
                  wctx: (&[f64], &[usize], &str),
                  wlog: &mut DecisionLog,
                  tenants: &mut Vec<Tenant>,
-                 cluster: &mut Cluster,
+                 clock: &mut f64,
                  losses: &mut LossTracker,
                  points: &mut Vec<(f64, f64)>,
                  events: &mut Vec<SimEvent>,
@@ -580,13 +592,13 @@ fn simulate_gp(
             Ok(out) if out.accuracy.is_finite() => (out.accuracy, out.cost),
             Ok(out) => {
                 // Injected invalid quality: censor, charging the full cost.
-                censor_run(cluster, recorder, user, model, out.cost, "invalid-quality");
+                censor_run(clock, recorder, user, model, out.cost, "invalid-quality");
                 witness(arm_expl.as_ref(), wlog, "invalid-quality", true);
                 return false;
             }
             Err(error) => {
                 censor_run(
-                    cluster,
+                    clock,
                     recorder,
                     user,
                     model,
@@ -599,7 +611,7 @@ fn simulate_gp(
         };
         {
             let _train = recorder.span("train");
-            cluster.execute(TrainingRun::new(user, model, cost));
+            advance(clock, cost);
             recorder.emit(|| Event::TrainingCompleted {
                 user,
                 model,
@@ -610,7 +622,7 @@ fn simulate_gp(
         }
         tenants[user].observe(model, quality);
         losses.observe(user, quality);
-        points.push((cluster.makespan(), losses.mean_loss()));
+        points.push((*clock, losses.mean_loss()));
         events.push(SimEvent {
             user,
             model,
@@ -636,7 +648,7 @@ fn simulate_gp(
     let initial_loss = losses.mean_loss();
 
     let mut step = 0usize;
-    while cluster.makespan() < cfg.budget {
+    while clock < cfg.budget {
         let _round = recorder.time(Component::SimRound);
         let _step_span = recorder.span("scheduler_step");
         let user = {
@@ -660,7 +672,7 @@ fn simulate_gp(
             (&user_scores, &candidates, &path),
             &mut wlog,
             &mut tenants,
-            &mut cluster,
+            &mut clock,
             &mut losses,
             &mut points,
             &mut events,
@@ -671,7 +683,7 @@ fn simulate_gp(
         }
         step += 1;
     }
-    recorder.gauge("sim/makespan", cluster.makespan());
+    recorder.gauge("sim/makespan", clock);
     recorder.gauge("sim/mean-loss", losses.mean_loss());
 
     SimTrace {
@@ -767,6 +779,30 @@ mod tests {
                 assert!(w[1].1 <= w[0].1 + 1e-12);
             }
             assert_eq!(t.final_losses.len(), 5);
+        }
+    }
+
+    #[test]
+    fn straggler_factors_that_break_the_clock_panic() {
+        // Every run straggles, so its cost is the dataset's times the factor.
+        let d = small_dataset();
+        let priors = flat_priors(&d);
+        for factor in [0.0, f64::NAN, f64::INFINITY] {
+            let cfg = SimConfig {
+                fault: Some(FaultConfig::new(5).with_stragglers(1.0, factor)),
+                ..SimConfig::new(6.0)
+            };
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simulate(&d, &priors, SchedulerKind::EaseMl, &cfg, &mut rng())
+            }))
+            .expect_err("a run cost the factor breaks must panic");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("the panic carries a formatted message");
+            assert!(
+                message.contains("positive and finite"),
+                "factor {factor}: {message}"
+            );
         }
     }
 

@@ -11,8 +11,8 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSpec {
     /// Relative throughput: a run of cost `c` occupies the device for
-    /// `c / speed` simulated time units. `1.0` matches the serial
-    /// [`Cluster`](easeml::cluster::Cluster) exactly.
+    /// `c / speed` simulated time units. `1.0` matches the clock of the
+    /// serial simulator ([`easeml::sim::simulate`]) exactly.
     pub speed: f64,
     /// Concurrent job slots (≥ 1). A multi-GPU node is a device with
     /// several slots at one speed.
@@ -20,7 +20,8 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// A unit-speed, single-slot device — the serial cluster's device.
+    /// A unit-speed, single-slot device — the serial simulator's pooled
+    /// device.
     pub fn unit() -> Self {
         DeviceSpec {
             speed: 1.0,

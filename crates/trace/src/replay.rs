@@ -22,7 +22,7 @@ use easeml::sim::{simulate_with_recorder, SchedulerKind, SimConfig};
 use easeml_data::{Dataset, SynConfig};
 use easeml_exec::simulate_multi_device_with_recorder;
 use easeml_gp::ArmPrior;
-use easeml_obs::json::Json;
+use easeml_obs::json::{as_bool, as_f64, as_object, as_str, as_u64, as_usize};
 use easeml_obs::{
     schema_header_line, witness_records, Event, InMemoryRecorder, RecorderHandle, WitnessRecord,
 };
@@ -42,6 +42,10 @@ pub const MUTATE_ENV_VAR: &str = "EASEML_PICKER_MUTATE_AT";
 /// at construction — so live-leg execution is serialized to keep a mutated
 /// replay from leaking into a concurrent clean one (tests in one binary).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Most prior covariance entries, `users × models²`, a scenario may ask
+/// for: each tenant's prior is dense, and it bounds what a run allocates.
+const MAX_PRIOR_ENTRIES: usize = 10_000_000;
 
 /// Everything a recorded run depends on, pinned so `replay-diff` can
 /// re-execute it bit for bit. Serialized as a small JSON object.
@@ -102,34 +106,63 @@ impl ReplayScenario {
     ///
     /// # Errors
     ///
-    /// Returns the JSON syntax error, or a message when the document is
-    /// not an object or a key has the wrong type.
+    /// Returns the JSON syntax error, or a message naming the key when the
+    /// document is not an object, a key is unknown or mistyped, or a value
+    /// is one the simulator cannot run from.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = easeml_obs::json::parse(text).map_err(|e| format!("scenario JSON: {e}"))?;
-        let Json::Object(pairs) = doc else {
-            return Err("scenario JSON must be an object".to_string());
-        };
         let mut out = ReplayScenario::default();
-        for (key, value) in &pairs {
-            match (key.as_str(), value) {
-                ("users", Json::Number(n)) => out.users = *n as usize,
-                ("models", Json::Number(n)) => out.models = *n as usize,
-                ("dataset_seed", Json::Number(n)) => out.dataset_seed = *n as u64,
-                ("sim_seed", Json::Number(n)) => out.sim_seed = *n as u64,
-                ("budget", Json::Number(n)) => out.budget = *n,
-                ("kind", Json::String(s)) => out.kind = s.clone(),
-                ("cost_aware", Json::Bool(b)) => out.cost_aware = *b,
-                ("noise_var", Json::Number(n)) => out.noise_var = *n,
-                ("delta", Json::Number(n)) => out.delta = *n,
-                ("crash_rate", Json::Number(n)) => out.crash_rate = *n,
-                ("timeout_rate", Json::Number(n)) => out.timeout_rate = *n,
-                ("invalid_rate", Json::Number(n)) => out.invalid_rate = *n,
-                (other, _) => {
-                    return Err(format!("scenario key {other:?} is unknown or mistyped"));
-                }
+        for (key, value) in as_object(&doc, "scenario JSON")? {
+            let key = key.as_str();
+            match key {
+                "users" => out.users = as_usize(value, key)?,
+                "models" => out.models = as_usize(value, key)?,
+                "dataset_seed" => out.dataset_seed = as_u64(value, key)?,
+                "sim_seed" => out.sim_seed = as_u64(value, key)?,
+                "budget" => out.budget = as_f64(value, key)?,
+                "kind" => out.kind = as_str(value, key)?.to_string(),
+                "cost_aware" => out.cost_aware = as_bool(value, key)?,
+                "noise_var" => out.noise_var = as_f64(value, key)?,
+                "delta" => out.delta = as_f64(value, key)?,
+                "crash_rate" => out.crash_rate = as_f64(value, key)?,
+                "timeout_rate" => out.timeout_rate = as_f64(value, key)?,
+                "invalid_rate" => out.invalid_rate = as_f64(value, key)?,
+                other => return Err(format!("scenario key {other:?} is unknown")),
             }
         }
+        out.check()?;
         Ok(out)
+    }
+
+    /// Rejects, naming the key, every value the dataset generator or the
+    /// simulator would panic on, allocate without bound for, or loop on
+    /// forever.
+    fn check(&self) -> Result<(), String> {
+        const AT_LEAST_ONE: &str = "must be at least 1";
+        const POSITIVE: &str = "must be finite and positive";
+        const RATE: &str = "must lie in [0, 1]";
+        let entries = (self.models.checked_mul(self.models))
+            .and_then(|square| square.checked_mul(self.users));
+        let fits = entries.is_some_and(|n| n <= MAX_PRIOR_ENTRIES);
+        let cap = format!("must keep users × models² within {MAX_PRIOR_ENTRIES}");
+        let delta = self.delta > 0.0 && self.delta < 1.0;
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let rate = |x: f64| (0.0..=1.0).contains(&x);
+        let rules: [(&str, bool, &str); 9] = [
+            ("users", self.users > 0, AT_LEAST_ONE),
+            ("models", self.models > 0, AT_LEAST_ONE),
+            ("models", fits, &cap),
+            ("budget", positive(self.budget), POSITIVE),
+            ("noise_var", positive(self.noise_var), POSITIVE),
+            ("delta", delta, "must lie in (0, 1)"),
+            ("crash_rate", rate(self.crash_rate), RATE),
+            ("timeout_rate", rate(self.timeout_rate), RATE),
+            ("invalid_rate", rate(self.invalid_rate), RATE),
+        ];
+        match rules.iter().find(|(_, holds, _)| !holds) {
+            Some((key, _, rule)) => Err(format!("{key} {rule}")),
+            None => Ok(()),
+        }
     }
 
     /// Serializes the scenario as one JSON object (round-trips through
@@ -475,7 +508,39 @@ mod tests {
         assert_eq!(minimal, ReplayScenario::default());
         assert!(ReplayScenario::from_json("[1,2]").is_err());
         assert!(ReplayScenario::from_json("{\"bogus\":1}").is_err());
-        assert!(ReplayScenario::from_json("{\"users\":\"five\"}").is_err());
+        // Values the generator or the simulator cannot run from are
+        // refused by key, not cast, panicked on or looped on.
+        for (doc, key) in [
+            ("{\"users\":\"five\"}", "users"),
+            ("{\"users\":1e300}", "users"),
+            ("{\"users\":-3}", "users"),
+            ("{\"users\":2.5}", "users"),
+            ("{\"models\":0}", "models"),
+            ("{\"users\":10,\"models\":1001}", "models"),
+            ("{\"users\":1,\"models\":100000000}", "models"),
+            ("{\"dataset_seed\":-1}", "dataset_seed"),
+            ("{\"sim_seed\":1e300}", "sim_seed"),
+            ("{\"budget\":0}", "budget"),
+            ("{\"budget\":-2}", "budget"),
+            ("{\"budget\":1e400}", "budget"),
+            ("{\"noise_var\":-1}", "noise_var"),
+            ("{\"noise_var\":0}", "noise_var"),
+            ("{\"delta\":2}", "delta"),
+            ("{\"delta\":0}", "delta"),
+            ("{\"crash_rate\":5}", "crash_rate"),
+            ("{\"timeout_rate\":-0.5}", "timeout_rate"),
+            ("{\"invalid_rate\":1.5}", "invalid_rate"),
+            ("{\"cost_aware\":1}", "cost_aware"),
+            ("{\"kind\":3}", "kind"),
+        ] {
+            match ReplayScenario::from_json(doc) {
+                Err(err) => assert!(err.starts_with(key), "{doc}: {err}"),
+                Ok(scenario) => panic!("{doc}: accepted as {scenario:?}"),
+            }
+        }
+        // The largest shapes the cap admits still parse.
+        let edge = ReplayScenario::from_json("{\"users\":10,\"models\":1000}").unwrap();
+        assert_eq!((edge.users, edge.models), (10, 1000));
     }
 
     #[test]

@@ -149,6 +149,19 @@ echo "$mutated_out" | grep -q "result: DIVERGED"
 cargo run --quiet -p easeml-trace -- explain "$replay_trace" \
   | grep -q "committed rounds: 49"
 
+echo "==> hostile replay scenarios fail cleanly"
+# A scenario value the simulator cannot run from is refused with exit
+# status 1 and the key's name; a panic would exit 101.
+for case in users:'{"users":1e300}' budget:'{"budget":0}'; do
+  printf '%s\n' "${case#*:}" > "$replay_scenario"
+  status=0
+  bad_out="$(cargo run --quiet -p easeml-trace -- record "$replay_scenario" /dev/null 2>&1)" \
+    || status=$?
+  echo "$bad_out (exit status $status)"
+  test "$status" -eq 1
+  echo "$bad_out" | grep -q "${case%%:*}"
+done
+
 echo "==> crash-recovery smoke (exec engine, chaos, seeded crash point)"
 crash_dir="$(mktemp -d -t easeml-ci-crash-XXXXXX)"
 trap 'rm -f "$smoke_trace" "$smoke_folded" "$chaos_trace" "$exec_trace" \

@@ -220,9 +220,10 @@ fn fault_injected_service_digest_is_pinned() {
     assert_eq!(server.state_digest(), SERVICE_DIGEST);
 }
 
-/// `/status` and a retirement's serve count are read from the run history:
-/// every tenant's served and failed runs and the cost it was charged, bit
-/// for bit, under crash, timeout and straggler faults and a retirement.
+/// `/status` and a retirement's serve count are read from per-tenant
+/// counters: every tenant's served and failed runs and the cost it was
+/// charged, bit for bit, under crash, timeout and straggler faults and a
+/// retirement.
 #[test]
 fn status_bodies_and_retirement_serves_are_pinned() {
     let oracle: QualityOracle = Box::new(|user, model| {
