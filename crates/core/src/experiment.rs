@@ -138,8 +138,9 @@ struct EmpiricalPrior {
     means: Vec<f64>,
     /// Σ = CCᵀ/T + ρI.
     cov: Matrix,
-    /// Cᵀ: one row per training user, of the K centred qualities.
-    users: Matrix,
+    /// C: one row per model, of its centred qualities on the T training
+    /// users.
+    factor: Matrix,
     /// The ridge ρ.
     ridge: f64,
 }
@@ -184,7 +185,7 @@ impl EmpiricalPrior {
         EmpiricalPrior {
             means,
             cov,
-            users,
+            factor: users.transpose(),
             ridge,
         }
     }
@@ -201,10 +202,10 @@ impl EmpiricalPrior {
     /// otherwise the dense K×K Gram scale·Σ + noise·I is the smaller one to
     /// factor.
     fn grid_totals(&self, rows: &[&[f64]], grid: &TuneGrid) -> Vec<(f64, f64, f64)> {
-        let (t, k) = self.users.shape();
+        let (k, t) = self.factor.shape();
         let mut totals = Vec::with_capacity(grid.scales.len() * grid.noises.len());
         if t < k {
-            let lml = LowRankLml::new(&self.users, &self.means, rows);
+            let lml = LowRankLml::new(&self.factor, &self.means, rows);
             for &scale in &grid.scales {
                 for &noise in &grid.noises {
                     let alpha = scale / t as f64;
@@ -289,7 +290,7 @@ pub fn run_experiment(
             };
             let (prior, noise) = {
                 let _span = obs.span("prior_tune");
-                tune_prior(dataset, &split.train_users, &empirical, cfg)
+                tune_prior(dataset, &split.train_users, empirical, cfg)
             };
             (vec![prior; test.num_users()], noise)
         };
@@ -321,16 +322,25 @@ pub fn run_experiment(
 
 /// Tunes (scale, noise) by summing the LML over up to `tune_rows` training
 /// users' full quality rows; returns the winning grid point's prior and
-/// noise. Only the winner is built: `ArmPrior::from_gram` factors its
-/// covariance once to check it.
+/// noise. Only the winner is built, from `prior`'s own Σ scaled in place.
+/// It is s·(CCᵀ/T + ρI) with ρ > 0, so `ArmPrior::from_ridged_gram`
+/// accepts it on an O(K) certificate where `ArmPrior::from_gram` would
+/// factor it, and returns the same bits.
 fn tune_prior(
     dataset: &Dataset,
     train_users: &[usize],
-    prior: &EmpiricalPrior,
+    prior: EmpiricalPrior,
     cfg: &ExperimentConfig,
 ) -> (ArmPrior, f64) {
-    let (scale, noise) = tuned_grid_point(dataset, train_users, prior, cfg).unwrap_or((1.0, 1e-3));
-    let tuned = ArmPrior::from_gram(prior.cov.scaled(scale)).with_mean(prior.means.clone());
+    let (scale, noise) = tuned_grid_point(dataset, train_users, &prior, cfg).unwrap_or((1.0, 1e-3));
+    let EmpiricalPrior {
+        means,
+        mut cov,
+        factor,
+        ridge,
+    } = prior;
+    cov.scale_mut(scale);
+    let tuned = ArmPrior::from_ridged_gram(cov, scale * ridge, factor.cols()).with_mean(means);
     (tuned, noise)
 }
 
@@ -429,7 +439,7 @@ mod tests {
         assert_eq!(bits(&built), bits(&cov));
         // The factor rebuilds it: Σ = CCᵀ/T + ρI.
         let prior = EmpiricalPrior::build(&d, &train);
-        let mut low_rank = prior.users.transpose().row_gram();
+        let mut low_rank = prior.factor.transpose().col_gram();
         low_rank.scale_mut(1.0 / train.len() as f64);
         low_rank.add_diag_mut(prior.ridge);
         assert!(low_rank.approx_eq(&cov, 1e-15));
@@ -511,6 +521,38 @@ mod tests {
         let mut cfg = quick_cfg(Budget::FractionOfRuns(0.5));
         cfg.test_users = 10;
         let _ = run_experiment(&d, SchedulerKind::RoundRobin, &cfg, 1);
+    }
+
+    #[test]
+    fn the_tuned_prior_has_from_grams_bits() {
+        // Training sets on both sides: T < K and T ≥ K.
+        let d = SynConfig {
+            num_users: 40,
+            num_models: 30,
+            ..SynConfig::paper(0.5, 0.5)
+        }
+        .generate(9);
+        let cfg = ExperimentConfig::default();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for train in [
+            vec![3, 17, 8],
+            (0..12).collect(),
+            (5..40).rev().collect::<Vec<_>>(),
+        ] {
+            let prior = EmpiricalPrior::build(&d, &train);
+            let (scale, noise) = tuned_grid_point(&d, &train, &prior, &cfg).unwrap();
+            let (tuned, tuned_noise) = tune_prior(&d, &train, prior, &cfg);
+            let (means, cov) = empirical_prior(&d, &train);
+            let checked = ArmPrior::from_gram(cov.scaled(scale)).with_mean(means);
+            assert_eq!(tuned_noise, noise);
+            assert_eq!(
+                bits(tuned.cov()),
+                bits(checked.cov()),
+                "T = {}",
+                train.len()
+            );
+            assert_eq!(tuned.mean(), checked.mean());
+        }
     }
 
     /// The dense total of `rows` at every grid point, through `ArmPrior`.

@@ -221,16 +221,25 @@ impl LossTracker {
         }
     }
 
-    fn losses(&self) -> Vec<f64> {
+    /// Each user's loss, in user order.
+    fn loss_terms(&self) -> impl Iterator<Item = f64> + '_ {
         self.best_possible
             .iter()
             .zip(&self.best_seen)
             .map(|(b, s)| (b - s).max(0.0))
-            .collect()
     }
 
+    fn losses(&self) -> Vec<f64> {
+        self.loss_terms().collect()
+    }
+
+    /// `vec_ops::mean(&self.losses())` bit for bit: the same terms, summed
+    /// in the same order, without collecting them.
     fn mean_loss(&self) -> f64 {
-        vec_ops::mean(&self.losses())
+        match self.best_possible.len() {
+            0 => 0.0,
+            n => self.loss_terms().sum::<f64>() / n as f64,
+        }
     }
 }
 

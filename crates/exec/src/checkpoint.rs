@@ -625,6 +625,7 @@ impl ExecEngine<'_> {
         engine.committed = ck.committed;
         engine.initial_loss = ck.initial_loss;
         engine.best_seen = ck.best_seen.clone();
+        engine.cached_mean_loss = None;
         engine.user_cost = ck.user_cost.clone();
         engine.points = ck.points.clone();
         engine.queueing_delay = ck.queueing_delay.to_sketch();

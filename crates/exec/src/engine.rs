@@ -26,7 +26,6 @@ use easeml::witness::{DecisionLog, RoundWitness};
 use easeml_bandit::ArmExplanation;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
-use easeml_linalg::vec_ops;
 use easeml_obs::{Component, Event, QuantileSketch, RecorderHandle};
 use easeml_sched::{Fcfs, Greedy, Hybrid, RandomPicker, RoundRobin, Tenant, UserPicker};
 use easeml_wal::DurableEvent;
@@ -176,6 +175,8 @@ pub struct ExecEngine<'a> {
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) best_possible: Vec<f64>,
     pub(crate) best_seen: Vec<f64>,
+    /// The mean of [`ExecEngine::losses`], until `best_seen` next changes.
+    pub(crate) cached_mean_loss: Option<f64>,
     pub(crate) board: TaskBoard,
     pub(crate) queue: EventQueue,
     pub(crate) in_flight: Vec<InFlight>,
@@ -254,6 +255,7 @@ impl<'a> ExecEngine<'a> {
             injector,
             best_possible: (0..n).map(|i| dataset.best_quality(i)).collect(),
             best_seen: vec![0.0; n],
+            cached_mean_loss: None,
             board: TaskBoard::new(n, dataset.num_models()),
             queue: EventQueue::new(),
             in_flight: Vec::new(),
@@ -311,9 +313,7 @@ impl<'a> ExecEngine<'a> {
             let model = cheapest_model(self.dataset, user);
             let quality = self.dataset.quality(user, model);
             self.tenants[user].observe(model, quality);
-            if quality > self.best_seen[user] {
-                self.best_seen[user] = quality;
-            }
+            self.improve_best(user, quality);
             self.picker.as_mut().after_observe(&self.tenants, user);
         }
         self.initial_loss = self.mean_loss();
@@ -332,15 +332,37 @@ impl<'a> ExecEngine<'a> {
 
     /// Per-user accuracy losses (best possible minus best seen).
     pub fn losses(&self) -> Vec<f64> {
+        self.loss_terms().collect()
+    }
+
+    fn loss_terms(&self) -> impl Iterator<Item = f64> + '_ {
         self.best_possible
             .iter()
             .zip(&self.best_seen)
             .map(|(b, s)| (b - s).max(0.0))
-            .collect()
     }
 
-    fn mean_loss(&self) -> f64 {
-        vec_ops::mean(&self.losses())
+    /// `vec_ops::mean(&self.losses())` bit for bit: the same terms, summed
+    /// in the same order, without collecting them. It is kept until some
+    /// tenant's best improves.
+    fn mean_loss(&mut self) -> f64 {
+        if let Some(mean) = self.cached_mean_loss {
+            return mean;
+        }
+        let mean = match self.best_seen.len() {
+            0 => 0.0,
+            n => self.loss_terms().sum::<f64>() / n as f64,
+        };
+        self.cached_mean_loss = Some(mean);
+        mean
+    }
+
+    /// Records a completed run's quality as its tenant's best if it is one.
+    fn improve_best(&mut self, user: usize, quality: f64) {
+        if quality > self.best_seen[user] {
+            self.best_seen[user] = quality;
+            self.cached_mean_loss = None;
+        }
     }
 
     /// The simulated clock (time of the most recent completion).
@@ -704,10 +726,9 @@ impl<'a> ExecEngine<'a> {
             });
             self.tenants[run.user].observe(run.model, run.quality);
             self.board.finish(run.user, run.model, run.quality);
-            if run.quality > self.best_seen[run.user] {
-                self.best_seen[run.user] = run.quality;
-            }
-            self.points.push((self.now, self.mean_loss()));
+            self.improve_best(run.user, run.quality);
+            let loss = self.mean_loss();
+            self.points.push((self.now, loss));
             self.events.push(SimEvent {
                 user: run.user,
                 model: run.model,
@@ -800,7 +821,8 @@ impl<'a> ExecEngine<'a> {
     pub fn finish(mut self) -> ExecTrace {
         self.fleet.advance_all(self.now);
         self.recorder.gauge("sim/makespan", self.now);
-        self.recorder.gauge("sim/mean-loss", self.mean_loss());
+        let loss = self.mean_loss();
+        self.recorder.gauge("sim/mean-loss", loss);
         ExecTrace {
             sim: SimTrace {
                 budget: self.cfg.budget,
@@ -1021,6 +1043,38 @@ mod tests {
             pooled.loss_at(early),
             fleet.sim.loss_at(early)
         );
+    }
+
+    #[test]
+    fn the_kept_mean_loss_is_the_mean_of_the_losses() {
+        let d = small_dataset();
+        let priors = flat_priors(&d);
+        let cfg = SimConfig::new(10.0);
+        let mut engine = ExecEngine::new(
+            &d,
+            &priors,
+            SchedulerKind::Hybrid,
+            &cfg,
+            Fleet::uniform(3),
+            7,
+            RecorderHandle::noop(),
+        );
+        let fresh = |e: &ExecEngine| easeml_linalg::vec_ops::mean(&e.losses()).to_bits();
+        let mut ticks = 0;
+        loop {
+            assert_eq!(engine.mean_loss().to_bits(), fresh(&engine), "tick {ticks}");
+            if ticks == 6 {
+                // A restored engine drops the mean its own warm-up kept.
+                let ck = engine.checkpoint();
+                engine = ExecEngine::restore(&d, &priors, &ck).expect("restore");
+                assert_eq!(engine.mean_loss().to_bits(), fresh(&engine), "restored");
+            }
+            if !engine.tick() {
+                break;
+            }
+            ticks += 1;
+        }
+        assert!(ticks > 6, "only {ticks} ticks");
     }
 
     #[test]

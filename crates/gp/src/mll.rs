@@ -55,8 +55,9 @@ pub fn log_marginal_likelihoods<H: AsRef<[f64]>>(
 
 /// [`log_marginal_likelihoods`] under the prior `N(mean, cov)` given as a
 /// raw covariance. It scores a candidate covariance without building an
-/// [`ArmPrior`], whose constructor factors the matrix once more to check
-/// it; for a covariance that check accepts, the results are bit-identical.
+/// [`ArmPrior`], whose constructor checks the matrix (by a factorization,
+/// or by a certificate for a ridged Gram); for a covariance that check
+/// accepts, the results are bit-identical.
 ///
 /// # Panics
 ///
@@ -146,33 +147,33 @@ pub struct LowRankLml {
 
 impl LowRankLml {
     /// Prepares to score `rows` (one reward per arm each) under priors with
-    /// mean `mean` and covariance `α·CCᵀ + c·I`. `factor` holds Cᵀ: T rows,
-    /// one per column of C, of K entries each.
+    /// mean `mean` and covariance `α·CCᵀ + c·I`. `factor` holds C: K rows,
+    /// one per arm, of T entries each.
     ///
     /// # Panics
     ///
-    /// Panics if `factor` has no rows, or `mean` or a row does not hold one
-    /// entry per arm.
+    /// Panics if `factor` has no columns, or `mean` or a row does not hold
+    /// one entry per arm.
     pub fn new<H: AsRef<[f64]>>(factor: &Matrix, mean: &[f64], rows: &[H]) -> Self {
-        let (t, k) = factor.shape();
+        let (k, t) = factor.shape();
         assert!(t > 0, "the factor needs at least one column");
         assert_eq!(mean.len(), k, "prior mean length mismatch");
-        let tri = SymmetricTridiagonal::new(&factor.row_gram()).expect("CᵀC is square");
-        let mut projected = Matrix::zeros(rows.len(), t);
+        let tri = SymmetricTridiagonal::new(&factor.col_gram()).expect("CᵀC is square");
+        // r = y − μ₀ of each row, and rᵀr.
+        let mut centered = Matrix::zeros(rows.len(), k);
         let mut sq_norms = Vec::with_capacity(rows.len());
-        let mut r = vec![0.0; k];
         for (h, rewards) in rows.iter().enumerate() {
             let rewards = rewards.as_ref();
             assert_eq!(rewards.len(), k, "a history needs one reward per arm");
+            let r = centered.row_mut(h);
             for ((ri, y), m) in r.iter_mut().zip(rewards).zip(mean) {
                 *ri = y - m;
             }
-            let p = projected.row_mut(h);
-            for (u, pu) in p.iter_mut().enumerate() {
-                *pu = vec_ops::dot(factor.row(u), &r);
-            }
-            tri.apply_qt(p);
-            sq_norms.push(vec_ops::dot(&r, &r));
+            sq_norms.push(vec_ops::dot(r, r));
+        }
+        let mut projected = project(factor, &centered);
+        for h in 0..rows.len() {
+            tri.apply_qt(projected.row_mut(h));
         }
         LowRankLml {
             arms: k,
@@ -226,9 +227,58 @@ impl LowRankLml {
     }
 }
 
+/// Cᵀr of each row r of `centered`, one row of T entries per row. Entry u
+/// sums `C[a][u]·r[a]` over the arms a in order from −0.0, as
+/// `vec_ops::dot` of column u and r does, so it equals that dot product bit
+/// for bit. The T sums of a row advance together along C's rows, four arms
+/// a pass: `x = (((x + c₀y₀) + c₁y₁) + c₂y₂) + c₃y₃`, which keeps each
+/// sum's order and vectorises along the row.
+fn project(factor: &Matrix, centered: &Matrix) -> Matrix {
+    let (k, t) = factor.shape();
+    let mut projected = Matrix::filled(centered.rows(), t, -0.0);
+    let mut a = 0;
+    while a + 4 <= k {
+        let [c0, c1, c2, c3] = [a, a + 1, a + 2, a + 3].map(|i| factor.row(i));
+        for (h, p) in projected.as_mut_slice().chunks_exact_mut(t).enumerate() {
+            let [y0, y1, y2, y3] = [0, 1, 2, 3].map(|d| centered[(h, a + d)]);
+            for ((((x, x0), x1), x2), x3) in p.iter_mut().zip(c0).zip(c1).zip(c2).zip(c3) {
+                *x = (((*x + x0 * y0) + x1 * y1) + x2 * y2) + x3 * y3;
+            }
+        }
+        a += 4;
+    }
+    for a in a..k {
+        for (h, p) in projected.as_mut_slice().chunks_exact_mut(t).enumerate() {
+            let y = centered[(h, a)];
+            for (x, c) in p.iter_mut().zip(factor.row(a)) {
+                *x += c * y;
+            }
+        }
+    }
+    projected
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn projections_are_bit_equal_to_dot() {
+        // Arm counts run past the four-arm panels; one row is all −0.0.
+        for k in 0..10 {
+            let factor = Matrix::from_fn(k, 7, |a, u| ((a * 7 + u) as f64 * 0.37).sin());
+            let mut centered = Matrix::from_fn(5, k, |h, a| ((h * 5 + a) as f64 * 0.91).cos());
+            centered.row_mut(2).fill(-0.0);
+            let got = project(&factor, &centered);
+            let columns = factor.transpose();
+            for h in 0..5 {
+                for u in 0..7 {
+                    let want = vec_ops::dot(columns.row(u), centered.row(h));
+                    assert_eq!(got[(h, u)].to_bits(), want.to_bits(), "K = {k}: ({h}, {u})");
+                }
+            }
+        }
+    }
 
     #[test]
     fn empty_history_has_zero_lml() {

@@ -107,7 +107,7 @@ proptest! {
         // `users` holds Cᵀ: T rows of K entries. The prior is the empirical
         // one, Σ = CCᵀ/T + ρI, at one grid point (scale, noise).
         let (t, k) = users.shape();
-        let mut cov = users.transpose().row_gram();
+        let mut cov = users.col_gram();
         for v in cov.as_mut_slice() {
             *v /= t as f64;
         }
@@ -119,7 +119,7 @@ proptest! {
         let prior = ArmPrior::from_gram(cov.scaled(scale)).with_mean(means.clone());
         let arms: Vec<usize> = (0..k).collect();
         let dense = log_marginal_likelihoods(&prior, noise, &arms, &rows);
-        let low = LowRankLml::new(&users, &means, &rows)
+        let low = LowRankLml::new(&users.transpose(), &means, &rows)
             .log_marginal_likelihoods(scale / t as f64, scale * ridge + noise);
         prop_assert_eq!(low.len(), dense.len());
         for (d, l) in dense.iter().zip(&low) {

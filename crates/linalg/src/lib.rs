@@ -23,10 +23,12 @@
 //! involved in the paper's experiments are small (at most a few hundred rows:
 //! 179 models, ≤ 200 users), so clarity and correctness are favoured over
 //! tuned kernels; the implementations are still cache-friendly (row-major
-//! traversal, no per-element allocation). The two kernels every experiment
-//! split runs, [`Cholesky::factor`] and [`Matrix::col_gram`], are blocked so
-//! that their inner loops vectorise, with every entry's operations in the
-//! same order as the plain loops, so their results are bit-identical.
+//! traversal, no per-element allocation). The kernels an experiment split
+//! runs, [`Matrix::col_gram`], [`SymmetricTridiagonal::new`] and (on the
+//! dense side) [`Cholesky::factor`], are blocked or restricted to one
+//! triangle so that they do less work or their inner loops vectorise, with
+//! every entry's operations in the same order as the plain loops, so their
+//! results are bit-identical.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

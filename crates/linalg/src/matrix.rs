@@ -231,49 +231,8 @@ impl Matrix {
             .collect())
     }
 
-    /// The Gram matrix of the rows, `A Aᵀ`: entry (i, j) equals
-    /// `vec_ops::dot(row i, row j)` bit for bit.
-    ///
-    /// Row i is dotted with four rows at once. Each of the four sums still
-    /// runs in order from −0.0, as `Iterator::sum` does, so the speedup comes
-    /// from overlapping independent chains, not from reassociating one.
-    pub fn row_gram(&self) -> Matrix {
-        let n = self.rows;
-        let mut out = Matrix::zeros(n, n);
-        for i in 0..n {
-            let a = self.row(i);
-            let mut j = i;
-            while j + 4 <= n {
-                let mut s = [-0.0f64; 4];
-                let rows = a
-                    .iter()
-                    .zip(self.row(j))
-                    .zip(self.row(j + 1))
-                    .zip(self.row(j + 2))
-                    .zip(self.row(j + 3));
-                for ((((x, b0), b1), b2), b3) in rows {
-                    s[0] += x * b0;
-                    s[1] += x * b1;
-                    s[2] += x * b2;
-                    s[3] += x * b3;
-                }
-                for (d, v) in s.into_iter().enumerate() {
-                    out[(i, j + d)] = v;
-                    out[(j + d, i)] = v;
-                }
-                j += 4;
-            }
-            for j in j..n {
-                let v = crate::vec_ops::dot(a, self.row(j));
-                out[(i, j)] = v;
-                out[(j, i)] = v;
-            }
-        }
-        out
-    }
-
     /// The Gram matrix of the columns, `AᵀA`: entry (i, j) equals
-    /// `transpose().row_gram()`'s bit for bit, without the transposed copy.
+    /// `vec_ops::dot` of columns i and j bit for bit, without copying them.
     ///
     /// The output is computed in 4×4 tiles on and above the diagonal, and
     /// mirrored. A tile adds each row's outer product of its two 4-column
@@ -493,8 +452,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn col_gram_edge_shapes_match_the_transposed_row_gram() {
+    fn col_gram_edge_shapes_are_bit_equal_to_column_dots() {
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let column_dots = |a: &Matrix| {
+            let t = a.transpose();
+            Matrix::from_fn(a.cols(), a.cols(), |i, j| {
+                crate::vec_ops::dot(t.row(i), t.row(j))
+            })
+        };
         let wide = Matrix::from_fn(3, 11, |i, j| (i as f64 + 1.0) * (j as f64 - 4.5));
         let mut signed_zero_row = Matrix::from_fn(5, 6, |i, j| (i * 7 + j) as f64 * 0.1 - 1.0);
         signed_zero_row.row_mut(2).fill(-0.0);
@@ -508,7 +473,7 @@ mod tests {
         ] {
             let g = a.col_gram();
             assert_eq!(g.shape(), (a.cols(), a.cols()));
-            assert_eq!(bits(&g), bits(&a.transpose().row_gram()), "{:?}", a.shape());
+            assert_eq!(bits(&g), bits(&column_dots(&a)), "{:?}", a.shape());
         }
         // With no rows every sum is the empty sum, −0.0.
         assert!(Matrix::zeros(0, 5)

@@ -9,6 +9,39 @@
 
 use crate::{LinalgError, Matrix, Result};
 
+/// `p[j] = 0 + s[0]·B[j][0] + … + s[j−1]·B[j][j−1]` in that order, for the
+/// block whose row r is `block[r * stride + col..]`: the terms of `p = Bs`
+/// that lie left of the diagonal in row j. Four rows run at once, each
+/// chain in its own order.
+fn lower_terms(block: &[f64], stride: usize, col: usize, s: &[f64], p: &mut [f64]) {
+    let row = |r: usize| &block[r * stride + col..r * stride + col + r];
+    let mut j = 0;
+    while j + 4 <= p.len() {
+        let [b0, b1, b2, b3] = [row(j), row(j + 1), row(j + 2), row(j + 3)];
+        let mut acc = [0.0f64; 4];
+        for ((((x, y0), y1), y2), y3) in s[..j].iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+            acc[0] += x * y0;
+            acc[1] += x * y1;
+            acc[2] += x * y2;
+            acc[3] += x * y3;
+        }
+        for (d, (a, b)) in acc.iter_mut().zip([b0, b1, b2, b3]).enumerate() {
+            for (x, y) in s[j..j + d].iter().zip(&b[j..]) {
+                *a += x * y;
+            }
+        }
+        p[j..j + 4].copy_from_slice(&acc);
+        j += 4;
+    }
+    for j in j..p.len() {
+        let mut acc = 0.0;
+        for (x, y) in s[..j].iter().zip(row(j)) {
+            acc += x * y;
+        }
+        p[j] = acc;
+    }
+}
+
 /// The reduction `A = Q T Qᵀ` of a symmetric matrix, with `T` tridiagonal
 /// and `Q = H₀H₁⋯H_{n−3}` a product of Householder reflectors
 /// `H_k = I − τ_k v_k v_kᵀ`.
@@ -47,6 +80,13 @@ impl SymmetricTridiagonal {
     /// trailing block as one symmetric rank-2 update. A column that is
     /// already zero below its sub-diagonal takes no reflector.
     ///
+    /// The update keeps only the block's lower triangle, where the upper
+    /// one would hold the same bits: the mirror of `vᵣ·wⱼ + wᵣ·vⱼ` is
+    /// `vⱼ·wᵣ + wⱼ·vᵣ`, equal term for term. So `p = τBv` reads each upper
+    /// entry from its mirror, with every sum in the order of a full-block
+    /// row loop: `pⱼ` adds the terms r < j, a dot product along row j, and
+    /// then the terms r ≥ j, row r by row r.
+    ///
     /// # Errors
     ///
     /// [`LinalgError::NotSquare`] for non-square input.
@@ -58,15 +98,20 @@ impl SymmetricTridiagonal {
             });
         }
         let n = a.rows();
-        let mut w = Matrix::from_fn(n, n, |i, j| if j <= i { a[(i, j)] } else { a[(j, i)] });
+        // The upper triangle is never read: row k right of the diagonal is
+        // filled from column k below it just before step k uses it.
+        let mut w = a.clone();
         let mut diag = vec![0.0; n];
         let mut off = vec![0.0; n.saturating_sub(1)];
         let mut taus = vec![0.0; n.saturating_sub(1)];
         let mut p = vec![0.0; n];
+        let mut sv = vec![0.0; n];
         for k in 0..n.saturating_sub(1) {
             diag[k] = w[(k, k)];
-            // Row k right of the diagonal is column k below it. Once the
-            // step is done that row is free, and keeps v_k.
+            for j in k + 1..n {
+                w[(k, j)] = w[(j, k)];
+            }
+            // Once the step is done row k is free, and keeps v_k.
             let (head, block) = w.as_mut_slice().split_at_mut((k + 1) * n);
             let x = &mut head[k * n + k + 1..];
             let alpha = x[0];
@@ -89,12 +134,15 @@ impl SymmetricTridiagonal {
             let m = v.len();
             // The trailing block B (rows and columns k + 1..n) becomes
             // H B H = B − v wᵀ − w vᵀ, with p = τ B v and
-            // w = p − (τ/2)(pᵀv) v.
-            let p = &mut p[..m];
-            p.fill(0.0);
-            for (row, &vr) in block.chunks_exact(n).zip(v) {
-                let s = tau * vr;
-                for (pj, b) in p.iter_mut().zip(&row[k + 1..]) {
+            // w = p − (τ/2)(pᵀv) v. Row r of B's lower triangle is
+            // `block[r * n + k + 1..=r * n + k + 1 + r]`.
+            let (p, sv) = (&mut p[..m], &mut sv[..m]);
+            for (s, &vr) in sv.iter_mut().zip(v) {
+                *s = tau * vr;
+            }
+            lower_terms(block, n, k + 1, sv, p);
+            for (r, (row, &s)) in block.chunks_exact(n).zip(sv.iter()).enumerate() {
+                for (pj, b) in p.iter_mut().zip(&row[k + 1..=k + 1 + r]) {
                     *pj += s * b;
                 }
             }
@@ -102,8 +150,10 @@ impl SymmetricTridiagonal {
             for (pj, vj) in p.iter_mut().zip(v) {
                 *pj -= half * vj;
             }
-            for ((row, &vr), &wr) in block.chunks_exact_mut(n).zip(v).zip(p.iter()) {
-                for ((b, vj), wj) in row[k + 1..].iter_mut().zip(v).zip(p.iter()) {
+            for (r, ((row, &vr), &wr)) in block.chunks_exact_mut(n).zip(v).zip(p.iter()).enumerate()
+            {
+                let lower = row[k + 1..=k + 1 + r].iter_mut().zip(v).zip(p.iter());
+                for ((b, vj), wj) in lower {
                     *b -= vr * wj + wr * vj;
                 }
             }
@@ -205,6 +255,108 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         })
+    }
+
+    /// The full-block loop `new` replaced: it keeps the whole trailing
+    /// block symmetric and forms `p = τBv` row by row over it.
+    fn new_by_full_blocks(a: &Matrix) -> SymmetricTridiagonal {
+        let n = a.rows();
+        let mut w = Matrix::from_fn(n, n, |i, j| if j <= i { a[(i, j)] } else { a[(j, i)] });
+        let mut diag = vec![0.0; n];
+        let mut off = vec![0.0; n.saturating_sub(1)];
+        let mut taus = vec![0.0; n.saturating_sub(1)];
+        let mut p = vec![0.0; n];
+        for k in 0..n.saturating_sub(1) {
+            diag[k] = w[(k, k)];
+            let (head, block) = w.as_mut_slice().split_at_mut((k + 1) * n);
+            let x = &mut head[k * n + k + 1..];
+            let alpha = x[0];
+            let sigma: f64 = x[1..].iter().map(|v| v * v).sum();
+            if sigma == 0.0 {
+                off[k] = alpha;
+                x[0] = 1.0;
+                continue;
+            }
+            let beta = -(alpha * alpha + sigma).sqrt().copysign(alpha);
+            let tau = (beta - alpha) / beta;
+            let inv = 1.0 / (alpha - beta);
+            x[0] = 1.0;
+            for v in &mut x[1..] {
+                *v *= inv;
+            }
+            off[k] = beta;
+            taus[k] = tau;
+            let v: &[f64] = x;
+            let p = &mut p[..v.len()];
+            p.fill(0.0);
+            for (row, &vr) in block.chunks_exact(n).zip(v) {
+                let s = tau * vr;
+                for (pj, b) in p.iter_mut().zip(&row[k + 1..]) {
+                    *pj += s * b;
+                }
+            }
+            let half = 0.5 * tau * crate::vec_ops::dot(p, v);
+            for (pj, vj) in p.iter_mut().zip(v) {
+                *pj -= half * vj;
+            }
+            for ((row, &vr), &wr) in block.chunks_exact_mut(n).zip(v).zip(p.iter()) {
+                for ((b, vj), wj) in row[k + 1..].iter_mut().zip(v).zip(p.iter()) {
+                    *b -= vr * wj + wr * vj;
+                }
+            }
+        }
+        if n > 0 {
+            diag[n - 1] = w[(n - 1, n - 1)];
+        }
+        SymmetricTridiagonal {
+            diag,
+            off,
+            reflectors: w,
+            taus,
+        }
+    }
+
+    #[test]
+    fn lower_triangle_steps_are_bit_identical_to_full_blocks() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in 0..=111 {
+            let b = lcg_matrix(n, n, 3 * n as u64);
+            let mut sym = &b + &b.transpose();
+            sym.scale_mut(0.5);
+            // A rank-deficient Gram with a zero user and duplicated models.
+            let mut c = lcg_matrix(n / 2 + 1, n, 5 * n as u64);
+            c.row_mut(0).fill(0.0);
+            for r in 0..c.rows() {
+                for j in (1..n).step_by(7) {
+                    c[(r, j)] = c[(r, j - 1)];
+                }
+            }
+            let gram = c.col_gram();
+            // Column 0 already zero below its sub-diagonal takes no reflector.
+            let mut banded = gram.clone();
+            for i in 2..n {
+                banded[(i, 0)] = 0.0;
+                banded[(0, i)] = 0.0;
+            }
+            for (what, a) in [("symmetric", sym), ("Gram", gram), ("banded", banded)] {
+                let (got, want) = (
+                    SymmetricTridiagonal::new(&a).unwrap(),
+                    new_by_full_blocks(&a),
+                );
+                assert_eq!(bits(got.diag()), bits(want.diag()), "{what}, n = {n}");
+                assert_eq!(
+                    bits(got.off_diag()),
+                    bits(want.off_diag()),
+                    "{what}, n = {n}"
+                );
+                assert_eq!(bits(&got.taus), bits(&want.taus), "{what}, n = {n}");
+                assert_eq!(
+                    bits(got.reflectors.as_slice()),
+                    bits(want.reflectors.as_slice()),
+                    "{what}, n = {n}"
+                );
+            }
+        }
     }
 
     fn trace(m: &Matrix) -> f64 {

@@ -589,8 +589,25 @@ pub fn as_u64(value: &Json, what: &str) -> Result<u64, String> {
         Ok(n as u64)
     } else {
         Err(format!(
-            "{what}: {n} is not an integer in [0, {INTEGER_BOUND:e})"
+            "{what}: {} is not an integer in [0, {INTEGER_BOUND:e})",
+            Short(n)
         ))
+    }
+}
+
+/// A number as an error message prints it: plainly while that is short,
+/// in exponent form where the plain form would spell out hundreds of
+/// digits (`1e300`, `1e-300`).
+struct Short(f64);
+
+impl Display for Short {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let n = self.0;
+        if n == 0.0 || (1e-4..1e16).contains(&n.abs()) {
+            write!(f, "{n}")
+        } else {
+            write!(f, "{n:e}")
+        }
     }
 }
 
@@ -722,6 +739,22 @@ mod tests {
         assert!(
             err.starts_with("runs[1].user: -1 is not an integer"),
             "{err}"
+        );
+        // A refused number too large or too small to print plainly prints
+        // in exponent form.
+        let short = parse(r#"{"users":1e300,"budget":-1e-300,"sim_seed":2.5}"#).unwrap();
+        let short = as_object(&short, "scenario").unwrap();
+        assert_eq!(
+            get_u64(short, "users").unwrap_err(),
+            "users: 1e300 is not an integer in [0, 9e15)"
+        );
+        assert_eq!(
+            get_u64(short, "budget").unwrap_err(),
+            "budget: -1e-300 is not an integer in [0, 9e15)"
+        );
+        assert_eq!(
+            get_u64(short, "sim_seed").unwrap_err(),
+            "sim_seed: 2.5 is not an integer in [0, 9e15)"
         );
         let err = get_u32(fields, "version").unwrap_err();
         assert_eq!(err, "version: 4294967299 does not fit a u32");

@@ -47,6 +47,12 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 /// for: each tenant's prior is dense, and it bounds what a run allocates.
 const MAX_PRIOR_ENTRIES: usize = 10_000_000;
 
+/// Largest budget a scenario may ask for, as a multiple of its dataset's
+/// total cost. A run keeps training until the budget is spent, so the
+/// budget bounds how long it runs; every existing scenario asks for less
+/// than twice the total.
+const MAX_BUDGET_PER_TOTAL_COST: f64 = 4.0;
+
 /// Everything a recorded run depends on, pinned so `replay-diff` can
 /// re-execute it bit for bit. Serialized as a small JSON object.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,8 +141,9 @@ impl ReplayScenario {
     }
 
     /// Rejects, naming the key, every value the dataset generator or the
-    /// simulator would panic on, allocate without bound for, or loop on
-    /// forever.
+    /// simulator would panic on or allocate without bound for. The bound
+    /// that keeps a run from looping on forever needs the dataset's total
+    /// cost, so [`ReplayScenario::run_dataset`] applies it.
     fn check(&self) -> Result<(), String> {
         const AT_LEAST_ONE: &str = "must be at least 1";
         const POSITIVE: &str = "must be finite and positive";
@@ -197,6 +204,25 @@ impl ReplayScenario {
         .generate(self.dataset_seed)
     }
 
+    /// The pinned workload, once the budget is known to end the run: a run
+    /// trains until the budget is spent, so it may be at most
+    /// `MAX_BUDGET_PER_TOTAL_COST` times the dataset's total cost.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `budget` when it exceeds that bound.
+    fn run_dataset(&self) -> Result<Dataset, String> {
+        let dataset = self.dataset();
+        let total = dataset.total_cost();
+        if self.budget > MAX_BUDGET_PER_TOTAL_COST * total {
+            return Err(format!(
+                "budget {:e} exceeds {MAX_BUDGET_PER_TOTAL_COST} × the dataset's total cost {total}",
+                self.budget
+            ));
+        }
+        Ok(dataset)
+    }
+
     /// One independent GP prior per tenant, matching the CI harness shape.
     pub fn priors(&self) -> Vec<ArmPrior> {
         (0..self.users)
@@ -249,9 +275,10 @@ impl ReplayScenario {
 ///
 /// # Errors
 ///
-/// Returns the scenario validation error (unknown strategy).
+/// Returns the scenario validation error (unknown strategy, or a budget
+/// above four times the dataset's total cost), before any round runs.
 pub fn record_trace(scenario: &ReplayScenario) -> Result<String, String> {
-    let events = run_serial(scenario)?;
+    let events = run_serial(scenario, &scenario.run_dataset()?)?;
     let rec = InMemoryRecorder::new();
     for event in events {
         easeml_obs::Recorder::record(&rec, event);
@@ -344,6 +371,7 @@ pub fn replay_diff(
         ));
     }
     let recorded_witnesses = witness_records(&recorded.events);
+    let dataset = scenario.run_dataset()?;
 
     let guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(step) = mutate_at {
@@ -351,8 +379,8 @@ pub fn replay_diff(
     }
     let legs: Result<Vec<(&'static str, Vec<Event>)>, String> = (|| {
         Ok(vec![
-            ("serial sim", run_serial(scenario)?),
-            ("exec D=1", run_exec_single_device(scenario)?),
+            ("serial sim", run_serial(scenario, &dataset)?),
+            ("exec D=1", run_exec_single_device(scenario, &dataset)?),
         ])
     })();
     if mutate_at.is_some() {
@@ -450,13 +478,13 @@ pub fn render_replay_diff(
     out
 }
 
-/// Runs the scenario through the serial simulator, returning the recorded
-/// event stream.
-fn run_serial(scenario: &ReplayScenario) -> Result<Vec<Event>, String> {
+/// Runs the scenario on its `dataset` through the serial simulator,
+/// returning the recorded event stream.
+fn run_serial(scenario: &ReplayScenario, dataset: &Dataset) -> Result<Vec<Event>, String> {
     let kind = scenario.scheduler_kind()?;
     let rec = Arc::new(InMemoryRecorder::new());
     let _ = simulate_with_recorder(
-        &scenario.dataset(),
+        dataset,
         &scenario.priors(),
         kind,
         &scenario.sim_config(),
@@ -466,14 +494,18 @@ fn run_serial(scenario: &ReplayScenario) -> Result<Vec<Event>, String> {
     Ok(rec.events())
 }
 
-/// Runs the scenario through the `easeml-exec` engine on one unit-speed
-/// single-slot device — the configuration proven digest-equivalent to the
-/// serial simulator — returning the recorded event stream.
-fn run_exec_single_device(scenario: &ReplayScenario) -> Result<Vec<Event>, String> {
+/// Runs the scenario on its `dataset` through the `easeml-exec` engine on
+/// one unit-speed single-slot device — the configuration proven
+/// digest-equivalent to the serial simulator — returning the recorded
+/// event stream.
+fn run_exec_single_device(
+    scenario: &ReplayScenario,
+    dataset: &Dataset,
+) -> Result<Vec<Event>, String> {
     let kind = scenario.scheduler_kind()?;
     let rec = Arc::new(InMemoryRecorder::new());
     let _ = simulate_multi_device_with_recorder(
-        &scenario.dataset(),
+        dataset,
         &scenario.priors(),
         kind,
         &scenario.sim_config(),
@@ -541,6 +573,30 @@ mod tests {
         // The largest shapes the cap admits still parse.
         let edge = ReplayScenario::from_json("{\"users\":10,\"models\":1000}").unwrap();
         assert_eq!((edge.users, edge.models), (10, 1000));
+    }
+
+    #[test]
+    fn a_budget_past_four_total_costs_is_refused_before_any_round() {
+        // The default dataset's total cost is 8.72; every existing scenario
+        // (budgets 9, 12 and 14 on it) stays within the bound.
+        let total = ReplayScenario::default().dataset().total_cost();
+        assert!((8.7..8.8).contains(&total), "{total}");
+        let at_most = |budget: f64| ReplayScenario {
+            budget,
+            ..ReplayScenario::default()
+        };
+        assert!(at_most(MAX_BUDGET_PER_TOTAL_COST * total)
+            .run_dataset()
+            .is_ok());
+        let hostile = ReplayScenario::from_json("{\"budget\":1e300}").unwrap();
+        let err = record_trace(&hostile).unwrap_err();
+        assert!(
+            err.starts_with("budget 1e300 exceeds 4 × the dataset's total cost 8.7"),
+            "{err}"
+        );
+        let recorded = recorded(&ReplayScenario::default());
+        let err = replay_diff(&at_most(35.0), &recorded, None).unwrap_err();
+        assert!(err.starts_with("budget 3.5e1 exceeds"), "{err}");
     }
 
     #[test]

@@ -21,9 +21,12 @@ cargo test --release -q -p easeml-wal
 cargo test --release -q --test wal_crash_sweep
 
 echo "==> linear-algebra and GP tests, optimised (blocked kernels, T-space LML)"
-# The panel Cholesky and the column Gram must stay bit-identical to their
-# plain loops in the vectorised code that perfbench and users run.
+# The panel Cholesky, the column Gram and the lower-triangle
+# tridiagonalization must stay bit-identical to their plain loops in the
+# vectorised code that perfbench and users run; so must the certified
+# prior, the tuned grid's argmax and the empirical prior.
 cargo test --release -q -p easeml-linalg -p easeml-gp
+cargo test --release -q -p easeml-core experiment::
 
 echo "==> wall-clock scaling gates, optimised (ignored by the default test run)"
 # The scaling windows with no work-count equivalent: the pick_user and
@@ -152,7 +155,7 @@ cargo run --quiet -p easeml-trace -- explain "$replay_trace" \
 echo "==> hostile replay scenarios fail cleanly"
 # A scenario value the simulator cannot run from is refused with exit
 # status 1 and the key's name; a panic would exit 101.
-for case in users:'{"users":1e300}' budget:'{"budget":0}'; do
+for case in users:'{"users":1e300}' budget:'{"budget":0}' budget:'{"budget":1e300}'; do
   printf '%s\n' "${case#*:}" > "$replay_scenario"
   status=0
   bad_out="$(cargo run --quiet -p easeml-trace -- record "$replay_scenario" /dev/null 2>&1)" \
