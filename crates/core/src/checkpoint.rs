@@ -13,12 +13,21 @@
 //! The RNG state words and the fault seed are `u64`s that can exceed 2^53,
 //! so they are carried as decimal *strings* — everything else fits JSON
 //! numbers losslessly.
+//!
+//! This module is also the one home of what the server document and the
+//! execution engine's document (`easeml_exec::ExecCheckpoint`) both hold:
+//! the HYBRID freeze detector ([`PickerCheckpoint`]) and the fault injector
+//! ([`FaultCheckpoint`]). Each has one export from the live object, one
+//! parser and one restore that validates the section before rebuilding it,
+//! plus the field checks both restores share.
 
+use crate::fault::{FaultConfig, FaultInjector, FaultRates};
 use easeml_obs::json::{
     self, as_f64, as_object, as_str, as_tuple, as_u64, as_usize, get, get_bool, get_f64,
     get_f64_or_neg_inf, get_str, get_u32, get_u64, get_usize, parse_array, parse_object,
     parse_objects, Json,
 };
+use easeml_sched::{Hybrid, HybridState, PickRule};
 use serde::Serialize;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -37,7 +46,10 @@ use std::path::Path;
 /// v4 replaced the cluster's per-device clocks and run history with one
 /// `clock` and each tenant's `failed` and `cost` counters: the history grew
 /// by one record per round, and nothing but those totals was read from it.
-pub const CHECKPOINT_VERSION: u32 = 4;
+///
+/// v5 dropped `witness_rounds`, which always equals `rounds`, and
+/// `witness_top_k`, now the constant [`crate::witness::WITNESS_TOP_K`].
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Why a checkpoint could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,7 +143,9 @@ pub struct TenantCheckpoint {
     pub cost: f64,
 }
 
-/// The HYBRID picker's freeze detector and round-robin cursor.
+/// The HYBRID picker's freeze detector and round-robin cursor (mirrors
+/// [`HybridState`]): the server document's `picker` section and the
+/// engine document's `hybrid` section.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PickerCheckpoint {
     /// Greedy line-8 rule name (`"max-gap"` / `"max-sigma"` / `"random"`).
@@ -151,6 +165,73 @@ pub struct PickerCheckpoint {
     pub rr_cursor: u64,
 }
 
+impl PickerCheckpoint {
+    /// Exports a live picker's state.
+    pub fn of(hybrid: &Hybrid) -> Self {
+        let state = hybrid.export_state();
+        PickerCheckpoint {
+            rule: state.rule.name().to_string(),
+            patience: state.patience as u64,
+            frozen_rounds: state.frozen_rounds as u64,
+            prev_candidates: state.prev_candidates,
+            prev_best_sum: state.prev_best_sum,
+            switched: state.switched,
+            rr_cursor: state.rr_cursor as u64,
+        }
+    }
+
+    /// Reads the section's fields (pass it to [`parse_object`] under the
+    /// document's key).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the missing or mistyped field.
+    pub fn parse(f: &[(String, Json)]) -> Result<Self, String> {
+        Ok(PickerCheckpoint {
+            rule: get_str(f, "rule")?,
+            patience: get_u64(f, "patience")?,
+            frozen_rounds: get_u64(f, "frozen_rounds")?,
+            prev_candidates: parse_array(get(f, "prev_candidates")?, "prev_candidates", as_usize)?,
+            prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
+            switched: get_bool(f, "switched")?,
+            rr_cursor: get_u64(f, "rr_cursor")?,
+        })
+    }
+
+    /// Rebuilds the picker, refusing state it cannot run from. Errors name
+    /// each field under `key`, the section's key in its document.
+    ///
+    /// # Errors
+    ///
+    /// An unknown rule, a zero patience, or an unswitched picker whose
+    /// freeze count has reached its patience.
+    pub fn restore(&self, key: &str) -> Result<Hybrid, String> {
+        let rule = PickRule::from_name(&self.rule)
+            .ok_or_else(|| format!("unknown {key} rule {:?}", self.rule))?;
+        if self.patience == 0 {
+            return Err(format!("{key}.patience must be positive"));
+        }
+        // The round whose freeze count reaches `patience` switches the
+        // picker, so an unswitched picker never holds that many; its next
+        // frozen round would also overflow a saturated count.
+        if !self.switched && self.frozen_rounds >= self.patience {
+            return Err(format!(
+                "{key}.frozen_rounds = {} must stay below {key}.patience = {} until the picker switches",
+                self.frozen_rounds, self.patience
+            ));
+        }
+        Ok(Hybrid::from_state(HybridState {
+            rule,
+            patience: self.patience as usize,
+            frozen_rounds: self.frozen_rounds as usize,
+            prev_candidates: self.prev_candidates.clone(),
+            prev_best_sum: self.prev_best_sum,
+            switched: self.switched,
+            rr_cursor: self.rr_cursor as usize,
+        }))
+    }
+}
+
 /// The retry policy's knobs (mirrors [`crate::retry::RetryPolicy`]).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RetryPolicyCheckpoint {
@@ -167,7 +248,7 @@ pub struct RetryPolicyCheckpoint {
 }
 
 /// Fault-injector configuration and attempt counters (mirrors
-/// [`crate::fault::FaultInjector`]).
+/// [`FaultInjector`]): the `fault` section of both documents.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultCheckpoint {
     /// Seed, as a decimal string (u64 range exceeds JSON's exact doubles).
@@ -188,6 +269,97 @@ pub struct FaultCheckpoint {
     pub attempts: Vec<(usize, usize, u64)>,
 }
 
+impl FaultCheckpoint {
+    /// Exports a live injector's configuration and attempt counters.
+    pub fn of(injector: &FaultInjector) -> Self {
+        let config = injector.config();
+        let overrides = |map: &std::collections::BTreeMap<usize, FaultRates>| {
+            map.iter().map(|(&k, r)| (k, r.to_array())).collect()
+        };
+        FaultCheckpoint {
+            seed: encode_u64(config.seed),
+            rates: config.rates.to_array(),
+            user_overrides: overrides(&config.user_overrides),
+            arm_overrides: overrides(&config.arm_overrides),
+            straggler_factor: config.straggler_factor,
+            crash_cost_fraction: config.crash_cost_fraction,
+            timeout_factor: config.timeout_factor,
+            attempts: injector
+                .attempts()
+                .iter()
+                .map(|(&(user, arm), &n)| (user, arm, n))
+                .collect(),
+        }
+    }
+
+    /// Reads the section's fields (pass it to [`parse_object`] under
+    /// `"fault"`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the missing or mistyped field.
+    pub fn parse(f: &[(String, Json)]) -> Result<Self, String> {
+        Ok(FaultCheckpoint {
+            seed: get_str(f, "seed")?,
+            rates: parse_rates(get(f, "rates")?, "rates")?,
+            user_overrides: parse_overrides(get(f, "user_overrides")?, "user_overrides")?,
+            arm_overrides: parse_overrides(get(f, "arm_overrides")?, "arm_overrides")?,
+            straggler_factor: get_f64(f, "straggler_factor")?,
+            crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
+            timeout_factor: get_f64(f, "timeout_factor")?,
+            attempts: parse_array(get(f, "attempts")?, "attempts", parse_triple)?
+                .into_iter()
+                .map(|(a, b, c)| (a as usize, b as usize, c))
+                .collect(),
+        })
+    }
+
+    /// Rebuilds the injector, refusing a configuration that would stall
+    /// the clock: a rate outside [0, 1], a straggler or timeout factor that
+    /// is not finite and positive (an infinite charge bills nothing, and a
+    /// zero one never advances the clock), or a crash fraction outside
+    /// [0, 1]. Errors name each field under `fault.`.
+    ///
+    /// # Errors
+    ///
+    /// A malformed seed or any value above.
+    pub fn restore(&self) -> Result<FaultInjector, String> {
+        let seed = decode_u64(&self.seed).map_err(|e| format!("fault.seed: {e}"))?;
+        let rates = |rates: [f64; 4], field: String| {
+            for rate in rates {
+                unit_interval(rate, || field.clone())?;
+            }
+            Ok::<_, String>(FaultRates::from_array(rates))
+        };
+        let overrides = |entries: &[(usize, [f64; 4])], what: &str| {
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, &(key, r))| Ok((key, rates(r, format!("fault.{what}[{i}]"))?)))
+                .collect::<Result<_, String>>()
+        };
+        let config = FaultConfig {
+            seed,
+            rates: rates(self.rates, "fault.rates".into())?,
+            user_overrides: overrides(&self.user_overrides, "user_overrides")?,
+            arm_overrides: overrides(&self.arm_overrides, "arm_overrides")?,
+            straggler_factor: positive(self.straggler_factor, || "fault.straggler_factor".into())?,
+            crash_cost_fraction: unit_interval(self.crash_cost_fraction, || {
+                "fault.crash_cost_fraction".into()
+            })?,
+            timeout_factor: positive(self.timeout_factor, || "fault.timeout_factor".into())?,
+        };
+        let mut injector = FaultInjector::new(config);
+        injector.restore_attempts(
+            self.attempts
+                .iter()
+                .map(|&(user, arm, n)| ((user, arm), n))
+                .collect(),
+        );
+        Ok(injector)
+    }
+}
+
 /// The full server checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CheckpointDoc {
@@ -206,11 +378,8 @@ pub struct CheckpointDoc {
     /// Total rounds executed (warm-up + scheduled, censored included).
     pub rounds: u64,
     /// Rolling decision-witness digest, as a decimal string (full u64).
+    /// It has folded every one of the `rounds`.
     pub witness_digest: String,
-    /// Rounds folded into the witness digest.
-    pub witness_rounds: u64,
-    /// Witness fan-out bound K.
-    pub witness_top_k: u64,
     /// Registered users in id order.
     pub users: Vec<UserCheckpoint>,
     /// Tenant bandit state, aligned with `users`.
@@ -281,21 +450,7 @@ impl CheckpointDoc {
                 cost: get_f64(f, "cost")?,
             })
         })?;
-        let picker = parse_object(get(fields, "picker")?, "picker", |f| {
-            Ok(PickerCheckpoint {
-                rule: get_str(f, "rule")?,
-                patience: get_u64(f, "patience")?,
-                frozen_rounds: get_u64(f, "frozen_rounds")?,
-                prev_candidates: parse_array(
-                    get(f, "prev_candidates")?,
-                    "prev_candidates",
-                    as_usize,
-                )?,
-                prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
-                switched: get_bool(f, "switched")?,
-                rr_cursor: get_u64(f, "rr_cursor")?,
-            })
-        })?;
+        let picker = parse_object(get(fields, "picker")?, "picker", PickerCheckpoint::parse)?;
         let retry_policy = parse_object(get(fields, "retry_policy")?, "retry_policy", |f| {
             Ok(RetryPolicyCheckpoint {
                 max_retries: get_u64(f, "max_retries")?,
@@ -321,24 +476,7 @@ impl CheckpointDoc {
         .into_iter()
         .map(|(a, b, c)| (a, b as usize, c as usize))
         .collect();
-        let fault = match get(fields, "fault")? {
-            Json::Null => None,
-            value => Some(parse_object(value, "fault", |f| {
-                Ok(FaultCheckpoint {
-                    seed: get_str(f, "seed")?,
-                    rates: parse_rates(get(f, "rates")?, "rates")?,
-                    user_overrides: parse_overrides(get(f, "user_overrides")?, "user_overrides")?,
-                    arm_overrides: parse_overrides(get(f, "arm_overrides")?, "arm_overrides")?,
-                    straggler_factor: get_f64(f, "straggler_factor")?,
-                    crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
-                    timeout_factor: get_f64(f, "timeout_factor")?,
-                    attempts: parse_array(get(f, "attempts")?, "attempts", parse_triple)?
-                        .into_iter()
-                        .map(|(a, b, c)| (a as usize, b as usize, c))
-                        .collect(),
-                })
-            })?),
-        };
+        let fault = parse_nullable(fields, "fault", FaultCheckpoint::parse)?;
         Ok(CheckpointDoc {
             version,
             rng_state,
@@ -348,8 +486,6 @@ impl CheckpointDoc {
             warmed_up: get_u64(fields, "warmed_up")?,
             rounds: get_u64(fields, "rounds")?,
             witness_digest: get_str(fields, "witness_digest")?,
-            witness_rounds: get_u64(fields, "witness_rounds")?,
-            witness_top_k: get_u64(fields, "witness_top_k")?,
             users,
             tenants,
             picker,
@@ -448,20 +584,71 @@ pub fn in_range(value: usize, bound: usize, field: impl FnOnce() -> String) -> R
     }
 }
 
+/// `value` unless it is not finite and positive; the error names `field`.
+pub fn positive(value: f64, field: impl FnOnce() -> String) -> Result<f64, String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(format!("{} must be finite and positive", field()))
+    }
+}
+
+/// `value` unless it is not finite and non-negative; the error names
+/// `field`.
+pub fn non_negative(value: f64, field: impl FnOnce() -> String) -> Result<f64, String> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(format!("{} must be finite and non-negative", field()))
+    }
+}
+
+/// `value` unless it lies outside [0, 1]; the error names `field`.
+fn unit_interval(value: f64, field: impl FnOnce() -> String) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(format!("{} = {value} must lie in [0, 1]", field()))
+    }
+}
+
+/// Refuses the GP settings both restores run from: a noise variance that
+/// is not finite and positive, or a β-schedule δ outside (0, 1).
+pub fn check_gp_settings(noise_var: f64, delta: f64) -> Result<(), String> {
+    positive(noise_var, || "noise_var".into())?;
+    if !(delta > 0.0 && delta < 1.0) {
+        return Err("delta must lie in (0, 1)".into());
+    }
+    Ok(())
+}
+
+/// Field `key` read by `read` (as with [`parse_object`]), or `None` when it
+/// is `null`: an optional section.
+pub fn parse_nullable<T>(
+    fields: &[(String, Json)],
+    key: &str,
+    read: impl FnOnce(&[(String, Json)]) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match get(fields, key)? {
+        Json::Null => Ok(None),
+        value => parse_object(value, key, read).map(Some),
+    }
+}
+
 fn parse_pair(value: &Json, what: &str) -> Result<(usize, f64), String> {
     let [arm, reward] = as_tuple(value, what)?;
     Ok((as_usize(arm, what)?, as_f64(reward, what)?))
 }
 
 /// A `[a, b, c]` triple of integers.
-pub fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
+fn parse_triple(value: &Json, what: &str) -> Result<(u64, u64, u64), String> {
     let [a, b, c] = as_tuple(value, what)?;
     Ok((as_u64(a, what)?, as_u64(b, what)?, as_u64(c, what)?))
 }
 
 /// Fault rates in their [`FaultRates::to_array`](crate::fault::FaultRates::to_array)
 /// form.
-pub fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
+fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
     let items = parse_array(value, what, as_f64)?;
     items
         .try_into()
@@ -469,7 +656,7 @@ pub fn parse_rates(value: &Json, what: &str) -> Result<[f64; 4], String> {
 }
 
 /// Per-user or per-arm rate overrides: `[key, rates]` entries.
-pub fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
+fn parse_overrides(value: &Json, what: &str) -> Result<Vec<(usize, [f64; 4])>, String> {
     parse_array(value, what, |entry, what| {
         let [key, rates] = as_tuple(entry, what)?;
         Ok((as_usize(key, what)?, parse_rates(rates, what)?))
@@ -495,8 +682,6 @@ mod tests {
             warmed_up: 2,
             rounds: 9,
             witness_digest: encode_u64(0xcbf2_9ce4_8422_2325),
-            witness_rounds: 9,
-            witness_top_k: 8,
             users: vec![UserCheckpoint {
                 name: "vision-lab".into(),
                 program: "{input: ...}".into(),
@@ -590,7 +775,7 @@ mod tests {
 
     #[test]
     fn older_version_is_a_typed_error() {
-        for found in [1, 3] {
+        for found in [1, 4] {
             let mut doc = sample();
             doc.version = found;
             let err = CheckpointDoc::from_json(&doc.to_json()).unwrap_err();

@@ -21,8 +21,8 @@ use crate::fault::TrainingError;
 use crate::server::TrainingOutcome;
 use easeml_obs::{Component, Histogram, RecorderHandle};
 use easeml_wal::{
-    AppendOutcome, CrashPoint, DurableEvent, ReadRecord, WalCall, WalLog, WalOptions, WalWriter,
-    KIND_CRASH, KIND_TIMEOUT,
+    truncate_log, AppendOutcome, CrashPoint, DurableEvent, ReadRecord, WalCall, WalLog, WalOptions,
+    WalWriter, KIND_CRASH, KIND_TIMEOUT,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -267,8 +267,9 @@ pub(crate) fn plan_replay(log: &WalLog, from_rounds: u64) -> Result<ReplayPlan, 
     })
 }
 
-/// What [`EaseMl::recover`](crate::server::EaseMl::recover) did.
-#[derive(Debug, Clone, PartialEq)]
+/// What a recovery did: [`EaseMl::recover`](crate::server::EaseMl::recover)
+/// or the execution engine's `recover_engine`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Rounds restored from the checkpoint document.
     pub checkpoint_rounds: u64,
@@ -284,8 +285,43 @@ pub struct RecoveryReport {
     pub final_rounds: u64,
     /// Rolling witness digest after recovery, 16 hex chars.
     pub final_digest: String,
-    /// Wall time spent replaying, in nanoseconds.
+    /// Wall time spent recovering, in nanoseconds.
     pub replay_ns: u64,
+}
+
+impl RecoveryReport {
+    /// Ends a recovery that read `log` from `wal_dir`: truncates the
+    /// uncommitted suffix after `cut`, the last record replay kept, and
+    /// completes the report with the records dropped, the log's torn tail
+    /// and the wall time since `start`.
+    ///
+    /// # Errors
+    ///
+    /// A filesystem error from the truncation.
+    pub fn drop_suffix(
+        mut self,
+        wal_dir: &Path,
+        log: &WalLog,
+        cut: Option<(u64, u64)>,
+        start: Instant,
+    ) -> Result<Self, String> {
+        self.dropped_records = log
+            .records
+            .iter()
+            .filter(|r| cut.is_none_or(|c| (r.segment, r.end_offset) > c))
+            .count() as u64;
+        self.torn_tail = log.torn.as_ref().map(|t| {
+            format!(
+                "{} in segment {} at offset {}",
+                t.reason.name(),
+                t.segment,
+                t.offset
+            )
+        });
+        truncate_log(wal_dir, cut).map_err(|e| format!("truncating WAL suffix: {e}"))?;
+        self.replay_ns = start.elapsed().as_nanos() as u64;
+        Ok(self)
+    }
 }
 
 struct DurabilityInner {
@@ -294,8 +330,6 @@ struct DurabilityInner {
     /// or policy fsync it triggers.
     append_ns: Histogram,
     append_bytes: u64,
-    replayed_records: u64,
-    replay_ns: u64,
     last_checkpoint_rounds: u64,
     last_error: Option<String>,
     recorder: RecorderHandle,
@@ -385,8 +419,6 @@ impl Durability {
                 writer,
                 append_ns: Histogram::new(),
                 append_bytes: 0,
-                replayed_records: 0,
-                replay_ns: 0,
                 last_checkpoint_rounds: 0,
                 last_error: None,
                 recorder: RecorderHandle::noop(),
@@ -485,20 +517,6 @@ impl Durability {
         }
     }
 
-    /// Folds a finished recovery into the stats (and the recorder's
-    /// `wal/replay` timing), so `/durability` shows what replay cost.
-    pub fn record_replay(&self, report: &RecoveryReport) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.lock();
-            inner.replayed_records += report.replayed_rounds;
-            inner.replay_ns += report.replay_ns;
-            if let Some(recorder) = inner.recorder.recorder().cloned() {
-                recorder.record_timing(Component::WalReplay, report.replay_ns);
-                recorder.add_counter("wal/replayed-rounds", report.replayed_rounds);
-            }
-        }
-    }
-
     /// Arms (or disarms) a deterministic crash point on the write path —
     /// test harness hook.
     pub fn set_crash_point(&self, crash: Option<CrashPoint>) {
@@ -548,7 +566,6 @@ impl Durability {
                 "\"writes\":{},\"fsyncs\":{},\"rotations\":{},\"segment_index\":{},",
                 "\"stream_offset\":{},\"append_p50_ns\":{},",
                 "\"append_p95_ns\":{},\"append_max_ns\":{},",
-                "\"replayed_rounds\":{},\"replay_ns\":{},",
                 "\"last_checkpoint_rounds\":{},\"last_error\":{}}}"
             ),
             inner.writer.appends(),
@@ -561,8 +578,6 @@ impl Durability {
             inner.append_ns.quantile_ns(0.5) as u64,
             inner.append_ns.quantile_ns(0.95) as u64,
             inner.append_ns.max_ns(),
-            inner.replayed_records,
-            inner.replay_ns,
             inner.last_checkpoint_rounds,
             last_error,
         )

@@ -56,7 +56,6 @@ pub mod experiment;
 pub mod fault;
 pub mod job;
 pub mod metrics;
-pub mod pool;
 pub mod report;
 pub mod retry;
 pub mod server;
@@ -76,7 +75,6 @@ pub mod prelude {
     pub use crate::fault::{FaultConfig, FaultInjector, FaultRates, TrainingError};
     pub use crate::job::{Job, JobStatus};
     pub use crate::metrics::{speedup_factor, AggregatedCurves};
-    pub use crate::pool::{Task, TaskBoard, TaskPool, TaskState};
     pub use crate::retry::{RetryPolicy, RetryState};
     pub use crate::server::{
         EaseMl, QualityOracle, RoundError, RoundOutcome, RoundResult, StatusSnapshot,
@@ -88,7 +86,7 @@ pub mod prelude {
     };
     pub use crate::storage::{Example, SharedStorage};
     pub use crate::user::UserAccount;
-    pub use crate::witness::{DecisionLog, RoundWitness, DEFAULT_WITNESS_TOP_K};
+    pub use crate::witness::{DecisionLog, RoundWitness, WITNESS_TOP_K};
 }
 
 pub use prelude::*;

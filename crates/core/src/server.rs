@@ -9,26 +9,26 @@
 //! dataset's (quality, cost) matrix or any user-supplied closure.
 
 use crate::checkpoint::{
-    decode_u64, encode_u64, in_range, read_checkpoint_file, write_checkpoint_atomic, CheckpointDoc,
-    FaultCheckpoint, PickerCheckpoint, RetryPolicyCheckpoint, TenantCheckpoint, UserCheckpoint,
-    CHECKPOINT_VERSION,
+    check_gp_settings, decode_u64, encode_u64, in_range, non_negative, read_checkpoint_file,
+    write_checkpoint_atomic, CheckpointDoc, FaultCheckpoint, PickerCheckpoint,
+    RetryPolicyCheckpoint, TenantCheckpoint, UserCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::durability::{
     censor_kind, plan_replay, Durability, LifecycleAction, RecoveryReport, ReplayAttempt,
 };
-use crate::fault::{FaultConfig, FaultInjector, FaultRates, TrainingError};
+use crate::fault::{FaultInjector, TrainingError};
 use crate::job::{Job, JobStatus};
 use crate::retry::{RetryPolicy, RetryState};
 use crate::storage::SharedStorage;
 use crate::user::UserAccount;
-use crate::witness::{DecisionLog, RoundWitness};
+use crate::witness::{DecisionLog, RoundWitness, WITNESS_TOP_K};
 use easeml_bandit::{BetaSchedule, GpUcb};
 use easeml_dsl::{parse_program, ModelId, ParseError};
 use easeml_gp::ArmPrior;
 use easeml_obs::json::INTEGER_BOUND;
 use easeml_obs::{Component, Event, RecorderHandle};
-use easeml_sched::{Hybrid, HybridState, PickRule, Tenant, UserPicker};
-use easeml_wal::{read_log, truncate_log, DurableEvent};
+use easeml_sched::{Hybrid, Tenant, UserPicker};
+use easeml_wal::{read_log, DurableEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -222,12 +222,6 @@ impl EaseMl {
     /// digests mean equal decision sequences ([`crate::witness`]).
     pub fn state_digest(&self) -> String {
         self.witness.digest_hex()
-    }
-
-    /// Replaces the witness bound K (resets the digest; call before the
-    /// first round).
-    pub fn set_witness_top_k(&mut self, top_k: usize) {
-        self.witness = DecisionLog::with_top_k(top_k);
     }
 
     /// Attaches (or with `None` removes) a deterministic fault injector:
@@ -538,7 +532,7 @@ impl EaseMl {
             // failures immediately steers retries to another arm.
             let arm_expl = witness_live.then(|| {
                 let _w = self.recorder.span("witness");
-                self.tenants[user].policy().explain_selection(wlog.top_k())
+                self.tenants[user].policy().explain_selection(WITNESS_TOP_K)
             });
             let model_idx = self.tenants[user].select_model();
             let model = self.jobs[user].candidate_models()[model_idx];
@@ -812,52 +806,7 @@ impl EaseMl {
                 program: program.clone(),
             })
             .collect();
-        let picker = {
-            let state = self.picker.export_state();
-            PickerCheckpoint {
-                rule: state.rule.name().to_string(),
-                patience: state.patience as u64,
-                frozen_rounds: state.frozen_rounds as u64,
-                prev_candidates: state.prev_candidates,
-                prev_best_sum: state.prev_best_sum,
-                switched: state.switched,
-                rr_cursor: state.rr_cursor as u64,
-            }
-        };
-        let fault = self.fault.as_ref().map(|injector| {
-            let config = injector.config();
-            FaultCheckpoint {
-                seed: encode_u64(config.seed),
-                rates: config.rates.to_array(),
-                user_overrides: config
-                    .user_overrides
-                    .iter()
-                    .map(|(&k, r)| (k, r.to_array()))
-                    .collect(),
-                arm_overrides: config
-                    .arm_overrides
-                    .iter()
-                    .map(|(&k, r)| (k, r.to_array()))
-                    .collect(),
-                straggler_factor: config.straggler_factor,
-                crash_cost_fraction: config.crash_cost_fraction,
-                timeout_factor: config.timeout_factor,
-                attempts: injector
-                    .attempts()
-                    .iter()
-                    .map(|(&(user, arm), &n)| (user, arm, n))
-                    .collect(),
-            }
-        });
         let rounds = self.rounds;
-        let (witness_digest, witness_rounds, witness_top_k) = {
-            let wlog = &self.witness;
-            (
-                encode_u64(wlog.digest_value()),
-                wlog.rounds(),
-                wlog.top_k() as u64,
-            )
-        };
         let doc = CheckpointDoc {
             version: CHECKPOINT_VERSION,
             rng_state: [
@@ -871,12 +820,10 @@ impl EaseMl {
             step: self.step as u64,
             warmed_up: self.warmed_up as u64,
             rounds,
-            witness_digest,
-            witness_rounds,
-            witness_top_k,
+            witness_digest: encode_u64(self.witness.digest_value()),
             users,
             tenants,
-            picker,
+            picker: PickerCheckpoint::of(&self.picker),
             clock: self.clock,
             retry_policy: RetryPolicyCheckpoint {
                 max_retries: self.retry_policy.max_retries,
@@ -892,7 +839,7 @@ impl EaseMl {
                 .map(|(&(user, arm), &n)| (user, arm, n))
                 .collect(),
             retry_releases: self.retry_state.releases().to_vec(),
-            fault,
+            fault: self.fault.as_ref().map(FaultCheckpoint::of),
         };
         let json = doc.to_json();
         self.recorder.emit(|| Event::CheckpointWritten {
@@ -954,17 +901,7 @@ impl EaseMl {
             server.jobs[idx].failed = tenant_ckpt.failed;
             server.jobs[idx].cost = tenant_ckpt.cost;
         }
-        let rule = PickRule::from_name(&doc.picker.rule)
-            .ok_or_else(|| format!("unknown picker rule {:?}", doc.picker.rule))?;
-        server.picker = Hybrid::from_state(HybridState {
-            rule,
-            patience: doc.picker.patience as usize,
-            frozen_rounds: doc.picker.frozen_rounds as usize,
-            prev_candidates: doc.picker.prev_candidates.clone(),
-            prev_best_sum: doc.picker.prev_best_sum,
-            switched: doc.picker.switched,
-            rr_cursor: doc.picker.rr_cursor as usize,
-        });
+        server.picker = doc.picker.restore("picker")?;
         server.clock = doc.clock;
         let mut rng_words = [0u64; 4];
         for (i, word) in doc.rng_state.iter().enumerate() {
@@ -977,11 +914,7 @@ impl EaseMl {
         // Continue the rolling digest chain instead of restarting it, so a
         // restored run's digest matches the uninterrupted run's at every
         // subsequent round (the bit-exactness oracle recovery asserts on).
-        server.witness = DecisionLog::from_state(
-            doc.witness_top_k as usize,
-            decode_u64(&doc.witness_digest)?,
-            doc.witness_rounds,
-        );
+        server.witness = DecisionLog::from_state(decode_u64(&doc.witness_digest)?);
         server.retry_policy = RetryPolicy {
             max_retries: doc.retry_policy.max_retries,
             backoff_cost: doc.retry_policy.backoff_cost,
@@ -996,32 +929,11 @@ impl EaseMl {
                 .collect(),
             doc.retry_releases.clone(),
         );
-        if let Some(fault) = &doc.fault {
-            let mut config = FaultConfig::new(decode_u64(&fault.seed)?);
-            config.rates = FaultRates::from_array(fault.rates);
-            config.user_overrides = fault
-                .user_overrides
-                .iter()
-                .map(|&(k, r)| (k, FaultRates::from_array(r)))
-                .collect();
-            config.arm_overrides = fault
-                .arm_overrides
-                .iter()
-                .map(|&(k, r)| (k, FaultRates::from_array(r)))
-                .collect();
-            config.straggler_factor = fault.straggler_factor;
-            config.crash_cost_fraction = fault.crash_cost_fraction;
-            config.timeout_factor = fault.timeout_factor;
-            let mut injector = FaultInjector::new(config);
-            injector.restore_attempts(
-                fault
-                    .attempts
-                    .iter()
-                    .map(|&(user, arm, n)| ((user, arm), n))
-                    .collect(),
-            );
-            server.fault = Some(injector);
-        }
+        server.fault = doc
+            .fault
+            .as_ref()
+            .map(FaultCheckpoint::restore)
+            .transpose()?;
         Ok(server)
     }
 
@@ -1129,12 +1041,6 @@ impl EaseMl {
         let log =
             read_log(wal_dir).map_err(|e| format!("reading WAL {}: {e}", wal_dir.display()))?;
         let plan = plan_replay(&log, from_rounds)?;
-        let cut = plan.cut;
-        let dropped = log
-            .records
-            .iter()
-            .filter(|r| cut.is_none_or(|c| (r.segment, r.end_offset) > c))
-            .count() as u64;
         let replayed = plan.rounds.len() as u64;
         for round in plan.rounds {
             for action in round.lifecycle {
@@ -1179,24 +1085,15 @@ impl EaseMl {
         for action in plan.tail {
             server.apply_lifecycle(action)?;
         }
-        truncate_log(wal_dir, cut).map_err(|e| format!("truncating WAL suffix: {e}"))?;
         let report = RecoveryReport {
             checkpoint_rounds: from_rounds,
             replayed_rounds: replayed,
             skipped_records: plan.skipped,
-            dropped_records: dropped,
-            torn_tail: log.torn.as_ref().map(|t| {
-                format!(
-                    "{} in segment {} at offset {}",
-                    t.reason.name(),
-                    t.segment,
-                    t.offset
-                )
-            }),
             final_rounds: server.rounds_executed(),
             final_digest: server.state_digest(),
-            replay_ns: start.elapsed().as_nanos() as u64,
-        };
+            ..RecoveryReport::default()
+        }
+        .drop_suffix(wal_dir, &log, plan.cut, start)?;
         Ok((server, report))
     }
 
@@ -1264,14 +1161,10 @@ impl EaseMl {
 /// Rejects every field value that would make [`EaseMl::restore`], or a
 /// later round of the restored server, panic: a checkpoint is outside
 /// input. Arm indices are checked while the observations replay, once the
-/// re-registered jobs have fixed each tenant's arm count.
+/// re-registered jobs have fixed each tenant's arm count; the `picker` and
+/// `fault` sections are checked by their shared restores.
 fn check_runnable(doc: &CheckpointDoc) -> Result<(), String> {
-    if !(doc.noise_var.is_finite() && doc.noise_var > 0.0) {
-        return Err("noise_var must be finite and positive".into());
-    }
-    if !(doc.delta > 0.0 && doc.delta < 1.0) {
-        return Err("delta must lie in (0, 1)".into());
-    }
+    check_gp_settings(doc.noise_var, doc.delta)?;
     let users = doc.users.len();
     if doc.tenants.len() != users {
         return Err(format!(
@@ -1297,25 +1190,9 @@ fn check_runnable(doc: &CheckpointDoc) -> Result<(), String> {
                 ));
             }
         }
-        if !(tenant.cost.is_finite() && tenant.cost >= 0.0) {
-            return Err(format!("tenants[{i}].cost must be finite and non-negative"));
-        }
+        non_negative(tenant.cost, || format!("tenants[{i}].cost"))?;
     }
-    if doc.picker.patience == 0 {
-        return Err("picker.patience must be positive".into());
-    }
-    // The round whose freeze count reaches `patience` switches the picker,
-    // so an unswitched picker never holds that many; its next frozen round
-    // would also overflow a saturated count.
-    if !doc.picker.switched && doc.picker.frozen_rounds >= doc.picker.patience {
-        return Err(format!(
-            "picker.frozen_rounds = {} must stay below picker.patience = {} until the picker switches",
-            doc.picker.frozen_rounds, doc.picker.patience
-        ));
-    }
-    if !(doc.clock.is_finite() && doc.clock >= 0.0) {
-        return Err("clock must be finite and non-negative".into());
-    }
+    non_negative(doc.clock, || "clock".into())?;
     for (i, &(_, user, _)) in doc.retry_releases.iter().enumerate() {
         in_range(user, users, || format!("retry_releases[{i}].user"))?;
     }
@@ -1325,6 +1202,7 @@ fn check_runnable(doc: &CheckpointDoc) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultConfig, FaultRates};
 
     const IMAGE_PROG: &str = "{input: {[Tensor[64, 64, 3]], []}, output: {[Tensor[5]], []}}";
     const TS_PROG: &str = "{input: {[Tensor[16]], [next]}, output: {[Tensor[3]], []}}";
@@ -1970,6 +1848,9 @@ mod tests {
         let mut s = EaseMl::new(toy_oracle(), 14);
         s.register_user("vision-lab", IMAGE_PROG).unwrap();
         s.register_user("meteo-lab", TS_PROG).unwrap();
+        // A quiet injector: the document gets a fault section, and no run
+        // fails.
+        s.set_fault_injector(Some(FaultInjector::new(FaultConfig::new(7))));
         for _ in 0..5 {
             s.try_run_round().unwrap();
         }
@@ -2053,9 +1934,62 @@ mod tests {
             // would overflow.
             ("step", Box::new(|c| c.step = u64::MAX), ""),
             ("rounds", Box::new(|c| c.rounds = u64::MAX), ""),
+            // The shared fault section. Were every run to time out, an ∞
+            // deadline would bill nothing and the clock would stall.
             (
-                "witness_rounds",
-                Box::new(|c| c.witness_rounds = u64::MAX),
+                "fault.timeout_factor",
+                Box::new(|c| c.fault.as_mut().unwrap().timeout_factor = MARK),
+                "1e400",
+            ),
+            (
+                "fault.timeout_factor",
+                Box::new(|c| c.fault.as_mut().unwrap().timeout_factor = 0.0),
+                "",
+            ),
+            (
+                "fault.straggler_factor",
+                Box::new(|c| c.fault.as_mut().unwrap().straggler_factor = MARK),
+                "1e400",
+            ),
+            (
+                "fault.straggler_factor",
+                Box::new(|c| c.fault.as_mut().unwrap().straggler_factor = -1.0),
+                "",
+            ),
+            (
+                "fault.crash_cost_fraction",
+                Box::new(|c| c.fault.as_mut().unwrap().crash_cost_fraction = 1.5),
+                "",
+            ),
+            (
+                "fault.rates",
+                Box::new(|c| c.fault.as_mut().unwrap().rates[1] = 2.0),
+                "",
+            ),
+            (
+                "fault.rates",
+                Box::new(|c| c.fault.as_mut().unwrap().rates[0] = -0.5),
+                "",
+            ),
+            (
+                "fault.user_overrides[0]",
+                Box::new(|c| {
+                    let f = c.fault.as_mut().unwrap();
+                    f.user_overrides.push((1, [0.0, 0.0, 1.5, 0.0]));
+                }),
+                "",
+            ),
+            (
+                "fault.arm_overrides[0]",
+                Box::new(|c| {
+                    let f = c.fault.as_mut().unwrap();
+                    f.arm_overrides.push((0, [0.0, 0.0, 0.0, MARK]));
+                }),
+                "1e400",
+            ),
+            (
+                "fault.seed",
+                Box::new(|c| c.fault.as_mut().unwrap().seed = "-1".into()),
                 "",
             ),
         ];
@@ -2088,26 +2022,35 @@ mod tests {
     }
 
     #[test]
-    fn restored_huge_witness_top_k_runs_under_a_live_recorder() {
-        use easeml_obs::InMemoryRecorder;
-        use std::sync::Arc;
-        let mut s = EaseMl::new(toy_oracle(), 14);
+    fn checkpoint_restore_checkpoint_is_a_fixpoint() {
+        let mut s = EaseMl::new(toy_oracle(), 8);
         s.register_user("vision-lab", IMAGE_PROG).unwrap();
         s.register_user("meteo-lab", TS_PROG).unwrap();
-        for _ in 0..5 {
+        let config = FaultConfig::new(31)
+            .with_crash_rate(0.2)
+            .with_timeout_rate(0.1)
+            .with_stragglers(0.2, 2.5);
+        s.set_fault_injector(Some(FaultInjector::new(config)));
+        let mut checked = 0;
+        for round in 0..120 {
+            if round == 40 {
+                s.retire_tenant(0);
+            }
+            if round == 70 {
+                s.register_user("vision-late", IMAGE_PROG).unwrap();
+            }
             s.try_run_round().unwrap();
+            if round % 10 == 0 {
+                let json = s.checkpoint();
+                let restored = EaseMl::restore(&json, toy_oracle()).unwrap();
+                // Restore derives the witness round count from `rounds`; a
+                // second checkpoint must read back every byte.
+                assert_eq!(restored.checkpoint(), json, "round {round}");
+                checked += 1;
+            }
         }
-        let mut doc = CheckpointDoc::from_json(&s.checkpoint()).unwrap();
-        doc.witness_top_k = 1_000_000_000_000_000;
-        let mut restored = EaseMl::restore(&doc.to_json(), toy_oracle()).unwrap();
-        let rec = Arc::new(InMemoryRecorder::new());
-        restored.set_recorder(RecorderHandle::new(rec.clone()));
-        restored.try_run_round().unwrap();
-        let witnessed = rec
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::UserScored { .. }))
-            .count();
-        assert_eq!(witnessed, 2, "every tenant is within the top k");
+        assert_eq!(checked, 12);
+        assert!(s.status_snapshot().failed_runs > 0, "faults fired");
+        assert!(!s.is_tenant_active(0));
     }
 }

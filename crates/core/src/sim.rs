@@ -10,7 +10,7 @@
 //! observations, never the hidden matrix.
 
 use crate::fault::{FaultConfig, FaultInjector};
-use crate::witness::{DecisionLog, RoundWitness};
+use crate::witness::{DecisionLog, RoundWitness, WITNESS_TOP_K};
 use easeml_bandit::policies::FixedOrder;
 use easeml_bandit::{ArmPolicy, BetaSchedule, GpUcb};
 use easeml_data::Dataset;
@@ -199,25 +199,34 @@ impl SimTrace {
     }
 }
 
-/// Per-user loss bookkeeping shared by both simulation paths.
-struct LossTracker {
+/// Per-user loss bookkeeping shared by the serial simulators and the
+/// execution engine: each tenant's best quality seen against the best its
+/// dataset row holds.
+#[derive(Debug, Clone)]
+pub struct LossTracker {
     best_possible: Vec<f64>,
     best_seen: Vec<f64>,
+    /// The mean of the losses, until some tenant's best next improves.
+    cached_mean: Option<f64>,
 }
 
 impl LossTracker {
-    fn new(dataset: &Dataset) -> Self {
+    /// Every tenant starting from a best of 0.
+    pub fn new(dataset: &Dataset) -> Self {
         LossTracker {
             best_possible: (0..dataset.num_users())
                 .map(|i| dataset.best_quality(i))
                 .collect(),
             best_seen: vec![0.0; dataset.num_users()],
+            cached_mean: None,
         }
     }
 
-    fn observe(&mut self, user: usize, quality: f64) {
+    /// Records a completed run's quality as its tenant's best if it is one.
+    pub fn observe(&mut self, user: usize, quality: f64) {
         if quality > self.best_seen[user] {
             self.best_seen[user] = quality;
+            self.cached_mean = None;
         }
     }
 
@@ -229,17 +238,24 @@ impl LossTracker {
             .map(|(b, s)| (b - s).max(0.0))
     }
 
-    fn losses(&self) -> Vec<f64> {
+    /// Per-user accuracy losses (best possible minus best seen).
+    pub fn losses(&self) -> Vec<f64> {
         self.loss_terms().collect()
     }
 
     /// `vec_ops::mean(&self.losses())` bit for bit: the same terms, summed
-    /// in the same order, without collecting them.
-    fn mean_loss(&self) -> f64 {
-        match self.best_possible.len() {
+    /// in the same order, without collecting them. It is kept until some
+    /// tenant's best improves.
+    pub fn mean_loss(&mut self) -> f64 {
+        if let Some(mean) = self.cached_mean {
+            return mean;
+        }
+        let mean = match self.best_possible.len() {
             0 => 0.0,
             n => self.loss_terms().sum::<f64>() / n as f64,
-        }
+        };
+        self.cached_mean = Some(mean);
+        mean
     }
 }
 
@@ -468,13 +484,16 @@ pub fn build_tenants(
 }
 
 /// Instantiates the user-picking strategy for a GP scheduler kind, with the
-/// recorder attached.
+/// recorder attached — the one picker factory of the serial simulator and
+/// the execution engine. A HYBRID picker stays reachable through
+/// [`UserPicker::as_hybrid`], so a checkpoint can store its freeze
+/// detector.
 ///
 /// # Panics
 ///
 /// Panics on the heuristic kinds ([`SchedulerKind::MostCited`],
-/// [`SchedulerKind::MostRecent`]) — those are simulated separately and have
-/// no picker.
+/// [`SchedulerKind::MostRecent`]), which run no GP policy and have no
+/// picker.
 pub fn make_picker(kind: SchedulerKind, recorder: &RecorderHandle) -> Box<dyn UserPicker> {
     let mut picker: Box<dyn UserPicker> = match kind {
         SchedulerKind::Fcfs => Box::new(Fcfs::default()),
@@ -483,21 +502,27 @@ pub fn make_picker(kind: SchedulerKind, recorder: &RecorderHandle) -> Box<dyn Us
         SchedulerKind::Greedy(rule) => Box::new(Greedy::new(rule)),
         SchedulerKind::Hybrid | SchedulerKind::EaseMl => Box::new(Hybrid::ease_ml()),
         SchedulerKind::MostCited | SchedulerKind::MostRecent => {
-            unreachable!("heuristics are simulated separately")
+            panic!("heuristic scheduler kinds are not supported by a user picker")
         }
     };
     picker.set_recorder(recorder.clone());
     picker
 }
 
-/// Advances the pooled device's clock by one run's cost. Panics unless the
-/// cost (the dataset's, times any straggler factor) is positive and finite:
-/// a NaN would poison the clock, and zero or ∞ would stall or end the run.
-fn advance(clock: &mut f64, cost: f64) {
+/// Panics unless a completed run's cost (the dataset's, times any
+/// straggler factor) is positive and finite: a NaN would poison the clock,
+/// and zero or ∞ would stall or end the run.
+pub fn assert_billable(cost: f64) {
     assert!(
         cost.is_finite() && cost > 0.0,
         "training cost must be positive and finite, got {cost}"
     );
+}
+
+/// Advances the pooled device's clock by one run's cost, which must be
+/// billable ([`assert_billable`]).
+fn advance(clock: &mut f64, cost: f64) {
+    assert_billable(cost);
     *clock += cost;
 }
 
@@ -567,7 +592,7 @@ fn simulate_gp(
         let (user_scores, candidates, path) = wctx;
         let arm_expl = recorder.is_enabled().then(|| {
             let _w = recorder.span("witness");
-            tenants[user].policy().explain_selection(wlog.top_k())
+            tenants[user].policy().explain_selection(WITNESS_TOP_K)
         });
         let model = tenants[user].select_model();
         let witness = |arm_margin_source: Option<&easeml_bandit::ArmExplanation>,

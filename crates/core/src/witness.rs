@@ -18,9 +18,9 @@
 use easeml_bandit::ArmExplanation;
 use easeml_obs::{top_k_indices, Event, RecorderHandle, RollingDigest};
 
-/// Default bound on witness fan-out: at most this many `UserScored` and
+/// Bound on witness fan-out: at most this many `UserScored` and
 /// `ArmScored` events per round.
-pub const DEFAULT_WITNESS_TOP_K: usize = 8;
+pub const WITNESS_TOP_K: usize = 8;
 
 /// Everything one round's decision hinged on, handed to
 /// [`DecisionLog::record`] by the capture site. Score slices are borrowed
@@ -57,53 +57,25 @@ pub struct RoundWitness<'a> {
 /// D=1 exec run of the same scenario produce identical digests. Its
 /// rolling (prefix) property is what makes binary search for the first
 /// divergent round sound: digests agree at round r iff every decision up
-/// to and including r agrees.
-#[derive(Debug, Clone)]
+/// to and including r agrees. The log counts no rounds of its own: the
+/// server's round counter and the engine's completions are that count.
+#[derive(Debug, Clone, Default)]
 pub struct DecisionLog {
     digest: RollingDigest,
-    top_k: usize,
-    rounds: u64,
-}
-
-impl Default for DecisionLog {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DecisionLog {
-    /// A fresh log with [`DEFAULT_WITNESS_TOP_K`].
+    /// A fresh log.
     pub fn new() -> Self {
-        Self::with_top_k(DEFAULT_WITNESS_TOP_K)
+        Self::default()
     }
 
-    /// A fresh log with a custom witness bound (clamped to ≥ 1).
-    pub fn with_top_k(top_k: usize) -> Self {
-        DecisionLog {
-            digest: RollingDigest::new(),
-            top_k: top_k.max(1),
-            rounds: 0,
-        }
-    }
-
-    /// Rebuild a log from checkpointed state so the rolling digest chain
+    /// Rebuild a log from a checkpointed digest so the rolling chain
     /// continues across a restore instead of restarting from the offset.
-    pub fn from_state(top_k: usize, digest: u64, rounds: u64) -> Self {
+    pub fn from_state(digest: u64) -> Self {
         DecisionLog {
             digest: RollingDigest::from_value(digest),
-            top_k: top_k.max(1),
-            rounds,
         }
-    }
-
-    /// The witness fan-out bound K.
-    pub fn top_k(&self) -> usize {
-        self.top_k
-    }
-
-    /// Rounds folded so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 
     /// Current digest value.
@@ -130,12 +102,14 @@ impl DecisionLog {
         self.digest.absorb_u64(w.user as u64);
         self.digest.absorb_u64(w.arm as u64);
         self.digest.absorb_u64(u64::from(w.censored));
-        self.rounds += 1;
         if !recorder.is_enabled() {
             return;
         }
         let _span = recorder.span("witness");
-        for (rank, &u) in top_k_indices(w.user_scores, self.top_k).iter().enumerate() {
+        for (rank, &u) in top_k_indices(w.user_scores, WITNESS_TOP_K)
+            .iter()
+            .enumerate()
+        {
             let score = w.user_scores[u];
             let candidate = w.candidates.contains(&u);
             recorder.emit(|| Event::UserScored {
@@ -148,7 +122,7 @@ impl DecisionLog {
             });
         }
         if let Some(expl) = w.arm_explanation {
-            for (rank, s) in expl.top.iter().take(self.top_k).enumerate() {
+            for (rank, s) in expl.top.iter().take(WITNESS_TOP_K).enumerate() {
                 recorder.emit(|| Event::ArmScored {
                     round: w.round,
                     user: w.user,
@@ -228,7 +202,6 @@ mod tests {
             b.record(&noop, witness(r, r as usize % 3, 1, &[]));
         }
         assert_eq!(a.digest_value(), b.digest_value());
-        assert_eq!(a.rounds(), 5);
         // A different decision at any round moves the digest.
         let mut c = DecisionLog::new();
         for r in 0..5 {
@@ -242,14 +215,14 @@ mod tests {
     fn record_emits_a_bounded_committed_chain() {
         let rec = Arc::new(InMemoryRecorder::new());
         let handle = RecorderHandle::new(rec.clone());
-        let mut log = DecisionLog::with_top_k(2);
-        let scores = [0.1, 0.9, 0.5, 0.3];
+        let mut log = DecisionLog::new();
+        let scores = [0.1, 0.9, 0.5, 0.3, 0.8, 0.2, 0.7, 0.05, 0.6, 0.4];
         let mut w = witness(7, 1, 4, &scores);
         w.candidates = &[1, 2];
         log.record(&handle, w);
         let events = rec.events();
-        // Bounded: 2 UserScored (not 4), then the commit marker, inside a
-        // witness span.
+        // Bounded: K = 8 UserScored (not 10), best first, then the commit
+        // marker, inside a witness span.
         let users: Vec<(usize, u64, bool)> = events
             .iter()
             .filter_map(|e| match *e {
@@ -262,7 +235,19 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(users, vec![(1, 0, true), (2, 1, true)]);
+        assert_eq!(
+            users,
+            vec![
+                (1, 0, true),
+                (4, 1, false),
+                (6, 2, false),
+                (8, 3, false),
+                (2, 4, true),
+                (9, 5, false),
+                (3, 6, false),
+                (5, 7, false),
+            ]
+        );
         match events.iter().rev().nth(1) {
             Some(Event::DecisionWitness {
                 round: 7,
@@ -273,7 +258,7 @@ mod tests {
                 digest,
                 ..
             }) => {
-                assert!((*user_margin - 0.4).abs() < 1e-12);
+                assert!((*user_margin - 0.1).abs() < 1e-12);
                 assert_eq!(digest, &log.digest_hex());
             }
             other => panic!("expected trailing DecisionWitness, got {other:?}"),
@@ -301,6 +286,5 @@ mod tests {
         let before = log.digest_value();
         log.record(&RecorderHandle::noop(), witness(0, 0, 0, &[]));
         assert_ne!(log.digest_value(), before);
-        assert_eq!(log.rounds(), 1);
     }
 }

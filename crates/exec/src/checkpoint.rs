@@ -1,17 +1,26 @@
 //! Crash-safe checkpoint/restore of in-flight execution state.
 //!
-//! [`ExecCheckpoint`] snapshots everything the engine needs to resume
-//! mid-flight: the resolved observation sequence (replaying it through the
-//! same numeric path rebuilds bit-identical GP state), every in-flight
-//! run's pre-resolved outcome, the device fleet's busy/idle integrals, the
-//! fault injector's attempt counters, and the HYBRID picker's freeze
-//! detector. The in-flight runs come back in dispatch order, so the next
-//! dispatch for their user hallucinates over exactly the arms the original
-//! would have (a hallucinated view is always the real posterior plus one
-//! mean-fake per in-flight arm, in order, computed when it is needed).
+//! [`ExecCheckpoint`] snapshots what the engine needs to resume mid-flight
+//! and cannot rebuild: the resolved observation sequence (replaying it
+//! through the same numeric path rebuilds bit-identical GP state and each
+//! tenant's best), every in-flight run's pre-resolved outcome, the device
+//! fleet's busy/idle integrals, the fault injector's attempt counters, and
+//! the HYBRID picker's freeze detector. The in-flight runs come back in
+//! dispatch order, so the next dispatch for their user hallucinates over
+//! exactly the arms the original would have (a hallucinated view is always
+//! the real posterior plus one mean-fake per in-flight arm, in order,
+//! computed when it is needed).
 //!
-//! Serialization follows the same hand-rolled JSON conventions as the core
-//! checkpoint ([`easeml::checkpoint`]): finite floats round-trip bit-exactly,
+//! Restore derives every other counter from those fields: `dispatches` is
+//! the next sequence number and picker step, the completed rounds are the
+//! resolved runs, the censored ones are the dispatches neither resolved
+//! nor in flight, the witness log has folded every dispatch not in flight,
+//! and the warm-up that [`ExecEngine::new`] reruns gives the initial loss.
+//!
+//! The `hybrid` and `fault` sections are [`easeml::checkpoint`]'s shared
+//! [`PickerCheckpoint`] and [`FaultCheckpoint`], the same types the server
+//! document stores under `picker` and `fault`. Serialization follows the
+//! same hand-rolled JSON conventions: finite floats round-trip bit-exactly,
 //! non-finite floats serialize as `null` (the in-flight `quality` of a
 //! censored run, HYBRID's `-inf` sentinel), and `u64` seeds travel as
 //! decimal strings.
@@ -21,25 +30,23 @@
 //! the checkpoint — a restored run re-seeds from the start, so only the
 //! deterministic schedulers replay bit-identically across a restore.
 
-use crate::engine::{Arrival, ExecEngine, InFlight, PickerSlot};
+use crate::engine::{Arrival, ExecEngine, InFlight};
 use crate::fleet::{DeviceSpec, Fleet};
 use easeml::checkpoint::{
-    decode_u64, encode_u64, in_range, parse_overrides, parse_rates, parse_triple,
+    check_gp_settings, decode_u64, encode_u64, in_range, non_negative, parse_nullable, positive,
+    FaultCheckpoint, PickerCheckpoint,
 };
-use easeml::fault::{FaultConfig, FaultRates};
 use easeml::sim::{SchedulerKind, SimConfig, SimEvent};
-use easeml::TaskState;
+use easeml::witness::DecisionLog;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_obs::json::{
-    self, as_bool, as_f64, as_object, as_tuple, as_u64, as_usize, get, get_bool, get_f64,
-    get_f64_or_nan, get_f64_or_neg_inf, get_str, get_u32, get_u64, get_usize, parse_array,
-    parse_object, parse_objects, Json, INTEGER_BOUND,
+    self, as_bool, as_f64, as_object, as_tuple, as_u64, get, get_bool, get_f64, get_f64_or_nan,
+    get_str, get_u32, get_u64, get_usize, parse_array, parse_object, parse_objects, Json,
+    INTEGER_BOUND,
 };
 use easeml_obs::RecorderHandle;
-use easeml_sched::{Hybrid, HybridState, PickRule};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Current execution-checkpoint format version.
 ///
@@ -48,8 +55,12 @@ use std::collections::BTreeMap;
 /// restored engine continues the digest WAL recovery asserts against;
 /// v4 added open-loop workload state (`open_loop`, per-tenant `retired` /
 /// `backlog`, and the pending `arrivals` queue) so a mid-replay restore
-/// resumes the workload bit-exactly.
-pub const EXEC_CHECKPOINT_VERSION: u32 = 4;
+/// resumes the workload bit-exactly;
+/// v5 dropped what restore derives (`next_seq`, `step`, `rounds`,
+/// `censored`, `witness_rounds`, `initial_loss` and `best_seen`), the
+/// dispatch board's `board_done` that nothing read, and `witness_top_k`,
+/// now the constant [`easeml::witness::WITNESS_TOP_K`].
+pub const EXEC_CHECKPOINT_VERSION: u32 = 5;
 
 /// A bounded quantile sketch's exported state (mirrors
 /// [`easeml_obs::SketchParts`]).
@@ -163,37 +174,6 @@ pub struct ResolvedCheckpoint {
     pub quality: f64,
 }
 
-/// One `Done` cell of the dispatch board.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct DoneCellCheckpoint {
-    /// User row.
-    pub user: usize,
-    /// Arm column.
-    pub arm: usize,
-    /// Recorded accuracy.
-    pub accuracy: f64,
-}
-
-/// The HYBRID picker's freeze detector (mirrors
-/// [`easeml_sched::HybridState`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct HybridCheckpoint {
-    /// Greedy line-8 rule name.
-    pub rule: String,
-    /// Freeze threshold s.
-    pub patience: u64,
-    /// Consecutive frozen rounds.
-    pub frozen_rounds: u64,
-    /// Candidate set at the previous round.
-    pub prev_candidates: Vec<usize>,
-    /// Best-reward sum at the previous round (`null` while `-inf`).
-    pub prev_best_sum: f64,
-    /// Whether the round-robin switch happened.
-    pub switched: bool,
-    /// Round-robin cursor.
-    pub rr_cursor: u64,
-}
-
 /// One arrival still waiting for the simulated clock at checkpoint time.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArrivalCheckpoint {
@@ -203,27 +183,6 @@ pub struct ArrivalCheckpoint {
     pub user: usize,
     /// Absolute simulated arrival time.
     pub at: f64,
-}
-
-/// Fault-injector configuration and attempt counters.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FaultStateCheckpoint {
-    /// Seed, as a decimal string.
-    pub seed: String,
-    /// Base rates `[crash, timeout, invalid, straggler]`.
-    pub rates: [f64; 4],
-    /// Per-user rate overrides.
-    pub user_overrides: Vec<(usize, [f64; 4])>,
-    /// Per-arm rate overrides.
-    pub arm_overrides: Vec<(usize, [f64; 4])>,
-    /// Straggler cost multiplier.
-    pub straggler_factor: f64,
-    /// Fraction of cost consumed before a crash.
-    pub crash_cost_fraction: f64,
-    /// Timeout deadline as a multiple of cost.
-    pub timeout_factor: f64,
-    /// Per-(user, arm) attempt counters.
-    pub attempts: Vec<(usize, usize, u64)>,
 }
 
 /// The full mid-flight engine snapshot.
@@ -247,24 +206,13 @@ pub struct ExecCheckpoint {
     pub devices: Vec<DeviceCheckpoint>,
     /// Simulated clock.
     pub now: f64,
-    /// Next dispatch sequence number.
-    pub next_seq: u64,
-    /// Picker step counter.
-    pub step: u64,
-    /// Completed budgeted rounds.
-    pub rounds: u64,
-    /// Censored runs so far.
-    pub censored: u64,
-    /// Total dispatches.
+    /// Total dispatches: the next dispatch's sequence number and picker
+    /// step.
     pub dispatches: u64,
     /// Dispatches made while other runs were in flight.
     pub parallel_dispatches: u64,
     /// Cost committed so far.
     pub committed: f64,
-    /// Mean loss after the warm-up pass.
-    pub initial_loss: f64,
-    /// Per-user best quality seen.
-    pub best_seen: Vec<f64>,
     /// Per-user charged cost.
     pub user_cost: Vec<f64>,
     /// `(time, mean loss)` trajectory so far.
@@ -274,24 +222,17 @@ pub struct ExecCheckpoint {
     pub resolved: Vec<ResolvedCheckpoint>,
     /// In-flight runs in dispatch (sequence) order.
     pub in_flight: Vec<InFlightCheckpoint>,
-    /// `Done` cells of the dispatch board. Stored explicitly rather than
-    /// derived from `resolved`: a completed cell can be re-dispatched and
-    /// censored later, reverting it to pending.
-    pub board_done: Vec<DoneCellCheckpoint>,
-    /// HYBRID picker state, when the scheduler is HYBRID.
-    pub hybrid: Option<HybridCheckpoint>,
+    /// HYBRID picker state, present exactly when the scheduler is HYBRID.
+    pub hybrid: Option<PickerCheckpoint>,
     /// Fault injector, if one is attached.
-    pub fault: Option<FaultStateCheckpoint>,
+    pub fault: Option<FaultCheckpoint>,
     /// Queueing-delay sketch accrued so far.
     pub queueing_delay: SketchCheckpoint,
     /// Busy-span sketch accrued so far.
     pub busy_spans: SketchCheckpoint,
-    /// Rolling witness digest at checkpoint time, as a decimal string.
+    /// Rolling witness digest at checkpoint time, as a decimal string. It
+    /// has folded every dispatch not in flight.
     pub witness_digest: String,
-    /// Completions folded into the witness digest so far.
-    pub witness_rounds: u64,
-    /// Witness fan-out bound K.
-    pub witness_top_k: u64,
     /// Open-loop mode flag (v4).
     pub open_loop: bool,
     /// Per-tenant retirement flags (v4).
@@ -337,55 +278,6 @@ impl ExecEngine<'_> {
                 kind: r.kind.clone(),
             })
             .collect();
-        let mut board_done = Vec::new();
-        for user in 0..self.board.num_users() {
-            for arm in 0..self.board.num_arms() {
-                if let TaskState::Done(accuracy) = self.board.state(user, arm) {
-                    board_done.push(DoneCellCheckpoint {
-                        user,
-                        arm,
-                        accuracy,
-                    });
-                }
-            }
-        }
-        let hybrid = self.picker.hybrid().map(|h| {
-            let s = h.export_state();
-            HybridCheckpoint {
-                rule: s.rule.name().to_string(),
-                patience: s.patience as u64,
-                frozen_rounds: s.frozen_rounds as u64,
-                prev_candidates: s.prev_candidates,
-                prev_best_sum: s.prev_best_sum,
-                switched: s.switched,
-                rr_cursor: s.rr_cursor as u64,
-            }
-        });
-        let fault = self.injector.as_ref().map(|inj| {
-            let c = inj.config();
-            FaultStateCheckpoint {
-                seed: encode_u64(c.seed),
-                rates: c.rates.to_array(),
-                user_overrides: c
-                    .user_overrides
-                    .iter()
-                    .map(|(&u, r)| (u, r.to_array()))
-                    .collect(),
-                arm_overrides: c
-                    .arm_overrides
-                    .iter()
-                    .map(|(&a, r)| (a, r.to_array()))
-                    .collect(),
-                straggler_factor: c.straggler_factor,
-                crash_cost_fraction: c.crash_cost_fraction,
-                timeout_factor: c.timeout_factor,
-                attempts: inj
-                    .attempts()
-                    .iter()
-                    .map(|(&(u, a), &n)| (u, a, n))
-                    .collect(),
-            }
-        });
         ExecCheckpoint {
             version: EXEC_CHECKPOINT_VERSION,
             kind: self.kind.name().to_string(),
@@ -396,15 +288,9 @@ impl ExecEngine<'_> {
             delta: self.cfg.delta,
             devices,
             now: self.now,
-            next_seq: self.next_seq,
-            step: self.step as u64,
-            rounds: self.rounds as u64,
-            censored: self.censored as u64,
             dispatches: self.dispatches as u64,
             parallel_dispatches: self.parallel_dispatches as u64,
             committed: self.committed,
-            initial_loss: self.initial_loss,
-            best_seen: self.best_seen.clone(),
             user_cost: self.user_cost.clone(),
             points: self.points.clone(),
             resolved: self
@@ -418,14 +304,11 @@ impl ExecEngine<'_> {
                 })
                 .collect(),
             in_flight,
-            board_done,
-            hybrid,
-            fault,
+            hybrid: self.picker.as_hybrid().map(PickerCheckpoint::of),
+            fault: self.injector.as_ref().map(FaultCheckpoint::of),
             queueing_delay: SketchCheckpoint::of(&self.queueing_delay),
             busy_spans: SketchCheckpoint::of(&self.busy_spans),
             witness_digest: encode_u64(self.wlog.digest_value()),
-            witness_rounds: self.wlog.rounds(),
-            witness_top_k: self.wlog.top_k() as u64,
             open_loop: self.open_loop,
             retired: self.retired.clone(),
             backlog: self.backlog.clone(),
@@ -454,16 +337,17 @@ impl ExecEngine<'_> {
         let json = self.checkpoint().to_json();
         easeml::checkpoint::write_checkpoint_atomic(path, &json).map_err(|e| e.to_string())?;
         self.durability
-            .mark_checkpoint(self.wlog.rounds(), self.wlog.digest_value());
+            .mark_checkpoint(self.completions() as u64, self.wlog.digest_value());
         Ok(())
     }
 
-    /// Rebuilds an engine from a checkpoint: replays the resolved
-    /// observations through the same numeric path (bit-identical GP
-    /// posteriors), re-enters every in-flight run in dispatch order, and
-    /// restores the fleet, fault, board, and picker state. The restored
-    /// engine carries a disabled recorder; attach a live one with
-    /// [`ExecEngine::attach_recorder`].
+    /// Rebuilds an engine from a checkpoint: reruns the warm-up, replays
+    /// the resolved observations through the same numeric path
+    /// (bit-identical GP posteriors and bests), re-enters every in-flight
+    /// run in dispatch order, and restores the fleet, fault and picker
+    /// state; every counter the document does not store is derived (see
+    /// the module docs). The restored engine carries a disabled recorder;
+    /// attach a live one with [`ExecEngine::attach_recorder`].
     ///
     /// # Errors
     ///
@@ -472,8 +356,13 @@ impl ExecEngine<'_> {
     /// a field the engine cannot run from, naming the field: an
     /// out-of-range user, model or device index, a non-finite resolved
     /// quality, an empty fleet, a zero-slot device, device occupancy that
-    /// disagrees with the in-flight runs, a non-positive budget or noise
-    /// variance, or a zero HYBRID patience.
+    /// disagrees with the in-flight runs, a budget, noise variance or δ
+    /// that core's restore would refuse too, a clock, cost, device integral,
+    /// in-flight or arrival time that is not finite and non-negative, a run
+    /// finishing before its dispatch,
+    /// fewer dispatches than resolved and in-flight runs, a `hybrid`
+    /// section whose presence disagrees with the kind, or a `hybrid` or
+    /// `fault` section its shared restore refuses.
     pub fn restore<'a>(
         dataset: &'a Dataset,
         priors: &[ArmPrior],
@@ -491,44 +380,24 @@ impl ExecEngine<'_> {
             .ok_or_else(|| format!("unknown scheduler kind {:?}", ck.kind))?;
         let seed = decode_u64(&ck.seed)?;
         let n = dataset.num_users();
-        if ck.best_seen.len() != n
-            || ck.user_cost.len() != n
-            || ck.retired.len() != n
-            || ck.backlog.len() != n
-        {
+        if ck.user_cost.len() != n || ck.retired.len() != n || ck.backlog.len() != n {
             return Err(format!(
                 "checkpoint is for {} users, dataset has {n}",
-                ck.best_seen.len()
+                ck.user_cost.len()
             ));
         }
         check_runnable(ck, n, dataset.num_models())?;
-        let fault = match &ck.fault {
-            None => None,
-            Some(f) => {
-                let mut config = FaultConfig::new(decode_u64(&f.seed)?);
-                config.rates = FaultRates::from_array(f.rates);
-                config.user_overrides = f
-                    .user_overrides
-                    .iter()
-                    .map(|&(u, r)| (u, FaultRates::from_array(r)))
-                    .collect();
-                config.arm_overrides = f
-                    .arm_overrides
-                    .iter()
-                    .map(|&(a, r)| (a, FaultRates::from_array(r)))
-                    .collect();
-                config.straggler_factor = f.straggler_factor;
-                config.crash_cost_fraction = f.crash_cost_fraction;
-                config.timeout_factor = f.timeout_factor;
-                Some(config)
-            }
-        };
+        let injector = ck
+            .fault
+            .as_ref()
+            .map(FaultCheckpoint::restore)
+            .transpose()?;
         let cfg = SimConfig {
             budget: ck.budget,
             cost_aware: ck.cost_aware,
             noise_var: ck.noise_var,
             delta: ck.delta,
-            fault,
+            fault: injector.as_ref().map(|i| i.config().clone()),
         };
         let specs: Vec<DeviceSpec> = ck
             .devices
@@ -547,41 +416,38 @@ impl ExecEngine<'_> {
             seed,
             RecorderHandle::noop(),
         );
+        engine.injector = injector;
+        // The picker `new` built is HYBRID exactly when the kind is.
+        match (&ck.hybrid, engine.picker.as_hybrid().is_some()) {
+            (Some(h), true) => engine.picker = Box::new(h.restore("hybrid")?),
+            (None, false) => {}
+            (section, _) => {
+                return Err(format!(
+                    "hybrid: the section is {} for the scheduler kind {:?}",
+                    if section.is_some() {
+                        "present"
+                    } else {
+                        "missing"
+                    },
+                    ck.kind
+                ))
+            }
+        }
 
         // Replay the resolved observations in completion order: the GP
-        // posteriors grow through the exact numeric path of the original
-        // run. The picker is NOT notified — its state is restored verbatim
-        // below (HYBRID) or is a pure function of `step` (the rest).
+        // posteriors and the bests grow through the exact numeric path of
+        // the original run. The picker is NOT notified — its state is
+        // restored verbatim above (HYBRID) or is a pure function of the
+        // dispatch count (the rest).
         for r in &ck.resolved {
             engine.tenants[r.user].observe(r.model, r.quality);
+            engine.loss.observe(r.user, r.quality);
             engine.events.push(SimEvent {
                 user: r.user,
                 model: r.model,
                 cost: r.cost,
                 quality: r.quality,
             });
-        }
-        if let Some(h) = &ck.hybrid {
-            let rule = PickRule::from_name(&h.rule)
-                .ok_or_else(|| format!("unknown greedy rule {:?}", h.rule))?;
-            engine.picker = PickerSlot::Hybrid(Hybrid::from_state(HybridState {
-                rule,
-                patience: h.patience as usize,
-                frozen_rounds: h.frozen_rounds as usize,
-                prev_candidates: h.prev_candidates.clone(),
-                prev_best_sum: h.prev_best_sum,
-                switched: h.switched,
-                rr_cursor: h.rr_cursor as usize,
-            }));
-        }
-        if let Some(f) = &ck.fault {
-            let injector = engine
-                .injector
-                .as_mut()
-                .expect("fault config implies an injector");
-            let attempts: BTreeMap<(usize, usize), u64> =
-                f.attempts.iter().map(|&(u, a, c)| ((u, a), c)).collect();
-            injector.restore_attempts(attempts);
         }
         for (dev, d) in engine.fleet.devices.iter_mut().zip(&ck.devices) {
             dev.in_use = d.in_use as usize;
@@ -590,13 +456,9 @@ impl ExecEngine<'_> {
             dev.last_t = d.last_t;
             dev.idle_since = d.idle_since;
         }
-        for cell in &ck.board_done {
-            engine.board.finish(cell.user, cell.arm, cell.accuracy);
-        }
         // In-flight runs re-enter in dispatch order: the next dispatch for
         // their user hallucinates over them exactly as the original would.
         for r in &ck.in_flight {
-            engine.board.start(r.user, r.model);
             engine.queue.push(r.finish, r.seq);
             engine.in_flight.push(InFlight {
                 seq: r.seq,
@@ -616,16 +478,9 @@ impl ExecEngine<'_> {
             });
         }
         engine.now = ck.now;
-        engine.next_seq = ck.next_seq;
-        engine.step = ck.step as usize;
-        engine.rounds = ck.rounds as usize;
-        engine.censored = ck.censored as usize;
         engine.dispatches = ck.dispatches as usize;
         engine.parallel_dispatches = ck.parallel_dispatches as usize;
         engine.committed = ck.committed;
-        engine.initial_loss = ck.initial_loss;
-        engine.best_seen = ck.best_seen.clone();
-        engine.cached_mean_loss = None;
         engine.user_cost = ck.user_cost.clone();
         engine.points = ck.points.clone();
         engine.queueing_delay = ck.queueing_delay.to_sketch();
@@ -634,11 +489,7 @@ impl ExecEngine<'_> {
         // with a fresh log, so this overwrite is what makes the restored
         // digest trajectory match the original's (WAL recovery asserts
         // completion-by-completion equality on it).
-        engine.wlog = easeml::witness::DecisionLog::from_state(
-            ck.witness_top_k as usize,
-            decode_u64(&ck.witness_digest)?,
-            ck.witness_rounds,
-        );
+        engine.wlog = DecisionLog::from_state(decode_u64(&ck.witness_digest)?);
         // Open-loop workload state (v4): restore the raw fields, then let
         // the engine recompute every tenant's picker visibility from them.
         engine.retired = ck.retired.clone();
@@ -659,24 +510,29 @@ impl ExecEngine<'_> {
 }
 
 /// Rejects every field value that would make [`ExecEngine::restore`], or
-/// a later tick of the restored engine, panic: a checkpoint is outside
-/// input.
+/// a later tick of the restored engine, panic or never end: a checkpoint
+/// is outside input. The `hybrid` and `fault` sections are checked by
+/// their shared restores.
 fn check_runnable(ck: &ExecCheckpoint, users: usize, models: usize) -> Result<(), String> {
-    if ck.budget.is_nan() || ck.budget <= 0.0 {
-        return Err("budget must be positive".into());
-    }
-    if ck.noise_var.is_nan() || ck.noise_var <= 0.0 {
-        return Err("noise_var must be positive".into());
-    }
+    positive(ck.budget, || "budget".into())?;
+    check_gp_settings(ck.noise_var, ck.delta)?;
+    non_negative(ck.now, || "now".into())?;
+    non_negative(ck.committed, || "committed".into())?;
     if ck.devices.is_empty() {
         return Err("devices: a fleet needs at least one device".into());
     }
     for (i, d) in ck.devices.iter().enumerate() {
-        if !(d.speed.is_finite() && d.speed > 0.0) {
-            return Err(format!("devices[{i}].speed must be finite and positive"));
-        }
+        positive(d.speed, || format!("devices[{i}].speed"))?;
         if d.slots == 0 {
             return Err(format!("devices[{i}].slots must be positive"));
+        }
+        for (name, value) in [
+            ("busy", d.busy),
+            ("idle", d.idle),
+            ("last_t", d.last_t),
+            ("idle_since", d.idle_since),
+        ] {
+            non_negative(value, || format!("devices[{i}].{name}"))?;
         }
     }
     for (i, r) in ck.resolved.iter().enumerate() {
@@ -692,6 +548,14 @@ fn check_runnable(ck: &ExecCheckpoint, users: usize, models: usize) -> Result<()
         in_range(r.device, ck.devices.len(), || {
             format!("in_flight[{i}].device")
         })?;
+        non_negative(r.dispatched_at, || format!("in_flight[{i}].dispatched_at"))?;
+        non_negative(r.finish, || format!("in_flight[{i}].finish"))?;
+        if r.dispatched_at > r.finish {
+            return Err(format!(
+                "in_flight[{i}].finish = {} precedes its dispatched_at = {}",
+                r.finish, r.dispatched_at
+            ));
+        }
     }
     for (i, d) in ck.devices.iter().enumerate() {
         let running = ck.in_flight.iter().filter(|r| r.device == i).count() as u64;
@@ -702,25 +566,18 @@ fn check_runnable(ck: &ExecCheckpoint, users: usize, models: usize) -> Result<()
             ));
         }
     }
-    for (i, c) in ck.board_done.iter().enumerate() {
-        in_range(c.user, users, || format!("board_done[{i}].user"))?;
-        in_range(c.arm, models, || format!("board_done[{i}].arm"))?;
-    }
-    if let Some(h) = &ck.hybrid {
-        if h.patience == 0 {
-            return Err("hybrid.patience must be positive".into());
-        }
-        // The round whose freeze count reaches `patience` switches the
-        // picker, and a saturated count would overflow on its next round.
-        if !h.switched && h.frozen_rounds >= h.patience {
-            return Err(format!(
-                "hybrid.frozen_rounds = {} must stay below hybrid.patience = {} until the picker switches",
-                h.frozen_rounds, h.patience
-            ));
-        }
+    // Restore derives the censored runs and the witness rounds by
+    // subtracting from `dispatches`.
+    let accounted = (ck.resolved.len() + ck.in_flight.len()) as u64;
+    if ck.dispatches < accounted {
+        return Err(format!(
+            "dispatches = {} is below the {accounted} resolved and in-flight runs",
+            ck.dispatches
+        ));
     }
     for (i, a) in ck.arrivals.iter().enumerate() {
         in_range(a.user, users, || format!("arrivals[{i}].user"))?;
+        non_negative(a.at, || format!("arrivals[{i}].at"))?;
     }
     // A restored sketch counts its zeros plus every bucket's count; each
     // lies below the integer bound, but their sum must too, or rebuilding
@@ -795,49 +652,8 @@ impl ExecCheckpoint {
                 kind: get_str(f, "kind")?,
             })
         })?;
-        let board_done = parse_objects(get(fields, "board_done")?, "board_done", |f| {
-            Ok(DoneCellCheckpoint {
-                user: get_usize(f, "user")?,
-                arm: get_usize(f, "arm")?,
-                accuracy: get_f64(f, "accuracy")?,
-            })
-        })?;
-        let hybrid = match get(fields, "hybrid")? {
-            Json::Null => None,
-            value => Some(parse_object(value, "hybrid", |f| {
-                Ok(HybridCheckpoint {
-                    rule: get_str(f, "rule")?,
-                    patience: get_u64(f, "patience")?,
-                    frozen_rounds: get_u64(f, "frozen_rounds")?,
-                    prev_candidates: parse_array(
-                        get(f, "prev_candidates")?,
-                        "prev_candidates",
-                        as_usize,
-                    )?,
-                    prev_best_sum: get_f64_or_neg_inf(f, "prev_best_sum")?,
-                    switched: get_bool(f, "switched")?,
-                    rr_cursor: get_u64(f, "rr_cursor")?,
-                })
-            })?),
-        };
-        let fault = match get(fields, "fault")? {
-            Json::Null => None,
-            value => Some(parse_object(value, "fault", |f| {
-                Ok(FaultStateCheckpoint {
-                    seed: get_str(f, "seed")?,
-                    rates: parse_rates(get(f, "rates")?, "rates")?,
-                    user_overrides: parse_overrides(get(f, "user_overrides")?, "user_overrides")?,
-                    arm_overrides: parse_overrides(get(f, "arm_overrides")?, "arm_overrides")?,
-                    straggler_factor: get_f64(f, "straggler_factor")?,
-                    crash_cost_fraction: get_f64(f, "crash_cost_fraction")?,
-                    timeout_factor: get_f64(f, "timeout_factor")?,
-                    attempts: parse_array(get(f, "attempts")?, "attempts", parse_triple)?
-                        .into_iter()
-                        .map(|(a, b, c)| (a as usize, b as usize, c))
-                        .collect(),
-                })
-            })?),
-        };
+        let hybrid = parse_nullable(fields, "hybrid", PickerCheckpoint::parse)?;
+        let fault = parse_nullable(fields, "fault", FaultCheckpoint::parse)?;
         Ok(ExecCheckpoint {
             version,
             kind: get_str(fields, "kind")?,
@@ -848,15 +664,9 @@ impl ExecCheckpoint {
             delta: get_f64(fields, "delta")?,
             devices,
             now: get_f64(fields, "now")?,
-            next_seq: get_u64(fields, "next_seq")?,
-            step: get_u64(fields, "step")?,
-            rounds: get_u64(fields, "rounds")?,
-            censored: get_u64(fields, "censored")?,
             dispatches: get_u64(fields, "dispatches")?,
             parallel_dispatches: get_u64(fields, "parallel_dispatches")?,
             committed: get_f64(fields, "committed")?,
-            initial_loss: get_f64(fields, "initial_loss")?,
-            best_seen: parse_array(get(fields, "best_seen")?, "best_seen", as_f64)?,
             user_cost: parse_array(get(fields, "user_cost")?, "user_cost", as_f64)?,
             points: parse_array(get(fields, "points")?, "points", |p, what| {
                 let [x, y] = as_tuple(p, what)?;
@@ -864,7 +674,6 @@ impl ExecCheckpoint {
             })?,
             resolved,
             in_flight,
-            board_done,
             hybrid,
             fault,
             queueing_delay: parse_object(
@@ -874,8 +683,6 @@ impl ExecCheckpoint {
             )?,
             busy_spans: parse_object(get(fields, "busy_spans")?, "busy_spans", parse_sketch)?,
             witness_digest: get_str(fields, "witness_digest")?,
-            witness_rounds: get_u64(fields, "witness_rounds")?,
-            witness_top_k: get_u64(fields, "witness_top_k")?,
             open_loop: get_bool(fields, "open_loop")?,
             retired: parse_array(get(fields, "retired")?, "retired", as_bool)?,
             backlog: parse_array(get(fields, "backlog")?, "backlog", as_u64)?,
@@ -923,6 +730,7 @@ fn parse_sketch(f: &[(String, Json)]) -> Result<SketchCheckpoint, String> {
 mod tests {
     use super::*;
     use crate::engine::simulate_multi_device;
+    use easeml::fault::FaultConfig;
     use easeml_data::SynConfig;
 
     fn small_dataset() -> Dataset {
@@ -991,10 +799,14 @@ mod tests {
             RecorderHandle::noop(),
         );
         let mut ck = engine.checkpoint();
-        ck.version = 99;
-        assert!(ExecCheckpoint::from_json(&ck.to_json())
-            .unwrap_err()
-            .contains("version"));
+        for version in [4, 99] {
+            ck.version = version;
+            let err = ExecCheckpoint::from_json(&ck.to_json()).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported exec checkpoint version {version}")),
+                "{err}"
+            );
+        }
         ck.version = EXEC_CHECKPOINT_VERSION;
         ck.kind = "most-cited".into();
         let err = ExecEngine::restore(&d, &priors, &ck)
@@ -1025,48 +837,54 @@ mod tests {
         }
         let ck = ExecCheckpoint::from_json(&engine.checkpoint().to_json()).expect("round-trip");
         assert!(!ck.resolved.is_empty() && !ck.in_flight.is_empty());
-        assert!(!ck.board_done.is_empty() && !ck.arrivals.is_empty());
+        assert!(!ck.arrivals.is_empty());
         let (users, models) = (d.num_users(), d.num_models());
+        let accounted = (ck.resolved.len() + ck.in_flight.len()) as u64;
         let frozen_at_patience = format!(
             "hybrid.frozen_rounds = {0} must stay below hybrid.patience = {0}",
             ck.hybrid.as_ref().unwrap().patience
         );
+        // JSON has no infinities, so a field set to one is written as text:
+        // `1e400` parses, and overflows to +inf (`-1e400` to -inf).
+        const MARK: f64 = 0.123_456_789;
         type Edit = Box<dyn Fn(&mut ExecCheckpoint)>;
-        let edits: Vec<(&str, Edit)> = vec![
+        let edits: Vec<(&str, Edit, &str)> = vec![
             (
                 "resolved[0].user",
                 Box::new(move |c| c.resolved[0].user = users),
+                "",
             ),
             (
                 "resolved[0].model",
                 Box::new(move |c| c.resolved[0].model = models),
+                "",
             ),
             (
                 "in_flight[0].user",
                 Box::new(move |c| c.in_flight[0].user = users),
+                "",
             ),
             (
                 "in_flight[0].model",
                 Box::new(move |c| c.in_flight[0].model = models),
+                "",
             ),
             (
                 "in_flight[0].device",
                 Box::new(|c| c.in_flight[0].device = 3),
+                "",
             ),
+            ("devices", Box::new(|c| c.devices.clear()), ""),
+            ("devices[1].slots", Box::new(|c| c.devices[1].slots = 0), ""),
             (
-                "board_done[0].user",
-                Box::new(move |c| c.board_done[0].user = users),
+                "devices[2].in_use",
+                Box::new(|c| c.devices[2].in_use += 1),
+                "",
             ),
-            (
-                "board_done[0].arm",
-                Box::new(move |c| c.board_done[0].arm = models),
-            ),
-            ("devices", Box::new(|c| c.devices.clear())),
-            ("devices[1].slots", Box::new(|c| c.devices[1].slots = 0)),
-            ("devices[2].in_use", Box::new(|c| c.devices[2].in_use += 1)),
             (
                 "hybrid.patience",
                 Box::new(|c| c.hybrid.as_mut().unwrap().patience = 0),
+                "",
             ),
             // A saturated freeze count is past the integer bound, so the
             // parser refuses it; a count at `patience` reads, and only the
@@ -1078,6 +896,7 @@ mod tests {
                     h.switched = false;
                     h.frozen_rounds = u64::MAX;
                 }),
+                "",
             ),
             (
                 &frozen_at_patience,
@@ -1086,57 +905,197 @@ mod tests {
                     h.switched = false;
                     h.frozen_rounds = h.patience;
                 }),
+                "",
+            ),
+            // A section whose presence disagrees with the kind: without it
+            // the HYBRID picker would run from its warm-up state, and with
+            // it a round-robin engine would silently turn HYBRID.
+            ("hybrid", Box::new(|c| c.hybrid = None), ""),
+            ("hybrid", Box::new(|c| c.kind = "round-robin".into()), ""),
+            // The shared fault restore: every timeout charged ∞.
+            (
+                "fault.timeout_factor",
+                Box::new(|c| c.fault.as_mut().unwrap().timeout_factor = MARK),
+                "1e400",
             ),
             (
                 "arrivals[0].user",
                 Box::new(move |c| c.arrivals[0].user = users),
+                "",
             ),
-            ("budget", Box::new(|c| c.budget = 0.0)),
-            ("noise_var", Box::new(|c| c.noise_var = -1.0)),
+            // The idle clock jumps to an arrival at +inf, and the next
+            // device sweep finds it ran backwards (inf − inf).
+            (
+                "arrivals[0].at",
+                Box::new(|c| c.arrivals[0].at = MARK),
+                "1e400",
+            ),
+            // The closed-loop engine was still ticking after 5,000 ticks.
+            ("budget", Box::new(|c| c.budget = 0.0), ""),
+            ("budget", Box::new(|c| c.budget = MARK), "1e400"),
+            ("committed", Box::new(|c| c.committed = -1e300), ""),
+            // Each of these panicked within the first ticks.
+            ("noise_var", Box::new(|c| c.noise_var = -1.0), ""),
+            ("noise_var", Box::new(|c| c.noise_var = MARK), "1e400"),
+            ("delta", Box::new(|c| c.delta = 5.0), ""),
+            ("delta", Box::new(|c| c.delta = 0.0), ""),
+            ("delta", Box::new(|c| c.delta = -1.0), ""),
+            ("now", Box::new(|c| c.now = MARK), "1e400"),
+            ("now", Box::new(|c| c.now = MARK), "-1e400"),
+            (
+                "in_flight[0].finish",
+                Box::new(|c| c.in_flight[0].finish = MARK),
+                "-1e400",
+            ),
+            (
+                "in_flight[0].dispatched_at",
+                Box::new(|c| c.in_flight[0].dispatched_at = MARK),
+                "1e400",
+            ),
+            (
+                "in_flight[0].finish",
+                Box::new(|c| c.in_flight[0].dispatched_at = c.in_flight[0].finish + 1.0),
+                "",
+            ),
+            (
+                "devices[0].busy",
+                Box::new(|c| c.devices[0].busy = MARK),
+                "1e400",
+            ),
+            (
+                "devices[1].idle",
+                Box::new(|c| c.devices[1].idle = -1.0),
+                "",
+            ),
+            (
+                "devices[2].last_t",
+                Box::new(|c| c.devices[2].last_t = MARK),
+                "-1e400",
+            ),
+            (
+                "devices[0].idle_since",
+                Box::new(|c| c.devices[0].idle_since = -1.0),
+                "",
+            ),
+            // Restore subtracts the resolved and in-flight runs from the
+            // dispatches to derive the censored runs and witness rounds.
+            (
+                "dispatches",
+                Box::new(move |c| c.dispatches = accounted - 1),
+                "",
+            ),
             // Counters the next ticks add to: past the integer bound they
             // would overflow.
-            ("next_seq", Box::new(|c| c.next_seq = u64::MAX)),
-            ("step", Box::new(|c| c.step = u64::MAX)),
-            ("rounds", Box::new(|c| c.rounds = u64::MAX)),
-            ("dispatches", Box::new(|c| c.dispatches = u64::MAX)),
+            ("dispatches", Box::new(|c| c.dispatches = u64::MAX), ""),
             (
                 "parallel_dispatches",
                 Box::new(|c| c.parallel_dispatches = u64::MAX),
+                "",
             ),
-            ("censored", Box::new(|c| c.censored = u64::MAX)),
-            ("witness_rounds", Box::new(|c| c.witness_rounds = u64::MAX)),
             // A saturated bucket count, and buckets each below the integer
             // bound whose total overflows the restored sketch's count.
             (
                 "busy_spans.buckets",
                 Box::new(|c| c.busy_spans.buckets[0].1 = u64::MAX),
+                "",
             ),
             (
                 "queueing_delay.buckets",
                 Box::new(|c| {
                     c.queueing_delay.buckets = (0..2100).map(|i| (i, INTEGER_BOUND - 1)).collect();
                 }),
+                "",
             ),
         ];
-        for (field, edit) in edits {
+        // The unedited checkpoint ends well within this; a restored engine
+        // still ticking past it has accepted a hang.
+        const TICKS: usize = 1_000;
+        let run = |json: &str| {
+            let bad = ExecCheckpoint::from_json(json)?;
+            let mut restored = ExecEngine::restore(&d, &priors, &bad)?;
+            if (0..TICKS).all(|_| restored.tick()) {
+                return Err(format!("still running after {TICKS} ticks"));
+            }
+            Ok(())
+        };
+        for (field, edit, mark_text) in edits {
             let mut bad = ck.clone();
             edit(&mut bad);
+            let mut json = bad.to_json();
+            if !mark_text.is_empty() {
+                assert!(json.contains(&MARK.to_string()), "{field}");
+                json = json.replacen(&MARK.to_string(), mark_text, 1);
+            }
             // Either the parser or the restore may refuse the edit; a
             // restored engine runs to the end.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let bad = ExecCheckpoint::from_json(&bad.to_json())?;
-                let mut restored = ExecEngine::restore(&d, &priors, &bad)?;
-                while restored.tick() {}
-                Ok::<(), String>(())
-            }));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&json)));
             match outcome {
                 Ok(Err(err)) => assert!(err.contains(field), "{field}: {err}"),
                 Ok(Ok(())) => panic!("{field}: restore accepted the edit"),
                 Err(_) => panic!("{field}: restore or a later tick panicked"),
             }
         }
-        let mut restored = ExecEngine::restore(&d, &priors, &ck).expect("the unedited checkpoint");
-        while restored.tick() {}
+        run(&ck.to_json()).expect("the unedited checkpoint");
+    }
+
+    #[test]
+    fn checkpoint_restore_checkpoint_is_a_fixpoint() {
+        let d = small_dataset();
+        let priors = flat_priors(&d);
+        let cfg = SimConfig {
+            fault: Some(
+                FaultConfig::new(13)
+                    .with_crash_rate(0.2)
+                    .with_timeout_rate(0.1)
+                    .with_stragglers(0.2, 2.5),
+            ),
+            ..SimConfig::new(12.0)
+        };
+        let mut engine = ExecEngine::new(
+            &d,
+            &priors,
+            SchedulerKind::Hybrid,
+            &cfg,
+            Fleet::uniform(3),
+            7,
+            RecorderHandle::noop(),
+        );
+        engine.set_open_loop(true);
+        for i in 0..60 {
+            engine.push_arrival(i % d.num_users(), 0.2 * i as f64);
+        }
+        let (mut ticks, mut mid_flight) = (0, 0);
+        loop {
+            if ticks == 5 {
+                engine.retire_tenant(1);
+            }
+            if ticks == 12 {
+                engine.rejoin_tenant(1);
+            }
+            // Restore derives what the document leaves out: the warm-up's
+            // loss and each tenant's best must come back to the bit, and a
+            // second checkpoint must hold every field. A censored run's NaN
+            // quality defeats `==`, so the debug forms compare.
+            let ck = engine.checkpoint();
+            let restored = ExecEngine::restore(&d, &priors, &ck).expect("restore");
+            assert_eq!(
+                restored.initial_loss.to_bits(),
+                engine.initial_loss.to_bits()
+            );
+            assert_eq!(restored.losses(), engine.losses(), "tick {ticks}");
+            let again = restored.checkpoint();
+            assert_eq!(format!("{again:?}"), format!("{ck:?}"), "tick {ticks}");
+            assert_eq!(again.to_json(), ck.to_json(), "tick {ticks}");
+            mid_flight += usize::from(!ck.in_flight.is_empty());
+            if !engine.tick() {
+                break;
+            }
+            ticks += 1;
+        }
+        let trace = engine.finish();
+        assert!(ticks > 12, "only {ticks} ticks");
+        assert!(mid_flight > 12, "only {mid_flight} mid-flight checkpoints");
+        assert!(trace.censored > 0 && trace.parallel_dispatches > 0);
     }
 
     #[test]

@@ -19,15 +19,17 @@ use crate::fleet::{DeviceSpec, Fleet};
 use crate::queue::EventQueue;
 use easeml::durability::Durability;
 use easeml::fault::FaultInjector;
-use easeml::pool::TaskBoard;
 use easeml::server::TrainingOutcome;
-use easeml::sim::{build_tenants, cheapest_model, SchedulerKind, SimConfig, SimEvent, SimTrace};
-use easeml::witness::{DecisionLog, RoundWitness};
+use easeml::sim::{
+    assert_billable, build_tenants, cheapest_model, make_picker, LossTracker, SchedulerKind,
+    SimConfig, SimEvent, SimTrace,
+};
+use easeml::witness::{DecisionLog, RoundWitness, WITNESS_TOP_K};
 use easeml_bandit::ArmExplanation;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_obs::{Component, Event, QuantileSketch, RecorderHandle};
-use easeml_sched::{Fcfs, Greedy, Hybrid, RandomPicker, RoundRobin, Tenant, UserPicker};
+use easeml_sched::{Tenant, UserPicker};
 use easeml_wal::DurableEvent;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,46 +86,6 @@ pub(crate) struct Arrival {
     pub(crate) at: f64,
 }
 
-/// The user-picking strategy, kept concrete for HYBRID so its freeze
-/// detector can be exported into a checkpoint.
-pub(crate) enum PickerSlot {
-    /// The HYBRID picker, checkpointable via [`Hybrid::export_state`].
-    Hybrid(Hybrid),
-    /// Any other picker, behind the trait object.
-    Boxed(Box<dyn UserPicker>),
-}
-
-impl PickerSlot {
-    pub(crate) fn as_mut(&mut self) -> &mut dyn UserPicker {
-        match self {
-            PickerSlot::Hybrid(h) => h,
-            PickerSlot::Boxed(b) => b.as_mut(),
-        }
-    }
-
-    pub(crate) fn hybrid(&self) -> Option<&Hybrid> {
-        match self {
-            PickerSlot::Hybrid(h) => Some(h),
-            PickerSlot::Boxed(_) => None,
-        }
-    }
-
-    fn build(kind: SchedulerKind, recorder: &RecorderHandle) -> Self {
-        let mut slot = match kind {
-            SchedulerKind::Hybrid | SchedulerKind::EaseMl => PickerSlot::Hybrid(Hybrid::ease_ml()),
-            SchedulerKind::Fcfs => PickerSlot::Boxed(Box::new(Fcfs::default())),
-            SchedulerKind::RoundRobin => PickerSlot::Boxed(Box::new(RoundRobin::default())),
-            SchedulerKind::Random => PickerSlot::Boxed(Box::new(RandomPicker::default())),
-            SchedulerKind::Greedy(rule) => PickerSlot::Boxed(Box::new(Greedy::new(rule))),
-            SchedulerKind::MostCited | SchedulerKind::MostRecent => {
-                panic!("heuristic scheduler kinds are not supported by the execution engine")
-            }
-        };
-        slot.as_mut().set_recorder(recorder.clone());
-        slot
-    }
-}
-
 /// The result of a multi-device execution: the familiar [`SimTrace`] plus
 /// the fleet-level accounting the serial simulator has no notion of.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,26 +133,27 @@ pub struct ExecEngine<'a> {
     pub(crate) rng: StdRng,
     pub(crate) fleet: Fleet,
     pub(crate) tenants: Vec<Tenant>,
-    pub(crate) picker: PickerSlot,
+    /// The user picker; a HYBRID one exports its freeze detector through
+    /// [`UserPicker::as_hybrid`].
+    pub(crate) picker: Box<dyn UserPicker>,
     pub(crate) injector: Option<FaultInjector>,
-    pub(crate) best_possible: Vec<f64>,
-    pub(crate) best_seen: Vec<f64>,
-    /// The mean of [`ExecEngine::losses`], until `best_seen` next changes.
-    pub(crate) cached_mean_loss: Option<f64>,
-    pub(crate) board: TaskBoard,
+    /// Each tenant's best quality seen; the mean loss is kept until one
+    /// improves.
+    pub(crate) loss: LossTracker,
+    /// Mean loss after the warm-up pass.
+    pub(crate) initial_loss: f64,
     pub(crate) queue: EventQueue,
     pub(crate) in_flight: Vec<InFlight>,
     pub(crate) now: f64,
-    pub(crate) next_seq: u64,
-    pub(crate) step: usize,
-    pub(crate) rounds: usize,
-    pub(crate) censored: usize,
-    pub(crate) committed: f64,
-    pub(crate) user_cost: Vec<f64>,
+    /// Runs dispatched so far: the next dispatch's sequence number and
+    /// picker step. The other run counts follow from it: completed runs
+    /// are `events`, and censored ones the rest not in flight.
     pub(crate) dispatches: usize,
     pub(crate) parallel_dispatches: usize,
-    pub(crate) initial_loss: f64,
+    pub(crate) committed: f64,
+    pub(crate) user_cost: Vec<f64>,
     pub(crate) points: Vec<(f64, f64)>,
+    /// Completed runs, in completion order.
     pub(crate) events: Vec<SimEvent>,
     pub(crate) queueing_delay: QuantileSketch,
     pub(crate) busy_spans: QuantileSketch,
@@ -223,7 +186,10 @@ impl<'a> ExecEngine<'a> {
     ///
     /// Panics on a non-positive budget, a heuristic scheduler kind
     /// ([`SchedulerKind::MostCited`] / [`SchedulerKind::MostRecent`]), or a
-    /// `priors` length that does not match the number of users.
+    /// `priors` length that does not match the number of users. A dispatch
+    /// later panics on a run that would complete with a cost that is not
+    /// positive and finite ([`assert_billable`]), as the serial simulator
+    /// does: such a charge never moves the clock.
     pub fn new(
         dataset: &'a Dataset,
         priors: &[ArmPrior],
@@ -241,7 +207,7 @@ impl<'a> ExecEngine<'a> {
         );
         let n = dataset.num_users();
         let tenants = build_tenants(dataset, priors, cfg, &recorder);
-        let picker = PickerSlot::build(kind, &recorder);
+        let picker = make_picker(kind, &recorder);
         let injector = cfg.fault.clone().map(FaultInjector::new);
         let mut engine = ExecEngine {
             dataset,
@@ -253,22 +219,15 @@ impl<'a> ExecEngine<'a> {
             tenants,
             picker,
             injector,
-            best_possible: (0..n).map(|i| dataset.best_quality(i)).collect(),
-            best_seen: vec![0.0; n],
-            cached_mean_loss: None,
-            board: TaskBoard::new(n, dataset.num_models()),
+            loss: LossTracker::new(dataset),
+            initial_loss: 0.0,
             queue: EventQueue::new(),
             in_flight: Vec::new(),
             now: 0.0,
-            next_seq: 0,
-            step: 0,
-            rounds: 0,
-            censored: 0,
-            committed: 0.0,
-            user_cost: vec![0.0; n],
             dispatches: 0,
             parallel_dispatches: 0,
-            initial_loss: 0.0,
+            committed: 0.0,
+            user_cost: vec![0.0; n],
             points: Vec::new(),
             events: Vec::new(),
             queueing_delay: QuantileSketch::default(),
@@ -313,10 +272,10 @@ impl<'a> ExecEngine<'a> {
             let model = cheapest_model(self.dataset, user);
             let quality = self.dataset.quality(user, model);
             self.tenants[user].observe(model, quality);
-            self.improve_best(user, quality);
-            self.picker.as_mut().after_observe(&self.tenants, user);
+            self.loss.observe(user, quality);
+            self.picker.after_observe(&self.tenants, user);
         }
-        self.initial_loss = self.mean_loss();
+        self.initial_loss = self.loss.mean_loss();
     }
 
     /// Swaps the recorder on the engine and every instrumented component —
@@ -326,43 +285,19 @@ impl<'a> ExecEngine<'a> {
         for tenant in &mut self.tenants {
             tenant.set_recorder(recorder.clone());
         }
-        self.picker.as_mut().set_recorder(recorder.clone());
+        self.picker.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
 
     /// Per-user accuracy losses (best possible minus best seen).
     pub fn losses(&self) -> Vec<f64> {
-        self.loss_terms().collect()
+        self.loss.losses()
     }
 
-    fn loss_terms(&self) -> impl Iterator<Item = f64> + '_ {
-        self.best_possible
-            .iter()
-            .zip(&self.best_seen)
-            .map(|(b, s)| (b - s).max(0.0))
-    }
-
-    /// `vec_ops::mean(&self.losses())` bit for bit: the same terms, summed
-    /// in the same order, without collecting them. It is kept until some
-    /// tenant's best improves.
-    fn mean_loss(&mut self) -> f64 {
-        if let Some(mean) = self.cached_mean_loss {
-            return mean;
-        }
-        let mean = match self.best_seen.len() {
-            0 => 0.0,
-            n => self.loss_terms().sum::<f64>() / n as f64,
-        };
-        self.cached_mean_loss = Some(mean);
-        mean
-    }
-
-    /// Records a completed run's quality as its tenant's best if it is one.
-    fn improve_best(&mut self, user: usize, quality: f64) {
-        if quality > self.best_seen[user] {
-            self.best_seen[user] = quality;
-            self.cached_mean_loss = None;
-        }
+    /// Runs resolved so far, censored ones included: every dispatch not in
+    /// flight. The witness log has folded exactly these.
+    pub(crate) fn completions(&self) -> usize {
+        self.dispatches - self.in_flight.len()
     }
 
     /// The simulated clock (time of the most recent completion).
@@ -383,11 +318,6 @@ impl<'a> ExecEngine<'a> {
     /// The device fleet (read-only).
     pub fn fleet(&self) -> &Fleet {
         &self.fleet
-    }
-
-    /// The dispatch board (read-only).
-    pub fn board(&self) -> &TaskBoard {
-        &self.board
     }
 
     /// Recomputes tenant `user`'s picker visibility: a tenant is a
@@ -484,7 +414,7 @@ impl<'a> ExecEngine<'a> {
             parent: easeml_obs::current_span(),
         });
         self.durability.append(|| DurableEvent::TenantRetired {
-            round: self.next_seq,
+            round: self.dispatches as u64,
             user: user as u64,
         });
     }
@@ -513,7 +443,7 @@ impl<'a> ExecEngine<'a> {
             parent: easeml_obs::current_span(),
         });
         self.durability.append(|| DurableEvent::TenantJoined {
-            round: self.next_seq,
+            round: self.dispatches as u64,
             user: user as u64,
             arms: models,
             name: format!("user{user}"),
@@ -570,10 +500,8 @@ impl<'a> ExecEngine<'a> {
             let _pick_span = self.recorder.span("pick_user");
             let _pick = self.recorder.time(Component::SchedulerPick);
             self.picker
-                .as_mut()
-                .pick(&self.tenants, self.step, &mut self.rng)
+                .pick(&self.tenants, self.dispatches, &mut self.rng)
         };
-        self.step += 1;
         // GP-BUCB: the user's runs still in flight, in dispatch order, are
         // the pending batch the selection hallucinates over.
         let pending: Vec<usize> = self
@@ -590,10 +518,10 @@ impl<'a> ExecEngine<'a> {
         let witness = if self.recorder.is_enabled() {
             let _w = self.recorder.span("witness");
             Some(Box::new(PendingWitness {
-                user_scores: self.picker.as_mut().decision_scores(&self.tenants),
-                candidates: self.picker.as_mut().last_candidates().to_vec(),
-                path: self.picker.as_mut().pick_path(),
-                arm_expl: policy.explain_selection(self.wlog.top_k()),
+                user_scores: self.picker.decision_scores(&self.tenants),
+                candidates: self.picker.last_candidates().to_vec(),
+                path: self.picker.pick_path(),
+                arm_expl: policy.explain_selection(WITNESS_TOP_K),
             }))
         } else {
             None
@@ -622,7 +550,10 @@ impl<'a> ExecEngine<'a> {
         // keyed by (user, arm, attempt), not by time), but nothing of it is
         // *revealed* until the completion event fires.
         let (charge, ok, quality, kind) = match outcome {
-            Ok(out) if out.accuracy.is_finite() => (out.cost, true, out.accuracy, ""),
+            Ok(out) if out.accuracy.is_finite() => {
+                assert_billable(out.cost);
+                (out.cost, true, out.accuracy, "")
+            }
             Ok(out) => (out.cost, false, f64::NAN, "invalid-quality"),
             Err(error) => (error.cost_consumed(), false, f64::NAN, error.kind()),
         };
@@ -644,7 +575,6 @@ impl<'a> ExecEngine<'a> {
             });
         }
         self.busy_spans.insert(duration);
-        self.board.start(user, model);
         if charge.is_finite() && charge > 0.0 {
             self.committed += charge;
             self.user_cost[user] += charge;
@@ -652,9 +582,8 @@ impl<'a> ExecEngine<'a> {
         if !self.in_flight.is_empty() {
             self.parallel_dispatches += 1;
         }
+        let seq = self.dispatches as u64;
         self.dispatches += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let finish = self.now + duration;
         self.queue.push(finish, seq);
         self.in_flight.push(InFlight {
@@ -725,9 +654,8 @@ impl<'a> ExecEngine<'a> {
                 parent: easeml_obs::current_span(),
             });
             self.tenants[run.user].observe(run.model, run.quality);
-            self.board.finish(run.user, run.model, run.quality);
-            self.improve_best(run.user, run.quality);
-            let loss = self.mean_loss();
+            self.loss.observe(run.user, run.quality);
+            let loss = self.loss.mean_loss();
             self.points.push((self.now, loss));
             self.events.push(SimEvent {
                 user: run.user,
@@ -735,11 +663,9 @@ impl<'a> ExecEngine<'a> {
                 cost: run.charge,
                 quality: run.quality,
             });
-            self.picker.as_mut().after_observe(&self.tenants, run.user);
-            self.rounds += 1;
+            self.picker.after_observe(&self.tenants, run.user);
             self.recorder.count("sim/rounds", 1);
         } else {
-            self.board.fail(run.user, run.model);
             self.recorder.emit(|| Event::TrainingFailed {
                 user: run.user,
                 model: run.model,
@@ -748,7 +674,6 @@ impl<'a> ExecEngine<'a> {
                 attempt: 1,
                 parent: easeml_obs::current_span(),
             });
-            self.censored += 1;
             self.recorder.count("sim/failed-rounds", 1);
         }
         // Commit the decision's provenance in completion order. `seq` is
@@ -821,21 +746,17 @@ impl<'a> ExecEngine<'a> {
     pub fn finish(mut self) -> ExecTrace {
         self.fleet.advance_all(self.now);
         self.recorder.gauge("sim/makespan", self.now);
-        let loss = self.mean_loss();
+        let loss = self.loss.mean_loss();
         self.recorder.gauge("sim/mean-loss", loss);
+        let censored = self.completions() - self.events.len();
         ExecTrace {
             sim: SimTrace {
                 budget: self.cfg.budget,
                 initial_loss: self.initial_loss,
+                rounds: self.events.len(),
                 points: self.points,
                 events: self.events,
-                final_losses: self
-                    .best_possible
-                    .iter()
-                    .zip(&self.best_seen)
-                    .map(|(b, s)| (b - s).max(0.0))
-                    .collect(),
-                rounds: self.rounds,
+                final_losses: self.loss.losses(),
             },
             makespan: self.now,
             device_busy: self.fleet.busy(),
@@ -843,7 +764,7 @@ impl<'a> ExecEngine<'a> {
             capacity: self.fleet.capacity(),
             dispatches: self.dispatches,
             parallel_dispatches: self.parallel_dispatches,
-            censored: self.censored,
+            censored,
             user_cost: self.user_cost,
             total_charged: self.committed,
             queueing_delay: self.queueing_delay,
@@ -1062,12 +983,20 @@ mod tests {
         let fresh = |e: &ExecEngine| easeml_linalg::vec_ops::mean(&e.losses()).to_bits();
         let mut ticks = 0;
         loop {
-            assert_eq!(engine.mean_loss().to_bits(), fresh(&engine), "tick {ticks}");
+            assert_eq!(
+                engine.loss.mean_loss().to_bits(),
+                fresh(&engine),
+                "tick {ticks}"
+            );
             if ticks == 6 {
-                // A restored engine drops the mean its own warm-up kept.
+                // A restored engine replays its bests behind the warm-up's.
                 let ck = engine.checkpoint();
                 engine = ExecEngine::restore(&d, &priors, &ck).expect("restore");
-                assert_eq!(engine.mean_loss().to_bits(), fresh(&engine), "restored");
+                assert_eq!(
+                    engine.loss.mean_loss().to_bits(),
+                    fresh(&engine),
+                    "restored"
+                );
             }
             if !engine.tick() {
                 break;
@@ -1090,6 +1019,43 @@ mod tests {
         }
         assert_eq!(t.sim.events.len(), t.sim.rounds);
         assert_eq!(t.dispatches, t.sim.rounds + t.censored);
+    }
+
+    #[test]
+    fn straggler_factors_that_break_the_clock_panic() {
+        // One device, and every run straggles: a completed run's charge is
+        // the dataset's cost times the factor. A zero, NaN or ∞ charge
+        // never moves the committed cost toward the budget.
+        use easeml::fault::FaultConfig;
+        let d = small_dataset();
+        let priors = flat_priors(&d);
+        for factor in [0.0, f64::NAN, f64::INFINITY] {
+            let cfg = SimConfig {
+                fault: Some(FaultConfig::new(5).with_stragglers(1.0, factor)),
+                ..SimConfig::new(6.0)
+            };
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut engine = ExecEngine::new(
+                    &d,
+                    &priors,
+                    SchedulerKind::EaseMl,
+                    &cfg,
+                    Fleet::uniform(1),
+                    7,
+                    RecorderHandle::noop(),
+                );
+                // Bounded, so an accepted charge fails instead of hanging.
+                (0..1_000).all(|_| engine.tick())
+            }))
+            .expect_err("a run cost the factor breaks must panic");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("the panic carries a formatted message");
+            assert!(
+                message.contains("positive and finite"),
+                "factor {factor}: {message}"
+            );
+        }
     }
 
     #[test]

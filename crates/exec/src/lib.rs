@@ -17,8 +17,13 @@
 //!   et al. (JMLR 2014) the paper's §6 points to;
 //! * fault-layer integration: a crashed in-flight run frees its device at
 //!   censoring time and charges only its partial cost;
-//! * [`ExecCheckpoint`] — crash-safe JSON checkpoint/restore of the full
-//!   in-flight state, bit-identical for deterministic schedulers.
+//! * [`ExecCheckpoint`] — crash-safe JSON checkpoint/restore of the
+//!   in-flight state, bit-identical for deterministic schedulers. The
+//!   document stores only what a restore cannot rebuild: one dispatch
+//!   counter stands for the sequence number and the picker step, the
+//!   completed, censored and witnessed run counts, the initial loss and
+//!   each tenant's best are derived, and the HYBRID and fault sections are
+//!   the server checkpoint's own ([`easeml::checkpoint`]).
 //!
 //! With one unit-speed single-slot device the engine reproduces the serial
 //! simulator's trajectory bit for bit (see `tests/invariants.rs`), so every

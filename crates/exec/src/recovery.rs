@@ -17,14 +17,13 @@ use crate::engine::ExecEngine;
 use easeml::durability::RecoveryReport;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
-use easeml_wal::{read_log, truncate_log, DurableEvent};
+use easeml_wal::{read_log, DurableEvent};
 use std::path::Path;
 use std::time::Instant;
 
 /// One logged completion with its physical position in the log.
 struct LoggedCompletion {
     seq: u64,
-    censored: bool,
     digest: u64,
     segment: u64,
     end_offset: u64,
@@ -53,7 +52,7 @@ pub fn recover_engine<'a>(
     let start = Instant::now();
     let mut engine = ExecEngine::restore(dataset, priors, ck)?;
     let d0 = engine.wlog.digest_value();
-    let checkpoint_rounds = engine.wlog.rounds();
+    let checkpoint_rounds = engine.completions() as u64;
     let log = read_log(wal_dir).map_err(|e| format!("reading WAL {}: {e}", wal_dir.display()))?;
     let mut completions: Vec<LoggedCompletion> = Vec::new();
     let mut cut: Option<(u64, u64)> = None;
@@ -65,18 +64,14 @@ pub fn recover_engine<'a>(
         let event = DurableEvent::decode(&rec.payload)
             .map_err(|e| format!("undecodable WAL record (CRC passed): {e}"))?;
         match event {
-            DurableEvent::ExecCompletion {
-                seq,
-                censored,
-                digest,
-                ..
-            } => completions.push(LoggedCompletion {
-                seq,
-                censored,
-                digest,
-                segment: rec.segment,
-                end_offset: rec.end_offset,
-            }),
+            DurableEvent::ExecCompletion { seq, digest, .. } => {
+                completions.push(LoggedCompletion {
+                    seq,
+                    digest,
+                    segment: rec.segment,
+                    end_offset: rec.end_offset,
+                })
+            }
             // Dispatches are uncommitted intent; marks are barriers that
             // must survive truncation. Tenant lifecycle records are audit
             // entries here: the workload driver that issued them re-applies
@@ -146,30 +141,15 @@ pub fn recover_engine<'a>(
         if mark > cut {
             cut = mark;
         }
-        let _ = logged.censored;
     }
-    let dropped = log
-        .records
-        .iter()
-        .filter(|r| cut.is_none_or(|c| (r.segment, r.end_offset) > c))
-        .count() as u64;
-    truncate_log(wal_dir, cut).map_err(|e| format!("truncating WAL suffix: {e}"))?;
     let report = RecoveryReport {
         checkpoint_rounds,
         replayed_rounds: verified,
         skipped_records: begin as u64,
-        dropped_records: dropped,
-        torn_tail: log.torn.as_ref().map(|t| {
-            format!(
-                "{} in segment {} at offset {}",
-                t.reason.name(),
-                t.segment,
-                t.offset
-            )
-        }),
-        final_rounds: engine.wlog.rounds(),
+        final_rounds: engine.completions() as u64,
         final_digest: engine.wlog.digest_hex(),
-        replay_ns: start.elapsed().as_nanos() as u64,
-    };
+        ..RecoveryReport::default()
+    }
+    .drop_suffix(wal_dir, &log, cut, start)?;
     Ok((engine, report))
 }

@@ -34,13 +34,11 @@ pub enum Component {
     WalAppend = 8,
     /// One explicit write-ahead-log fsync (flush or checkpoint barrier).
     WalFsync = 9,
-    /// One recovered round replayed from the write-ahead log.
-    WalReplay = 10,
 }
 
 impl Component {
     /// Number of components (length of per-component arrays).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every component, in index order.
     pub const ALL: [Component; Component::COUNT] = [
@@ -54,7 +52,6 @@ impl Component {
         Component::ExecDispatch,
         Component::WalAppend,
         Component::WalFsync,
-        Component::WalReplay,
     ];
 
     /// Stable display name, e.g. `"cholesky/factor"`.
@@ -70,7 +67,6 @@ impl Component {
             Component::ExecDispatch => "exec/dispatch",
             Component::WalAppend => "wal/append",
             Component::WalFsync => "wal/fsync",
-            Component::WalReplay => "wal/replay",
         }
     }
 

@@ -156,6 +156,10 @@ impl UserPicker for Hybrid {
         "hybrid"
     }
 
+    fn as_hybrid(&self) -> Option<&Hybrid> {
+        Some(self)
+    }
+
     fn needs_warmup(&self) -> bool {
         true
     }

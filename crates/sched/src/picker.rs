@@ -1,5 +1,6 @@
 //! The user-picking interface and the workload-agnostic pickers.
 
+use crate::hybrid::Hybrid;
 use crate::tenant::Tenant;
 use easeml_obs::{Event, RecorderHandle};
 
@@ -55,6 +56,12 @@ pub trait UserPicker {
     /// `"hybrid:rr-after-switch"` after).
     fn pick_path(&self) -> String {
         self.name().to_string()
+    }
+
+    /// The HYBRID picker behind this trait object, whose freeze detector a
+    /// checkpoint stores; `None` for every other strategy.
+    fn as_hybrid(&self) -> Option<&Hybrid> {
+        None
     }
 }
 

@@ -260,4 +260,10 @@ seed_smoke zoo-batch 79424303c3af5fa2
 seed_smoke service-1k 11ff70338a20c489
 seed_smoke open-loop 075ca31d37015d44
 
+echo "==> benchmark files untouched"
+# A perfbench build rewrites the tracked perfbench/Cargo.lock when a crate
+# it builds changes its dependencies; only a change to the benchmark itself
+# may touch its files.
+git diff --exit-code -- perfbench BENCHMARK.json
+
 echo "CI gate passed."
