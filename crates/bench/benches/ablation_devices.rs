@@ -3,16 +3,16 @@
 //!
 //! Both alternatives consume the same GPU-time. The shipped design treats
 //! the whole pool as one device, so every run finishes `d×` faster in
-//! wall-clock; the alternative is the `easeml-exec` engine on `d` unit
+//! wall-clock; the alternative is the `easeml::exec` engine on `d` unit
 //! devices, each training one model at full cost while GP-BUCB
 //! hallucination keeps concurrent runs of the same user on different
 //! models. The paper observed the single-device option achieves lower
 //! accumulated regret — it returns a model to *someone* sooner.
 
+use easeml::exec::simulate_multi_device;
 use easeml::prelude::*;
 use easeml_bench::{banner, reps, seed};
 use easeml_data::Dataset;
-use easeml_exec::simulate_multi_device;
 use easeml_gp::ArmPrior;
 use easeml_linalg::vec_ops;
 use rand::rngs::StdRng;

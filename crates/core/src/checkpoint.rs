@@ -15,7 +15,7 @@
 //! numbers losslessly.
 //!
 //! This module is also the one home of what the server document and the
-//! execution engine's document (`easeml_exec::ExecCheckpoint`) both hold:
+//! execution engine's document ([`crate::exec::ExecCheckpoint`]) both hold:
 //! the HYBRID freeze detector ([`PickerCheckpoint`]) and the fault injector
 //! ([`FaultCheckpoint`]). Each has one export from the live object, one
 //! parser and one restore that validates the section before rebuilding it,
@@ -167,7 +167,7 @@ pub struct PickerCheckpoint {
 
 impl PickerCheckpoint {
     /// Exports a live picker's state.
-    pub fn of(hybrid: &Hybrid) -> Self {
+    pub(crate) fn of(hybrid: &Hybrid) -> Self {
         let state = hybrid.export_state();
         PickerCheckpoint {
             rule: state.rule.name().to_string(),
@@ -186,7 +186,7 @@ impl PickerCheckpoint {
     /// # Errors
     ///
     /// Returns a message naming the missing or mistyped field.
-    pub fn parse(f: &[(String, Json)]) -> Result<Self, String> {
+    pub(crate) fn parse(f: &[(String, Json)]) -> Result<Self, String> {
         Ok(PickerCheckpoint {
             rule: get_str(f, "rule")?,
             patience: get_u64(f, "patience")?,
@@ -205,7 +205,7 @@ impl PickerCheckpoint {
     ///
     /// An unknown rule, a zero patience, or an unswitched picker whose
     /// freeze count has reached its patience.
-    pub fn restore(&self, key: &str) -> Result<Hybrid, String> {
+    pub(crate) fn restore(&self, key: &str) -> Result<Hybrid, String> {
         let rule = PickRule::from_name(&self.rule)
             .ok_or_else(|| format!("unknown {key} rule {:?}", self.rule))?;
         if self.patience == 0 {
@@ -271,7 +271,7 @@ pub struct FaultCheckpoint {
 
 impl FaultCheckpoint {
     /// Exports a live injector's configuration and attempt counters.
-    pub fn of(injector: &FaultInjector) -> Self {
+    pub(crate) fn of(injector: &FaultInjector) -> Self {
         let config = injector.config();
         let overrides = |map: &std::collections::BTreeMap<usize, FaultRates>| {
             map.iter().map(|(&k, r)| (k, r.to_array())).collect()
@@ -298,7 +298,7 @@ impl FaultCheckpoint {
     /// # Errors
     ///
     /// Returns a message naming the missing or mistyped field.
-    pub fn parse(f: &[(String, Json)]) -> Result<Self, String> {
+    pub(crate) fn parse(f: &[(String, Json)]) -> Result<Self, String> {
         Ok(FaultCheckpoint {
             seed: get_str(f, "seed")?,
             rates: parse_rates(get(f, "rates")?, "rates")?,
@@ -323,7 +323,7 @@ impl FaultCheckpoint {
     /// # Errors
     ///
     /// A malformed seed or any value above.
-    pub fn restore(&self) -> Result<FaultInjector, String> {
+    pub(crate) fn restore(&self) -> Result<FaultInjector, String> {
         let seed = decode_u64(&self.seed).map_err(|e| format!("fault.seed: {e}"))?;
         let rates = |rates: [f64; 4], field: String| {
             for rate in rates {
@@ -499,7 +499,7 @@ impl CheckpointDoc {
 }
 
 /// Encodes a `u64` losslessly for a checkpoint string field.
-pub fn encode_u64(v: u64) -> String {
+pub(crate) fn encode_u64(v: u64) -> String {
     v.to_string()
 }
 
@@ -508,7 +508,7 @@ pub fn encode_u64(v: u64) -> String {
 /// # Errors
 ///
 /// Returns a message when the string is not a decimal `u64`.
-pub fn decode_u64(s: &str) -> Result<u64, String> {
+pub(crate) fn decode_u64(s: &str) -> Result<u64, String> {
     s.parse::<u64>()
         .map_err(|e| format!("bad u64 string {s:?}: {e}"))
 }
@@ -576,7 +576,11 @@ pub fn read_checkpoint_file(path: &Path) -> Result<CheckpointDoc, CheckpointErro
 
 /// `Err` naming `field` unless `value < bound`: an index read from a
 /// checkpoint must fit what it indexes.
-pub fn in_range(value: usize, bound: usize, field: impl FnOnce() -> String) -> Result<(), String> {
+pub(crate) fn in_range(
+    value: usize,
+    bound: usize,
+    field: impl FnOnce() -> String,
+) -> Result<(), String> {
     if value < bound {
         Ok(())
     } else {
@@ -585,7 +589,7 @@ pub fn in_range(value: usize, bound: usize, field: impl FnOnce() -> String) -> R
 }
 
 /// `value` unless it is not finite and positive; the error names `field`.
-pub fn positive(value: f64, field: impl FnOnce() -> String) -> Result<f64, String> {
+pub(crate) fn positive(value: f64, field: impl FnOnce() -> String) -> Result<f64, String> {
     if value.is_finite() && value > 0.0 {
         Ok(value)
     } else {
@@ -595,7 +599,7 @@ pub fn positive(value: f64, field: impl FnOnce() -> String) -> Result<f64, Strin
 
 /// `value` unless it is not finite and non-negative; the error names
 /// `field`.
-pub fn non_negative(value: f64, field: impl FnOnce() -> String) -> Result<f64, String> {
+pub(crate) fn non_negative(value: f64, field: impl FnOnce() -> String) -> Result<f64, String> {
     if value.is_finite() && value >= 0.0 {
         Ok(value)
     } else {
@@ -614,7 +618,7 @@ fn unit_interval(value: f64, field: impl FnOnce() -> String) -> Result<f64, Stri
 
 /// Refuses the GP settings both restores run from: a noise variance that
 /// is not finite and positive, or a β-schedule δ outside (0, 1).
-pub fn check_gp_settings(noise_var: f64, delta: f64) -> Result<(), String> {
+pub(crate) fn check_gp_settings(noise_var: f64, delta: f64) -> Result<(), String> {
     positive(noise_var, || "noise_var".into())?;
     if !(delta > 0.0 && delta < 1.0) {
         return Err("delta must lie in (0, 1)".into());
@@ -624,7 +628,7 @@ pub fn check_gp_settings(noise_var: f64, delta: f64) -> Result<(), String> {
 
 /// Field `key` read by `read` (as with [`parse_object`]), or `None` when it
 /// is `null`: an optional section.
-pub fn parse_nullable<T>(
+pub(crate) fn parse_nullable<T>(
     fields: &[(String, Json)],
     key: &str,
     read: impl FnOnce(&[(String, Json)]) -> Result<T, String>,

@@ -298,7 +298,7 @@ impl RecoveryReport {
     /// # Errors
     ///
     /// A filesystem error from the truncation.
-    pub fn drop_suffix(
+    pub(crate) fn drop_suffix(
         mut self,
         wal_dir: &Path,
         log: &WalLog,

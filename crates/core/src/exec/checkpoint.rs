@@ -17,7 +17,7 @@
 //! nor in flight, the witness log has folded every dispatch not in flight,
 //! and the warm-up that [`ExecEngine::new`] reruns gives the initial loss.
 //!
-//! The `hybrid` and `fault` sections are [`easeml::checkpoint`]'s shared
+//! The `hybrid` and `fault` sections are [`crate::checkpoint`]'s shared
 //! [`PickerCheckpoint`] and [`FaultCheckpoint`], the same types the server
 //! document stores under `picker` and `fault`. Serialization follows the
 //! same hand-rolled JSON conventions: finite floats round-trip bit-exactly,
@@ -30,14 +30,14 @@
 //! the checkpoint — a restored run re-seeds from the start, so only the
 //! deterministic schedulers replay bit-identically across a restore.
 
-use crate::engine::{Arrival, ExecEngine, InFlight};
-use crate::fleet::{DeviceSpec, Fleet};
-use easeml::checkpoint::{
+use super::engine::{Arrival, ExecEngine, InFlight};
+use super::fleet::{DeviceSpec, Fleet};
+use crate::checkpoint::{
     check_gp_settings, decode_u64, encode_u64, in_range, non_negative, parse_nullable, positive,
     FaultCheckpoint, PickerCheckpoint,
 };
-use easeml::sim::{SchedulerKind, SimConfig, SimEvent};
-use easeml::witness::DecisionLog;
+use crate::sim::{SchedulerKind, SimConfig, SimEvent};
+use crate::witness::DecisionLog;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_obs::json::{
@@ -59,7 +59,7 @@ use serde::Serialize;
 /// v5 dropped what restore derives (`next_seq`, `step`, `rounds`,
 /// `censored`, `witness_rounds`, `initial_loss` and `best_seen`), the
 /// dispatch board's `board_done` that nothing read, and `witness_top_k`,
-/// now the constant [`easeml::witness::WITNESS_TOP_K`].
+/// now the constant [`crate::witness::WITNESS_TOP_K`].
 pub const EXEC_CHECKPOINT_VERSION: u32 = 5;
 
 /// A bounded quantile sketch's exported state (mirrors
@@ -328,14 +328,14 @@ impl ExecEngine<'_> {
     /// Writes this engine's checkpoint to `path` atomically (temp file +
     /// rename + fsync), then — when a WAL is attached — seals and compacts
     /// the log behind a checkpoint mark, exactly like the serial server's
-    /// [`easeml::server::EaseMl::checkpoint_to`].
+    /// [`crate::server::EaseMl::checkpoint_to`].
     ///
     /// # Errors
     ///
     /// Filesystem errors from the atomic write.
     pub fn checkpoint_to(&self, path: &std::path::Path) -> Result<(), String> {
         let json = self.checkpoint().to_json();
-        easeml::checkpoint::write_checkpoint_atomic(path, &json).map_err(|e| e.to_string())?;
+        crate::checkpoint::write_checkpoint_atomic(path, &json).map_err(|e| e.to_string())?;
         self.durability
             .mark_checkpoint(self.completions() as u64, self.wlog.digest_value());
         Ok(())
@@ -359,8 +359,9 @@ impl ExecEngine<'_> {
     /// disagrees with the in-flight runs, a budget, noise variance or δ
     /// that core's restore would refuse too, a clock, cost, device integral,
     /// in-flight or arrival time that is not finite and non-negative, a run
-    /// finishing before its dispatch,
-    /// fewer dispatches than resolved and in-flight runs, a `hybrid`
+    /// finishing before its dispatch, an arrival earlier than the one
+    /// queued before it, fewer dispatches than resolved and in-flight runs,
+    /// a `hybrid`
     /// section whose presence disagrees with the kind, or a `hybrid` or
     /// `fault` section its shared restore refuses.
     pub fn restore<'a>(
@@ -578,6 +579,16 @@ fn check_runnable(ck: &ExecCheckpoint, users: usize, models: usize) -> Result<()
     for (i, a) in ck.arrivals.iter().enumerate() {
         in_range(a.user, users, || format!("arrivals[{i}].user"))?;
         non_negative(a.at, || format!("arrivals[{i}].at"))?;
+        // The queue stops absorbing at the first arrival still ahead of the
+        // clock, so it keeps the order `push_arrival` enforces.
+        if i > 0 && a.at < ck.arrivals[i - 1].at {
+            return Err(format!(
+                "arrivals[{i}].at = {} precedes arrivals[{}].at = {}",
+                a.at,
+                i - 1,
+                ck.arrivals[i - 1].at
+            ));
+        }
     }
     // A restored sketch counts its zeros plus every bucket's count; each
     // lies below the integer bound, but their sum must too, or rebuilding
@@ -729,8 +740,8 @@ fn parse_sketch(f: &[(String, Json)]) -> Result<SketchCheckpoint, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_multi_device;
-    use easeml::fault::FaultConfig;
+    use crate::exec::simulate_multi_device;
+    use crate::fault::FaultConfig;
     use easeml_data::SynConfig;
 
     fn small_dataset() -> Dataset {
@@ -921,6 +932,17 @@ mod tests {
             (
                 "arrivals[0].user",
                 Box::new(move |c| c.arrivals[0].user = users),
+                "",
+            ),
+            // An earlier arrival queued behind a later one would wait for
+            // the later one's time.
+            (
+                "arrivals[1].at",
+                Box::new(|c| {
+                    let (first, second) = (c.arrivals[0].at, c.arrivals[1].at);
+                    assert!(first < second, "the edit needs two distinct times");
+                    (c.arrivals[0].at, c.arrivals[1].at) = (second, first);
+                }),
                 "",
             ),
             // The idle clock jumps to an arrival at +inf, and the next

@@ -8,23 +8,21 @@
 //! [`GpUcb::hallucinate`](easeml_bandit::GpUcb::hallucinate) over those
 //! runs' arms in dispatch order, so it explores a *different* arm; a
 //! completion feeds the truth into the policy, and a censored run simply
-//! leaves the in-flight list. The engine generalizes the serial simulator
-//! ([`easeml::sim::simulate`]): with one unit-speed, single-slot device
+//! leaves the in-flight list. With one unit-speed, single-slot device
 //! nothing is ever in flight at a dispatch, so every selection is the
-//! plain GP-UCB one, the committed-cost budget test equals the serial
-//! makespan test, and completions resolve immediately — the serial
-//! trajectory *bit for bit*.
-
-use crate::fleet::{DeviceSpec, Fleet};
-use crate::queue::EventQueue;
-use easeml::durability::Durability;
-use easeml::fault::FaultInjector;
-use easeml::server::TrainingOutcome;
-use easeml::sim::{
+//! plain GP-UCB one, the committed-cost budget test is the serial
+//! makespan test, and completions resolve immediately: this is the serial
+//! protocol, and [`crate::sim::simulate`] runs on it.
+use super::fleet::Fleet;
+use super::queue::EventQueue;
+use crate::durability::Durability;
+use crate::fault::FaultInjector;
+use crate::server::TrainingOutcome;
+use crate::sim::{
     assert_billable, build_tenants, cheapest_model, make_picker, LossTracker, SchedulerKind,
     SimConfig, SimEvent, SimTrace,
 };
-use easeml::witness::{DecisionLog, RoundWitness, WITNESS_TOP_K};
+use crate::witness::{DecisionLog, RoundWitness, WITNESS_TOP_K};
 use easeml_bandit::ArmExplanation;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
@@ -32,7 +30,7 @@ use easeml_obs::{Component, Event, QuantileSketch, RecorderHandle};
 use easeml_sched::{Tenant, UserPicker};
 use easeml_wal::DurableEvent;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// One dispatched, not-yet-completed run.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,11 +85,11 @@ pub(crate) struct Arrival {
 }
 
 /// The result of a multi-device execution: the familiar [`SimTrace`] plus
-/// the fleet-level accounting the serial simulator has no notion of.
+/// the fleet-level accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecTrace {
-    /// The loss trajectory, events, and final losses — same shape as the
-    /// serial simulator's trace, points keyed by simulated *time*.
+    /// The loss trajectory, events, and final losses, points keyed by
+    /// simulated *time*.
     pub sim: SimTrace,
     /// Simulated time of the last completion.
     pub makespan: f64,
@@ -104,7 +102,7 @@ pub struct ExecTrace {
     /// Total dispatches (completed and censored).
     pub dispatches: usize,
     /// Dispatches made while at least one other run was in flight — the
-    /// delayed-feedback dispatches a serial simulator never makes.
+    /// delayed-feedback dispatches one device never makes.
     pub parallel_dispatches: usize,
     /// Censored (crashed / timed-out / invalid-quality) runs.
     pub censored: usize,
@@ -125,12 +123,20 @@ pub struct ExecTrace {
 /// Construct one with [`ExecEngine::new`], then either drive it to the end
 /// with [`ExecEngine::run`] or step it with [`ExecEngine::tick`] (and
 /// possibly [`checkpoint`](ExecEngine::checkpoint) it mid-flight).
-pub struct ExecEngine<'a> {
+///
+/// `R` is the stream the stochastic pickers draw from. `ExecEngine<'a>`
+/// is the seeded engine [`ExecEngine::new`] builds, the only one that can
+/// checkpoint: a restore re-seeds it. [`crate::sim::simulate`] instead
+/// borrows its caller's stream, which has no seed to store. A tick runs on
+/// `ExecEngine<dyn RngCore>`, which every engine unsizes to (the stream is
+/// the last field), so the round is compiled once, here, and not again in
+/// each crate that drives an engine.
+pub struct ExecEngine<'a, R: RngCore + ?Sized = StdRng> {
     pub(crate) dataset: &'a Dataset,
     pub(crate) cfg: SimConfig,
     pub(crate) kind: SchedulerKind,
+    /// The seed `rng` started from (0 for a borrowed stream).
     pub(crate) seed: u64,
-    pub(crate) rng: StdRng,
     pub(crate) fleet: Fleet,
     pub(crate) tenants: Vec<Tenant>,
     /// The user picker; a HYBRID one exports its freeze detector through
@@ -175,12 +181,13 @@ pub struct ExecEngine<'a> {
     pub(crate) arrivals: std::collections::VecDeque<Arrival>,
     /// Next arrival sequence number.
     pub(crate) arrival_seq: u64,
+    pub(crate) rng: R,
 }
 
 impl<'a> ExecEngine<'a> {
     /// Builds an engine and performs the budget-free warm-up pass (one
-    /// cheapest model per user, same as the serial simulator). `seed`
-    /// drives the stochastic pickers; deterministic kinds ignore it.
+    /// cheapest model per user). `seed` seeds the [`StdRng`] the
+    /// stochastic pickers draw from; deterministic kinds ignore it.
     ///
     /// # Panics
     ///
@@ -188,8 +195,7 @@ impl<'a> ExecEngine<'a> {
     /// ([`SchedulerKind::MostCited`] / [`SchedulerKind::MostRecent`]), or a
     /// `priors` length that does not match the number of users. A dispatch
     /// later panics on a run that would complete with a cost that is not
-    /// positive and finite ([`assert_billable`]), as the serial simulator
-    /// does: such a charge never moves the clock.
+    /// positive and finite: such a charge never moves the clock.
     pub fn new(
         dataset: &'a Dataset,
         priors: &[ArmPrior],
@@ -197,6 +203,24 @@ impl<'a> ExecEngine<'a> {
         cfg: &SimConfig,
         fleet: Fleet,
         seed: u64,
+        recorder: RecorderHandle,
+    ) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
+        let engine = ExecEngine::with_rng(dataset, priors, kind, cfg, fleet, rng, recorder);
+        ExecEngine { seed, ..engine }
+    }
+}
+
+impl<'a, R: RngCore> ExecEngine<'a, R> {
+    /// [`ExecEngine::new`] drawing from `rng`, a stream with no seed to
+    /// store.
+    pub(crate) fn with_rng(
+        dataset: &'a Dataset,
+        priors: &[ArmPrior],
+        kind: SchedulerKind,
+        cfg: &SimConfig,
+        fleet: Fleet,
+        rng: R,
         recorder: RecorderHandle,
     ) -> Self {
         assert!(cfg.budget > 0.0, "budget must be positive");
@@ -213,8 +237,7 @@ impl<'a> ExecEngine<'a> {
             dataset,
             cfg: cfg.clone(),
             kind,
-            seed,
-            rng: StdRng::seed_from_u64(seed),
+            seed: 0,
             fleet,
             tenants,
             picker,
@@ -240,11 +263,63 @@ impl<'a> ExecEngine<'a> {
             backlog: vec![0; n],
             arrivals: std::collections::VecDeque::new(),
             arrival_seq: 0,
+            rng,
         };
         engine.warm_up();
         engine
     }
 
+    /// One engine step: absorb due arrivals, saturate the fleet with
+    /// dispatches, then advance to the next event — a completion, or (in
+    /// open-loop mode) a job arrival the idle clock jumps forward to.
+    /// Arrivals tied with a completion absorb first, so a freed device
+    /// sees the newly backlogged tenant. Returns `false` when the run is
+    /// over: budget committed and nothing left in flight, or (open-loop)
+    /// nothing in flight, no backlog, and no arrival left to wake on.
+    pub fn tick(&mut self) -> bool {
+        let engine: &mut ExecEngine<'a, dyn RngCore + '_> = self;
+        engine.step()
+    }
+
+    /// Final accounting: sweeps every device's busy/idle integral to the
+    /// makespan and assembles the trace.
+    pub fn finish(mut self) -> ExecTrace {
+        self.fleet.advance_all(self.now);
+        self.recorder.gauge("sim/makespan", self.now);
+        let loss = self.loss.mean_loss();
+        self.recorder.gauge("sim/mean-loss", loss);
+        let censored = self.completions() - self.events.len();
+        ExecTrace {
+            sim: SimTrace {
+                budget: self.cfg.budget,
+                initial_loss: self.initial_loss,
+                rounds: self.events.len(),
+                points: self.points,
+                events: self.events,
+                final_losses: self.loss.losses(),
+            },
+            makespan: self.now,
+            device_busy: self.fleet.busy(),
+            device_idle: self.fleet.idle(),
+            capacity: self.fleet.capacity(),
+            dispatches: self.dispatches,
+            parallel_dispatches: self.parallel_dispatches,
+            censored,
+            user_cost: self.user_cost,
+            total_charged: self.committed,
+            queueing_delay: self.queueing_delay,
+            busy_spans: self.busy_spans,
+        }
+    }
+
+    /// Drives the engine to completion.
+    pub fn run(mut self) -> ExecTrace {
+        while self.tick() {}
+        self.finish()
+    }
+}
+
+impl<R: RngCore + ?Sized> ExecEngine<'_, R> {
     /// Attaches write-ahead durability: every dispatch and completion
     /// appends a [`DurableEvent`] through the handle. The default engine
     /// runs with a noop handle that costs one branch per logging site.
@@ -259,14 +334,13 @@ impl<'a> ExecEngine<'a> {
     }
 
     /// Rolling digest (16 hex chars) of every completed decision — equal
-    /// digests mean equal decision sequences, bit-compatible with the
-    /// serial simulator's at one unit device ([`easeml::witness`]).
+    /// digests mean equal decision sequences ([`crate::witness`]).
     pub fn state_digest(&self) -> String {
         self.wlog.digest_hex()
     }
 
-    /// The budget-free warm-up pass, identical to the serial simulator's:
-    /// each user starts with her cheapest model already trained.
+    /// The budget-free warm-up pass: each user starts with her cheapest
+    /// model already trained.
     fn warm_up(&mut self) {
         for user in 0..self.dataset.num_users() {
             let model = cheapest_model(self.dataset, user);
@@ -287,6 +361,14 @@ impl<'a> ExecEngine<'a> {
         }
         self.picker.set_recorder(recorder.clone());
         self.recorder = recorder;
+    }
+
+    /// Arms (or with `None` disarms) the picker's test-only mutation
+    /// ([`UserPicker::set_test_mutation`]): from dispatch `at_step` on, a
+    /// GREEDY pick is rotated by one tenant. `replay-diff` seeds a known
+    /// divergence with it.
+    pub fn set_test_mutation(&mut self, at_step: Option<usize>) {
+        self.picker.set_test_mutation(at_step);
     }
 
     /// Per-user accuracy losses (best possible minus best seen).
@@ -449,6 +531,30 @@ impl<'a> ExecEngine<'a> {
             name: format!("user{user}"),
             program: String::new(),
         });
+    }
+}
+
+impl ExecEngine<'_, dyn RngCore + '_> {
+    /// [`ExecEngine::tick`].
+    fn step(&mut self) -> bool {
+        loop {
+            self.absorb_due_arrivals();
+            self.saturate();
+            // An arrival only matters while budget remains to serve it.
+            let next_arrival = if self.committed < self.cfg.budget {
+                self.arrivals.front().map(|a| a.at)
+            } else {
+                None
+            };
+            match (self.queue.peek().map(|e| e.time), next_arrival) {
+                (Some(completion), Some(arrival)) if arrival <= completion => {
+                    self.now = self.now.max(arrival);
+                }
+                (Some(_), _) => return self.process_next(),
+                (None, Some(arrival)) => self.now = self.now.max(arrival),
+                (None, None) => return false,
+            }
+        }
     }
 
     /// Whether any tenant is currently dispatchable.
@@ -678,7 +784,7 @@ impl<'a> ExecEngine<'a> {
         }
         // Commit the decision's provenance in completion order. `seq` is
         // the dispatch counter, so at one unit device the witness rounds
-        // and the digest trajectory match the serial simulator's exactly.
+        // are the serial protocol's round numbers.
         let w = run.witness.as_deref();
         self.wlog.record(
             &self.recorder,
@@ -712,77 +818,11 @@ impl<'a> ExecEngine<'a> {
         }
         true
     }
-
-    /// One engine step: absorb due arrivals, saturate the fleet with
-    /// dispatches, then advance to the next event — a completion, or (in
-    /// open-loop mode) a job arrival the idle clock jumps forward to.
-    /// Arrivals tied with a completion absorb first, so a freed device
-    /// sees the newly backlogged tenant. Returns `false` when the run is
-    /// over: budget committed and nothing left in flight, or (open-loop)
-    /// nothing in flight, no backlog, and no arrival left to wake on.
-    pub fn tick(&mut self) -> bool {
-        loop {
-            self.absorb_due_arrivals();
-            self.saturate();
-            // An arrival only matters while budget remains to serve it.
-            let next_arrival = if self.committed < self.cfg.budget {
-                self.arrivals.front().map(|a| a.at)
-            } else {
-                None
-            };
-            match (self.queue.peek().map(|e| e.time), next_arrival) {
-                (Some(completion), Some(arrival)) if arrival <= completion => {
-                    self.now = self.now.max(arrival);
-                }
-                (Some(_), _) => return self.process_next(),
-                (None, Some(arrival)) => self.now = self.now.max(arrival),
-                (None, None) => return false,
-            }
-        }
-    }
-
-    /// Final accounting: sweeps every device's busy/idle integral to the
-    /// makespan and assembles the trace.
-    pub fn finish(mut self) -> ExecTrace {
-        self.fleet.advance_all(self.now);
-        self.recorder.gauge("sim/makespan", self.now);
-        let loss = self.loss.mean_loss();
-        self.recorder.gauge("sim/mean-loss", loss);
-        let censored = self.completions() - self.events.len();
-        ExecTrace {
-            sim: SimTrace {
-                budget: self.cfg.budget,
-                initial_loss: self.initial_loss,
-                rounds: self.events.len(),
-                points: self.points,
-                events: self.events,
-                final_losses: self.loss.losses(),
-            },
-            makespan: self.now,
-            device_busy: self.fleet.busy(),
-            device_idle: self.fleet.idle(),
-            capacity: self.fleet.capacity(),
-            dispatches: self.dispatches,
-            parallel_dispatches: self.parallel_dispatches,
-            censored,
-            user_cost: self.user_cost,
-            total_charged: self.committed,
-            queueing_delay: self.queueing_delay,
-            busy_spans: self.busy_spans,
-        }
-    }
-
-    /// Drives the engine to completion.
-    pub fn run(mut self) -> ExecTrace {
-        while self.tick() {}
-        self.finish()
-    }
 }
 
 /// Runs one multi-device simulation on `devices` identical unit-speed
-/// devices. The drop-in multi-device counterpart of
-/// [`easeml::sim::simulate`]; with `devices = 1` the returned trace equals
-/// the serial one bit for bit (deterministic pickers).
+/// devices, its pickers seeded with `seed`. With `devices = 1` it is
+/// [`crate::sim::simulate`] drawing from `StdRng::seed_from_u64(seed)`.
 ///
 /// # Panics
 ///
@@ -795,69 +835,15 @@ pub fn simulate_multi_device(
     devices: usize,
     seed: u64,
 ) -> ExecTrace {
-    simulate_multi_device_with_recorder(
-        dataset,
-        priors,
-        kind,
-        cfg,
-        devices,
-        seed,
-        &RecorderHandle::noop(),
-    )
-}
-
-/// [`simulate_multi_device`] with an observability sink attached: every
-/// dispatch emits [`Event::RunDispatched`], every completion
-/// [`Event::RunFinished`] (plus the familiar `TrainingCompleted` /
-/// `TrainingFailed`), and a device waking from a fully-idle gap emits
-/// [`Event::DeviceIdle`].
-///
-/// # Panics
-///
-/// Same contract as [`simulate_multi_device`].
-pub fn simulate_multi_device_with_recorder(
-    dataset: &Dataset,
-    priors: &[ArmPrior],
-    kind: SchedulerKind,
-    cfg: &SimConfig,
-    devices: usize,
-    seed: u64,
-    recorder: &RecorderHandle,
-) -> ExecTrace {
-    assert!(devices > 0, "need at least one device");
-    simulate_fleet_with_recorder(
-        dataset,
-        priors,
-        kind,
-        cfg,
-        vec![DeviceSpec::unit(); devices],
-        seed,
-        recorder,
-    )
-}
-
-/// The fully general entry point: an explicit heterogeneous fleet.
-///
-/// # Panics
-///
-/// Same contract as [`ExecEngine::new`] plus [`Fleet::new`]'s.
-pub fn simulate_fleet_with_recorder(
-    dataset: &Dataset,
-    priors: &[ArmPrior],
-    kind: SchedulerKind,
-    cfg: &SimConfig,
-    specs: Vec<DeviceSpec>,
-    seed: u64,
-    recorder: &RecorderHandle,
-) -> ExecTrace {
+    let fleet = Fleet::uniform(devices);
     ExecEngine::new(
         dataset,
         priors,
         kind,
         cfg,
-        Fleet::new(specs),
+        fleet,
         seed,
-        recorder.clone(),
+        RecorderHandle::noop(),
     )
     .run()
 }
@@ -865,6 +851,7 @@ pub fn simulate_fleet_with_recorder(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::DeviceSpec;
     use easeml_data::SynConfig;
 
     fn small_dataset() -> Dataset {
@@ -945,7 +932,7 @@ mod tests {
             d.quality_matrix().clone(),
             d.cost_matrix().scaled(1.0 / devices as f64),
         );
-        let pooled = easeml::sim::simulate(
+        let pooled = crate::sim::simulate(
             &pooled_dataset,
             &priors,
             SchedulerKind::RoundRobin,
@@ -1026,7 +1013,7 @@ mod tests {
         // One device, and every run straggles: a completed run's charge is
         // the dataset's cost times the factor. A zero, NaN or ∞ charge
         // never moves the committed cost toward the budget.
-        use easeml::fault::FaultConfig;
+        use crate::fault::FaultConfig;
         let d = small_dataset();
         let priors = flat_priors(&d);
         for factor in [0.0, f64::NAN, f64::INFINITY] {
@@ -1063,16 +1050,20 @@ mod tests {
         let d = small_dataset();
         let priors = flat_priors(&d);
         let cfg = SimConfig::new(8.0);
-        let rec = RecorderHandle::noop();
-        let t = simulate_fleet_with_recorder(
+        let fleet = Fleet::new(vec![
+            DeviceSpec::with_speed(1.0),
+            DeviceSpec::with_speed(4.0),
+        ]);
+        let t = ExecEngine::new(
             &d,
             &priors,
             SchedulerKind::RoundRobin,
             &cfg,
-            vec![DeviceSpec::with_speed(1.0), DeviceSpec::with_speed(4.0)],
+            fleet,
             7,
-            &rec,
-        );
+            RecorderHandle::noop(),
+        )
+        .run();
         // The 4x device does (at least) the same slot-time of work per unit
         // busy, and being preferred by best_free it must end up busier in
         // charged terms: its busy time is nonzero and the makespan beats
@@ -1090,16 +1081,16 @@ mod tests {
         let priors = flat_priors(&d);
         let cfg = SimConfig::new(6.0);
         let rec = Arc::new(InMemoryRecorder::new());
-        let handle = RecorderHandle::new(rec.clone());
-        let t = simulate_multi_device_with_recorder(
+        let t = ExecEngine::new(
             &d,
             &priors,
             SchedulerKind::RoundRobin,
             &cfg,
-            2,
+            Fleet::uniform(2),
             7,
-            &handle,
-        );
+            RecorderHandle::new(rec.clone()),
+        )
+        .run();
         let counts = rec.event_counts();
         assert_eq!(counts.get("RunDispatched"), Some(&t.dispatches));
         assert_eq!(counts.get("RunFinished"), Some(&t.dispatches));
@@ -1132,50 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn single_device_witness_digests_match_the_serial_simulator() {
-        use easeml_obs::InMemoryRecorder;
-        use rand::SeedableRng;
-        use std::sync::Arc;
-        let d = small_dataset();
-        let priors = flat_priors(&d);
-        let cfg = SimConfig::new(9.0);
-        let digests = |events: &[Event]| -> Vec<String> {
-            events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::DecisionWitness { round, digest, .. } => {
-                        Some(format!("{round}:{digest}"))
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
-        let serial_rec = Arc::new(InMemoryRecorder::new());
-        let _ = easeml::sim::simulate_with_recorder(
-            &d,
-            &priors,
-            SchedulerKind::Hybrid,
-            &cfg,
-            &mut rand::rngs::StdRng::seed_from_u64(7),
-            &RecorderHandle::new(serial_rec.clone()),
-        );
-        let exec_rec = Arc::new(InMemoryRecorder::new());
-        let _ = simulate_multi_device_with_recorder(
-            &d,
-            &priors,
-            SchedulerKind::Hybrid,
-            &cfg,
-            1,
-            7,
-            &RecorderHandle::new(exec_rec.clone()),
-        );
-        let serial = digests(&serial_rec.events());
-        let exec = digests(&exec_rec.events());
-        assert!(!serial.is_empty());
-        assert_eq!(serial, exec, "D=1 exec must replay the serial decisions");
-    }
-
-    #[test]
     fn multi_device_witnesses_commit_one_per_dispatch() {
         use easeml_obs::InMemoryRecorder;
         use std::sync::Arc;
@@ -1183,15 +1130,16 @@ mod tests {
         let priors = flat_priors(&d);
         let cfg = SimConfig::new(8.0);
         let rec = Arc::new(InMemoryRecorder::new());
-        let t = simulate_multi_device_with_recorder(
+        let t = ExecEngine::new(
             &d,
             &priors,
             SchedulerKind::RoundRobin,
             &cfg,
-            3,
+            Fleet::uniform(3),
             7,
-            &RecorderHandle::new(rec.clone()),
-        );
+            RecorderHandle::new(rec.clone()),
+        )
+        .run();
         let records = easeml_obs::witness_records(&rec.events());
         assert_eq!(records.len(), t.dispatches, "one witness per dispatch");
         // Witness rounds are dispatch seq numbers: a permutation of 0..n.

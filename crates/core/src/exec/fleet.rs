@@ -12,7 +12,7 @@
 pub struct DeviceSpec {
     /// Relative throughput: a run of cost `c` occupies the device for
     /// `c / speed` simulated time units. `1.0` matches the clock of the
-    /// serial simulator ([`easeml::sim::simulate`]) exactly.
+    /// simulator ([`crate::sim::simulate`]) exactly.
     pub speed: f64,
     /// Concurrent job slots (≥ 1). A multi-GPU node is a device with
     /// several slots at one speed.
@@ -20,7 +20,7 @@ pub struct DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// A unit-speed, single-slot device — the serial simulator's pooled
+    /// A unit-speed, single-slot device — the simulator's pooled
     /// device.
     pub fn unit() -> Self {
         DeviceSpec {
@@ -88,7 +88,7 @@ impl Device {
 /// # Examples
 ///
 /// ```
-/// use easeml_exec::{DeviceSpec, Fleet};
+/// use easeml::exec::{DeviceSpec, Fleet};
 ///
 /// let mut fleet = Fleet::new(vec![DeviceSpec::unit(), DeviceSpec::with_speed(2.0)]);
 /// // The faster device wins placement.

@@ -7,12 +7,12 @@ use std::collections::BinaryHeap;
 /// One scheduled completion: the run dispatched as sequence number `seq`
 /// finishes at simulated time `time`.
 #[derive(Debug, Clone, Copy)]
-pub struct QueuedEvent {
+pub(crate) struct QueuedEvent {
     /// Simulated finish time.
-    pub time: f64,
+    pub(crate) time: f64,
     /// Dispatch sequence number — the deterministic tie-break: two runs
     /// finishing at the same instant resolve in dispatch order.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 impl PartialEq for QueuedEvent {
@@ -42,41 +42,31 @@ impl Ord for QueuedEvent {
 
 /// A min-queue of [`QueuedEvent`]s.
 #[derive(Debug, Clone, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<QueuedEvent>,
 }
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::default()
     }
 
     /// Schedules a completion.
-    pub fn push(&mut self, time: f64, seq: u64) {
+    pub(crate) fn push(&mut self, time: f64, seq: u64) {
         self.heap.push(QueuedEvent { time, seq });
     }
 
     /// Pops the earliest completion (lowest time, then lowest seq).
-    pub fn pop(&mut self) -> Option<QueuedEvent> {
+    pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
         self.heap.pop()
     }
 
     /// The earliest scheduled completion without removing it — the
     /// open-loop engine compares it against the next job arrival to decide
     /// whether the clock advances to an arrival or a completion.
-    pub fn peek(&self) -> Option<QueuedEvent> {
+    pub(crate) fn peek(&self) -> Option<QueuedEvent> {
         self.heap.peek().copied()
-    }
-
-    /// Number of scheduled completions.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -96,7 +86,7 @@ mod tests {
             .map(|e| (e.time, e.seq))
             .collect();
         assert_eq!(order, vec![(1.0, 1), (1.0, 3), (2.0, 2), (3.0, 0)]);
-        assert!(q.is_empty());
+        assert!(q.peek().is_none());
     }
 
     #[test]
@@ -106,8 +96,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(0.0, 0);
         q.push(-0.0, 1);
-        assert_eq!(q.len(), 2);
         assert_eq!(q.pop().unwrap().seq, 1);
         assert_eq!(q.pop().unwrap().seq, 0);
+        assert!(q.pop().is_none());
     }
 }

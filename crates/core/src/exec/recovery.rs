@@ -12,9 +12,9 @@
 //! divergence; dispatch records after the last completion (runs in flight
 //! at the crash) are counted and truncated.
 
-use crate::checkpoint::ExecCheckpoint;
-use crate::engine::ExecEngine;
-use easeml::durability::RecoveryReport;
+use super::checkpoint::ExecCheckpoint;
+use super::engine::ExecEngine;
+use crate::durability::RecoveryReport;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_wal::{read_log, DurableEvent};

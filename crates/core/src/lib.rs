@@ -15,6 +15,10 @@
 //! * [`sim`] — the trace-driven multi-tenant simulation over a
 //!   [`easeml_data::Dataset`] (quality/cost matrix), exactly the protocol
 //!   §5 evaluates;
+//! * [`exec`] — the multi-device discrete-event execution engine
+//!   (heterogeneous fleets, GP-BUCB delayed-feedback dispatch, in-flight
+//!   checkpoint/restore), which runs the simulation's GP schedulers at one
+//!   unit device;
 //! * [`experiment`] — the 50-repetition train/test protocol with empirical
 //!   kernels and log-marginal-likelihood hyperparameter tuning
 //!   (§5.2, Appendix A);
@@ -52,6 +56,7 @@
 
 pub mod checkpoint;
 pub mod durability;
+pub mod exec;
 pub mod experiment;
 pub mod fault;
 pub mod job;
@@ -81,8 +86,7 @@ pub mod prelude {
         TrainingOutcome, UserStatus,
     };
     pub use crate::sim::{
-        build_tenants, cheapest_model, make_picker, simulate, simulate_with_recorder, tenant_beta,
-        SchedulerKind, SimConfig, SimEvent, SimTrace,
+        simulate, simulate_with_recorder, SchedulerKind, SimConfig, SimEvent, SimTrace,
     };
     pub use crate::storage::{Example, SharedStorage};
     pub use crate::user::UserAccount;

@@ -675,9 +675,9 @@ impl EaseMl {
                         // The failed attempt is still training work: the
                         // span covers both the censored charge and the
                         // TrainingFailed emit, so the event parents under
-                        // `train` exactly like the success path (and like
-                        // the sim's censor_run) — profiles attribute the
-                        // failure to the phase that paid for it.
+                        // `train` exactly like the success path — profiles
+                        // attribute the failure to the phase that paid for
+                        // it.
                         let _train = self.recorder.span("train");
                         if total > 0.0 && total.is_finite() {
                             self.clock += total;
@@ -1097,15 +1097,24 @@ impl EaseMl {
         Ok((server, report))
     }
 
-    /// Runs rounds until the simulated clock has consumed `budget` cost.
-    /// Returns the number of rounds executed.
+    /// Runs rounds until the simulated clock has consumed `budget` cost,
+    /// checking it after every round, censored ones included: a round whose
+    /// attempts all fail still charges their cost. Returns the number of
+    /// rounds that completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no users are registered, or if every one has retired.
     pub fn run_until(&mut self, budget: f64) -> usize {
-        let mut rounds = 0;
+        let mut completed = 0;
         while self.clock < budget {
-            self.run_round();
-            rounds += 1;
+            match self.try_run_round() {
+                Ok(outcome) => completed += usize::from(outcome.completed().is_some()),
+                Err(RoundError::NoUsers) => panic!("no registered users"),
+                Err(RoundError::NoActiveUsers) => panic!("all registered users have retired"),
+            }
         }
-        rounds
+        completed
     }
 
     /// Total simulated time consumed so far.
@@ -1270,6 +1279,28 @@ mod tests {
         assert!(s.elapsed() >= 10.0);
         // Statuses reflect progress.
         assert_ne!(s.statuses()[0], JobStatus::Queued);
+    }
+
+    #[test]
+    fn run_until_returns_when_every_attempt_fails() {
+        // Every attempt times out, so no round completes, yet each charges
+        // its cost. The server runs on a thread of its own, so a run that
+        // never returns fails this test instead of hanging the test run.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut s = EaseMl::new(toy_oracle(), 14);
+            s.register_user("vision-lab", IMAGE_PROG).unwrap();
+            s.register_user("meteo-lab", TS_PROG).unwrap();
+            let faults = FaultConfig::new(7).with_timeout_rate(1.0);
+            s.set_fault_injector(Some(FaultInjector::new(faults)));
+            let rounds = s.run_until(100.0);
+            let _ = done.send((rounds, s.elapsed()));
+        });
+        let (rounds, elapsed) = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_until returns once the clock passes its budget");
+        assert_eq!(rounds, 0, "no round completes");
+        assert!(elapsed >= 100.0, "stopped early at {elapsed}");
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! users are recorded. This is exactly how the paper evaluates ease.ml
 //! against its baselines: the schedulers only ever see (reward, cost)
 //! observations, never the hidden matrix.
+//!
+//! The GP schedulers run on the execution engine ([`crate::exec`]) at one
+//! unit-speed device, where a tick is one round; the §5.2 heuristics,
+//! which run no GP policy, keep a loop of their own.
 
-use crate::fault::{FaultConfig, FaultInjector};
-use crate::witness::{DecisionLog, RoundWitness, WITNESS_TOP_K};
+use crate::exec::{ExecEngine, Fleet};
+use crate::fault::FaultConfig;
 use easeml_bandit::policies::FixedOrder;
 use easeml_bandit::{ArmPolicy, BetaSchedule, GpUcb};
 use easeml_data::Dataset;
@@ -100,7 +104,8 @@ pub struct SimConfig {
     /// Failure probability δ of the β schedules.
     pub delta: f64,
     /// Optional fault injection: when set, every GP-scheduler training run
-    /// passes through a seeded [`FaultInjector`] built from this
+    /// passes through a seeded
+    /// [`FaultInjector`](crate::fault::FaultInjector) built from this
     /// configuration. Failed runs are *censored* — their consumed cost
     /// advances the budget clock but no observation enters the posterior.
     pub fault: Option<FaultConfig>,
@@ -199,11 +204,11 @@ impl SimTrace {
     }
 }
 
-/// Per-user loss bookkeeping shared by the serial simulators and the
+/// Per-user loss bookkeeping shared by the heuristic simulator and the
 /// execution engine: each tenant's best quality seen against the best its
 /// dataset row holds.
 #[derive(Debug, Clone)]
-pub struct LossTracker {
+pub(crate) struct LossTracker {
     best_possible: Vec<f64>,
     best_seen: Vec<f64>,
     /// The mean of the losses, until some tenant's best next improves.
@@ -212,7 +217,7 @@ pub struct LossTracker {
 
 impl LossTracker {
     /// Every tenant starting from a best of 0.
-    pub fn new(dataset: &Dataset) -> Self {
+    pub(crate) fn new(dataset: &Dataset) -> Self {
         LossTracker {
             best_possible: (0..dataset.num_users())
                 .map(|i| dataset.best_quality(i))
@@ -223,7 +228,7 @@ impl LossTracker {
     }
 
     /// Records a completed run's quality as its tenant's best if it is one.
-    pub fn observe(&mut self, user: usize, quality: f64) {
+    pub(crate) fn observe(&mut self, user: usize, quality: f64) {
         if quality > self.best_seen[user] {
             self.best_seen[user] = quality;
             self.cached_mean = None;
@@ -239,14 +244,14 @@ impl LossTracker {
     }
 
     /// Per-user accuracy losses (best possible minus best seen).
-    pub fn losses(&self) -> Vec<f64> {
+    pub(crate) fn losses(&self) -> Vec<f64> {
         self.loss_terms().collect()
     }
 
     /// `vec_ops::mean(&self.losses())` bit for bit: the same terms, summed
     /// in the same order, without collecting them. It is kept until some
     /// tenant's best improves.
-    pub fn mean_loss(&mut self) -> f64 {
+    pub(crate) fn mean_loss(&mut self) -> f64 {
         if let Some(mean) = self.cached_mean {
             return mean;
         }
@@ -305,7 +310,7 @@ pub fn simulate(
 }
 
 /// [`simulate`] with an observability sink attached: the picker, every
-/// tenant's GP-UCB policy, and the driver itself emit structured events
+/// tenant's GP-UCB policy, and the engine itself emit structured events
 /// through `recorder`. The recorded `TrainingCompleted` events mirror the
 /// returned [`SimTrace::events`] one-to-one, in order, so a JSONL trace
 /// replays the run exactly. Passing [`RecorderHandle::noop`] (what
@@ -324,15 +329,19 @@ pub fn simulate_with_recorder(
 ) -> SimTrace {
     assert!(cfg.budget > 0.0, "budget must be positive");
     if kind.is_heuristic() {
-        simulate_heuristic(dataset, kind, cfg, recorder)
-    } else {
-        assert_eq!(
-            priors.len(),
-            dataset.num_users(),
-            "one prior per user is required"
-        );
-        simulate_gp(dataset, priors, kind, cfg, rng, recorder)
+        return simulate_heuristic(dataset, kind, cfg, recorder);
     }
+    // The GP schedulers run on the engine at one unit device, drawing from
+    // the caller's stream. There a tick is one round, so each runs under
+    // the round's span and timer.
+    let fleet = Fleet::uniform(1);
+    let mut engine = ExecEngine::with_rng(dataset, priors, kind, cfg, fleet, rng, recorder.clone());
+    while engine.committed() < cfg.budget {
+        let _round = recorder.time(Component::SimRound);
+        let _step_span = recorder.span("scheduler_step");
+        engine.tick();
+    }
+    engine.finish().sim
 }
 
 /// The §5.2 heuristics: round-robin users, fixed model order per user.
@@ -391,7 +400,8 @@ fn simulate_heuristic(
         let cost = dataset.cost(user, model);
         {
             let _train = recorder.span("train");
-            advance(&mut clock, cost);
+            assert_billable(cost);
+            clock += cost;
             recorder.emit(|| Event::TrainingCompleted {
                 user,
                 model,
@@ -430,13 +440,13 @@ fn simulate_heuristic(
 /// # Panics
 ///
 /// Panics on an empty dataset.
-pub fn cheapest_model(dataset: &Dataset, user: usize) -> usize {
+pub(crate) fn cheapest_model(dataset: &Dataset, user: usize) -> usize {
     vec_ops::argmin(dataset.user_costs(user)).expect("non-empty dataset")
 }
 
 /// The multi-tenant β schedule every tenant policy runs under (the §4
 /// exploration coefficient): `c* = max cost` when cost-aware, else 1.
-pub fn tenant_beta(dataset: &Dataset, cfg: &SimConfig) -> BetaSchedule {
+fn tenant_beta(dataset: &Dataset, cfg: &SimConfig) -> BetaSchedule {
     let c_star = if cfg.cost_aware {
         dataset
             .cost_matrix()
@@ -456,9 +466,8 @@ pub fn tenant_beta(dataset: &Dataset, cfg: &SimConfig) -> BetaSchedule {
 }
 
 /// Builds one [`Tenant`] per user with the multi-tenant β schedule derived
-/// from `cfg` — the shared setup of the serial simulator and the
-/// multi-device execution engine.
-pub fn build_tenants(
+/// from `cfg` — the execution engine's tenants.
+pub(crate) fn build_tenants(
     dataset: &Dataset,
     priors: &[ArmPrior],
     cfg: &SimConfig,
@@ -484,8 +493,7 @@ pub fn build_tenants(
 }
 
 /// Instantiates the user-picking strategy for a GP scheduler kind, with the
-/// recorder attached — the one picker factory of the serial simulator and
-/// the execution engine. A HYBRID picker stays reachable through
+/// recorder attached — the execution engine's picker factory. A HYBRID picker stays reachable through
 /// [`UserPicker::as_hybrid`], so a checkpoint can store its freeze
 /// detector.
 ///
@@ -494,7 +502,7 @@ pub fn build_tenants(
 /// Panics on the heuristic kinds ([`SchedulerKind::MostCited`],
 /// [`SchedulerKind::MostRecent`]), which run no GP policy and have no
 /// picker.
-pub fn make_picker(kind: SchedulerKind, recorder: &RecorderHandle) -> Box<dyn UserPicker> {
+pub(crate) fn make_picker(kind: SchedulerKind, recorder: &RecorderHandle) -> Box<dyn UserPicker> {
     let mut picker: Box<dyn UserPicker> = match kind {
         SchedulerKind::Fcfs => Box::new(Fcfs::default()),
         SchedulerKind::RoundRobin => Box::new(RoundRobin::default()),
@@ -512,222 +520,11 @@ pub fn make_picker(kind: SchedulerKind, recorder: &RecorderHandle) -> Box<dyn Us
 /// Panics unless a completed run's cost (the dataset's, times any
 /// straggler factor) is positive and finite: a NaN would poison the clock,
 /// and zero or ∞ would stall or end the run.
-pub fn assert_billable(cost: f64) {
+pub(crate) fn assert_billable(cost: f64) {
     assert!(
         cost.is_finite() && cost > 0.0,
         "training cost must be positive and finite, got {cost}"
     );
-}
-
-/// Advances the pooled device's clock by one run's cost, which must be
-/// billable ([`assert_billable`]).
-fn advance(clock: &mut f64, cost: f64) {
-    assert_billable(cost);
-    *clock += cost;
-}
-
-/// Charges a failed run's consumed cost to the clock as a censored run
-/// and emits the `TrainingFailed` event. Zero (or non-finite) charges skip
-/// the clock — there is nothing billable — but are still traced.
-fn censor_run(
-    clock: &mut f64,
-    recorder: &RecorderHandle,
-    user: usize,
-    model: usize,
-    charge: f64,
-    kind: &str,
-) {
-    let _train = recorder.span("train");
-    if charge > 0.0 && charge.is_finite() {
-        advance(clock, charge);
-    }
-    recorder.emit(|| Event::TrainingFailed {
-        user,
-        model,
-        cost: charge.max(0.0),
-        kind: kind.to_string(),
-        attempt: 1,
-        parent: easeml_obs::current_span(),
-    });
-    recorder.count("sim/failed-rounds", 1);
-}
-
-/// GP-UCB model picking with the chosen user picker.
-fn simulate_gp(
-    dataset: &Dataset,
-    priors: &[ArmPrior],
-    kind: SchedulerKind,
-    cfg: &SimConfig,
-    rng: &mut dyn rand::RngCore,
-    recorder: &RecorderHandle,
-) -> SimTrace {
-    let n = dataset.num_users();
-    let mut tenants = build_tenants(dataset, priors, cfg, recorder);
-    let mut picker = make_picker(kind, recorder);
-    let mut losses = LossTracker::new(dataset);
-    let mut clock = 0.0;
-    let mut points = Vec::new();
-    let mut rounds = 0usize;
-    let mut injector = cfg.fault.clone().map(FaultInjector::new);
-    let mut wlog = DecisionLog::new();
-
-    let mut events = Vec::new();
-    // Serves one round. Returns whether the run completed: a fault-injected
-    // failure (or NaN quality) is censored — its consumed cost advances the
-    // clock but nothing enters the posterior or the trace points.
-    // Every round, censored or not, folds its decision into `wlog` and
-    // (with a live recorder) commits a witness chain; `wctx` carries what
-    // the picker ranked.
-    let serve = |user: usize,
-                 step: usize,
-                 wctx: (&[f64], &[usize], &str),
-                 wlog: &mut DecisionLog,
-                 tenants: &mut Vec<Tenant>,
-                 clock: &mut f64,
-                 losses: &mut LossTracker,
-                 points: &mut Vec<(f64, f64)>,
-                 events: &mut Vec<SimEvent>,
-                 injector: &mut Option<FaultInjector>|
-     -> bool {
-        let (user_scores, candidates, path) = wctx;
-        let arm_expl = recorder.is_enabled().then(|| {
-            let _w = recorder.span("witness");
-            tenants[user].policy().explain_selection(WITNESS_TOP_K)
-        });
-        let model = tenants[user].select_model();
-        let witness = |arm_margin_source: Option<&easeml_bandit::ArmExplanation>,
-                       wlog: &mut DecisionLog,
-                       fallback: &str,
-                       censored: bool| {
-            wlog.record(
-                recorder,
-                RoundWitness {
-                    round: step as u64,
-                    user,
-                    arm: model,
-                    user_scores,
-                    candidates,
-                    arm_explanation: arm_margin_source,
-                    path: path.to_string(),
-                    fallback: fallback.to_string(),
-                    censored,
-                },
-            );
-        };
-        let clean = crate::server::TrainingOutcome {
-            accuracy: dataset.quality(user, model),
-            cost: dataset.cost(user, model),
-        };
-        let outcome = match injector.as_mut() {
-            Some(inj) => inj.apply(user, model, clean),
-            None => Ok(clean),
-        };
-        let (quality, cost) = match outcome {
-            Ok(out) if out.accuracy.is_finite() => (out.accuracy, out.cost),
-            Ok(out) => {
-                // Injected invalid quality: censor, charging the full cost.
-                censor_run(clock, recorder, user, model, out.cost, "invalid-quality");
-                witness(arm_expl.as_ref(), wlog, "invalid-quality", true);
-                return false;
-            }
-            Err(error) => {
-                censor_run(
-                    clock,
-                    recorder,
-                    user,
-                    model,
-                    error.cost_consumed(),
-                    error.kind(),
-                );
-                witness(arm_expl.as_ref(), wlog, error.kind(), true);
-                return false;
-            }
-        };
-        {
-            let _train = recorder.span("train");
-            advance(clock, cost);
-            recorder.emit(|| Event::TrainingCompleted {
-                user,
-                model,
-                cost,
-                quality,
-                parent: easeml_obs::current_span(),
-            });
-        }
-        tenants[user].observe(model, quality);
-        losses.observe(user, quality);
-        points.push((*clock, losses.mean_loss()));
-        events.push(SimEvent {
-            user,
-            model,
-            cost,
-            quality,
-        });
-        recorder.count("sim/rounds", 1);
-        witness(arm_expl.as_ref(), wlog, "", false);
-        true
-    };
-
-    // Budget-free, scheduler-independent warm-up pass (Algorithm 2
-    // lines 1–4, applied uniformly; see SimTrace docs): each user starts
-    // with her cheapest model already trained — no cost charged, no point
-    // recorded, and the same starting state for every strategy.
-    for user in 0..n {
-        let model = cheapest_model(dataset, user);
-        let quality = dataset.quality(user, model);
-        tenants[user].observe(model, quality);
-        losses.observe(user, quality);
-        picker.after_observe(&tenants, user);
-    }
-    let initial_loss = losses.mean_loss();
-
-    let mut step = 0usize;
-    while clock < cfg.budget {
-        let _round = recorder.time(Component::SimRound);
-        let _step_span = recorder.span("scheduler_step");
-        let user = {
-            let _pick_span = recorder.span("pick_user");
-            let _pick = recorder.time(Component::SchedulerPick);
-            picker.pick(&tenants, step, rng)
-        };
-        let (user_scores, candidates, path) = if recorder.is_enabled() {
-            let _w = recorder.span("witness");
-            (
-                picker.decision_scores(&tenants),
-                picker.last_candidates().to_vec(),
-                picker.pick_path(),
-            )
-        } else {
-            (Vec::new(), Vec::new(), String::new())
-        };
-        if serve(
-            user,
-            step,
-            (&user_scores, &candidates, &path),
-            &mut wlog,
-            &mut tenants,
-            &mut clock,
-            &mut losses,
-            &mut points,
-            &mut events,
-            &mut injector,
-        ) {
-            picker.after_observe(&tenants, user);
-            rounds += 1;
-        }
-        step += 1;
-    }
-    recorder.gauge("sim/makespan", clock);
-    recorder.gauge("sim/mean-loss", losses.mean_loss());
-
-    SimTrace {
-        budget: cfg.budget,
-        initial_loss,
-        points,
-        events,
-        final_losses: losses.losses(),
-        rounds,
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Decision provenance: per-round witnesses and the rolling state digest.
 //!
-//! Every scheduling round — server, serial sim, or multi-device exec —
+//! Every scheduling round — server, simulation, or multi-device exec —
 //! folds its decision `(round, user, arm, censored)` into a rolling
 //! FNV-1a digest and, when a recorder is attached, emits a bounded
 //! witness: the top-K candidate users with the scores the picker ranked,
@@ -53,8 +53,8 @@ pub struct RoundWitness<'a> {
 /// plus the bounded-K witness emitter.
 ///
 /// The digest folds only what the scheduler *decided* — round, user, arm,
-/// censored — never posterior values or timings, so a serial sim and a
-/// D=1 exec run of the same scenario produce identical digests. Its
+/// censored — never posterior values or timings, so the engine at one
+/// device and the serial loop it replaced produce identical digests. Its
 /// rolling (prefix) property is what makes binary search for the first
 /// divergent round sound: digests agree at round r iff every decision up
 /// to and including r agrees. The log counts no rounds of its own: the

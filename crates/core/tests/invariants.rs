@@ -1,26 +1,22 @@
 //! Engine invariants that anchor the multi-device engine to the validated
-//! serial simulator:
+//! single-device model (the engine at one unit device is held to the
+//! serial loop bit for bit by the crate's `exec::reference` unit tests):
 //!
-//! 1. one unit-speed single-slot device reproduces the serial trajectory
-//!    bit for bit (clean and faulty runs alike);
-//! 2. slot-time is conserved: `Σ busy + Σ idle == capacity × makespan`;
-//! 3. a mid-flight checkpoint, serialized through JSON and restored,
+//! 1. slot-time is conserved: `Σ busy + Σ idle == capacity × makespan`;
+//! 2. a mid-flight checkpoint, serialized through JSON and restored,
 //!    finishes with the exact trace of the uninterrupted run;
-//! 4. under chaos, crashed in-flight runs free their devices and every
+//! 3. under chaos, crashed in-flight runs free their devices and every
 //!    charged unit of cost is accounted exactly once.
 
+use easeml::exec::{
+    simulate_multi_device, DeviceSpec, ExecCheckpoint, ExecEngine, ExecTrace, Fleet,
+};
 use easeml::prelude::*;
 use easeml_data::{Dataset, SynConfig};
-use easeml_exec::{
-    simulate_fleet_with_recorder, simulate_multi_device, DeviceSpec, ExecCheckpoint, ExecEngine,
-    Fleet,
-};
 use easeml_gp::ArmPrior;
 use easeml_obs::RecorderHandle;
 use easeml_sched::PickRule;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn dataset(users: usize, models: usize, seed: u64) -> Dataset {
     SynConfig {
@@ -44,52 +40,17 @@ fn chaos(seed: u64) -> FaultConfig {
         .with_invalid_rate(0.05)
 }
 
-#[test]
-fn single_unit_device_reproduces_the_serial_trajectory() {
-    let d = dataset(5, 4, 3);
-    let p = priors(&d);
-    let kinds = [
-        SchedulerKind::RoundRobin,
-        SchedulerKind::Fcfs,
-        SchedulerKind::Hybrid,
-        SchedulerKind::Greedy(PickRule::MaxUcbGap),
-    ];
-    for kind in kinds {
-        for cost_aware in [false, true] {
-            let mut cfg = SimConfig::new(10.0);
-            cfg.cost_aware = cost_aware;
-            let mut rng = StdRng::seed_from_u64(42);
-            let serial = simulate(&d, &p, kind, &cfg, &mut rng);
-            let exec = simulate_multi_device(&d, &p, kind, &cfg, 1, 42);
-            assert_eq!(
-                exec.sim,
-                serial,
-                "D=1 must be bit-identical to serial ({} cost_aware={cost_aware})",
-                kind.name()
-            );
-            assert_eq!(exec.parallel_dispatches, 0, "one slot cannot overlap runs");
-        }
-    }
-}
-
-#[test]
-fn single_unit_device_matches_serial_under_faults() {
-    let d = dataset(4, 5, 9);
-    let p = priors(&d);
-    let mut cfg = SimConfig::new(12.0);
-    cfg.fault = Some(chaos(77));
-    for kind in [SchedulerKind::RoundRobin, SchedulerKind::Hybrid] {
-        let mut rng = StdRng::seed_from_u64(5);
-        let serial = simulate(&d, &p, kind, &cfg, &mut rng);
-        let exec = simulate_multi_device(&d, &p, kind, &cfg, 1, 5);
-        assert_eq!(
-            exec.sim,
-            serial,
-            "censoring must not break D=1 equivalence ({})",
-            kind.name()
-        );
-        assert!(exec.censored > 0, "chaos config should censor something");
-    }
+/// The engine on an explicit fleet, run to the end.
+fn run_fleet(
+    d: &Dataset,
+    p: &[ArmPrior],
+    kind: SchedulerKind,
+    cfg: &SimConfig,
+    specs: Vec<DeviceSpec>,
+    seed: u64,
+) -> ExecTrace {
+    let fleet = Fleet::new(specs);
+    ExecEngine::new(d, p, kind, cfg, fleet, seed, RecorderHandle::noop()).run()
 }
 
 #[test]
@@ -120,15 +81,7 @@ fn slot_time_is_conserved_for_every_fleet_shape() {
             if faulty {
                 cfg.fault = Some(chaos(100 + i as u64));
             }
-            let trace = simulate_fleet_with_recorder(
-                &d,
-                &p,
-                SchedulerKind::Hybrid,
-                &cfg,
-                specs.clone(),
-                13,
-                &RecorderHandle::noop(),
-            );
+            let trace = run_fleet(&d, &p, SchedulerKind::Hybrid, &cfg, specs.clone(), 13);
             let busy: f64 = trace.device_busy.iter().sum();
             let idle: f64 = trace.device_idle.iter().sum();
             let expected = trace.capacity as f64 * trace.makespan;
@@ -153,15 +106,7 @@ fn mid_flight_checkpoint_replays_bit_identically() {
             DeviceSpec::unit(),
             DeviceSpec::unit(),
         ];
-        let reference = simulate_fleet_with_recorder(
-            &d,
-            &p,
-            kind,
-            &cfg,
-            specs.clone(),
-            31,
-            &RecorderHandle::noop(),
-        );
+        let reference = run_fleet(&d, &p, kind, &cfg, specs.clone(), 31);
         let mut engine = ExecEngine::new(
             &d,
             &p,

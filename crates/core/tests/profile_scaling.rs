@@ -1,4 +1,4 @@
-//! Hot-path profile of the serial simulator under a live span profiler,
+//! Hot-path profile of the simulator under a live span profiler,
 //! with the counting allocator installed so every phase also carries the
 //! allocations made in its self windows.
 //!
@@ -84,9 +84,10 @@ fn assert_healthy(users: usize, profile: &CallTreeProfile) {
         attributed as f64 >= 0.95 * total as f64,
         "u={users}: only {attributed} of {total} scheduler_step ns attributed (need 95%)"
     );
-    let step = profile.find(&["scheduler_step"]).unwrap();
+    // A completion appends to the trajectory, whose buffers grow.
+    let complete = profile.find(&["scheduler_step", "complete"]).unwrap();
     assert!(
-        step.allocs > 0,
+        complete.allocs > 0,
         "u={users}: no allocations attributed; is the counting allocator installed?"
     );
 }
@@ -104,7 +105,8 @@ fn profile_captures_the_step_phases() {
             "scheduler_step",
             "pick_user",
             "pick_arm",
-            "train",
+            "dispatch",
+            "complete",
             "posterior_update",
         ] {
             assert!(

@@ -85,11 +85,9 @@ pub struct Greedy {
     /// detector and for diagnostics); the next pick refills the buffer.
     last_candidates: Vec<usize>,
     /// Test-only seeded mutation: from this step on, the final choice is
-    /// rotated by one tenant. `None` in every real configuration; set via
-    /// the `EASEML_PICKER_MUTATE_AT` environment variable (read once at
-    /// construction) or [`Greedy::set_test_mutation`], and used by the
-    /// `replay-diff` harness to prove it pinpoints the exact first
-    /// divergent round.
+    /// rotated by one tenant. `None` in every real configuration; armed
+    /// through [`UserPicker::set_test_mutation`] by the `replay-diff`
+    /// harness to prove it pinpoints the exact first divergent round.
     mutate_at: Option<usize>,
     recorder: RecorderHandle,
 }
@@ -100,18 +98,9 @@ impl Greedy {
         Greedy {
             rule,
             last_candidates: Vec::new(),
-            mutate_at: std::env::var("EASEML_PICKER_MUTATE_AT")
-                .ok()
-                .and_then(|s| s.parse().ok()),
+            mutate_at: None,
             recorder: RecorderHandle::noop(),
         }
-    }
-
-    /// Arms (or with `None` disarms) the test-only pick mutation: from step
-    /// `at_step` on, the chosen tenant is rotated by one. Exists solely so
-    /// the differential-replay harness can seed a known divergence.
-    pub fn set_test_mutation(&mut self, at_step: Option<usize>) {
-        self.mutate_at = at_step;
     }
 
     /// Ease.ml's production configuration: the maximum UCB-gap rule.
@@ -206,6 +195,10 @@ impl UserPicker for Greedy {
 
     fn needs_warmup(&self) -> bool {
         true
+    }
+
+    fn set_test_mutation(&mut self, at_step: Option<usize>) {
+        self.mutate_at = at_step;
     }
 
     fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {

@@ -85,12 +85,6 @@ impl Hybrid {
         self.frozen_rounds
     }
 
-    /// Arms the inner greedy picker's test-only mutation — see
-    /// [`Greedy::set_test_mutation`]. Only affects the pre-fallback phase.
-    pub fn set_test_mutation(&mut self, at_step: Option<usize>) {
-        self.greedy.set_test_mutation(at_step);
-    }
-
     fn best_sum(tenants: &[Tenant]) -> f64 {
         tenants.iter().filter_map(Tenant::best_reward).sum()
     }
@@ -158,6 +152,12 @@ impl UserPicker for Hybrid {
 
     fn as_hybrid(&self) -> Option<&Hybrid> {
         Some(self)
+    }
+
+    /// Arms the inner greedy picker's mutation, which only affects the
+    /// pre-fallback phase.
+    fn set_test_mutation(&mut self, at_step: Option<usize>) {
+        self.greedy.set_test_mutation(at_step);
     }
 
     fn needs_warmup(&self) -> bool {

@@ -63,6 +63,13 @@ pub trait UserPicker {
     fn as_hybrid(&self) -> Option<&Hybrid> {
         None
     }
+
+    /// Arms (or with `None` disarms) a test-only pick mutation: from step
+    /// `at_step` on, the chosen tenant is rotated by one. It exists solely
+    /// so the differential-replay harness can seed a known divergence, and
+    /// only the GREEDY pickers (HYBRID's included) have one; the default
+    /// does nothing.
+    fn set_test_mutation(&mut self, _at_step: Option<usize>) {}
 }
 
 /// Indices of the live tenants, in id order, without allocating — the

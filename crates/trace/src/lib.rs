@@ -61,7 +61,7 @@ pub use explain::{
 pub use recovery_report::{recovery_report, render_wal_report};
 pub use replay::{
     digests_of, first_divergence, record_trace, render_replay_diff, replay_diff, ReplayLeg,
-    ReplayScenario, MUTATE_ENV_VAR,
+    ReplayScenario,
 };
 pub use workload::{
     render_workload_report, workload_report, TenantWorkload, WorkloadReport, TIMELINE_BUCKETS,

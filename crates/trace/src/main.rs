@@ -25,9 +25,9 @@
 //!
 //! `explain` renders a decision-health report over the trace's witness
 //! chains, or with `--round N` one round's full why-chain. `record` runs a
-//! pinned [`easeml_trace::ReplayScenario`] through the serial simulator
-//! and writes its schema-v5 trace; `replay-diff` re-executes the scenario
-//! against the live scheduler (serial and exec D=1) and binary-searches
+//! pinned [`easeml_trace::ReplayScenario`] through the simulator and
+//! writes its schema-v5 trace; `replay-diff` re-executes the scenario
+//! against the live scheduler (the engine at one device) and binary-searches
 //! the first divergent round on the rolling state digests — `--mutate-at`
 //! arms the test-only picker mutation to prove the harness catches it.
 //!
@@ -199,13 +199,13 @@ fn run() -> Result<(), String> {
             let (trace_path, mutate_at) = parse_replay_args(rest)?;
             let scenario = load_scenario(path)?;
             let trace = easeml_trace::load_trace_with_rotations(Path::new(&trace_path))?;
-            let legs = easeml_trace::replay_diff(&scenario, &trace, mutate_at)?;
+            let live = easeml_trace::replay_diff(&scenario, &trace, mutate_at)?;
             let recorded_rounds = easeml_trace::digests_of(&trace.events).len();
             print!(
                 "{}",
-                easeml_trace::render_replay_diff(&scenario, recorded_rounds, &legs, mutate_at)
+                easeml_trace::render_replay_diff(&scenario, recorded_rounds, &live, mutate_at)
             );
-            if legs.iter().any(|l| l.divergence.is_some()) {
+            if live.divergence.is_some() {
                 return Err("replay diverged from the recorded trace".to_string());
             }
             Ok(())

@@ -3,11 +3,11 @@
 //!
 //! A [`ReplayScenario`] pins everything a run depends on: workload shape,
 //! dataset and RNG seeds, strategy, budget, and fault rates. `record` runs
-//! the serial simulator under that scenario with a recorder attached and
-//! writes the schema-v5 JSONL trace. `replay-diff` re-executes the same
-//! scenario against the *live* scheduler — once through the serial
-//! simulator and once through the `easeml-exec` engine at D=1 — and
-//! compares the per-round rolling state digests the witness chains carry.
+//! the simulator under that scenario with a recorder attached and writes
+//! the schema-v5 JSONL trace. `replay-diff` re-executes the same scenario
+//! against the *live* scheduler — the execution engine at one unit device,
+//! the kernel the simulator runs on — and compares the per-round rolling
+//! state digests the witness chains carry.
 //!
 //! Because the digest is rolling (digests agree at round `r` iff every
 //! decision `≤ r` agrees), the first divergent round is found by binary
@@ -17,10 +17,10 @@
 
 use crate::explain::render_witness;
 use crate::LoadedTrace;
+use easeml::exec::{ExecEngine, Fleet};
 use easeml::fault::FaultConfig;
 use easeml::sim::{simulate_with_recorder, SchedulerKind, SimConfig};
 use easeml_data::{Dataset, SynConfig};
-use easeml_exec::simulate_multi_device_with_recorder;
 use easeml_gp::ArmPrior;
 use easeml_obs::json::{as_bool, as_f64, as_object, as_str, as_u64, as_usize};
 use easeml_obs::{
@@ -29,19 +29,7 @@ use easeml_obs::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// The environment variable arming the test-only picker mutation
-/// (`easeml_sched::Greedy` reads it once at construction): from the given
-/// step on, the chosen tenant is rotated by one. `replay-diff --mutate-at`
-/// sets it around the live legs to prove the harness pinpoints the exact
-/// first divergent round.
-pub const MUTATE_ENV_VAR: &str = "EASEML_PICKER_MUTATE_AT";
-
-/// The environment variable is process-global, and `Greedy::new` reads it
-/// at construction — so live-leg execution is serialized to keep a mutated
-/// replay from leaking into a concurrent clean one (tests in one binary).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 /// Most prior covariance entries, `users × models²`, a scenario may ask
 /// for: each tenant's prior is dense, and it bounds what a run allocates.
@@ -269,20 +257,26 @@ impl ReplayScenario {
     }
 }
 
-/// Runs the scenario through the serial simulator with a recorder attached
-/// and returns the schema-v5 JSONL trace text (header line first), ready
-/// to write to disk — the `record` subcommand.
+/// Runs the scenario through the simulator with a recorder attached and
+/// returns the schema-v5 JSONL trace text (header line first), ready to
+/// write to disk — the `record` subcommand.
 ///
 /// # Errors
 ///
 /// Returns the scenario validation error (unknown strategy, or a budget
 /// above four times the dataset's total cost), before any round runs.
 pub fn record_trace(scenario: &ReplayScenario) -> Result<String, String> {
-    let events = run_serial(scenario, &scenario.run_dataset()?)?;
-    let rec = InMemoryRecorder::new();
-    for event in events {
-        easeml_obs::Recorder::record(&rec, event);
-    }
+    let kind = scenario.scheduler_kind()?;
+    let dataset = scenario.run_dataset()?;
+    let rec = Arc::new(InMemoryRecorder::new());
+    let _ = simulate_with_recorder(
+        &dataset,
+        &scenario.priors(),
+        kind,
+        &scenario.sim_config(),
+        &mut StdRng::seed_from_u64(scenario.sim_seed),
+        &RecorderHandle::new(rec.clone()),
+    );
     Ok(format!("{}\n{}", schema_header_line(), rec.to_jsonl()))
 }
 
@@ -329,11 +323,9 @@ pub fn first_divergence(recorded: &[(u64, String)], live: &[(u64, String)]) -> O
     }
 }
 
-/// One live re-execution compared against the recorded trajectory.
+/// The live re-execution compared against the recorded trajectory.
 #[derive(Debug, Clone)]
 pub struct ReplayLeg {
-    /// Which engine replayed the scenario.
-    pub label: &'static str,
     /// Rounds the live run resolved.
     pub live_rounds: usize,
     /// First divergent round, if any.
@@ -343,25 +335,22 @@ pub struct ReplayLeg {
     pub witness_pair: (Option<WitnessRecord>, Option<WitnessRecord>),
 }
 
-/// Re-executes `scenario` against the live scheduler — serial simulator
-/// and `easeml-exec` at D=1 — and diffs each leg's digest trajectory
-/// against the recorded trace. `mutate_at` arms the test-only picker
-/// mutation (see [`MUTATE_ENV_VAR`]) for the live legs, seeding a known
-/// divergence the harness must pinpoint.
+/// Re-executes `scenario` against the live scheduler — the engine at one
+/// unit device, drawing from the scenario's seeded stream as `record` did
+/// — and diffs its digest trajectory against the recorded trace.
+/// `mutate_at` arms the picker's test-only mutation on the live engine
+/// (see [`ExecEngine::set_test_mutation`]), seeding a known divergence
+/// the harness must pinpoint.
 ///
 /// # Errors
 ///
 /// Returns a message when the trace carries no decision witnesses or the
 /// scenario is invalid.
-///
-/// # Panics
-///
-/// Does not panic; the internal environment lock absorbs poisoning.
 pub fn replay_diff(
     scenario: &ReplayScenario,
     recorded: &LoadedTrace,
     mutate_at: Option<u64>,
-) -> Result<Vec<ReplayLeg>, String> {
+) -> Result<ReplayLeg, String> {
     let recorded_digests = digests_of(&recorded.events);
     if recorded_digests.is_empty() {
         return Err(format!(
@@ -370,51 +359,44 @@ pub fn replay_diff(
             easeml_obs::TRACE_SCHEMA_VERSION
         ));
     }
-    let recorded_witnesses = witness_records(&recorded.events);
+    let kind = scenario.scheduler_kind()?;
     let dataset = scenario.run_dataset()?;
-
-    let guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(step) = mutate_at {
-        std::env::set_var(MUTATE_ENV_VAR, step.to_string());
-    }
-    let legs: Result<Vec<(&'static str, Vec<Event>)>, String> = (|| {
-        Ok(vec![
-            ("serial sim", run_serial(scenario, &dataset)?),
-            ("exec D=1", run_exec_single_device(scenario, &dataset)?),
-        ])
-    })();
-    if mutate_at.is_some() {
-        std::env::remove_var(MUTATE_ENV_VAR);
-    }
-    drop(guard);
-
-    Ok(legs?
-        .into_iter()
-        .map(|(label, events)| {
-            let live_digests = digests_of(&events);
-            let divergence = first_divergence(&recorded_digests, &live_digests);
-            let witness_pair = divergence.map_or((None, None), |round| {
-                let find =
-                    |records: &[WitnessRecord]| records.iter().find(|w| w.round == round).cloned();
-                (find(&recorded_witnesses), find(&witness_records(&events)))
-            });
-            ReplayLeg {
-                label,
-                live_rounds: live_digests.len(),
-                divergence,
-                witness_pair,
-            }
-        })
-        .collect())
+    let rec = Arc::new(InMemoryRecorder::new());
+    let mut engine = ExecEngine::new(
+        &dataset,
+        &scenario.priors(),
+        kind,
+        &scenario.sim_config(),
+        Fleet::uniform(1),
+        scenario.sim_seed,
+        RecorderHandle::new(rec.clone()),
+    );
+    // A step past `usize` is never reached, so it arms nothing.
+    engine.set_test_mutation(mutate_at.and_then(|step| usize::try_from(step).ok()));
+    let _ = engine.run();
+    let events = rec.events();
+    let live_digests = digests_of(&events);
+    let divergence = first_divergence(&recorded_digests, &live_digests);
+    let witness_pair = divergence.map_or((None, None), |round| {
+        let find = |records: &[WitnessRecord]| records.iter().find(|w| w.round == round).cloned();
+        (
+            find(&witness_records(&recorded.events)),
+            find(&witness_records(&events)),
+        )
+    });
+    Ok(ReplayLeg {
+        live_rounds: live_digests.len(),
+        divergence,
+        witness_pair,
+    })
 }
 
-/// Renders the `replay-diff` report: per-leg verdicts, and for a divergent
-/// leg the recorded and live witnesses of the first divergent round side
-/// by side.
+/// Renders the `replay-diff` report: the verdict, and on a divergence the
+/// recorded and live witnesses of the first divergent round side by side.
 pub fn render_replay_diff(
     scenario: &ReplayScenario,
     recorded_rounds: usize,
-    legs: &[ReplayLeg],
+    live: &ReplayLeg,
     mutate_at: Option<u64>,
 ) -> String {
     let mut out = String::new();
@@ -434,86 +416,43 @@ pub fn render_replay_diff(
     if let Some(step) = mutate_at {
         let _ = writeln!(
             out,
-            "mutation armed: picker choice rotates from step {step} on ({MUTATE_ENV_VAR})"
+            "mutation armed: picker choice rotates from step {step} on"
         );
     }
-    for leg in legs {
-        let _ = writeln!(out, "\n--- leg: {} ---", leg.label);
-        let _ = writeln!(out, "live rounds: {}", leg.live_rounds);
-        match leg.divergence {
-            None => {
-                let _ = writeln!(
-                    out,
-                    "zero divergences: the live run reproduces every recorded decision"
-                );
-            }
-            Some(round) => {
-                let _ = writeln!(out, "first divergent round: {round}");
-                let side = |out: &mut String, title: &str, witness: &Option<WitnessRecord>| {
-                    let _ = writeln!(out, "  {title}:");
-                    match witness {
-                        Some(w) => {
-                            for line in render_witness(w).lines() {
-                                let _ = writeln!(out, "    {line}");
-                            }
-                        }
-                        None => {
-                            let _ = writeln!(out, "    (run ended before this round)");
+    let _ = writeln!(out, "live rounds: {}", live.live_rounds);
+    match live.divergence {
+        None => {
+            let _ = writeln!(
+                out,
+                "zero divergences: the live run reproduces every recorded decision"
+            );
+        }
+        Some(round) => {
+            let _ = writeln!(out, "first divergent round: {round}");
+            let side = |out: &mut String, title: &str, witness: &Option<WitnessRecord>| {
+                let _ = writeln!(out, "  {title}:");
+                match witness {
+                    Some(w) => {
+                        for line in render_witness(w).lines() {
+                            let _ = writeln!(out, "    {line}");
                         }
                     }
-                };
-                side(&mut out, "recorded", &leg.witness_pair.0);
-                side(&mut out, "live", &leg.witness_pair.1);
-            }
+                    None => {
+                        let _ = writeln!(out, "    (run ended before this round)");
+                    }
+                }
+            };
+            side(&mut out, "recorded", &live.witness_pair.0);
+            side(&mut out, "live", &live.witness_pair.1);
         }
     }
-    let diverged = legs.iter().filter(|l| l.divergence.is_some()).count();
-    let _ = writeln!(
-        out,
-        "\nresult: {} ({}/{} leg(s) clean)",
-        if diverged == 0 { "CLEAN" } else { "DIVERGED" },
-        legs.len() - diverged,
-        legs.len(),
-    );
+    let verdict = if live.divergence.is_none() {
+        "CLEAN"
+    } else {
+        "DIVERGED"
+    };
+    let _ = writeln!(out, "\nresult: {verdict}");
     out
-}
-
-/// Runs the scenario on its `dataset` through the serial simulator,
-/// returning the recorded event stream.
-fn run_serial(scenario: &ReplayScenario, dataset: &Dataset) -> Result<Vec<Event>, String> {
-    let kind = scenario.scheduler_kind()?;
-    let rec = Arc::new(InMemoryRecorder::new());
-    let _ = simulate_with_recorder(
-        dataset,
-        &scenario.priors(),
-        kind,
-        &scenario.sim_config(),
-        &mut StdRng::seed_from_u64(scenario.sim_seed),
-        &RecorderHandle::new(rec.clone()),
-    );
-    Ok(rec.events())
-}
-
-/// Runs the scenario on its `dataset` through the `easeml-exec` engine on
-/// one unit-speed single-slot device — the configuration proven
-/// digest-equivalent to the serial simulator — returning the recorded
-/// event stream.
-fn run_exec_single_device(
-    scenario: &ReplayScenario,
-    dataset: &Dataset,
-) -> Result<Vec<Event>, String> {
-    let kind = scenario.scheduler_kind()?;
-    let rec = Arc::new(InMemoryRecorder::new());
-    let _ = simulate_multi_device_with_recorder(
-        dataset,
-        &scenario.priors(),
-        kind,
-        &scenario.sim_config(),
-        1,
-        scenario.sim_seed,
-        &RecorderHandle::new(rec.clone()),
-    );
-    Ok(rec.events())
 }
 
 #[cfg(test)]
@@ -637,31 +576,24 @@ mod tests {
     }
 
     #[test]
-    fn clean_replay_reports_zero_divergences_on_both_legs() {
+    fn clean_replay_reports_zero_divergences() {
         let scenario = ReplayScenario::default();
         let trace = recorded(&scenario);
         assert_eq!(
             trace.schema_version,
             Some(u64::from(easeml_obs::TRACE_SCHEMA_VERSION))
         );
-        let legs = replay_diff(&scenario, &trace, None).unwrap();
-        assert_eq!(legs.len(), 2);
-        for leg in &legs {
-            assert_eq!(leg.divergence, None, "leg {} diverged", leg.label);
-            assert!(leg.live_rounds > 0);
-        }
-        let report = render_replay_diff(&scenario, digests_of(&trace.events).len(), &legs, None);
+        let live = replay_diff(&scenario, &trace, None).unwrap();
+        assert_eq!(live.divergence, None);
+        assert!(live.live_rounds > 0);
+        let report = render_replay_diff(&scenario, digests_of(&trace.events).len(), &live, None);
         assert!(report.contains("zero divergences"), "{report}");
-        assert!(
-            report.contains("result: CLEAN (2/2 leg(s) clean)"),
-            "{report}"
-        );
+        assert!(report.ends_with("\nresult: CLEAN\n"), "{report}");
     }
 
     #[test]
-    fn chaos_scenario_still_replays_clean_serially() {
-        // Fault injection is seeded, so a censored run replays bit for bit
-        // on the serial leg.
+    fn chaos_scenario_still_replays_clean() {
+        // Fault injection is seeded, so a censored run replays bit for bit.
         let scenario = ReplayScenario {
             crash_rate: 0.3,
             budget: 12.0,
@@ -673,8 +605,8 @@ mod tests {
             records.iter().any(|r| r.censored),
             "chaos scenario should censor at least one round"
         );
-        let legs = replay_diff(&scenario, &trace, None).unwrap();
-        assert_eq!(legs[0].divergence, None, "serial leg must replay clean");
+        let live = replay_diff(&scenario, &trace, None).unwrap();
+        assert_eq!(live.divergence, None, "the live run must replay clean");
     }
 
     #[test]
@@ -688,29 +620,26 @@ mod tests {
         let rounds = digests_of(&trace.events).len();
         assert!(rounds > 6, "need enough rounds to mutate mid-run");
         let mutate_at = 4u64;
-        let legs = replay_diff(&scenario, &trace, Some(mutate_at)).unwrap();
-        for leg in &legs {
-            // The mutation rotates the *user* choice from step 4 on; the
-            // digest diverges at exactly that round, never earlier. (It
-            // can in principle land later if the rotated pick coincides,
-            // but the greedy rule on this scenario flips it immediately.)
-            assert_eq!(
-                leg.divergence,
-                Some(mutate_at),
-                "leg {} missed the seeded divergence",
-                leg.label
-            );
-            let (rec, live) = &leg.witness_pair;
-            let (rec, live) = (rec.as_ref().unwrap(), live.as_ref().unwrap());
-            assert_eq!(rec.round, mutate_at);
-            assert_eq!(live.round, mutate_at);
-            assert_ne!(
-                (rec.user, rec.arm),
-                (live.user, live.arm),
-                "the witness pair must show differing decisions"
-            );
-        }
-        let report = render_replay_diff(&scenario, rounds, &legs, Some(mutate_at));
+        let live = replay_diff(&scenario, &trace, Some(mutate_at)).unwrap();
+        // The mutation rotates the *user* choice from step 4 on; the digest
+        // diverges at exactly that round, never earlier. (It can in
+        // principle land later if the rotated pick coincides, but the
+        // greedy rule on this scenario flips it immediately.)
+        assert_eq!(
+            live.divergence,
+            Some(mutate_at),
+            "missed the seeded divergence"
+        );
+        let (rec, mutated) = &live.witness_pair;
+        let (rec, mutated) = (rec.as_ref().unwrap(), mutated.as_ref().unwrap());
+        assert_eq!(rec.round, mutate_at);
+        assert_eq!(mutated.round, mutate_at);
+        assert_ne!(
+            (rec.user, rec.arm),
+            (mutated.user, mutated.arm),
+            "the witness pair must show differing decisions"
+        );
+        let report = render_replay_diff(&scenario, rounds, &live, Some(mutate_at));
         assert!(
             report.contains(&format!("first divergent round: {mutate_at}")),
             "{report}"
@@ -719,8 +648,11 @@ mod tests {
         assert!(report.contains("recorded:"), "{report}");
         assert!(report.contains("live:"), "{report}");
 
-        // And with the mutation disarmed the same scenario is clean again.
+        // The mutation lives on that engine alone: a clean replay and a
+        // fresh recording beside it are untouched.
         let clean = replay_diff(&scenario, &trace, None).unwrap();
-        assert!(clean.iter().all(|l| l.divergence.is_none()));
+        assert!(clean.divergence.is_none());
+        let again = recorded(&scenario);
+        assert_eq!(digests_of(&again.events), digests_of(&trace.events));
     }
 }

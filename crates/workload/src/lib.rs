@@ -1,9 +1,10 @@
 //! `easeml-workload` — trace-driven open-loop workloads with tenant churn
 //! for the ease.ml reproduction.
 //!
-//! The serial simulator and the execution engine are *closed-loop*: every
-//! tenant always has the next job ready, so the system is permanently
-//! backlogged and the only question is who gets the next device. Real
+//! The simulator and the execution engine it runs on are *closed-loop*:
+//! every tenant always has the next job ready, so the system is
+//! permanently backlogged and the only question is who gets the next
+//! device. Real
 //! multi-tenant clusters are *open-loop* — jobs arrive on their own clock,
 //! tenants come and go — and quality-of-service questions (queueing delay,
 //! per-tenant regret under contention, utilization under diurnal load)
@@ -19,7 +20,7 @@
 //!   commonly replay, folded onto engine user slots by [`map_jobs`];
 //! - [`WorkloadScript`] / [`ReplayDriver`]: a deterministic driver feeding
 //!   arrivals and churn through an open-loop
-//!   [`ExecEngine`](easeml_exec::ExecEngine), with a
+//!   [`ExecEngine`](easeml::exec::ExecEngine), with a
 //!   [`ReplayCheckpoint`] wrapper so a mid-replay crash resumes
 //!   bit-exactly.
 //!

@@ -12,8 +12,8 @@
 
 use crate::lifecycle::{churn_timeline, ChurnConfig, LifecycleAction};
 use crate::{ArrivalKind, ArrivalProcess};
+use easeml::exec::{ExecCheckpoint, ExecEngine, ExecTrace};
 use easeml_data::Dataset;
-use easeml_exec::{ExecCheckpoint, ExecEngine, ExecTrace};
 use easeml_gp::ArmPrior;
 use easeml_obs::json::{self, as_object, get_u32, get_usize};
 use easeml_wal::splitmix64;

@@ -12,9 +12,9 @@
 //!    bounded as the arrival rate grows. Run it optimised:
 //!    `cargo test --release -p easeml-workload --test replay -- --ignored`.
 
+use easeml::exec::{ExecEngine, Fleet};
 use easeml::sim::{SchedulerKind, SimConfig};
 use easeml_data::{Dataset, SynConfig};
-use easeml_exec::{ExecEngine, Fleet};
 use easeml_gp::ArmPrior;
 use easeml_obs::{Event, InMemoryRecorder, RecorderHandle};
 use easeml_workload::{

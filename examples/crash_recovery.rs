@@ -2,7 +2,7 @@
 //!
 //! Three phases, end to end through the public durability API:
 //!
-//! 1. **reference** — the `easeml-exec` engine runs a seeded 4-tenant
+//! 1. **reference** — the `easeml::exec` engine runs a seeded 4-tenant
 //!    workload (optionally under `--chaos` fault injection) to completion
 //!    with a write-ahead log attached, recording the uninterrupted final
 //!    state digest and the total WAL stream size;
@@ -13,7 +13,7 @@
 //!    exactly like the process dying mid-`write(2)`. A checkpoint is
 //!    taken at startup and again mid-run (if the writer is still alive),
 //!    so recovery is checkpoint + O(delta) WAL suffix, not a full replay;
-//! 3. **recovery** — [`easeml_exec::recover_engine`] rebuilds the engine
+//! 3. **recovery** — [`easeml::exec::recover_engine`] rebuilds the engine
 //!    from the checkpoint, replays the committed WAL suffix verifying the
 //!    rolling witness digest at every completion, truncates the torn
 //!    tail, and the example then drives the recovered engine to the end:
@@ -25,9 +25,9 @@
 //!
 //! `cargo run --example crash_recovery -- --chaos --state-dir /tmp/ezml`
 
+use easeml::exec::{recover_engine, ExecCheckpoint, ExecEngine, Fleet};
 use easeml::fault::FaultConfig;
 use easeml::prelude::*;
-use easeml_exec::{recover_engine, ExecCheckpoint, ExecEngine, Fleet};
 use easeml_gp::ArmPrior;
 use easeml_obs::RecorderHandle;
 use easeml_wal::{sample_offsets, CrashPoint, FsyncPolicy, WalOptions};

@@ -1,6 +1,6 @@
 //! A heterogeneous GPU fleet scheduling four tenants with delayed feedback.
 //!
-//! Runs the `easeml-exec` discrete-event engine on a synthetic workload:
+//! Runs the `easeml::exec` discrete-event engine on a synthetic workload:
 //!
 //! * a fleet of `--devices N` devices with mixed speed factors, kept
 //!   saturated by GP-BUCB hallucinated dispatch (arms are picked while
@@ -18,9 +18,9 @@
 //!
 //! Run with: `cargo run --example multi_device -- --devices 4 --chaos`
 
+use easeml::exec::{DeviceSpec, ExecCheckpoint, ExecEngine, Fleet};
 use easeml::fault::FaultConfig;
 use easeml::prelude::*;
-use easeml_exec::{DeviceSpec, ExecCheckpoint, ExecEngine, Fleet};
 use easeml_gp::ArmPrior;
 use easeml_obs::{InMemoryRecorder, JsonlFileSink, RecorderHandle, StreamingSink, TeeRecorder};
 use std::sync::Arc;

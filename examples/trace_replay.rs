@@ -21,8 +21,8 @@
 //! Flags: `--trace-out PATH` (keep the JSONL), `--report-out PATH` (write
 //! the rendered report, e.g. for a CI artifact).
 
+use easeml::exec::{ExecEngine, Fleet};
 use easeml::prelude::*;
-use easeml_exec::{ExecEngine, Fleet};
 use easeml_gp::ArmPrior;
 use easeml_obs::{schema_header_line, InMemoryRecorder, RecorderHandle};
 use easeml_workload::{map_jobs, AzureTraceReader, ReplayDriver, TraceReader, WorkloadScript};

@@ -28,6 +28,12 @@ echo "==> linear-algebra and GP tests, optimised (blocked kernels, T-space LML)"
 cargo test --release -q -p easeml-linalg -p easeml-gp
 cargo test --release -q -p easeml-core experiment::
 
+echo "==> serial reference tests, optimised (the engine at one device)"
+# The simulator runs on the execution engine at one unit device; the
+# test-only serial loop holds it to the serial trajectory and digests in
+# the build that perfbench and users run.
+cargo test --release -q -p easeml-core exec::reference
+
 echo "==> wall-clock scaling gates, optimised (ignored by the default test run)"
 # The scaling windows with no work-count equivalent: the pick_user and
 # posterior_update exponents over 1k-100k tenants, and the open-loop
@@ -130,15 +136,15 @@ trap 'rm -f "$smoke_trace" "$smoke_folded" "$chaos_trace" "$exec_trace" \
   "$replay_scenario" "$replay_trace"' EXIT
 printf '{"kind":"greedy(max-gap)","budget":14.0}\n' > "$replay_scenario"
 cargo run --quiet -p easeml-trace -- record "$replay_scenario" "$replay_trace"
-# Clean pass: both the serial simulator and the exec engine at D=1 must
-# reproduce every recorded decision digest — scheduler equivalence.
+# Clean pass: the live engine at one device must reproduce every
+# recorded decision digest.
 replay_out="$(cargo run --quiet -p easeml-trace -- replay-diff \
   "$replay_scenario" "$replay_trace")"
 echo "$replay_out"
-echo "$replay_out" | grep -q "result: CLEAN (2/2 leg(s) clean)"
+echo "$replay_out" | grep -qx "result: CLEAN"
 # Seeded-mutation pass: rotating the picker's choice from step 4 on must
 # make the harness exit nonzero and pinpoint round 4 as the first
-# divergence on both legs — proof the digest binary search works.
+# divergence — proof the digest binary search works.
 if mutated_out="$(cargo run --quiet -p easeml-trace -- replay-diff \
   "$replay_scenario" "$replay_trace" --mutate-at 4)"; then
   echo "error: replay-diff did not fail on a seeded picker mutation" >&2

@@ -4,16 +4,16 @@
 //! cross-crate integration tests under `tests/`; the actual library surface
 //! lives in the member crates and is re-exported here for convenience:
 //!
-//! * [`easeml`] — the platform, simulation engine, and experiment harness;
+//! * [`easeml`] — the platform, the simulation, the multi-device
+//!   discrete-event execution engine ([`easeml::exec`]: heterogeneous
+//!   fleets, GP-BUCB delayed-feedback dispatch, in-flight
+//!   checkpoint/restore) and the experiment harness;
 //! * [`easeml_sched`] — multi-tenant schedulers (round robin, greedy,
 //!   hybrid);
 //! * [`easeml_bandit`] — single-tenant GP-UCB and baselines;
 //! * [`easeml_gp`] — Gaussian-process posteriors and kernels;
 //! * [`easeml_data`] — datasets and the Appendix-B generator;
 //! * [`easeml_dsl`] — the declarative language and template matcher;
-//! * [`easeml_exec`] — the multi-device discrete-event execution engine
-//!   (heterogeneous fleets, GP-BUCB delayed-feedback dispatch, in-flight
-//!   checkpoint/restore);
 //! * [`easeml_linalg`] — the dense linear-algebra substrate;
 //! * [`easeml_obs`] — zero-cost observability (events, histograms, sinks,
 //!   regret time series);
@@ -27,7 +27,6 @@ pub use easeml;
 pub use easeml_bandit;
 pub use easeml_data;
 pub use easeml_dsl;
-pub use easeml_exec;
 pub use easeml_gp;
 pub use easeml_linalg;
 pub use easeml_obs;

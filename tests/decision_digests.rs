@@ -5,12 +5,12 @@
 //! decisions with a constant recorded from an earlier build; a change that
 //! moves one of them changes decisions and must say so.
 
+use easeml::exec::simulate_multi_device;
 use easeml::experiment::{empirical_prior, run_experiment, ExperimentConfig, ExperimentResult};
 use easeml::fault::{FaultConfig, FaultInjector};
 use easeml::server::{EaseMl, QualityOracle, TrainingOutcome};
 use easeml::sim::{simulate, SchedulerKind, SimConfig, SimTrace};
 use easeml_data::{Dataset, DatasetKind, SynConfig, TrainTestSplit};
-use easeml_exec::simulate_multi_device;
 use easeml_gp::{ArmPrior, GpPosterior};
 use easeml_obs::{Event, InMemoryRecorder, RecorderHandle, RollingDigest};
 use rand::rngs::StdRng;
@@ -106,7 +106,7 @@ fn gp_bucb_fleet_decisions_are_pinned() {
 /// batch that completions and censorings have punched holes into.
 #[test]
 fn mixed_speed_fleet_with_duplicate_pending_arms_is_pinned() {
-    use easeml_exec::{simulate_fleet_with_recorder, DeviceSpec};
+    use easeml::exec::{DeviceSpec, ExecEngine, Fleet};
     use easeml_obs::{Event, InMemoryRecorder, RecorderHandle};
     use std::sync::Arc;
 
@@ -128,15 +128,16 @@ fn mixed_speed_fleet_with_duplicate_pending_arms_is_pinned() {
         .map(DeviceSpec::with_speed)
         .collect();
     let rec = Arc::new(InMemoryRecorder::new());
-    let trace = simulate_fleet_with_recorder(
+    let trace = ExecEngine::new(
         &dataset,
         &priors,
         SchedulerKind::Hybrid,
         &cfg,
-        fleet,
+        Fleet::new(fleet),
         11,
-        &RecorderHandle::new(rec.clone()),
-    );
+        RecorderHandle::new(rec.clone()),
+    )
+    .run();
     assert!(trace.censored > 0, "faults fired");
 
     // Single-slot devices name their run: replay the dispatch/finish

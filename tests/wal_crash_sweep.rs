@@ -18,9 +18,9 @@
 //! offsets tell the sweep which rounds *must* be recovered at each crash
 //! byte.
 
+use easeml::exec::{ExecEngine, Fleet};
 use easeml::fault::{FaultConfig, FaultInjector};
 use easeml::prelude::*;
-use easeml_exec::{ExecEngine, Fleet};
 use easeml_gp::ArmPrior;
 use easeml_obs::RecorderHandle;
 use easeml_wal::{sample_offsets, CrashPoint, FsyncPolicy, WalOptions};
@@ -385,10 +385,11 @@ fn exec_sweep(chaos: bool) {
         let committed = (1..=ticks).filter(|&i| offsets[i] <= k).count();
         let expected = committed.max(ckpt_ticks);
         let doc = std::fs::read_to_string(&ckpt).unwrap();
-        let ck = easeml_exec::ExecCheckpoint::from_json(&doc)
+        let ck = easeml::exec::ExecCheckpoint::from_json(&doc)
             .unwrap_or_else(|e| panic!("crash at byte {k}: checkpoint unreadable: {e}"));
-        let (mut recovered, report) = easeml_exec::recover_engine(&dataset, &priors, &ck, &wal_dir)
-            .unwrap_or_else(|e| panic!("crash at byte {k}: exec recovery failed: {e}"));
+        let (mut recovered, report) =
+            easeml::exec::recover_engine(&dataset, &priors, &ck, &wal_dir)
+                .unwrap_or_else(|e| panic!("crash at byte {k}: exec recovery failed: {e}"));
         assert_eq!(
             report.final_rounds, expected as u64,
             "crash at byte {k}: recovered {} completion(s), expected {expected}; {report:?}",

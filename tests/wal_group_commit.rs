@@ -21,10 +21,10 @@
 //! A last test checks that the `wal_append` and `wal_fsync` spans fold
 //! into the call tree under the span that committed the batch.
 
+use easeml::exec::{ExecEngine, Fleet};
 use easeml::fault::{FaultConfig, FaultInjector};
 use easeml::prelude::*;
 use easeml_data::{Dataset, SynConfig};
-use easeml_exec::{ExecEngine, Fleet};
 use easeml_gp::ArmPrior;
 use easeml_obs::json::Json;
 use easeml_obs::{CallTreeProfile, InMemoryRecorder, RecorderHandle, RollingDigest};
