@@ -441,7 +441,7 @@ impl ExecEngine<'_> {
         // restored verbatim above (HYBRID) or is a pure function of the
         // dispatch count (the rest).
         for r in &ck.resolved {
-            engine.tenants[r.user].observe(r.model, r.quality);
+            engine.tenants.observe(r.user, r.model, r.quality);
             engine.loss.observe(r.user, r.quality);
             engine.events.push(SimEvent {
                 user: r.user,
@@ -1108,6 +1108,15 @@ mod tests {
             let again = restored.checkpoint();
             assert_eq!(format!("{again:?}"), format!("{ck:?}"), "tick {ticks}");
             assert_eq!(again.to_json(), ck.to_json(), "tick {ticks}");
+            // The restored roster's columns equal a recomputation from its
+            // tenants, and its live set (eligibility) is the original's.
+            if let Err(stale) = restored.tenants.check_columns() {
+                panic!("tick {ticks}: {stale}");
+            }
+            assert!(
+                restored.tenants.live_ids().eq(engine.tenants.live_ids()),
+                "tick {ticks}"
+            );
             mid_flight += usize::from(!ck.in_flight.is_empty());
             if !engine.tick() {
                 break;

@@ -27,7 +27,7 @@ use easeml_bandit::ArmExplanation;
 use easeml_data::Dataset;
 use easeml_gp::ArmPrior;
 use easeml_obs::{Component, Event, QuantileSketch, RecorderHandle};
-use easeml_sched::{Tenant, UserPicker};
+use easeml_sched::{Roster, UserPicker};
 use easeml_wal::DurableEvent;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -138,7 +138,7 @@ pub struct ExecEngine<'a, R: RngCore + ?Sized = StdRng> {
     /// The seed `rng` started from (0 for a borrowed stream).
     pub(crate) seed: u64,
     pub(crate) fleet: Fleet,
-    pub(crate) tenants: Vec<Tenant>,
+    pub(crate) tenants: Roster,
     /// The user picker; a HYBRID one exports its freeze detector through
     /// [`UserPicker::as_hybrid`].
     pub(crate) picker: Box<dyn UserPicker>,
@@ -150,6 +150,10 @@ pub struct ExecEngine<'a, R: RngCore + ?Sized = StdRng> {
     pub(crate) initial_loss: f64,
     pub(crate) queue: EventQueue,
     pub(crate) in_flight: Vec<InFlight>,
+    /// A dispatch's pending batch: the served user's in-flight arms, in
+    /// dispatch order. Kept between dispatches so collecting it allocates
+    /// only when it grows.
+    pending: Vec<usize>,
     pub(crate) now: f64,
     /// Runs dispatched so far: the next dispatch's sequence number and
     /// picker step. The other run counts follow from it: completed runs
@@ -246,6 +250,7 @@ impl<'a, R: RngCore> ExecEngine<'a, R> {
             initial_loss: 0.0,
             queue: EventQueue::new(),
             in_flight: Vec::new(),
+            pending: Vec::new(),
             now: 0.0,
             dispatches: 0,
             parallel_dispatches: 0,
@@ -345,7 +350,7 @@ impl<R: RngCore + ?Sized> ExecEngine<'_, R> {
         for user in 0..self.dataset.num_users() {
             let model = cheapest_model(self.dataset, user);
             let quality = self.dataset.quality(user, model);
-            self.tenants[user].observe(model, quality);
+            self.tenants.observe(user, model, quality);
             self.loss.observe(user, quality);
             self.picker.after_observe(&self.tenants, user);
         }
@@ -356,9 +361,7 @@ impl<R: RngCore + ?Sized> ExecEngine<'_, R> {
     /// used by checkpoint restore, which rebuilds silently and then attaches
     /// the live sink.
     pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        for tenant in &mut self.tenants {
-            tenant.set_recorder(recorder.clone());
-        }
+        self.tenants.set_recorder(&recorder);
         self.picker.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
@@ -409,7 +412,7 @@ impl<R: RngCore + ?Sized> ExecEngine<'_, R> {
     /// bit.
     fn refresh_eligibility(&mut self, user: usize) {
         let eligible = !self.retired[user] && (!self.open_loop || self.backlog[user] > 0);
-        self.tenants[user].set_active(eligible);
+        self.tenants.set_active(user, eligible);
     }
 
     /// Switches between closed-loop (default: every tenant always
@@ -559,7 +562,7 @@ impl ExecEngine<'_, dyn RngCore + '_> {
 
     /// Whether any tenant is currently dispatchable.
     fn dispatchable(&self) -> bool {
-        self.tenants.iter().any(Tenant::is_active)
+        self.tenants.live_count() > 0
     }
 
     /// Moves every arrival at or before the clock into its tenant's
@@ -610,14 +613,15 @@ impl ExecEngine<'_, dyn RngCore + '_> {
         };
         // GP-BUCB: the user's runs still in flight, in dispatch order, are
         // the pending batch the selection hallucinates over.
-        let pending: Vec<usize> = self
-            .in_flight
-            .iter()
-            .filter(|r| r.user == user)
-            .map(|r| r.model)
-            .collect();
-        let batch =
-            (!pending.is_empty()).then(|| self.tenants[user].policy().hallucinate(&pending));
+        self.pending.clear();
+        self.pending.extend(
+            self.in_flight
+                .iter()
+                .filter(|r| r.user == user)
+                .map(|r| r.model),
+        );
+        let batch = (!self.pending.is_empty())
+            .then(|| self.tenants[user].policy().hallucinate(&self.pending));
         let policy = batch
             .as_ref()
             .unwrap_or_else(|| self.tenants[user].policy());
@@ -642,7 +646,7 @@ impl ExecEngine<'_, dyn RngCore + '_> {
             // Inlined `refresh_eligibility` — the recorder's timing guard
             // pins `self.recorder`, so no `&mut self` call is possible here.
             let eligible = !self.retired[user] && self.backlog[user] > 0;
-            self.tenants[user].set_active(eligible);
+            self.tenants.set_active(user, eligible);
         }
         let clean = TrainingOutcome {
             accuracy: self.dataset.quality(user, model),
@@ -759,7 +763,7 @@ impl ExecEngine<'_, dyn RngCore + '_> {
                 quality: run.quality,
                 parent: easeml_obs::current_span(),
             });
-            self.tenants[run.user].observe(run.model, run.quality);
+            self.tenants.observe(run.user, run.model, run.quality);
             self.loss.observe(run.user, run.quality);
             let loss = self.loss.mean_loss();
             self.points.push((self.now, loss));

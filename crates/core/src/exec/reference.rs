@@ -53,7 +53,7 @@ pub(crate) fn simulate_gp(
     for user in 0..dataset.num_users() {
         let model = cheapest_model(dataset, user);
         let quality = dataset.quality(user, model);
-        tenants[user].observe(model, quality);
+        tenants.observe(user, model, quality);
         losses.observe(user, quality);
         picker.after_observe(&tenants, user);
     }
@@ -76,7 +76,7 @@ pub(crate) fn simulate_gp(
         let censored = match outcome {
             Ok(out) if out.accuracy.is_finite() => {
                 advance(&mut clock, out.cost);
-                tenants[user].observe(model, out.accuracy);
+                tenants.observe(user, model, out.accuracy);
                 losses.observe(user, out.accuracy);
                 points.push((clock, losses.mean_loss()));
                 events.push(SimEvent {

@@ -27,7 +27,7 @@ use easeml_dsl::{parse_program, ModelId, ParseError};
 use easeml_gp::ArmPrior;
 use easeml_obs::json::INTEGER_BOUND;
 use easeml_obs::{Component, Event, RecorderHandle};
-use easeml_sched::{Hybrid, Tenant, UserPicker};
+use easeml_sched::{Hybrid, Roster, Tenant, UserPicker};
 use easeml_wal::{read_log, DurableEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,7 +158,7 @@ pub struct EaseMl {
     /// stores so restore can re-register everyone identically.
     programs: Vec<String>,
     jobs: Vec<Job>,
-    tenants: Vec<Tenant>,
+    tenants: Roster,
     storage: SharedStorage,
     /// Simulated time consumed: the pooled device's clock, advanced by
     /// every run's cost, censored runs included. Only positive, finite
@@ -197,7 +197,7 @@ impl EaseMl {
             users: Vec::new(),
             programs: Vec::new(),
             jobs: Vec::new(),
-            tenants: Vec::new(),
+            tenants: Roster::new(),
             storage: SharedStorage::new(),
             clock: 0.0,
             picker: Hybrid::ease_ml(),
@@ -265,9 +265,7 @@ impl EaseMl {
         self.recorder = recorder.clone();
         self.picker.set_recorder(recorder.clone());
         self.durability.set_recorder(recorder.clone());
-        for tenant in &mut self.tenants {
-            tenant.set_recorder(recorder.clone());
-        }
+        self.tenants.set_recorder(&recorder);
     }
 
     /// Attaches write-ahead durability: every state mutation in
@@ -359,10 +357,10 @@ impl EaseMl {
     /// Panics if `user` is out of range.
     pub fn retire_tenant(&mut self, user: usize) {
         assert!(user < self.tenants.len(), "no such tenant: {user}");
-        if !self.tenants[user].is_active() {
+        if !self.tenants.is_active(user) {
             return;
         }
-        self.tenants[user].set_active(false);
+        self.tenants.set_active(user, false);
         let round = self.rounds;
         let serves = self.tenants[user].policy().posterior().num_observations() as u64;
         let at = self.clock;
@@ -384,12 +382,12 @@ impl EaseMl {
     ///
     /// Panics if `user` is out of range.
     pub fn is_tenant_active(&self, user: usize) -> bool {
-        self.tenants[user].is_active()
+        self.tenants.is_active(user)
     }
 
     /// Number of active (non-retired) tenants.
     pub fn num_active_users(&self) -> usize {
-        self.tenants.iter().filter(|t| t.is_active()).count()
+        self.tenants.live_count()
     }
 
     /// Number of registered users.
@@ -459,7 +457,7 @@ impl EaseMl {
         if self.users.is_empty() {
             return Err(RoundError::NoUsers);
         }
-        if !self.tenants.iter().any(Tenant::is_active) {
+        if self.tenants.live_count() == 0 {
             return Err(RoundError::NoActiveUsers);
         }
         let _round = self.recorder.time(Component::SimRound);
@@ -474,7 +472,7 @@ impl EaseMl {
         let release_round = *rounds;
         for (user, arm) in self.retry_state.due_releases(*rounds) {
             if arm < self.tenants[user].policy().posterior().num_arms() {
-                self.tenants[user].set_arm_masked(arm, false);
+                self.tenants.set_arm_masked(user, arm, false);
                 self.durability.append(|| DurableEvent::ProbationRelease {
                     round: release_round,
                     user: user as u64,
@@ -488,7 +486,7 @@ impl EaseMl {
         // without a round; a mid-run join re-enters this branch because
         // `tenants` grew past the cursor. With every tenant active the
         // cursor never skips, so fixed-tenancy runs are bit-identical.
-        while *warmed < self.tenants.len() && !self.tenants[*warmed].is_active() {
+        while *warmed < self.tenants.len() && !self.tenants.is_active(*warmed) {
             *warmed += 1;
         }
         let (user, from_warmup) = if *warmed < self.tenants.len() {
@@ -624,7 +622,7 @@ impl EaseMl {
                             parent: easeml_obs::current_span(),
                         });
                     }
-                    self.tenants[user].observe(model_idx, outcome.accuracy);
+                    self.tenants.observe(user, model_idx, outcome.accuracy);
                     self.jobs[user].record_result(model_idx, outcome.accuracy);
                     self.retry_state.record_success(user, model_idx);
                     picker.after_observe(&self.tenants, user);
@@ -704,7 +702,7 @@ impl EaseMl {
                         && consecutive >= threshold
                         && !self.tenants[user].policy().is_masked(model_idx)
                     {
-                        self.tenants[user].set_arm_masked(model_idx, true);
+                        self.tenants.set_arm_masked(user, model_idx, true);
                         let probation = self.retry_policy.probation_rounds;
                         self.retry_state
                             .schedule_release(*rounds + probation, user, model_idx);
@@ -789,10 +787,11 @@ impl EaseMl {
             .tenants
             .iter()
             .zip(&self.jobs)
-            .map(|(t, job)| TenantCheckpoint {
+            .enumerate()
+            .map(|(id, (t, job))| TenantCheckpoint {
                 observations: t.policy().posterior().observations().collect(),
                 masked: t.policy().masked_arms(),
-                active: t.is_active(),
+                active: self.tenants.is_active(id),
                 failed: job.failed,
                 cost: job.cost,
             })
@@ -890,14 +889,14 @@ impl EaseMl {
                 in_range(arm, num_arms, || {
                     format!("tenants[{idx}].observations[{j}].arm")
                 })?;
-                server.tenants[idx].observe(arm, reward);
+                server.tenants.observe(idx, arm, reward);
                 server.jobs[idx].record_result(arm, reward);
             }
             for (j, &arm) in tenant_ckpt.masked.iter().enumerate() {
                 in_range(arm, num_arms, || format!("tenants[{idx}].masked[{j}]"))?;
-                server.tenants[idx].set_arm_masked(arm, true);
+                server.tenants.set_arm_masked(idx, arm, true);
             }
-            server.tenants[idx].set_active(tenant_ckpt.active);
+            server.tenants.set_active(idx, tenant_ckpt.active);
             server.jobs[idx].failed = tenant_ckpt.failed;
             server.jobs[idx].cost = tenant_ckpt.cost;
         }
@@ -1002,7 +1001,7 @@ impl EaseMl {
                 if user >= self.tenants.len() {
                     return Err(format!("logged retirement for unknown tenant {user}"));
                 }
-                self.tenants[user].set_active(false);
+                self.tenants.set_active(user, false);
                 Ok(())
             }
         }
@@ -1134,7 +1133,7 @@ impl EaseMl {
             .users
             .iter()
             .zip(&self.jobs)
-            .zip(&self.tenants)
+            .zip(self.tenants.iter())
             .map(|((account, job), tenant)| {
                 let best = job.best_model();
                 UserStatus {
@@ -2077,6 +2076,15 @@ mod tests {
                 // Restore derives the witness round count from `rounds`; a
                 // second checkpoint must read back every byte.
                 assert_eq!(restored.checkpoint(), json, "round {round}");
+                // The restored roster's columns equal a recomputation from
+                // its tenants, and its live set is the original's.
+                if let Err(stale) = restored.tenants.check_columns() {
+                    panic!("round {round}: {stale}");
+                }
+                assert!(
+                    restored.tenants.live_ids().eq(s.tenants.live_ids()),
+                    "round {round}"
+                );
                 checked += 1;
             }
         }

@@ -22,7 +22,9 @@ use easeml_dsl::zoo::{most_cited_order, most_recent_order, IMAGE_CLASSIFIERS};
 use easeml_gp::ArmPrior;
 use easeml_linalg::vec_ops;
 use easeml_obs::{Component, Event, RecorderHandle};
-use easeml_sched::{Fcfs, Greedy, Hybrid, PickRule, RandomPicker, RoundRobin, Tenant, UserPicker};
+use easeml_sched::{
+    Fcfs, Greedy, Hybrid, PickRule, RandomPicker, Roster, RoundRobin, Tenant, UserPicker,
+};
 
 /// Which multi-tenant scheduler to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -466,13 +468,13 @@ fn tenant_beta(dataset: &Dataset, cfg: &SimConfig) -> BetaSchedule {
 }
 
 /// Builds one [`Tenant`] per user with the multi-tenant β schedule derived
-/// from `cfg` — the execution engine's tenants.
+/// from `cfg` — the execution engine's roster.
 pub(crate) fn build_tenants(
     dataset: &Dataset,
     priors: &[ArmPrior],
     cfg: &SimConfig,
     recorder: &RecorderHandle,
-) -> Vec<Tenant> {
+) -> Roster {
     let n = dataset.num_users();
     let beta = tenant_beta(dataset, cfg);
     (0..n)

@@ -172,12 +172,13 @@ impl Matrix {
         (0..n).map(|i| self[(i, i)]).collect()
     }
 
-    /// Returns the transpose.
+    /// Returns the transpose. Each output row is filled contiguously from
+    /// a strided read of one input column.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        for j in 0..self.cols {
+            for (i, x) in out.row_mut(j).iter_mut().enumerate() {
+                *x = self[(i, j)];
             }
         }
         out
@@ -524,6 +525,28 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 0)], 3.0);
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn transpose_copies_every_entry_bit_for_bit() {
+        // Sides that are multiples of no block size, with signed zeros,
+        // NaNs and subnormals among the entries.
+        let (rows, cols) = (13, 7);
+        let m = Matrix::from_fn(rows, cols, |i, j| match (i * cols + j) % 5 {
+            0 => -0.0,
+            1 => f64::NAN,
+            2 => f64::MIN_POSITIVE / 3.0,
+            _ => (i as f64 - 6.5) / (j as f64 + 0.3),
+        });
+        let t = m.transpose();
+        assert_eq!(t.shape(), (cols, rows));
+        for i in 0..rows {
+            for j in 0..cols {
+                assert_eq!(t[(j, i)].to_bits(), m[(i, j)].to_bits(), "({i}, {j})");
+            }
+        }
+        assert_eq!(Matrix::zeros(0, 4).transpose().shape(), (4, 0));
+        assert_eq!(Matrix::zeros(4, 0).transpose().shape(), (0, 4));
     }
 
     #[test]

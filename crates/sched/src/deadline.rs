@@ -11,7 +11,7 @@
 //! regret bound — is untouched.
 
 use crate::picker::UserPicker;
-use crate::tenant::Tenant;
+use crate::roster::Roster;
 use easeml_obs::{Event, RecorderHandle};
 
 /// A per-tenant deadline: serve the tenant at least `min_serves` times by
@@ -59,13 +59,13 @@ impl<P: UserPicker> DeadlinePicker<P> {
 
     /// Whether tenant `i` is urgent at `step`: its deadline is within the
     /// horizon and its quota is unmet.
-    fn is_urgent(&self, tenants: &[Tenant], i: usize, step: usize) -> bool {
-        if !tenants[i].is_active() {
+    fn is_urgent(&self, roster: &Roster, i: usize, step: usize) -> bool {
+        if !roster.is_active(i) {
             // A retired tenant's deadline lapses with it.
             return false;
         }
         match self.deadlines.get(i).copied().flatten() {
-            Some(d) => tenants[i].serves() < d.min_serves && step + self.horizon >= d.round,
+            Some(d) => roster[i].serves() < d.min_serves && step + self.horizon >= d.round,
             None => false,
         }
     }
@@ -73,12 +73,12 @@ impl<P: UserPicker> DeadlinePicker<P> {
     /// The most urgent tenant at `step`, if any: unmet quota, deadline
     /// within the horizon, earliest deadline first (largest outstanding
     /// quota breaks ties).
-    pub fn most_urgent(&self, tenants: &[Tenant], step: usize) -> Option<usize> {
-        (0..tenants.len())
-            .filter(|&i| self.is_urgent(tenants, i, step))
+    pub fn most_urgent(&self, roster: &Roster, step: usize) -> Option<usize> {
+        (0..roster.len())
+            .filter(|&i| self.is_urgent(roster, i, step))
             .min_by_key(|&i| {
                 let d = self.deadlines[i].expect("urgent tenants have deadlines");
-                let outstanding = d.min_serves - tenants[i].serves();
+                let outstanding = d.min_serves - roster[i].serves();
                 (d.round, usize::MAX - outstanding)
             })
     }
@@ -93,8 +93,8 @@ impl<P: UserPicker> UserPicker for DeadlinePicker<P> {
         self.inner.needs_warmup()
     }
 
-    fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
-        if let Some(urgent) = self.most_urgent(tenants, step) {
+    fn pick(&mut self, roster: &Roster, step: usize, rng: &mut dyn rand::RngCore) -> usize {
+        if let Some(urgent) = self.most_urgent(roster, step) {
             // A preemption is this round's decision; the inner picker did
             // not run, so no second decision is emitted.
             self.recorder.emit(|| Event::SchedulerDecision {
@@ -106,11 +106,11 @@ impl<P: UserPicker> UserPicker for DeadlinePicker<P> {
             });
             return urgent;
         }
-        self.inner.pick(tenants, step, rng)
+        self.inner.pick(roster, step, rng)
     }
 
-    fn after_observe(&mut self, tenants: &[Tenant], served: usize) {
-        self.inner.after_observe(tenants, served);
+    fn after_observe(&mut self, roster: &Roster, served: usize) {
+        self.inner.after_observe(roster, served);
     }
 
     fn set_recorder(&mut self, recorder: RecorderHandle) {
@@ -123,12 +123,13 @@ impl<P: UserPicker> UserPicker for DeadlinePicker<P> {
 mod tests {
     use super::*;
     use crate::picker::RoundRobin;
+    use crate::tenant::Tenant;
     use easeml_bandit::{BetaSchedule, GpUcb};
     use easeml_gp::ArmPrior;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tenants(n: usize) -> Vec<Tenant> {
+    fn tenants(n: usize) -> Roster {
         (0..n)
             .map(|i| {
                 let beta = BetaSchedule::Simple {
@@ -191,7 +192,7 @@ mod tests {
         let mut p = DeadlinePicker::new(RoundRobin::default(), deadlines, 10);
         let mut r = rng();
         assert_eq!(p.pick(&ts, 0, &mut r), 0, "urgent");
-        ts[0].observe(0, 0.5); // quota met
+        ts.observe(0, 0, 0.5); // quota met
                                // Back to round robin (step 1 → tenant 1).
         assert_eq!(p.pick(&ts, 1, &mut r), 1);
     }

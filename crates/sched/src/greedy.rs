@@ -1,7 +1,7 @@
 //! The GREEDY user picker of Algorithm 2.
 
-use crate::picker::{live_count, live_indices, nth_live, UserPicker};
-use crate::tenant::Tenant;
+use crate::picker::UserPicker;
+use crate::roster::{Roster, Universe};
 use easeml_linalg::vec_ops;
 use easeml_obs::{Event, RecorderHandle};
 
@@ -59,20 +59,20 @@ impl PickRule {
 /// ```
 /// use easeml_bandit::{BetaSchedule, GpUcb};
 /// use easeml_gp::ArmPrior;
-/// use easeml_sched::{Greedy, Tenant, UserPicker};
+/// use easeml_sched::{Greedy, Roster, Tenant, UserPicker};
 /// use rand::SeedableRng;
 ///
 /// let beta = BetaSchedule::Simple { num_arms: 2, delta: 0.1 };
-/// let mut tenants: Vec<Tenant> = (0..2)
+/// let mut tenants: Roster = (0..2)
 ///     .map(|i| Tenant::new(i, GpUcb::cost_oblivious(
 ///         ArmPrior::independent(2, 1.0), 1e-3, beta)))
 ///     .collect();
 /// // Tenant 0 is thoroughly explored; tenant 1 has barely started.
 /// for _ in 0..10 {
-///     tenants[0].observe(0, 0.9);
-///     tenants[0].observe(1, 0.8);
+///     tenants.observe(0, 0, 0.9);
+///     tenants.observe(0, 1, 0.8);
 /// }
-/// tenants[1].observe(0, 0.3);
+/// tenants.observe(1, 0, 0.3);
 ///
 /// let mut greedy = Greedy::ease_ml();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -123,40 +123,34 @@ impl Greedy {
     /// Retired tenants are excluded from both the mean and the set, so a
     /// churned-out tenant can never re-enter `V_t`; indices in the result
     /// remain global tenant ids.
-    pub fn candidate_set(tenants: &[Tenant]) -> Vec<usize> {
+    pub fn candidate_set(roster: &Roster) -> Vec<usize> {
         let mut v = Vec::new();
-        fill_candidate_set(tenants, &mut v);
+        fill_candidate_set(roster, &mut v);
         v
     }
 
-    /// The per-tenant score the configured rule ranks on — what a recorded
+    /// The column the configured rule ranks on — what a recorded
     /// `SchedulerDecision` carries in its `scores` column and the witness
     /// layer folds into top-K `UserScored` events.
-    fn scores_for_rule(&self, tenants: &[Tenant]) -> Vec<f64> {
+    fn rule_column<'r>(&self, roster: &'r Roster) -> &'r [f64] {
         match self.rule {
-            PickRule::MaxUcbGap => tenants.iter().map(Tenant::ucb_gap).collect(),
-            PickRule::MaxSigmaTilde | PickRule::Random => {
-                tenants.iter().map(Tenant::sigma_tilde).collect()
-            }
+            PickRule::MaxUcbGap => roster.ucb_gaps(),
+            PickRule::MaxSigmaTilde | PickRule::Random => roster.sigma_tildes(),
         }
     }
 
     fn pick_from_candidates(
         &self,
-        tenants: &[Tenant],
+        roster: &Roster,
         candidates: &[usize],
         rng: &mut dyn rand::RngCore,
     ) -> usize {
-        let score: fn(&Tenant) -> f64 = match self.rule {
-            PickRule::MaxUcbGap => Tenant::ucb_gap,
-            PickRule::MaxSigmaTilde => Tenant::sigma_tilde,
-            PickRule::Random => {
-                use rand::Rng;
-                return candidates[rng.gen_range(0..candidates.len())];
-            }
-        };
-        vec_ops::argmax_by(candidates.iter().map(|&i| (i, score(&tenants[i]))))
-            .expect("non-empty candidates")
+        if self.rule == PickRule::Random {
+            use rand::Rng;
+            return candidates[rng.gen_range(0..candidates.len())];
+        }
+        let score = self.rule_column(roster);
+        vec_ops::argmax_by(candidates.iter().map(|&i| (i, score[i]))).expect("non-empty candidates")
     }
 }
 
@@ -165,22 +159,29 @@ impl Greedy {
 ///
 /// The threshold is the mean of the live σ̃, summed left to right in id
 /// order exactly as `vec_ops::mean` sums: a running or tree-shaped sum
-/// would round differently and move tenants across the threshold.
-pub(crate) fn fill_candidate_set(tenants: &[Tenant], out: &mut Vec<usize>) {
+/// would round differently and move tenants across the threshold. While
+/// every tenant counts, the folds run over the σ̃ column itself; otherwise
+/// over the live ids read off the roster's bitset.
+pub(crate) fn fill_candidate_set(roster: &Roster, out: &mut Vec<usize>) {
     out.clear();
-    out.reserve(tenants.len());
-    let sum: f64 = live_indices(tenants)
-        .map(|i| tenants[i].sigma_tilde())
-        .sum();
-    let mean = sum / live_count(tenants) as f64;
-    out.extend(live_indices(tenants).filter(|&i| tenants[i].sigma_tilde() >= mean));
+    out.reserve(roster.len());
+    let sigma = roster.sigma_tildes();
+    match roster.universe() {
+        Universe::All(_) => fill_from(sigma.iter().copied().enumerate(), sigma.len(), out),
+        Universe::Live(ids) => fill_from(ids.map(|i| (i, sigma[i])), roster.live_count(), out),
+    }
+}
+
+/// [`fill_candidate_set`] over `n` `(id, σ̃)` pairs in id order.
+fn fill_from(sigmas: impl Iterator<Item = (usize, f64)> + Clone, n: usize, out: &mut Vec<usize>) {
+    let sum: f64 = sigmas.clone().map(|(_, s)| s).sum();
+    let mean = sum / n as f64;
+    out.extend(sigmas.clone().filter(|&(_, s)| s >= mean).map(|(i, _)| i));
     if out.is_empty() {
         // Mathematically max σ̃ ≥ mean, but when all σ̃ are (nearly) equal,
         // floating-point rounding of the mean can edge above every element;
         // fall back to the argmax.
-        let best = vec_ops::argmax_by(live_indices(tenants).map(|i| (i, tenants[i].sigma_tilde())))
-            .expect("at least one tenant");
-        out.push(best);
+        out.push(vec_ops::argmax_by(sigmas).expect("at least one tenant"));
     }
 }
 
@@ -201,17 +202,16 @@ impl UserPicker for Greedy {
         self.mutate_at = at_step;
     }
 
-    fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
+    fn pick(&mut self, roster: &Roster, step: usize, rng: &mut dyn rand::RngCore) -> usize {
         let mut candidates = std::mem::take(&mut self.last_candidates);
-        fill_candidate_set(tenants, &mut candidates);
-        let mut choice = self.pick_from_candidates(tenants, &candidates, rng);
+        fill_candidate_set(roster, &mut candidates);
+        let mut choice = self.pick_from_candidates(roster, &candidates, rng);
         if let Some(at) = self.mutate_at {
             // Test-only seeded divergence for the replay-diff harness. The
             // rotation walks the *live* tenant list (identical to a plain
             // `+1 mod n` rotation when nobody has retired).
             if step >= at {
-                let rank = live_indices(tenants).take_while(|&i| i != choice).count();
-                choice = nth_live(tenants, rank + 1);
+                choice = roster.nth_live(roster.rank(choice) + 1);
             }
         }
         self.last_candidates = candidates;
@@ -219,7 +219,7 @@ impl UserPicker for Greedy {
             round: step as u64,
             user: choice,
             rule: self.name().to_string(),
-            scores: self.scores_for_rule(tenants),
+            scores: self.rule_column(roster).to_vec(),
             parent: easeml_obs::current_span(),
         });
         choice
@@ -229,8 +229,8 @@ impl UserPicker for Greedy {
         self.recorder = recorder;
     }
 
-    fn decision_scores(&self, tenants: &[Tenant]) -> Vec<f64> {
-        self.scores_for_rule(tenants)
+    fn decision_scores(&self, roster: &Roster) -> Vec<f64> {
+        self.rule_column(roster).to_vec()
     }
 
     fn last_candidates(&self) -> &[usize] {
@@ -241,6 +241,7 @@ impl UserPicker for Greedy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::Tenant;
     use easeml_bandit::{BetaSchedule, GpUcb};
     use easeml_gp::ArmPrior;
     use rand::rngs::StdRng;
@@ -281,7 +282,9 @@ mod tests {
 
     #[test]
     fn candidate_set_contains_the_most_uncertain_tenant() {
-        let tenants = vec![settled_tenant(0), open_tenant(1), settled_tenant(2)];
+        let tenants: Roster = [settled_tenant(0), open_tenant(1), settled_tenant(2)]
+            .into_iter()
+            .collect();
         let v = Greedy::candidate_set(&tenants);
         assert!(v.contains(&1), "open tenant must be a candidate: {v:?}");
         assert!(!v.is_empty());
@@ -289,7 +292,7 @@ mod tests {
 
     #[test]
     fn greedy_serves_the_user_with_more_potential() {
-        let tenants = vec![settled_tenant(0), open_tenant(1)];
+        let tenants: Roster = [settled_tenant(0), open_tenant(1)].into_iter().collect();
         for rule in [PickRule::MaxUcbGap, PickRule::MaxSigmaTilde] {
             let mut g = Greedy::new(rule);
             let mut r = rng();
@@ -304,7 +307,9 @@ mod tests {
 
     #[test]
     fn random_rule_stays_within_candidates() {
-        let tenants = vec![settled_tenant(0), open_tenant(1), open_tenant(2)];
+        let tenants: Roster = [settled_tenant(0), open_tenant(1), open_tenant(2)]
+            .into_iter()
+            .collect();
         let mut g = Greedy::new(PickRule::Random);
         let mut r = rng();
         for _ in 0..50 {
@@ -315,7 +320,7 @@ mod tests {
 
     #[test]
     fn candidate_set_is_never_empty_even_when_all_equal() {
-        let tenants = vec![tenant(0, 2), tenant(1, 2)];
+        let tenants: Roster = [tenant(0, 2), tenant(1, 2)].into_iter().collect();
         let v = Greedy::candidate_set(&tenants);
         assert_eq!(v, vec![0, 1], "equal σ̃ ⇒ everyone is a candidate");
     }
@@ -342,7 +347,7 @@ mod tests {
 
     #[test]
     fn witness_accessors_expose_scores_candidates_and_path() {
-        let tenants = vec![settled_tenant(0), open_tenant(1)];
+        let tenants: Roster = [settled_tenant(0), open_tenant(1)].into_iter().collect();
         let mut g = Greedy::ease_ml();
         let mut r = rng();
         let choice = g.pick(&tenants, 0, &mut r);
@@ -358,7 +363,7 @@ mod tests {
 
     #[test]
     fn test_mutation_rotates_the_choice_from_the_armed_step() {
-        let tenants = vec![settled_tenant(0), open_tenant(1)];
+        let tenants: Roster = [settled_tenant(0), open_tenant(1)].into_iter().collect();
         let mut g = Greedy::ease_ml();
         let mut r = rng();
         g.set_test_mutation(Some(3));
@@ -371,8 +376,10 @@ mod tests {
 
     #[test]
     fn retired_tenants_never_enter_the_candidate_set() {
-        let mut tenants = vec![settled_tenant(0), open_tenant(1), open_tenant(2)];
-        tenants[1].set_active(false);
+        let mut tenants: Roster = [settled_tenant(0), open_tenant(1), open_tenant(2)]
+            .into_iter()
+            .collect();
+        tenants.set_active(1, false);
         let v = Greedy::candidate_set(&tenants);
         assert!(!v.contains(&1), "retiree must stay out of V_t: {v:?}");
         assert!(v.contains(&2), "the live open tenant is a candidate");
@@ -384,8 +391,8 @@ mod tests {
             assert!(!g.last_candidates().contains(&1));
         }
         // Even the most uncertain tenant is invisible once retired.
-        tenants[1].set_active(true);
-        tenants[2].set_active(false);
+        tenants.set_active(1, true);
+        tenants.set_active(2, false);
         let v = Greedy::candidate_set(&tenants);
         assert!(!v.contains(&2));
     }
@@ -399,7 +406,7 @@ mod tests {
         lucky.observe(0, 0.95);
         let mut stuck = tenant(1, 2);
         stuck.observe(0, 0.2);
-        let tenants = vec![lucky, stuck];
+        let tenants: Roster = [lucky, stuck].into_iter().collect();
         let mut g = Greedy::ease_ml();
         let mut r = rng();
         assert_eq!(g.pick(&tenants, 0, &mut r), 1);

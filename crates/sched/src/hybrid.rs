@@ -1,8 +1,8 @@
 //! The HYBRID strategy (§4.4) — ease.ml's default scheduler.
 
 use crate::greedy::{fill_candidate_set, Greedy, PickRule};
-use crate::picker::{nth_live, UserPicker};
-use crate::tenant::Tenant;
+use crate::picker::UserPicker;
+use crate::roster::Roster;
 use easeml_obs::{Event, RecorderHandle};
 
 /// HYBRID: run [`Greedy`] until it enters the *freezing stage*, then switch
@@ -85,8 +85,11 @@ impl Hybrid {
         self.frozen_rounds
     }
 
-    fn best_sum(tenants: &[Tenant]) -> f64 {
-        tenants.iter().filter_map(Tenant::best_reward).sum()
+    /// The sum of every tenant's best reward, retired ones included, in id
+    /// order; a tenant with no observation adds the column's `-0.0`, which
+    /// leaves every partial sum's bits as they were.
+    fn best_sum(roster: &Roster) -> f64 {
+        roster.best_rewards().iter().sum()
     }
 
     /// Snapshots the freeze detector and round-robin cursor for a
@@ -164,9 +167,9 @@ impl UserPicker for Hybrid {
         true
     }
 
-    fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
+    fn pick(&mut self, roster: &Roster, step: usize, rng: &mut dyn rand::RngCore) -> usize {
         let choice = if self.switched {
-            let c = nth_live(tenants, self.rr_cursor);
+            let c = roster.nth_live(self.rr_cursor);
             // `from_state` takes any cursor, `usize::MAX` included; the
             // pick only reads it modulo the live count.
             self.rr_cursor = self.rr_cursor.wrapping_add(1);
@@ -175,7 +178,7 @@ impl UserPicker for Hybrid {
             // The inner greedy keeps its default (noop) recorder, so the
             // only SchedulerDecision per round is the one below, labelled
             // with the canonical "hybrid" rule name.
-            self.greedy.pick(tenants, step, rng)
+            self.greedy.pick(roster, step, rng)
         };
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
@@ -184,19 +187,19 @@ impl UserPicker for Hybrid {
             scores: if self.switched {
                 Vec::new()
             } else {
-                UserPicker::decision_scores(&self.greedy, tenants)
+                UserPicker::decision_scores(&self.greedy, roster)
             },
             parent: easeml_obs::current_span(),
         });
         choice
     }
 
-    fn after_observe(&mut self, tenants: &[Tenant], _served: usize) {
+    fn after_observe(&mut self, roster: &Roster, _served: usize) {
         if self.switched {
             return;
         }
-        fill_candidate_set(tenants, &mut self.candidates);
-        let best_sum = Self::best_sum(tenants);
+        fill_candidate_set(roster, &mut self.candidates);
+        let best_sum = Self::best_sum(roster);
         let improved = best_sum > self.prev_best_sum + 1e-12;
         let same_candidates = self.candidates == self.prev_candidates;
         if same_candidates && !improved {
@@ -223,11 +226,11 @@ impl UserPicker for Hybrid {
         self.recorder = recorder;
     }
 
-    fn decision_scores(&self, tenants: &[Tenant]) -> Vec<f64> {
+    fn decision_scores(&self, roster: &Roster) -> Vec<f64> {
         if self.switched {
             Vec::new()
         } else {
-            UserPicker::decision_scores(&self.greedy, tenants)
+            UserPicker::decision_scores(&self.greedy, roster)
         }
     }
 
@@ -251,12 +254,13 @@ impl UserPicker for Hybrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::Tenant;
     use easeml_bandit::{BetaSchedule, GpUcb};
     use easeml_gp::ArmPrior;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tenants(n: usize, k: usize) -> Vec<Tenant> {
+    fn tenants(n: usize, k: usize) -> Roster {
         (0..n)
             .map(|i| {
                 let beta = BetaSchedule::Simple {
@@ -289,8 +293,8 @@ mod tests {
         let mut ts = tenants(2, 1);
         // Converge both tenants completely: single arm, constant reward.
         for _ in 0..5 {
-            ts[0].observe(0, 0.9);
-            ts[1].observe(0, 0.8);
+            ts.observe(0, 0, 0.9);
+            ts.observe(1, 0, 0.8);
         }
         let mut h = Hybrid::new(PickRule::MaxUcbGap, 3);
         let mut r = rng();
@@ -298,7 +302,7 @@ mod tests {
         for _ in 0..5 {
             let u = h.pick(&ts, 0, &mut r);
             let below_best = ts[u].best_reward().unwrap() - 0.2; // no improvement
-            ts[u].observe(0, below_best);
+            ts.observe(u, 0, below_best);
             h.after_observe(&ts, u);
         }
         assert!(h.has_switched(), "freeze detector must fire");
@@ -307,15 +311,15 @@ mod tests {
     #[test]
     fn improvement_resets_the_freeze_counter() {
         let mut ts = tenants(2, 1);
-        ts[0].observe(0, 0.5);
-        ts[1].observe(0, 0.5);
+        ts.observe(0, 0, 0.5);
+        ts.observe(1, 0, 0.5);
         let mut h = Hybrid::new(PickRule::MaxUcbGap, 3);
         let mut r = rng();
         let mut reward = 0.5;
         for _ in 0..10 {
             let u = h.pick(&ts, 0, &mut r);
             reward += 0.01; // every round improves someone's best
-            ts[u].observe(0, reward);
+            ts.observe(u, 0, reward);
             h.after_observe(&ts, u);
             assert_eq!(h.frozen_rounds(), 0);
         }
@@ -328,8 +332,8 @@ mod tests {
         use std::sync::Arc;
         let mut ts = tenants(2, 1);
         for _ in 0..5 {
-            ts[0].observe(0, 0.9);
-            ts[1].observe(0, 0.8);
+            ts.observe(0, 0, 0.9);
+            ts.observe(1, 0, 0.8);
         }
         let rec = Arc::new(InMemoryRecorder::new());
         let mut h = Hybrid::new(PickRule::MaxUcbGap, 3);
@@ -338,7 +342,7 @@ mod tests {
         for step in 0..5 {
             let u = h.pick(&ts, step, &mut r);
             let below_best = ts[u].best_reward().unwrap() - 0.2;
-            ts[u].observe(0, below_best);
+            ts.observe(u, 0, below_best);
             h.after_observe(&ts, u);
         }
         assert!(h.has_switched());
@@ -374,7 +378,7 @@ mod tests {
     #[test]
     fn switched_mode_cycles_only_the_live_tenants() {
         let mut ts = tenants(3, 1);
-        ts[1].set_active(false);
+        ts.set_active(1, false);
         let mut h = Hybrid::new(PickRule::MaxUcbGap, 1);
         h.switched = true;
         let mut r = rng();
@@ -404,15 +408,15 @@ mod tests {
         // Drive one picker halfway, export, rebuild, and check both copies
         // make identical picks from there on.
         let mut ts = tenants(3, 1);
-        for t in ts.iter_mut() {
-            t.observe(0, 0.5);
+        for id in 0..ts.len() {
+            ts.observe(id, 0, 0.5);
         }
         let mut h = Hybrid::new(PickRule::MaxUcbGap, 2);
         let mut r = rng();
         for step in 0..4 {
             let u = h.pick(&ts, step, &mut r);
             let below = ts[u].best_reward().unwrap() - 0.1;
-            ts[u].observe(0, below);
+            ts.observe(u, 0, below);
             h.after_observe(&ts, u);
         }
         let state = h.export_state();

@@ -23,10 +23,12 @@
 //!   `s = 10` consecutive rounds), then switch to round-robin.
 //!
 //! [`Tenant`] holds the per-user bandit plus the Algorithm-2 recurrence
-//! state, and caches the two scores the pickers rank on (σ̃ and the
-//! max-UCB gap), so a steady-state pick scans field reads and allocates
-//! nothing; [`regret::MultiTenantRegret`] implements the §4.1 cost-aware
-//! multi-tenant regret and the "ease.ml regret" variant.
+//! state. A [`Roster`] owns the tenants and keeps, by tenant id, the
+//! columns every picker reads (a live bitset, σ̃, the max-UCB gap and the
+//! best reward), so a steady-state pick folds contiguous `f64`s, never
+//! strides the tenants and allocates nothing; [`regret::MultiTenantRegret`]
+//! implements the §4.1 cost-aware multi-tenant regret and the "ease.ml
+//! regret" variant.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,6 +40,7 @@ pub mod picker;
 #[cfg(test)]
 mod reference;
 pub mod regret;
+pub mod roster;
 pub mod tenant;
 
 pub use deadline::{Deadline, DeadlinePicker};
@@ -45,4 +48,5 @@ pub use greedy::{Greedy, PickRule};
 pub use hybrid::{Hybrid, HybridState};
 pub use picker::{Fcfs, RandomPicker, RoundRobin, UserPicker};
 pub use regret::MultiTenantRegret;
+pub use roster::{LiveIds, Roster};
 pub use tenant::Tenant;

@@ -1,11 +1,14 @@
 //! The user-picking interface and the workload-agnostic pickers.
 
 use crate::hybrid::Hybrid;
-use crate::tenant::Tenant;
+use crate::roster::Roster;
 use easeml_obs::{Event, RecorderHandle};
 
 /// The user-picking phase of the multi-tenant scheduler: given the current
 /// tenant states, decide who is served in global round `step` (0-based).
+/// Every picker reads the tenants through a [`Roster`]: retired tenants
+/// are invisible to it, and when every tenant has retired it draws from
+/// all of them, which keeps `pick` total.
 ///
 /// Pickers that estimate per-tenant potential (GREEDY, HYBRID) require every
 /// tenant to have been served once before their estimates mean anything;
@@ -24,12 +27,12 @@ pub trait UserPicker {
     /// Chooses the tenant to serve.
     ///
     /// `step` counts *post-warm-up* rounds from 0. Implementations must
-    /// return an index `< tenants.len()`.
-    fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize;
+    /// return an index `< roster.len()`.
+    fn pick(&mut self, roster: &Roster, step: usize, rng: &mut dyn rand::RngCore) -> usize;
 
     /// Hook invoked after the served tenant has observed its reward —
     /// HYBRID uses it for freeze detection.
-    fn after_observe(&mut self, _tenants: &[Tenant], _served: usize) {}
+    fn after_observe(&mut self, _roster: &Roster, _served: usize) {}
 
     /// Attaches a recorder through which the picker emits one
     /// `SchedulerDecision` per pick (plus any strategy-specific events).
@@ -40,7 +43,7 @@ pub trait UserPicker {
     /// on, indexed by tenant — the witness-capture layer turns these into
     /// bounded top-K `UserScored` events. Empty for strategies that do not
     /// score (FCFS, round robin, random, post-fallback HYBRID).
-    fn decision_scores(&self, _tenants: &[Tenant]) -> Vec<f64> {
+    fn decision_scores(&self, _roster: &Roster) -> Vec<f64> {
         Vec::new()
     }
 
@@ -72,42 +75,6 @@ pub trait UserPicker {
     fn set_test_mutation(&mut self, _at_step: Option<usize>) {}
 }
 
-/// Indices of the live tenants, in id order, without allocating — the
-/// universe every picker draws from now that tenants can retire mid-run.
-/// Falls back to *all* indices when every tenant is inactive, keeping
-/// `pick` total; callers are expected to guard picking behind an
-/// any-active check, so the fallback only shields against misuse.
-///
-/// With every tenant active this is `0..n`, which keeps each picker's
-/// choice — and its RNG consumption — bit-identical to the closed-loop
-/// fixed-tenancy behavior.
-pub(crate) fn live_indices(tenants: &[Tenant]) -> impl Iterator<Item = usize> + '_ {
-    let all = !tenants.iter().any(Tenant::is_active);
-    tenants
-        .iter()
-        .enumerate()
-        .filter(move |(_, t)| all || t.is_active())
-        .map(|(i, _)| i)
-}
-
-/// Number of live tenants (every tenant when none is live).
-pub(crate) fn live_count(tenants: &[Tenant]) -> usize {
-    live_indices(tenants).count()
-}
-
-/// The `(r mod n)`-th of the `n` live tenants, counted in id order — how
-/// every round-robin-style pick chooses.
-///
-/// # Panics
-///
-/// Panics if `tenants` is empty.
-pub(crate) fn nth_live(tenants: &[Tenant], r: usize) -> usize {
-    let n = live_count(tenants);
-    live_indices(tenants)
-        .nth(r % n)
-        .expect("r mod n indexes a live tenant")
-}
-
 /// First-come-first-served: serve the lowest-indexed tenant whose
 /// exploration is not yet complete (§4.1's strawman, with "found an optimal
 /// algorithm" operationalized as "trained every candidate model"). Once all
@@ -122,10 +89,11 @@ impl UserPicker for Fcfs {
         "fcfs"
     }
 
-    fn pick(&mut self, tenants: &[Tenant], step: usize, _rng: &mut dyn rand::RngCore) -> usize {
-        let user = live_indices(tenants)
-            .find(|&i| !tenants[i].exhausted())
-            .unwrap_or_else(|| nth_live(tenants, step));
+    fn pick(&mut self, roster: &Roster, step: usize, _rng: &mut dyn rand::RngCore) -> usize {
+        let user = roster
+            .universe()
+            .find(|&i| !roster[i].exhausted())
+            .unwrap_or_else(|| roster.nth_live(step));
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
             user,
@@ -152,8 +120,8 @@ impl UserPicker for RoundRobin {
         "round-robin"
     }
 
-    fn pick(&mut self, tenants: &[Tenant], step: usize, _rng: &mut dyn rand::RngCore) -> usize {
-        let user = nth_live(tenants, step);
+    fn pick(&mut self, roster: &Roster, step: usize, _rng: &mut dyn rand::RngCore) -> usize {
+        let user = roster.nth_live(step);
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
             user,
@@ -181,9 +149,9 @@ impl UserPicker for RandomPicker {
         "random"
     }
 
-    fn pick(&mut self, tenants: &[Tenant], step: usize, rng: &mut dyn rand::RngCore) -> usize {
+    fn pick(&mut self, roster: &Roster, step: usize, rng: &mut dyn rand::RngCore) -> usize {
         use rand::Rng;
-        let user = nth_live(tenants, rng.gen_range(0..live_count(tenants)));
+        let user = roster.nth_live(rng.gen_range(0..roster.universe_len()));
         self.recorder.emit(|| Event::SchedulerDecision {
             round: step as u64,
             user,
@@ -202,12 +170,13 @@ impl UserPicker for RandomPicker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::Tenant;
     use easeml_bandit::{BetaSchedule, GpUcb};
     use easeml_gp::ArmPrior;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tenants(n: usize, k: usize) -> Vec<Tenant> {
+    fn tenants(n: usize, k: usize) -> Roster {
         (0..n)
             .map(|i| {
                 let beta = BetaSchedule::Simple {
@@ -243,14 +212,14 @@ mod tests {
         let mut p = Fcfs::default();
         let mut r = rng();
         assert_eq!(p.pick(&ts, 0, &mut r), 0);
-        ts[0].observe(0, 0.5);
+        ts.observe(0, 0, 0.5);
         // User 0 still has an untried arm.
         assert_eq!(p.pick(&ts, 1, &mut r), 0);
-        ts[0].observe(1, 0.6);
+        ts.observe(0, 1, 0.6);
         // User 0 exhausted: move to user 1.
         assert_eq!(p.pick(&ts, 2, &mut r), 1);
-        ts[1].observe(0, 0.5);
-        ts[1].observe(1, 0.5);
+        ts.observe(1, 0, 0.5);
+        ts.observe(1, 1, 0.5);
         // Everyone exhausted: fall back to round robin.
         assert_eq!(p.pick(&ts, 4, &mut r), 0);
         assert_eq!(p.pick(&ts, 5, &mut r), 1);
@@ -288,15 +257,15 @@ mod tests {
     #[test]
     fn retired_tenants_are_invisible_to_every_picker() {
         let mut ts = tenants(4, 2);
-        ts[1].set_active(false);
+        ts.set_active(1, false);
         let mut r = rng();
         let mut rr = RoundRobin::default();
         let picks: Vec<usize> = (0..6).map(|s| rr.pick(&ts, s, &mut r)).collect();
         assert_eq!(picks, vec![0, 2, 3, 0, 2, 3], "rr cycles the live set");
         let mut fcfs = Fcfs::default();
-        for t in ts.iter_mut() {
-            t.observe(0, 0.5);
-            t.observe(1, 0.5);
+        for id in 0..ts.len() {
+            ts.observe(id, 0, 0.5);
+            ts.observe(id, 1, 0.5);
         }
         for s in 0..8 {
             assert_ne!(fcfs.pick(&ts, s, &mut r), 1, "fcfs skips the retiree");

@@ -18,12 +18,12 @@ use easeml_obs::RecorderHandle;
 /// reward. The greedy scheduler treats σ̃ as the tenant's remaining
 /// "potential for quality improvement".
 ///
-/// Both scores the pickers rank on, σ̃ and the max-UCB gap, are cached
-/// fields: computed in [`Tenant::new`] and refreshed in [`Tenant::observe`],
-/// the only way to change the tenant's GP state (the policy is reachable
-/// mutably only through [`Tenant::set_recorder`] and
-/// [`Tenant::set_arm_masked`], which touch neither score). A pick therefore
-/// reads each tenant's scores in O(1) instead of sweeping its K arms.
+/// Both scores the pickers rank on, σ̃ and the max-UCB gap, are O(1) reads
+/// of the recurrence state and of the policy's cached max UCB once the
+/// tenant has been served. A [`Roster`](crate::Roster) stores them, with
+/// the tenant's liveness and best reward, in columns by tenant id and
+/// refreshes them on every observation, so a pick never strides the
+/// tenants.
 #[derive(Debug, Clone)]
 pub struct Tenant {
     id: usize,
@@ -31,11 +31,6 @@ pub struct Tenant {
     /// Running minimum of the empirical confidence bounds (the
     /// `min (y + σ̃)` term); `None` until the first observation.
     empirical_bound: Option<f64>,
-    /// Latest σ̃; before the first observation, the maximum prior
-    /// exploration width.
-    sigma_tilde: f64,
-    /// Cached [`Tenant::ucb_gap`].
-    ucb_gap: f64,
     /// Best reward observed so far.
     best_reward: Option<f64>,
     /// Reward observed at the most recent serve.
@@ -44,53 +39,21 @@ pub struct Tenant {
     last_arm: Option<usize>,
     /// Distinct arms played (completion detector for FCFS).
     arms_played: Vec<bool>,
-    /// Whether the tenant is live. A retired tenant keeps its slot (so
-    /// tenant ids stay stable for checkpoints and traces) but is invisible
-    /// to every picker's candidate set.
-    active: bool,
 }
 
 impl Tenant {
     /// Wraps a per-user policy.
     pub fn new(id: usize, policy: GpUcb) -> Self {
         let k = policy.posterior().num_arms();
-        // Fresh tenants look maximally promising: σ̃ starts at the maximum
-        // prior exploration width.
-        let sigma_tilde = (0..k)
-            .map(|arm| policy.exploration_width(arm))
-            .fold(0.0, f64::max);
-        let mut tenant = Tenant {
+        Tenant {
             id,
             policy,
             empirical_bound: None,
-            sigma_tilde,
-            ucb_gap: 0.0,
             best_reward: None,
             last_reward: None,
             last_arm: None,
             arms_played: vec![false; k],
-            active: true,
-        };
-        tenant.refresh_ucb_gap();
-        tenant
-    }
-
-    fn refresh_ucb_gap(&mut self) {
-        self.ucb_gap = self.policy.max_ucb() - self.best_reward.unwrap_or(0.0);
-    }
-
-    /// Whether the tenant is live (the default) or retired.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// Marks the tenant live or retired. Retirement only hides the tenant
-    /// from pickers; its GP state stays intact so a checkpoint restore (or
-    /// a re-join under the same id) resumes bit-exactly.
-    #[inline]
-    pub fn set_active(&mut self, active: bool) {
-        self.active = active;
+        }
     }
 
     /// The tenant's identifier (index into the scheduler's tenant list).
@@ -135,8 +98,7 @@ impl Tenant {
     }
 
     /// Records the outcome of a serve: the tenant played `arm` and observed
-    /// `reward`. Updates the GP posterior, the σ̃ recurrence and the cached
-    /// UCB gap.
+    /// `reward`. Updates the GP posterior and the σ̃ recurrence.
     pub fn observe(&mut self, arm: usize, reward: f64) {
         self.policy.observe(arm, reward);
         self.arms_played[arm] = true;
@@ -153,17 +115,20 @@ impl Tenant {
             None => b,
         };
         self.empirical_bound = Some(bound);
-        self.sigma_tilde = bound - reward;
-        self.refresh_ucb_gap();
     }
 
     /// The latest empirical variance estimate σ̃ (the tenant's estimated
-    /// potential for improvement). Falls back to the maximum prior
-    /// exploration width before the first observation, so fresh tenants look
+    /// potential for improvement): the running-minimum bound minus the
+    /// latest reward. Falls back to the maximum prior exploration width
+    /// before the first observation (an O(K) sweep), so fresh tenants look
     /// maximally promising.
-    #[inline]
     pub fn sigma_tilde(&self) -> f64 {
-        self.sigma_tilde
+        match (self.empirical_bound, self.last_reward) {
+            (Some(bound), Some(reward)) => bound - reward,
+            _ => (0..self.policy.posterior().num_arms())
+                .map(|arm| self.policy.exploration_width(arm))
+                .fold(0.0, f64::max),
+        }
     }
 
     /// Running-minimum empirical confidence bound `y + σ̃`, if any
@@ -201,10 +166,10 @@ impl Tenant {
     /// and the best accuracy so far (0 before the first observation) —
     /// ease.ml's production rule for choosing among greedy candidates ("the
     /// maximum gap between the largest upper confidence bound and the best
-    /// accuracy so far", §4.3).
+    /// accuracy so far", §4.3). O(1): the policy caches its max UCB.
     #[inline]
     pub fn ucb_gap(&self) -> f64 {
-        self.ucb_gap
+        self.policy.max_ucb() - self.best_reward.unwrap_or(0.0)
     }
 }
 
@@ -225,33 +190,20 @@ mod tests {
         )
     }
 
-    /// Every picker scans the tenant list at `Tenant`'s stride, several
-    /// times a round (1,000 tenants a round on perfbench's `service-1k`).
-    /// Like rustc's `static_assert_size!` on its hot types, this pins the
-    /// size, so a change that resizes `Tenant` re-pins it here and shows a
-    /// paired `service-1k` run. A power-of-two stride is a cliff: on a
-    /// 2-vCPU x86-64 VM, `service-1k` ran at 249–259k decisions/s with
-    /// `Tenant` padded to exactly 512 bytes, against 316–383k padded to 520
-    /// and 335–389k at 488 (five 10 s runs each), likely because at a
-    /// 512-byte stride the fields a pick reads share an eighth of the L1
-    /// cache's sets.
+    /// Pins `Tenant`'s size, like rustc's `static_assert_size!` on its hot
+    /// types, so that a resize is deliberate. No per-round loop strides
+    /// `Tenant` any more: GREEDY and HYBRID fold the roster's dense columns
+    /// and round robin reads its live bitset, so only FCFS, deadline checks,
+    /// checkpoints and restores walk the tenants. Before the roster, every
+    /// pick scanned the tenants at this stride several times a round, and a
+    /// power-of-two stride was a cliff there: on a 2-vCPU x86-64 VM,
+    /// `service-1k` ran at 249–259k decisions/s with `Tenant` padded to 512
+    /// bytes, against 335–389k at its then 488. Moving σ̃, the UCB gap and
+    /// liveness into the roster shrank it to 464.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn tenant_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<Tenant>(), 488);
-    }
-
-    #[test]
-    fn activity_toggles_without_touching_bandit_state() {
-        let mut t = tenant(0, 2);
-        assert!(t.is_active(), "tenants start live");
-        t.observe(1, 0.6);
-        t.set_active(false);
-        assert!(!t.is_active());
-        assert_eq!(t.best_reward(), Some(0.6), "retirement keeps GP state");
-        t.set_active(true);
-        assert!(t.is_active());
-        assert_eq!(t.last_arm(), Some(1));
+        assert_eq!(std::mem::size_of::<Tenant>(), 464);
     }
 
     #[test]

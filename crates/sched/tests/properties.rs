@@ -3,7 +3,8 @@
 use easeml_bandit::{BetaSchedule, GpUcb};
 use easeml_gp::ArmPrior;
 use easeml_sched::{
-    Fcfs, Greedy, Hybrid, MultiTenantRegret, PickRule, RandomPicker, RoundRobin, Tenant, UserPicker,
+    Fcfs, Greedy, Hybrid, MultiTenantRegret, PickRule, RandomPicker, Roster, RoundRobin, Tenant,
+    UserPicker,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,11 +22,11 @@ fn tenant(id: usize, k: usize) -> Tenant {
 }
 
 /// A set of tenants with arbitrary observation histories applied.
-fn tenants_with_history(n: usize, k: usize) -> impl Strategy<Value = Vec<Tenant>> {
+fn tenants_with_history(n: usize, k: usize) -> impl Strategy<Value = Roster> {
     prop::collection::vec((0..n, 0..k, 0.0f64..1.0), 0..24).prop_map(move |history| {
-        let mut ts: Vec<Tenant> = (0..n).map(|i| tenant(i, k)).collect();
+        let mut ts: Roster = (0..n).map(|i| tenant(i, k)).collect();
         for (user, arm, reward) in history {
-            ts[user].observe(arm, reward);
+            ts.observe(user, arm, reward);
         }
         ts
     })
@@ -63,7 +64,7 @@ proptest! {
         prop_assert!(!v.is_empty());
         // A tenant with the maximal σ̃ is always a candidate (any index
         // achieving the maximum qualifies — ties are broken arbitrarily).
-        let sigmas: Vec<f64> = ts.iter().map(Tenant::sigma_tilde).collect();
+        let sigmas = ts.sigma_tildes();
         let max_sigma = sigmas.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v.iter().any(|&i| sigmas[i] >= max_sigma - 1e-12));
         // All candidates are at or above the mean (up to rounding).
@@ -77,7 +78,7 @@ proptest! {
     fn round_robin_is_perfectly_fair(
         (n, rounds) in (2usize..6).prop_flat_map(|n| (Just(n), (n * 2)..(n * 10)))
     ) {
-        let ts: Vec<Tenant> = (0..n).map(|i| tenant(i, 2)).collect();
+        let ts: Roster = (0..n).map(|i| tenant(i, 2)).collect();
         let mut p = RoundRobin::default();
         let mut rng = StdRng::seed_from_u64(1);
         let mut counts = vec![0usize; n];
@@ -141,15 +142,15 @@ proptest! {
         history in prop::collection::vec((0usize..2, 0.4f64..0.6), 30..60)
     ) {
         // Feed a long no-improvement phase; once switched, it stays.
-        let mut ts: Vec<Tenant> = (0..2).map(|i| tenant(i, 1)).collect();
-        ts[0].observe(0, 0.9);
-        ts[1].observe(0, 0.9);
+        let mut ts: Roster = (0..2).map(|i| tenant(i, 1)).collect();
+        ts.observe(0, 0, 0.9);
+        ts.observe(1, 0, 0.9);
         let mut h = Hybrid::new(PickRule::MaxUcbGap, 3);
         let mut rng = StdRng::seed_from_u64(2);
         let mut switched_at: Option<usize> = None;
         for (s, &(user, reward)) in history.iter().enumerate() {
             let _ = h.pick(&ts, s, &mut rng);
-            ts[user].observe(0, reward); // never beats 0.9
+            ts.observe(user, 0, reward); // never beats 0.9
             h.after_observe(&ts, user);
             if h.has_switched() && switched_at.is_none() {
                 switched_at = Some(s);

@@ -1,10 +1,11 @@
-//! Steady-state user picks allocate nothing: the pickers read each
-//! tenant's cached scores and build `V_t` in buffers they keep.
+//! Steady-state user picks allocate nothing: the pickers read the
+//! roster's dense columns and build `V_t` in buffers they keep, and a
+//! retirement or rejoin only flips a bit.
 
 use easeml_bandit::{BetaSchedule, GpUcb};
 use easeml_gp::ArmPrior;
 use easeml_obs::{thread_alloc_stats, CountingAlloc};
-use easeml_sched::{Greedy, Hybrid, PickRule, Tenant, UserPicker};
+use easeml_sched::{Greedy, Hybrid, PickRule, Roster, Tenant, UserPicker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,8 +17,8 @@ const ARMS: usize = 8;
 const MEASURED: usize = 1_000;
 
 /// Warmed-up tenants: each has been served once, as Algorithm 2 requires.
-fn tenants() -> Vec<Tenant> {
-    (0..TENANTS)
+fn tenants() -> Roster {
+    let mut roster: Roster = (0..TENANTS)
         .map(|i| {
             let beta = BetaSchedule::MultiTenant {
                 max_cost: 1.0,
@@ -25,15 +26,17 @@ fn tenants() -> Vec<Tenant> {
                 max_arms: ARMS,
                 delta: 0.1,
             };
-            let mut t = Tenant::new(
+            Tenant::new(
                 i,
                 GpUcb::cost_oblivious(ArmPrior::independent(ARMS, 0.05), 1e-3, beta),
-            );
-            let arm = t.select_model();
-            t.observe(arm, 0.3 + 0.001 * i as f64);
-            t
+            )
         })
-        .collect()
+        .collect();
+    for i in 0..TENANTS {
+        let arm = roster[i].select_model();
+        roster.observe(i, arm, 0.3 + 0.001 * i as f64);
+    }
+    roster
 }
 
 /// A reward above every earlier one: the served tenant's best improves, so
@@ -53,16 +56,30 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// selection and observation are not. Returns the picker's allocations.
 fn round<P: UserPicker>(
     picker: &mut P,
-    tenants: &mut [Tenant],
+    roster: &mut Roster,
     step: usize,
     reward: f64,
     rng: &mut StdRng,
 ) -> u64 {
-    let (user, pick_allocs) = allocs_in(|| picker.pick(tenants, step, rng));
-    let arm = tenants[user].select_model();
-    tenants[user].observe(arm, reward);
-    let ((), observe_allocs) = allocs_in(|| picker.after_observe(tenants, user));
+    let (user, pick_allocs) = allocs_in(|| picker.pick(roster, step, rng));
+    let arm = roster[user].select_model();
+    roster.observe(user, arm, reward);
+    let ((), observe_allocs) = allocs_in(|| picker.after_observe(roster, user));
     pick_allocs + observe_allocs
+}
+
+/// The lifecycle flip at position `j` of a measured window, counted:
+/// tenant 3 retires midway and rejoins three rounds later, so the picks
+/// between run on the bitset-walk path.
+fn flip(roster: &mut Roster, j: usize) -> u64 {
+    let ((), allocs) = allocs_in(|| {
+        if j == MEASURED / 2 {
+            roster.set_active(3, false);
+        } else if j == MEASURED / 2 + 3 {
+            roster.set_active(3, true);
+        }
+    });
+    allocs
 }
 
 #[test]
@@ -78,7 +95,8 @@ fn steady_state_hybrid_rounds_allocate_nothing_in_either_phase() {
         step += 1;
     }
     let mut greedy_allocs = 0;
-    for _ in 0..MEASURED {
+    for j in 0..MEASURED {
+        greedy_allocs += flip(&mut ts, j);
         greedy_allocs += round(&mut hybrid, &mut ts, step, record(step), &mut rng);
         step += 1;
     }
@@ -93,7 +111,8 @@ fn steady_state_hybrid_rounds_allocate_nothing_in_either_phase() {
         step += 1;
     }
     let mut rr_allocs = 0;
-    for _ in 0..MEASURED {
+    for j in 0..MEASURED {
+        rr_allocs += flip(&mut ts, j);
         rr_allocs += round(&mut hybrid, &mut ts, step, 0.0, &mut rng);
         step += 1;
     }
@@ -113,8 +132,11 @@ fn steady_state_greedy_picks_allocate_nothing_under_every_rule() {
         for step in 0..10 {
             round(&mut greedy, &mut ts, step, record(step), &mut rng);
         }
-        let allocs: u64 = (10..10 + MEASURED)
-            .map(|step| round(&mut greedy, &mut ts, step, record(step), &mut rng))
+        let allocs: u64 = (0..MEASURED)
+            .map(|j| {
+                let step = 10 + j;
+                flip(&mut ts, j) + round(&mut greedy, &mut ts, step, record(step), &mut rng)
+            })
             .sum();
         assert_eq!(allocs, 0, "{rule:?} picks allocated");
     }

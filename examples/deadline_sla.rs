@@ -11,7 +11,7 @@
 
 use easeml_bandit::{BetaSchedule, GpUcb};
 use easeml_gp::ArmPrior;
-use easeml_sched::{Deadline, DeadlinePicker, Greedy, PickRule, Tenant, UserPicker};
+use easeml_sched::{Deadline, DeadlinePicker, Greedy, PickRule, Roster, Tenant, UserPicker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,7 +31,7 @@ fn main() {
         max_arms: k,
         delta: 0.1,
     };
-    let mut tenants: Vec<Tenant> = (0..3)
+    let mut tenants: Roster = (0..3)
         .map(|i| {
             Tenant::new(
                 i,
@@ -53,9 +53,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
 
     // Warm-up: one serve each (Algorithm 2 lines 1–4).
-    for (i, t) in tenants.iter_mut().enumerate() {
-        let m = t.select_model();
-        t.observe(m, qualities[i][m]);
+    for i in 0..tenants.len() {
+        let m = tenants[i].select_model();
+        tenants.observe(i, m, qualities[i][m]);
     }
 
     println!("round  served   reason                serves(meteo)");
@@ -63,7 +63,7 @@ fn main() {
         let urgent = picker.most_urgent(&tenants, step);
         let u = picker.pick(&tenants, step, &mut rng);
         let m = tenants[u].select_model();
-        tenants[u].observe(m, qualities[u][m]);
+        tenants.observe(u, m, qualities[u][m]);
         picker.after_observe(&tenants, u);
         let reason = match urgent {
             Some(x) if x == u => "deadline override",
