@@ -4,9 +4,10 @@
 //!
 //! The default test checks the profile's structural health at small tenant
 //! counts. The ignored test runs the same workload at U ∈ {1k, 10k, 100k}
-//! and fits the empirical scaling exponents: `pick_user` scans all U
-//! tenants (~O(U)), while `posterior_update` touches one 20-arm posterior
-//! and must stay ~O(1). It is a wall-clock fit, so run it optimised:
+//! and fits the empirical scaling exponents: `pick_user` folds all U
+//! tenants' σ̃ (~O(U)), while `posterior_update` touches one 20-arm
+//! posterior and must stay ~O(1). It is a wall-clock fit, so run it
+//! optimised:
 //!
 //! ```text
 //! cargo test --release -p easeml-core --test profile_scaling -- --ignored
@@ -70,19 +71,41 @@ fn profile(users: usize, steps: usize) -> CallTreeProfile {
     profiler.snapshot()
 }
 
-/// Every span exit was recorded, allocations were attributed, and named
-/// child phases cover at least 95% of `scheduler_step` wall time.
+/// Lowest share of `scheduler_step` wall time that its named child spans
+/// must hold (the rest is the step's own self time). Eleven runs on a
+/// 2-vCPU x86-64 VM read 0.78–0.84 at U = 5 and 0.82–0.87 at U = 50, debug
+/// and release, and 0.91–0.999 at U = 1k–100k under `--release`.
+const MIN_CHILD_SHARE: f64 = 0.7;
+
+/// Every span exit was recorded, allocations were attributed, the step's
+/// spans balance, and named child phases hold most of its wall time.
 fn assert_healthy(users: usize, profile: &CallTreeProfile) {
     assert_eq!(
         profile.dropped_exits, 0,
         "u={users}: profiler dropped span exits"
     );
+    // Span balance: the self times of `scheduler_step`'s subtree add up to
+    // its wall time. `phase_coverage` counts the step's own self time as
+    // attributed, so this holds unless span exits are lost or overlap.
     let (attributed, total) = profile
         .phase_coverage("scheduler_step")
         .expect("every run records scheduler steps");
     assert!(
         attributed as f64 >= 0.95 * total as f64,
-        "u={users}: only {attributed} of {total} scheduler_step ns attributed (need 95%)"
+        "u={users}: spans do not balance: {attributed} of {total} scheduler_step ns"
+    );
+    // Named children: the share of the step's wall time spent inside its
+    // named child spans, i.e. not in the step's own self time.
+    let step = profile
+        .phase_table()
+        .into_iter()
+        .find(|p| p.name == "scheduler_step")
+        .expect("every run records scheduler steps");
+    let in_children = 1.0 - step.self_ns as f64 / step.total_ns as f64;
+    assert!(
+        in_children >= MIN_CHILD_SHARE,
+        "u={users}: named child spans hold only {in_children:.3} of scheduler_step \
+         wall time (need {MIN_CHILD_SHARE})"
     );
     // A completion appends to the trajectory, whose buffers grow.
     let complete = profile.find(&["scheduler_step", "complete"]).unwrap();

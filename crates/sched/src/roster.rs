@@ -77,9 +77,10 @@ impl Roster {
     pub fn push(&mut self, tenant: Tenant) -> usize {
         let id = self.tenants.len();
         assert_eq!(tenant.id(), id, "tenant ids must equal their slots");
-        self.sigma_tilde.push(tenant.sigma_tilde());
-        self.ucb_gap.push(tenant.ucb_gap());
-        self.best_reward.push(tenant.best_reward().unwrap_or(-0.0));
+        let [sigma_tilde, ucb_gap, best_reward] = entries(&tenant);
+        self.sigma_tilde.push(sigma_tilde);
+        self.ucb_gap.push(ucb_gap);
+        self.best_reward.push(best_reward);
         self.tenants.push(tenant);
         if id.is_multiple_of(64) {
             self.live.push(0);
@@ -95,11 +96,8 @@ impl Roster {
     ///
     /// Panics if `id` or `arm` is out of range.
     pub fn observe(&mut self, id: usize, arm: usize, reward: f64) {
-        let tenant = &mut self.tenants[id];
-        tenant.observe(arm, reward);
-        self.sigma_tilde[id] = tenant.sigma_tilde();
-        self.ucb_gap[id] = tenant.ucb_gap();
-        self.best_reward[id] = tenant.best_reward().unwrap_or(-0.0);
+        self.tenants[id].observe(arm, reward);
+        [self.sigma_tilde[id], self.ucb_gap[id], self.best_reward[id]] = entries(&self.tenants[id]);
     }
 
     /// Marks tenant `id` live or retired. Retirement only hides the tenant
@@ -196,16 +194,9 @@ impl Roster {
     /// Returns a message naming the stale entry.
     pub fn check_columns(&self) -> Result<(), String> {
         for (id, t) in self.tenants.iter().enumerate() {
-            let entries = [
-                ("sigma_tilde", self.sigma_tilde[id], t.sigma_tilde()),
-                ("ucb_gap", self.ucb_gap[id], t.ucb_gap()),
-                (
-                    "best_reward",
-                    self.best_reward[id],
-                    t.best_reward().unwrap_or(-0.0),
-                ),
-            ];
-            for (column, cached, fresh) in entries {
+            let cached = [self.sigma_tilde[id], self.ucb_gap[id], self.best_reward[id]];
+            let columns = ["sigma_tilde", "ucb_gap", "best_reward"];
+            for ((column, cached), fresh) in columns.iter().zip(cached).zip(entries(t)) {
                 if cached.to_bits() != fresh.to_bits() {
                     return Err(format!(
                         "tenant {id}: {column} is {cached:e}, recomputed {fresh:e}"
@@ -296,6 +287,15 @@ impl Roster {
         let below: u32 = self.live[..word].iter().map(|w| w.count_ones()).sum();
         (below + (self.live[word] & ((1u64 << bit) - 1)).count_ones()) as usize
     }
+}
+
+/// `tenant`'s entries in the σ̃, UCB-gap and best-reward columns.
+fn entries(tenant: &Tenant) -> [f64; 3] {
+    [
+        tenant.sigma_tilde(),
+        tenant.ucb_gap(),
+        tenant.best_reward().unwrap_or(-0.0),
+    ]
 }
 
 impl Deref for Roster {

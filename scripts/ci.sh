@@ -34,6 +34,12 @@ echo "==> serial reference tests, optimised (the engine at one device)"
 # the build that perfbench and users run.
 cargo test --release -q -p easeml-core exec::reference
 
+echo "==> scheduler tests, optimised (the roster's dense folds)"
+# The pickers fold the roster's dense columns; the test-only reference
+# pickers must match them bit for bit, and a steady-state pick must
+# allocate nothing, in the build that perfbench and users run.
+cargo test --release -q -p easeml-sched
+
 echo "==> wall-clock scaling gates, optimised (ignored by the default test run)"
 # The scaling windows with no work-count equivalent: the pick_user and
 # posterior_update exponents over 1k-100k tenants, and the open-loop
