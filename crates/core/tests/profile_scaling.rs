@@ -72,9 +72,10 @@ fn profile(users: usize, steps: usize) -> CallTreeProfile {
 }
 
 /// Lowest share of `scheduler_step` wall time that its named child spans
-/// must hold (the rest is the step's own self time). Eleven runs on a
-/// 2-vCPU x86-64 VM read 0.78–0.84 at U = 5 and 0.82–0.87 at U = 50, debug
-/// and release, and 0.91–0.999 at U = 1k–100k under `--release`.
+/// must hold (the rest is the step's own self time). On a 2-vCPU x86-64
+/// VM, eleven runs (debug and release) read 0.78–0.84 at U = 5 and
+/// 0.82–0.87 at U = 50, and five `--release` runs 0.91–0.999 at
+/// U = 1k–100k.
 const MIN_CHILD_SHARE: f64 = 0.7;
 
 /// Every span exit was recorded, allocations were attributed, the step's
