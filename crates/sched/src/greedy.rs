@@ -211,7 +211,8 @@ impl UserPicker for Greedy {
             // rotation walks the *live* tenant list (identical to a plain
             // `+1 mod n` rotation when nobody has retired).
             if step >= at {
-                choice = roster.nth_live(roster.rank(choice) + 1);
+                let rank = roster.universe().take_while(|&i| i != choice).count();
+                choice = roster.nth_live(rank + 1);
             }
         }
         self.last_candidates = candidates;

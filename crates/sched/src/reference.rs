@@ -295,8 +295,15 @@ enum Op {
 }
 
 impl Op {
-    fn decode((kind, u, a, level): (u8, usize, usize, u8)) -> Op {
-        let reward = f64::from(level) / 4.0;
+    /// A quantised script serves quarter-level rewards, so equal histories
+    /// tie exactly; the others serve continuous draws, so a sum of best
+    /// rewards has the bits of one summation order only.
+    fn decode((kind, u, a, level, draw): (u8, usize, usize, u8, f64), quantised: bool) -> Op {
+        let reward = if quantised {
+            f64::from(level) / 4.0
+        } else {
+            draw
+        };
         match kind {
             0..=5 => Op::Serve(reward),
             6 | 7 => Op::Observe(u, reward),
@@ -330,13 +337,17 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         (
             prop::collection::vec((0u8..6, 0u8..3), n),
             prop::collection::vec((0..n, 0usize..5), 0..3 * n.min(8)),
-            prop::collection::vec((0u8..14, 0usize..130, 0usize..4, 0u8..5), 8..48),
+            prop::collection::vec(
+                (0u8..14, 0usize..130, 0usize..4, 0u8..5, 0.0f64..1.0),
+                8..48,
+            ),
             0u8..4,
+            0u8..2,
             0u64..1_000,
             1usize..4,
         )
             .prop_map(
-                move |(templates, history, ops, all_retired, seed, patience)| {
+                move |(templates, history, ops, all_retired, quantised, seed, patience)| {
                     let mut roster: Roster = templates
                         .iter()
                         .enumerate()
@@ -358,7 +369,10 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                         roster,
                         live,
                         num_arms: k,
-                        ops: ops.into_iter().map(Op::decode).collect(),
+                        ops: ops
+                            .into_iter()
+                            .map(|op| Op::decode(op, quantised != 0))
+                            .collect(),
                         seed,
                         patience,
                     }

@@ -277,16 +277,6 @@ impl Roster {
         }
         unreachable!("the live count matches the bitset")
     }
-
-    /// How many of the ids pickers draw from lie below `id`.
-    pub(crate) fn rank(&self, id: usize) -> usize {
-        if self.picks_from_all() {
-            return id;
-        }
-        let (word, bit) = (id / 64, id % 64);
-        let below: u32 = self.live[..word].iter().map(|w| w.count_ones()).sum();
-        (below + (self.live[word] & ((1u64 << bit) - 1)).count_ones()) as usize
-    }
 }
 
 /// `tenant`'s entries in the σ̃, UCB-gap and best-reward columns.
@@ -308,9 +298,19 @@ impl Deref for Roster {
 }
 
 impl FromIterator<Tenant> for Roster {
-    /// Pushes each tenant in turn ([`Roster::push`]).
+    /// Pushes each tenant in turn ([`Roster::push`]), after reserving every
+    /// column for the iterator's lower size bound.
     fn from_iter<I: IntoIterator<Item = Tenant>>(tenants: I) -> Self {
-        let mut roster = Roster::new();
+        let tenants = tenants.into_iter();
+        let n = tenants.size_hint().0;
+        let mut roster = Roster {
+            tenants: Vec::with_capacity(n),
+            live: Vec::with_capacity(n.div_ceil(64)),
+            live_count: 0,
+            sigma_tilde: Vec::with_capacity(n),
+            ucb_gap: Vec::with_capacity(n),
+            best_reward: Vec::with_capacity(n),
+        };
         for tenant in tenants {
             roster.push(tenant);
         }
@@ -410,9 +410,6 @@ mod tests {
         for step in 0..3 * live.len() {
             assert_eq!(r.nth_live(step), live[step % live.len()], "step {step}");
         }
-        for (rank, &id) in live.iter().enumerate() {
-            assert_eq!(r.rank(id), rank, "id {id}");
-        }
     }
 
     #[test]
@@ -420,7 +417,6 @@ mod tests {
         let mut r = roster(70);
         assert!(r.picks_from_all());
         assert_eq!(r.nth_live(141), 1);
-        assert_eq!(r.rank(69), 69);
         for id in 0..70 {
             r.set_active(id, false);
         }
